@@ -18,7 +18,7 @@ from .micromag import (ExternalField, FixedPointReport, MagnetizationField,
 from .optimize import (LandscapeGrid, NelderMeadOptions, NelderMeadResult,
                        SimplexState, energy_objective, grid_oracle, landscape,
                        nelder_mead)
-from .poisson import (GridSpec, PolarField, gradient_energy, integrate_disk,
+from .poisson import (GridSpec, PolarField, integrate_disk,
                       singular_quadrature_1d, solve_dirichlet, solver_for)
 from .renorm import (EnergyBreakdown, g_functional, punctured_energy,
                      w0_conformal, w0_disk)
@@ -32,7 +32,7 @@ __all__ = [
     "NelderMeadResult", "PolarField", "SampleSpec", "SimplexState",
     "SingularityError", "VectorFieldSample", "VortexConfig",
     "canonical_map_disk", "energy_objective", "g_functional",
-    "grad_phistar", "gradient_energy", "grid_oracle", "integrate_disk",
+    "grad_phistar", "grid_oracle", "integrate_disk",
     "landscape", "magnetization_field", "minimize_g_descent", "nelder_mead",
     "picard_solve", "punctured_energy", "pushforward_map",
     "singular_quadrature_1d", "solve_dirichlet", "solver_for",

@@ -7,8 +7,9 @@ circle, the canonical harmonic map on the disk is
 
 a unit-modulus field tangent to the boundary away from the vortices.  On
 a conformal image Omega = Phi(B_1) it is pushed forward by the phase of
-Phi'.  The multivalued harmonic lifting phi* of M is never materialized;
-only its single-valued analytic gradient
+Phi' (``pushforward_disk`` in disk coordinates, ``pushforward_map`` at
+points of Omega).  The multivalued harmonic lifting phi* of M is never
+materialized; only its single-valued analytic gradient
 
     grad phi*(x) = sum_j d_j (x - a_j)^perp / |x - a_j|^2
 
@@ -22,9 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError
-from .geom import ConformalDomain
-
-TWO_PI = 2.0 * np.pi
+from .geom import TWO_PI, ConformalDomain
 
 # evaluation closer than this to a vortex is treated as singular
 SINGULARITY_GUARD = 1e-12
@@ -134,19 +133,21 @@ def canonical_map_disk(config: VortexConfig, x) -> np.ndarray:
     return num / den
 
 
-def pushforward_map(domain: ConformalDomain, config: VortexConfig, w) -> np.ndarray:
-    """Canonical map M_* on Omega = Phi(B_1), at points w of Omega.
+def pushforward_disk(domain: ConformalDomain, config: VortexConfig, z) -> np.ndarray:
+    """M_*(Phi(z)) = M(z; a) Phi'(z) / |Phi'(z)|, at disk points z.
 
-    M_*(w) = M(Psi(w); a) Phi'(Psi(w)) / |Phi'(Psi(w))|.  For the disk
-    the correction factor is 1 and M_* coincides with M.
+    For the disk the correction factor is 1 and M itself is returned.
     """
-    w = np.asarray(w, dtype=complex)
-    z = domain.inverse(w)
     m = canonical_map_disk(config, z)
     if domain.is_disk:
         return m
     dphi = domain.dforward(z)
     return m * dphi / np.abs(dphi)
+
+
+def pushforward_map(domain: ConformalDomain, config: VortexConfig, w) -> np.ndarray:
+    """Canonical map M_* on Omega = Phi(B_1), at points w of Omega."""
+    return pushforward_disk(domain, config, domain.inverse(w))
 
 
 def grad_phistar(config: VortexConfig, x):

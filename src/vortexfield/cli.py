@@ -18,15 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .canonical import VortexConfig
-from .errors import ConvergenceError
-from .geom import ConformalDomain
+from .errors import ConfigurationError, ConvergenceError
+from .geom import TWO_PI, ConformalDomain
 from .micromag import ExternalField, SampleSpec, magnetization_field, total_energy
 from .optimize import NelderMeadOptions, energy_objective, landscape, nelder_mead
 from .poisson import GridSpec
+from .renorm import require_w0_nodes
 from .svgplot import heatmap_svg, quiver_svg
 from .verify import run_checks
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass
@@ -76,8 +75,7 @@ class RunConfig:
             raise ValueError("iteration budgets must be positive")
         if self.landscape_n < 16:
             raise ValueError("landscape resolution must be at least 16")
-        if self.w0_nodes < 64 or self.w0_nodes & (self.w0_nodes - 1):
-            raise ValueError("w0 nodes must be a power of two, at least 64")
+        require_w0_nodes(self.w0_nodes)
         if self.s is not None:
             sep = abs(self.s[0] - self.s[1]) % TWO_PI
             if min(sep, TWO_PI - sep) < 1e-9:
@@ -298,6 +296,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: options whose value may start with a minus sign, as in ``--h -0.01,0``
+_SIGNED_PAIR_OPTIONS = ("--h", "--s", "--s0")
+
+
+def _join_signed_values(argv: list) -> list:
+    """Rewrite ``--h X`` as ``--h=X`` for the options taking signed pairs.
+
+    argparse reads a separate value that starts with ``-`` as an option
+    unless it is a bare number, and ``-0.01,0`` is not one.
+    """
+    out = []
+    i = 0
+    while i < len(argv):
+        if argv[i] in _SIGNED_PAIR_OPTIONS and i + 1 < len(argv):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     for key in vars(config):
@@ -316,7 +336,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_signed_values(argv))
     try:
         config = config_from_args(args)
     except ValueError as exc:
@@ -324,6 +345,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return COMMANDS[args.command](config)
+    except ConfigurationError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 1
     except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2

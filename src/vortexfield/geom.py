@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import DomainError
 
+# the period of every angle in the package
+TWO_PI = 2.0 * np.pi
+
 # slack for |z| <= 1 membership tests
 _BOUNDARY_TOL = 1e-12
 

@@ -19,12 +19,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .canonical import VortexConfig
-from .errors import ConvergenceError
-from .geom import ConformalDomain
+from .errors import ConfigurationError, ConvergenceError
+from .geom import TWO_PI, ConformalDomain
 from .micromag import ExternalField, total_energy
 from .poisson import GridSpec
-
-TWO_PI = 2.0 * np.pi
 
 
 def _wrap(s: np.ndarray) -> np.ndarray:
@@ -165,9 +163,13 @@ def nelder_mead(objective, s0, opts: NelderMeadOptions = None) -> NelderMeadResu
 def worker_count() -> int:
     """Worker cap from VORTEXFIELD_THREADS; serial by default."""
     env = os.environ.get("VORTEXFIELD_THREADS", "")
-    if env.strip():
+    if not env.strip():
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        raise ConfigurationError(
+            f"VORTEXFIELD_THREADS must be an integer, got {env!r}") from None
 
 
 def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSpec,

@@ -12,9 +12,10 @@ regularity condition there for every mode; the Dirichlet condition at
 r = 1 enters through the ghost-value reflection u_{n+1} = -u_n.
 
 The same module carries the disk quadrature rule (midpoint in r,
-periodic trapezoid in t), the discrete gradient energy, and the graded
-1D quadrature used to self-test the singular-integration layer against
-the two log-sine integrals.
+periodic trapezoid in t) and the graded 1D quadrature used to self-test
+the singular-integration layer against the two log-sine integrals.  It
+has no separate gradient energy: the discrete Dirichlet energy of u is
+(1/2) <u, A_h u> in that quadrature, with A_h = ``DiskPoissonSolver.apply``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError
-
-TWO_PI = 2.0 * np.pi
+from .geom import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -207,38 +207,6 @@ def solve_dirichlet(f: PolarField) -> PolarField:
 def integrate_disk(g: PolarField) -> float:
     """Integral over the unit disk: midpoint in r, trapezoid in t."""
     return float(np.sum(g.values * g.grid.cell_weights()))
-
-
-def radial_derivative(u: PolarField) -> np.ndarray:
-    """Centered d/dr of a Dirichlet field.
-
-    The innermost ring differences across the pole (u(-r, t) = u(r, t + pi));
-    the outermost uses the ghost value -u_n implied by u(1) = 0.
-    """
-    g = u.grid
-    v = u.values
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * g.dr)
-    out[0] = (v[1] - np.roll(v[0], g.n_t // 2)) / (2.0 * g.dr)
-    out[-1] = (-v[-1] - v[-2]) / (2.0 * g.dr)
-    return out
-
-
-def angular_derivative(u: PolarField) -> np.ndarray:
-    """Centered periodic d/dt."""
-    v = u.values
-    return (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * u.grid.dt)
-
-
-def gradient_energy(u: PolarField) -> float:
-    """(1/2) integral of |grad u|^2 for a Dirichlet field."""
-    if not u.dirichlet:
-        raise ValueError("gradient_energy requires a Dirichlet-tagged field")
-    g = u.grid
-    du_r = radial_derivative(u)
-    du_t = angular_derivative(u) / g.r[:, None]
-    integrand = PolarField(g, du_r**2 + du_t**2, dirichlet=False)
-    return 0.5 * integrate_disk(integrand)
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,10 @@ Three evaluators of the vortex interaction energy live here:
 
 * ``w0_disk``: the closed form -pi log|a_1 - a_2| on the unit disk.
 * ``w0_conformal``: the boundary-integral formula on a conformal image,
-  with the log-kernel handled by singularity subtraction against the
-  mean-value identity  int_{|z|=1} log|z - a| dH^1 = 0  for |a| = 1.
+  with the log kernel integrated exactly against the trigonometric
+  interpolant of the density through the Fourier series
+  log|2 sin(x/2)| = -sum_{k>=1} cos(kx)/k (Kress, *Linear Integral
+  Equations*, ch. 12).
 * ``punctured_energy``: the Dirichlet integral of grad phi* over the
   disk minus small exclusion disks around the vortices, by adaptive
   midpoint quadrature.  Its renormalized limit carries twice the energy
@@ -13,7 +15,10 @@ Three evaluators of the vortex interaction energy live here:
 
 The functional g_functional(theta) = int (1/2)|grad theta|^2
 - h . (e^{i theta} M) is the external-field correction being minimized
-by the fixed-point solver in :mod:`vortexfield.micromag`.
+by the fixed-point solver in :mod:`vortexfield.micromag`.  Its kinetic
+term is the operator form (1/2) <theta, A_h theta>_w of the discrete
+Laplacian that solver inverts, so the Picard fixed point is an exact
+stationary point of the reported G.
 """
 
 from __future__ import annotations
@@ -24,10 +29,8 @@ import numpy as np
 
 from .canonical import VortexConfig, canonical_map_disk
 from .errors import ConfigurationError
-from .geom import ConformalDomain
-from .poisson import GridSpec, PolarField, gradient_energy, integrate_disk
-
-TWO_PI = 2.0 * np.pi
+from .geom import TWO_PI, ConformalDomain
+from .poisson import GridSpec, PolarField, integrate_disk, solver_for
 
 
 @dataclass
@@ -58,28 +61,25 @@ def w0_disk(config: VortexConfig) -> float:
     return float(-np.pi * np.log(sep))
 
 
-def _subtracted_log_integral(domain: ConformalDomain, t: np.ndarray, f: np.ndarray,
-                             s: float) -> float:
-    """Trapezoid value of int f(t) log|e^{it} - e^{is}| dt after subtraction.
+def _log_kernel_integrals(f: np.ndarray, s) -> np.ndarray:
+    """int_0^{2 pi} f(t) log|e^{it} - e^{is}| dt for each s, f sampled at N nodes.
 
-    Both the constant f(s) and the odd term f'(s) sin(t - s) have exact
-    integral zero against the log kernel on the period, so subtracting
-    them changes nothing analytically while making the integrand C^1 at
-    the vortex; the node at t = s (if any) contributes zero.
+    With f(t) = sum_k fhat_k e^{ikt} the integral is
+    -pi sum_{k != 0} fhat_k e^{iks} / |k|; the Nyquist mode, shared by
+    k = +-N/2, counts once with half weight.
     """
-    dt = t[1] - t[0]
-    fs = float(domain.curvature_speed(np.asarray([s]))[0])
-    h = 1e-5
-    fprime = float(
-        (domain.curvature_speed(np.asarray([s + h]))[0]
-         - domain.curvature_speed(np.asarray([s - h]))[0]) / (2.0 * h)
-    )
-    g = f - fs - fprime * np.sin(t - s)
-    dist = np.abs(np.exp(1j * t) - np.exp(1j * s))
-    safe = dist > 1e-14
-    logk = np.zeros_like(dist)
-    logk[safe] = np.log(dist[safe])
-    return float(np.sum(g * logk) * dt)
+    n = f.size
+    k = np.arange(1, n // 2 + 1)
+    fhat = np.fft.rfft(f)[1:] / n
+    fhat[-1] *= 0.5
+    phases = np.exp(1j * np.outer(np.asarray(s, dtype=float), k))
+    return -TWO_PI * np.real(phases @ (fhat / k))
+
+
+def require_w0_nodes(nodes: int) -> None:
+    """Reject a boundary node count that is not a power of two of at least 64."""
+    if nodes < 64 or (nodes & (nodes - 1)) != 0:
+        raise ValueError(f"w0 nodes must be a power of two, at least 64, got {nodes}")
 
 
 def w0_conformal(domain: ConformalDomain, config: VortexConfig, nodes: int = 2048) -> float:
@@ -91,12 +91,13 @@ def w0_conformal(domain: ConformalDomain, config: VortexConfig, nodes: int = 204
         + (1/2) int_{|z|=1} kappa(Phi(z)) |Phi'(z)|
               (log|z - a_1| + log|z - a_2| + log|Phi'(z)|) dH^1
 
-    by the periodic trapezoid rule with log-kernel subtraction.  On the
+    with the density sampled at ``nodes`` equispaced points: the smooth
+    log|Phi'| term by the periodic trapezoid rule, the two log kernels
+    exactly against the density's trigonometric interpolant.  On the
     disk the correction integrand vanishes identically and the closed
     form is recovered exactly.
     """
-    if nodes < 64 or (nodes & (nodes - 1)) != 0:
-        raise ValueError("nodes must be a power of two, at least 64")
+    require_w0_nodes(nodes)
     if config.n != 2 or config.multiplicities != (1, 1):
         raise ConfigurationError("the oval formula covers two degree-one vortices")
     base = w0_disk(config)
@@ -110,8 +111,7 @@ def w0_conformal(domain: ConformalDomain, config: VortexConfig, nodes: int = 204
     z = np.exp(1j * t)
     f = domain.curvature_speed(t)
     correction = float(np.sum(f * np.log(np.abs(domain.dforward(z)))) * dt)
-    for s in config.angles:
-        correction += _subtracted_log_integral(domain, t, f, s)
+    correction += float(np.sum(_log_kernel_integrals(f, config.angles)))
     return base + 0.5 * correction
 
 
@@ -185,16 +185,20 @@ def punctured_energy(config: VortexConfig, rho: float, grid: GridSpec,
 def g_functional(config: VortexConfig, theta: PolarField, h) -> float:
     """G(a; theta) = int (1/2)|grad theta|^2 - h . (e^{i theta} M(x; a)) dx.
 
-    The complex product e^{i theta} M is read as an R^2 vector dotted
-    with h.  ``theta`` must be Dirichlet-tagged (it represents an
-    H^1_0 candidate).
+    The Dirichlet energy is (1/2) <theta, A_h theta>_w, with A_h the
+    discrete -lap of :class:`~vortexfield.poisson.DiskPoissonSolver` and
+    w the disk quadrature weights.  The complex product e^{i theta} M is
+    read as an R^2 vector dotted with h.  ``theta`` must be
+    Dirichlet-tagged (it represents an H^1_0 candidate).
     """
     if not theta.dirichlet:
         raise ValueError("g_functional requires a Dirichlet-tagged theta")
     h1, h2 = float(h[0]), float(h[1])
-    kinetic = gradient_energy(theta)
-    m = canonical_map_disk(config, theta.grid.nodes_complex())
+    grid = theta.grid
+    kinetic = PolarField(grid, 0.5 * theta.values * solver_for(grid).apply(theta),
+                         dirichlet=False)
+    m = canonical_map_disk(config, grid.nodes_complex())
     rotated = np.exp(1j * theta.values) * m
-    coupling = PolarField(theta.grid, h1 * rotated.real + h2 * rotated.imag,
+    coupling = PolarField(grid, h1 * rotated.real + h2 * rotated.imag,
                           dirichlet=False)
-    return kinetic - integrate_disk(coupling)
+    return integrate_disk(kinetic) - integrate_disk(coupling)

@@ -14,13 +14,11 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .canonical import VortexConfig
-from .geom import ConformalDomain
+from .geom import TWO_PI, ConformalDomain
 from .micromag import ExternalField, minimize_g_descent, picard_solve
 from .poisson import (GridSpec, LOG_SIN_INTEGRAL, LOG_SIN_SQUARED_INTEGRAL,
                       singular_quadrature_1d)
 from .renorm import punctured_energy, w0_conformal, w0_disk
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass

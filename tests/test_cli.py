@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from vortexfield.cli import main
 
@@ -40,6 +41,16 @@ class TestMinimizeCommand:
         assert run(["minimize", "--domain", "oval", "--c", "0.7",
                     "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("spelling", [["--h", "-0.01,0", "--s0", "-0.5,2.5"],
+                                          ["--h=-0.01,0", "--s0=-0.5,2.5"]])
+    def test_negative_values_in_both_spellings(self, tmp_path, spelling):
+        code = run(["minimize", *spelling, "--grid", "16,32", "--max-evals", "3",
+                    "--out", str(tmp_path)])
+        assert code == 2  # parsed and run; three evaluations cannot converge
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config"]["h"] == [-0.01, 0.0]
+        assert summary["config"]["s0"] == [-0.5, 2.5]
+
 
 class TestLandscapeCommand:
     def test_csv_format_contract(self, tmp_path):
@@ -75,6 +86,16 @@ class TestLandscapeCommand:
             assert run(["landscape", "--domain", "disk", "--h", "0,0",
                         "--landscape-n", "16", "--out", str(out)]) == 0
         assert (out1 / "landscape.csv").read_bytes() == (out2 / "landscape.csv").read_bytes()
+
+    def test_invalid_thread_count_is_a_configuration_error(self, tmp_path, monkeypatch,
+                                                           capsys):
+        monkeypatch.setenv("VORTEXFIELD_THREADS", "abc")
+        code = run(["landscape", "--h", "0,0", "--landscape-n", "16",
+                    "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ")
+        assert "VORTEXFIELD_THREADS" in err and "'abc'" in err
 
     def test_svg_emission(self, tmp_path):
         run(["landscape", "--domain", "disk", "--h", "0,0",

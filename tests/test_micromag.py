@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vortexfield.canonical import VortexConfig, canonical_map_disk
 from vortexfield.geom import ConformalDomain
@@ -9,11 +11,12 @@ from vortexfield.micromag import (ExternalField, SampleSpec,
                                   interpolate_field, magnetization_field,
                                   minimize_g_descent, picard_solve,
                                   total_energy, v_external)
-from vortexfield.poisson import GridSpec, PolarField, solve_dirichlet
+from vortexfield.poisson import DiskPoissonSolver, GridSpec, PolarField, solve_dirichlet
 from vortexfield.renorm import g_functional
 
 TWO_PI = 2.0 * np.pi
 ANTIPODAL = VortexConfig.pair(0.0, np.pi)
+ROTATION_GRID = GridSpec(32, 64)
 
 
 class TestExternalField:
@@ -64,6 +67,15 @@ class TestPicardSolve:
         theta_g, iters, residual = minimize_g_descent(ANTIPODAL, field, grid)
         assert report.converged and residual < 1e-8
         assert np.max(np.abs(theta_p.values - theta_g.values)) < 1e-6
+
+    def test_descent_oracle_never_solves(self, monkeypatch):
+        # the oracle is independent of the linear solver it cross-checks
+        def no_solve(self, f):
+            raise AssertionError("minimize_g_descent called solve()")
+        monkeypatch.setattr(DiskPoissonSolver, "solve", no_solve)
+        _, _, residual = minimize_g_descent(VortexConfig.pair(0.5, 2.8),
+                                            ExternalField((-0.01, 0.0)), GridSpec(8, 16))
+        assert residual < 1e-8
 
     def test_g_decreases_along_iterates(self):
         # observed property of the fixed-point trajectory at |h| <= 0.1
@@ -167,6 +179,31 @@ class TestTotalEnergy:
         a = total_energy(ConformalDomain.disk(), VortexConfig.pair(0.4, 2.0), h, grid)
         b = total_energy(ConformalDomain.disk(), VortexConfig.pair(2.0, 0.4), h, grid)
         assert a.total == b.total
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(s=st.tuples(st.floats(0.0, TWO_PI, exclude_max=True),
+                       st.floats(0.0, TWO_PI, exclude_max=True)),
+           k=st.integers(1, ROTATION_GRID.n_t - 1),
+           h=st.tuples(st.floats(-0.02, 0.02), st.floats(-0.02, 0.02)))
+    def test_exact_rotation_law_on_the_disk(self, s, k, h):
+        # W(s + phi; R_phi h) = W(s; sigma h) for grid rotations
+        # phi = k dt.  M flips sign with the sorted label order, so
+        # sigma = -1 exactly when the rotation wraps one angle past 2 pi
+        # and reverses that order.
+        sep = abs(s[0] - s[1]) % TWO_PI
+        assume(min(sep, TWO_PI - sep) > 0.05)
+        s = tuple(sorted(s))
+        phi = k * ROTATION_GRID.dt
+        rotated = tuple(np.mod(np.add(s, phi), TWO_PI))
+        sigma = -1.0 if rotated[0] > rotated[1] else 1.0
+        c, d = np.cos(phi), np.sin(phi)
+        disk = ConformalDomain.disk()
+        w_rot = total_energy(disk, VortexConfig.pair(*rotated),
+                             ExternalField((c * h[0] - d * h[1], d * h[0] + c * h[1])),
+                             ROTATION_GRID).total
+        w = total_energy(disk, VortexConfig.pair(*s),
+                         ExternalField((sigma * h[0], sigma * h[1])), ROTATION_GRID).total
+        assert w_rot == pytest.approx(w, abs=1e-12)
 
     def test_total_is_sum_of_parts(self):
         grid = GridSpec(32, 64)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss, legvander
 
+from vortexfield.canonical import VortexConfig
 from vortexfield.poisson import (GridSpec, LOG_SIN_INTEGRAL,
                                  LOG_SIN_SQUARED_INTEGRAL, PolarField,
-                                 gauss_legendre, gradient_energy, integrate_disk,
+                                 gauss_legendre, integrate_disk,
                                  singular_quadrature_1d, solve_dirichlet,
                                  solver_for)
+from vortexfield.renorm import g_functional
 
 TWO_PI = 2.0 * np.pi
 
@@ -126,29 +128,18 @@ class TestIntegrateDisk:
 
 
 class TestGradientEnergy:
+    # the Dirichlet energy (1/2) <theta, A_h theta>_w lives in g_functional;
+    # at h = 0 it is the whole of G
     def test_zero_field(self):
         grid = GridSpec(16, 32)
-        assert gradient_energy(PolarField.zeros(grid)) == 0.0
-
-    def test_paraboloid_value(self):
-        grid = GridSpec(64, 128)
-        u = PolarField.from_function(grid, lambda R, T: 1 - R**2)
-        assert gradient_energy(u) == pytest.approx(np.pi, abs=2e-3)
-
-    def test_error_quarters_under_doubling(self):
-        errs = []
-        for n in (32, 64, 128):
-            grid = GridSpec(n, 2 * n)
-            u = PolarField.from_function(grid, lambda R, T: 1 - R**2)
-            errs.append(abs(gradient_energy(u) - np.pi))
-        for i in range(2):
-            assert 3.5 <= errs[i] / errs[i + 1] <= 4.5
+        cfg = VortexConfig.pair(0.0, np.pi)
+        assert g_functional(cfg, PolarField.zeros(grid), (0.0, 0.0)) == 0.0
 
     def test_requires_dirichlet_tag(self):
         grid = GridSpec(16, 32)
         u = PolarField.zeros(grid, dirichlet=False)
         with pytest.raises(ValueError):
-            gradient_energy(u)
+            g_functional(VortexConfig.pair(0.0, np.pi), u, (0.0, 0.0))
 
 
 class TestSingularQuadrature:

@@ -79,6 +79,40 @@ class TestW0Conformal:
         dom = ConformalDomain.oval(0.2)
         assert w0_conformal(dom, VortexConfig.pair(1.0, 1.0), 1024) == np.inf
 
+    @staticmethod
+    def _subtracted_trapezoid_w0(dom, cfg, n=65536):
+        # independent reference: trapezoid rule after subtracting
+        # f(s) + f'(s) sin(t - s), both of zero integral against the
+        # log kernel, so the integrand is C^1 at the vortex
+        t = TWO_PI * np.arange(n) / n
+        f = dom.curvature_speed(t)
+        total = np.sum(f * np.log(np.abs(dom.dforward(np.exp(1j * t))))) * TWO_PI / n
+        for s in cfg.angles:
+            fs = dom.curvature_speed(np.array([s]))[0]
+            fp = (dom.curvature_speed(np.array([s + 1e-5]))[0]
+                  - dom.curvature_speed(np.array([s - 1e-5]))[0]) / 2e-5
+            dist = np.abs(np.exp(1j * t) - np.exp(1j * s))
+            logk = np.log(np.where(dist > 1e-14, dist, 1.0))
+            total += np.sum((f - fs - fp * np.sin(t - s)) * logk) * TWO_PI / n
+        return w0_disk(cfg) + 0.5 * total
+
+    @pytest.mark.parametrize("c", [0.1, 0.45])
+    def test_matches_subtracted_trapezoid_reference(self, c):
+        dom = ConformalDomain.oval(c)
+        for pair in [(0.0, np.pi), (0.3, 2.1)]:
+            cfg = VortexConfig.pair(*pair)
+            assert w0_conformal(dom, cfg, 256) == pytest.approx(
+                self._subtracted_trapezoid_w0(dom, cfg), abs=1e-9)
+
+    @pytest.mark.parametrize("c", [0.1, 0.2, 0.45])
+    def test_256_nodes_match_2048(self, c):
+        # the log kernels are integrated exactly against the density's
+        # trigonometric interpolant, which has converged at 256 nodes
+        dom = ConformalDomain.oval(c)
+        for pair in [(0.0, np.pi), (0.3, 2.1), (1.0, 4.5)]:
+            cfg = VortexConfig.pair(*pair)
+            assert abs(w0_conformal(dom, cfg, 256) - w0_conformal(dom, cfg, 2048)) <= 1e-12
+
     def test_oval_prefers_high_curvature_tips(self):
         # among antipodal pairs the energy is lowest at the pointed ends
         dom = ConformalDomain.oval(0.2)
@@ -166,6 +200,39 @@ class TestGFunctional:
         cfg = VortexConfig.pair(0.0, np.pi)
         with pytest.raises(ValueError):
             g_functional(cfg, PolarField.zeros(grid, dirichlet=False), (0.0, 0.0))
+
+    def test_paraboloid_kinetic_value(self):
+        # at h = 0 only (1/2) int |grad(1 - r^2)|^2 = pi remains
+        grid = GridSpec(64, 128)
+        u = PolarField.from_function(grid, lambda R, T: 1 - R**2)
+        assert g_functional(VortexConfig.pair(0.0, np.pi), u, (0.0, 0.0)) == pytest.approx(
+            np.pi, abs=2e-3)
+
+    def test_kinetic_error_falls_eightfold_under_doubling(self):
+        # operator form of the Dirichlet energy on 1 - r^2, at h = 0
+        errs = []
+        for n in (32, 64, 128):
+            grid = GridSpec(n, 2 * n)
+            u = PolarField.from_function(grid, lambda R, T: 1 - R**2)
+            errs.append(abs(g_functional(VortexConfig.pair(0.0, np.pi), u, (0.0, 0.0)) - np.pi))
+        for i in range(2):
+            assert 7.0 <= errs[i] / errs[i + 1] <= 9.0
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_picard_fixed_point_is_stationary(self, n):
+        # G's kinetic term is built on the operator Picard inverts, so the
+        # directional derivative at the fixed point is rounding noise
+        grid = GridSpec(n, 2 * n)
+        cfg = VortexConfig.pair(0.5, 2.8)
+        h = (-0.01, 0.0)
+        theta, report = picard_solve(cfg, ExternalField(h), grid, tol=1e-12)
+        assert report.converged
+        R, T = grid.mesh()
+        bump = (1 - R**2) * (1 + R * np.cos(T))
+        eps = 1e-4
+        g_plus = g_functional(cfg, PolarField(grid, theta.values + eps * bump), h)
+        g_minus = g_functional(cfg, PolarField(grid, theta.values - eps * bump), h)
+        assert abs(g_plus - g_minus) / (2.0 * eps) <= 1e-9
 
 
 class TestMinimalityProperty:
