@@ -1,7 +1,8 @@
 """Canonical harmonic maps attached to a pair of boundary vortices.
 
-For two degree-one vortices a_1 = e^{i s_1}, a_2 = e^{i s_2} on the unit
-circle, the canonical harmonic map on the disk is
+The problem has exactly two degree-one vortices a_1 = e^{i s_1},
+a_2 = e^{i s_2} on the unit circle; :class:`VortexConfig` holds nothing
+else.  The canonical harmonic map on the disk is
 
     M(x; a) = (x - a_1)(x - a_2) |a_1 - a_2| / (|x - a_1| |x - a_2| (a_1 - a_2)),
 
@@ -11,14 +12,19 @@ Phi' (``pushforward_disk`` in disk coordinates, ``pushforward_map`` at
 points of Omega).  The multivalued harmonic lifting phi* of M is never
 materialized; only its single-valued analytic gradient
 
-    grad phi*(x) = sum_j d_j (x - a_j)^perp / |x - a_j|^2
+    grad phi*(x) = (x - a_1)^perp / |x - a_1|^2 + (x - a_2)^perp / |x - a_2|^2
 
 is used downstream (v^perp rotates v by +90 degrees).
+
+A pair is degenerate when its angular separation on the circle is below
+``DEGENERACY_GUARD``; :attr:`VortexConfig.is_degenerate` is the one test
+for it.  ``canonical_map_disk`` raises on a degenerate pair, while the
+energy evaluators return +inf.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,48 +34,34 @@ from .geom import TWO_PI, ConformalDomain
 # evaluation closer than this to a vortex is treated as singular
 SINGULARITY_GUARD = 1e-12
 
+# vortex pairs closer than this angle on the circle are degenerate
+DEGENERACY_GUARD = 1e-9
+
 
 @dataclass(frozen=True)
 class VortexConfig:
-    """Boundary vortex angles and multiplicities.
+    """The angles (s_1, s_2) of two degree-one boundary vortices.
 
-    The angles live on [0, 2 pi) (stored modulo 2 pi); multiplicities
-    must sum to 2, the topological constraint for a boundary-tangent
-    field on a simply connected domain.  Coincident angles are allowed
+    The angles are stored modulo 2 pi.  Coincident angles are allowed
     to exist (they mark a degenerate, infinite-energy configuration)
     but are rejected by operations that need distinct vortices.
     """
 
     angles: tuple
-    multiplicities: tuple = field(default=())
 
     def __post_init__(self):
         angles = tuple(float(s) % TWO_PI for s in self.angles)
-        mult = self.multiplicities or (1,) * len(angles)
-        mult = tuple(int(d) for d in mult)
-        if len(mult) != len(angles):
-            raise ConfigurationError("one multiplicity per angle is required")
-        if len(angles) == 0:
-            raise ConfigurationError("at least one vortex is required")
+        if len(angles) != 2:
+            raise ConfigurationError(
+                f"exactly two vortex angles are required, got {len(angles)}")
         if not all(np.isfinite(angles)):
             raise ConfigurationError("vortex angles must be finite")
-        if any(d == 0 for d in mult):
-            raise ConfigurationError("multiplicities must be nonzero")
-        if sum(mult) != 2:
-            raise ConfigurationError(
-                f"multiplicities must sum to 2, got {sum(mult)}"
-            )
         object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "multiplicities", mult)
 
     @staticmethod
     def pair(s1: float, s2: float) -> "VortexConfig":
         """Two degree-one vortices at angles (s1, s2)."""
-        return VortexConfig(angles=(s1, s2), multiplicities=(1, 1))
-
-    @property
-    def n(self) -> int:
-        return len(self.angles)
+        return VortexConfig(angles=(s1, s2))
 
     @property
     def positions(self) -> np.ndarray:
@@ -78,30 +70,13 @@ class VortexConfig:
 
     @property
     def is_degenerate(self) -> bool:
-        """True when two vortex angles coincide modulo 2 pi."""
-        a = self.positions
-        for i in range(len(a)):
-            for j in range(i + 1, len(a)):
-                if abs(a[i] - a[j]) < SINGULARITY_GUARD:
-                    return True
-        return False
+        """True when the angular separation is below ``DEGENERACY_GUARD``."""
+        sep = abs(self.angles[0] - self.angles[1])
+        return min(sep, TWO_PI - sep) < DEGENERACY_GUARD
 
     def canonical_order(self) -> "VortexConfig":
         """Copy with angles sorted ascending (label-exchange normal form)."""
-        order = np.argsort(self.angles, kind="stable")
-        return VortexConfig(
-            angles=tuple(self.angles[i] for i in order),
-            multiplicities=tuple(self.multiplicities[i] for i in order),
-        )
-
-    def require_simple_pair(self) -> None:
-        """Reject anything but two distinct degree-one vortices."""
-        if self.n != 2 or self.multiplicities != (1, 1):
-            raise ConfigurationError(
-                "only N = 2 vortices with multiplicities (1, 1) are supported here"
-            )
-        if self.is_degenerate:
-            raise ConfigurationError("coincident vortex angles are degenerate")
+        return VortexConfig(angles=tuple(sorted(self.angles)))
 
 
 def _guard_singularities(x: np.ndarray, positions: np.ndarray) -> None:
@@ -116,7 +91,8 @@ def canonical_map_disk(config: VortexConfig, x) -> np.ndarray:
     Parameters
     ----------
     config : VortexConfig
-        Exactly two degree-one vortices.
+        Two distinct degree-one vortices; a degenerate pair raises
+        :class:`ConfigurationError`.
     x : complex scalar or array
         Evaluation points in the closed disk, away from the vortices.
 
@@ -124,7 +100,8 @@ def canonical_map_disk(config: VortexConfig, x) -> np.ndarray:
     -------
     Complex array of unit modulus with the same shape as ``x``.
     """
-    config.require_simple_pair()
+    if config.is_degenerate:
+        raise ConfigurationError("coincident vortex angles are degenerate")
     x = np.asarray(x, dtype=complex)
     a1, a2 = config.positions
     _guard_singularities(x, config.positions)
@@ -151,19 +128,19 @@ def pushforward_map(domain: ConformalDomain, config: VortexConfig, w) -> np.ndar
 
 
 def grad_phistar(config: VortexConfig, x):
-    """Gradient of the harmonic lifting, sum_j d_j (x - a_j)^perp / |x - a_j|^2.
+    """Gradient of the harmonic lifting, sum_j (x - a_j)^perp / |x - a_j|^2.
 
-    Valid for any multiplicity vector summing to 2; the lifting itself is
-    multivalued and never formed.  Returns a pair (gx, gy) of real arrays.
+    The sum runs over the two vortices; the lifting itself is multivalued
+    and never formed.  Returns a pair (gx, gy) of real arrays.
     """
     x = np.asarray(x, dtype=complex)
     _guard_singularities(x, config.positions)
     gx = np.zeros(x.shape, dtype=float)
     gy = np.zeros(x.shape, dtype=float)
-    for a, d in zip(config.positions, config.multiplicities):
+    for a in config.positions:
         vx = x.real - a.real
         vy = x.imag - a.imag
         r2 = vx * vx + vy * vy
-        gx += d * (-vy) / r2
-        gy += d * vx / r2
+        gx -= vy / r2
+        gy += vx / r2
     return gx, gy

@@ -63,23 +63,26 @@ class RunConfig:
     def grid_spec(self) -> GridSpec:
         return GridSpec(self.grid[0], self.grid[1])
 
+    def sample_spec(self) -> SampleSpec:
+        return SampleSpec(n_r=self.samples[0], n_t=self.samples[1],
+                          jitter=self.jitter, seed=self.seed)
+
     def validate(self) -> None:
         if self.domain not in ("disk", "oval"):
             raise ValueError(f"unknown domain {self.domain!r}")
+        if not np.isfinite(self.c):
+            raise ValueError(f"c must be finite, got {self.c}")
         self.conformal_domain()
         self.external_field()
         self.grid_spec()
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        self.sample_spec()
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1 or self.max_evals < 3:
             raise ValueError("iteration budgets must be positive")
-        if self.landscape_n < 16:
-            raise ValueError("landscape resolution must be at least 16")
         require_w0_nodes(self.w0_nodes)
-        if self.s is not None:
-            sep = abs(self.s[0] - self.s[1]) % TWO_PI
-            if min(sep, TWO_PI - sep) < 1e-9:
-                raise ValueError("vortex angles coincide (degenerate configuration)")
+        if self.s is not None and VortexConfig.pair(*self.s).is_degenerate:
+            raise ValueError("vortex angles coincide (degenerate configuration)")
 
 
 def _pair(text: str) -> tuple:
@@ -116,9 +119,16 @@ def _minimize_run(config: RunConfig):
     domain = config.conformal_domain()
     field = config.external_field()
     grid = config.grid_spec()
-    objective = energy_objective(domain, field, grid, config.w0_nodes)
+    objective = energy_objective(domain, field, grid, config.w0_nodes,
+                                 tol=config.tol, max_iter=config.max_iter)
     opts = NelderMeadOptions(max_evals=config.max_evals)
     return nelder_mead(objective, config.s0, opts)
+
+
+def _report_budget(command: str, result, config: RunConfig) -> None:
+    print(f"{command} did not converge within the evaluation budget "
+          f"({result.evaluations} evaluations used, budget {config.max_evals})",
+          file=sys.stderr)
 
 
 def cmd_minimize(config: RunConfig) -> int:
@@ -147,12 +157,16 @@ def cmd_minimize(config: RunConfig) -> int:
             "best_history": result.state.best_history,
         },
     })
-    return 0 if result.converged else 2
+    if not result.converged:
+        _report_budget("minimize", result, config)
+        return 2
+    return 0
 
 
 def cmd_landscape(config: RunConfig) -> int:
     scan = landscape(config.conformal_domain(), config.external_field(),
-                     config.landscape_n, config.grid_spec(), config.w0_nodes)
+                     config.landscape_n, config.grid_spec(), config.w0_nodes,
+                     tol=config.tol, max_iter=config.max_iter)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     n = scan.n
@@ -184,16 +198,13 @@ def cmd_field(config: RunConfig) -> int:
     else:
         result = _minimize_run(config)
         if not result.converged:
-            print("auto-min did not converge within the evaluation budget",
-                  file=sys.stderr)
+            _report_budget("auto-min", result, config)
             return 2
         s = result.s_min
     domain = config.conformal_domain()
-    sample = SampleSpec(n_r=config.samples[0], n_t=config.samples[1],
-                        jitter=config.jitter, seed=config.seed)
     field_out = magnetization_field(domain, VortexConfig.pair(*s),
                                     config.external_field(), config.grid_spec(),
-                                    sample, tol=config.tol,
+                                    config.sample_spec(), tol=config.tol,
                                     max_iter=config.max_iter)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -238,6 +249,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The four subcommands; an option left out takes its RunConfig default."""
     parser = argparse.ArgumentParser(
         prog="vortexfield",
         description="Boundary-vortex positions and magnetization fields in "
@@ -245,53 +257,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--domain", choices=("disk", "oval"), default="disk")
-        p.add_argument("--c", type=float, default=0.2,
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--domain", choices=("disk", "oval"))
+        p.add_argument("--c", type=float,
                        help="conformal coefficient of the oval family")
-        p.add_argument("--h", type=_pair, default=(0.0, 0.0), metavar="H1,H2",
+        p.add_argument("--h", type=_pair, metavar="H1,H2",
                        help="external field components")
-        p.add_argument("--grid", type=_int_pair, default=(128, 256), metavar="NR,NT",
+        p.add_argument("--grid", type=_int_pair, metavar="NR,NT",
                        help="solver grid (radial, angular)")
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--tol", type=float,
                        help="fixed-point stopping tolerance (max-norm)")
-        p.add_argument("--max-iter", type=int, default=50,
+        p.add_argument("--max-iter", type=int,
                        help="fixed-point iteration budget")
-        p.add_argument("--w0-nodes", type=int, default=2048,
+        p.add_argument("--w0-nodes", type=int,
                        help="boundary quadrature nodes (power of two)")
-        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--out", help="output directory")
         p.add_argument("--svg", action="store_true", help="emit static SVG plots")
+        return p
 
-    p_min = sub.add_parser("minimize", help="minimize the renormalized energy")
-    common(p_min)
-    p_min.add_argument("--s0", type=_pair, default=(0.5, 2.5), metavar="S1,S2",
+    p_min = command("minimize", "minimize the renormalized energy")
+    p_min.add_argument("--s0", type=_pair, metavar="S1,S2",
                        help="initial angle pair for the simplex search")
-    p_min.add_argument("--max-evals", type=int, default=500,
+    p_min.add_argument("--max-evals", type=int,
                        help="objective evaluation budget")
 
-    p_land = sub.add_parser("landscape", help="scan the energy over angle pairs")
-    common(p_land)
-    p_land.add_argument("--landscape-n", type=int, default=64, metavar="N",
+    p_land = command("landscape", "scan the energy over angle pairs")
+    p_land.add_argument("--landscape-n", type=int, metavar="N",
                         help="grid resolution per angle")
 
-    p_field = sub.add_parser("field", help="sample the magnetization vector field")
-    common(p_field)
-    p_field.add_argument("--s", type=_pair, default=None, metavar="S1,S2",
+    p_field = command("field", "sample the magnetization vector field")
+    p_field.add_argument("--s", type=_pair, metavar="S1,S2",
                          help="vortex angles (skip the minimization)")
-    p_field.add_argument("--s0", type=_pair, default=(0.5, 2.5), metavar="S1,S2")
-    p_field.add_argument("--max-evals", type=int, default=500)
+    p_field.add_argument("--s0", type=_pair, metavar="S1,S2")
+    p_field.add_argument("--max-evals", type=int)
     p_field.add_argument("--auto-min", action="store_true",
                          help="locate vortices by minimization first")
-    p_field.add_argument("--samples", type=_int_pair, default=(16, 48),
-                         metavar="NR,NT", help="sample lattice resolution")
-    p_field.add_argument("--jitter", type=float, default=0.0,
+    p_field.add_argument("--samples", type=_int_pair, metavar="NR,NT",
+                         help="sample lattice resolution")
+    p_field.add_argument("--jitter", type=float,
                          help="sample jitter as a fraction of one cell")
-    p_field.add_argument("--seed", type=int, default=0,
+    p_field.add_argument("--seed", type=int,
                          help="random seed for sample jitter")
 
-    p_ver = sub.add_parser("verify", help="run the cross-validation suite")
-    common(p_ver)
-    p_ver.add_argument("--only", default="", metavar="CHECK-SET",
+    p_ver = command("verify", "run the cross-validation suite")
+    p_ver.add_argument("--only", metavar="CHECK-SET",
                        help="restrict to checks matching this name or tag")
     return parser
 

@@ -80,20 +80,17 @@ class ConformalDomain:
     def inverse(self, w):
         """Psi(w), the inverse of :meth:`forward`.
 
+        Evaluated as 2 w / (1 + sqrt(1 + 4 c w^2)), the same value as the
+        quadratic-formula root without its cancellation for small c w^2.
         The square root takes its principal branch; the branch point
         sits at |w| = 1/(2 sqrt(c)), strictly outside the closed image
-        of the disk for every c < 1/2.  Psi(0) = 0 by continuity.
+        of the disk for every c < 1/2.
         """
         w = np.asarray(w, dtype=complex)
         if self.is_disk:
             z = w + 0.0
         else:
-            c = self.c
-            z = np.empty_like(w)
-            small = np.abs(w) < 1e-14
-            z[small] = 0.0
-            ws = w[~small]
-            z[~small] = (-1.0 + np.sqrt(1.0 + 4.0 * c * ws * ws)) / (2.0 * c * ws)
+            z = 2.0 * w / (1.0 + np.sqrt(1.0 + 4.0 * self.c * w * w))
         if np.any(np.abs(z) > 1.0 + 1e-9):
             raise DomainError("inverse map produced |z| > 1; point outside the domain")
         return z

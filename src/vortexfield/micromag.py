@@ -87,7 +87,6 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     Returns ``(theta, report)``; non-convergence within ``max_iter`` is
     reported through ``report.converged``, never silently.
     """
-    config.require_simple_pair()
     solver = solver_for(grid)
     m = canonical_map_disk(config, grid.nodes_complex())
     theta = PolarField.zeros(grid)
@@ -185,6 +184,15 @@ class SampleSpec:
     seed: int = 0
     points: tuple = None
 
+    def __post_init__(self):
+        if self.n_r < 1 or self.n_t < 1:
+            raise ValueError(f"sample lattice needs at least 1 x 1 points, "
+                             f"got {self.n_r} x {self.n_t}")
+        if not (np.isfinite(self.jitter) and self.jitter >= 0.0):
+            raise ValueError(f"jitter must be finite and non-negative, got {self.jitter}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
     def disk_points(self) -> np.ndarray:
         if self.points is not None:
             return np.asarray(self.points, dtype=complex)
@@ -278,7 +286,6 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     outside the closed disk or inside the vortex guard are skipped and
     counted.
     """
-    config.require_simple_pair()
     if field.is_zero:
         theta = PolarField.zeros(grid)
     else:
@@ -323,7 +330,6 @@ def minimize_g_descent(config: VortexConfig, field: ExternalField, grid: GridSpe
     Returns ``(theta, iterations, residual)`` where ``residual`` is the
     max-norm of the discrete Euler-Lagrange gradient at ``theta``.
     """
-    config.require_simple_pair()
     solver = solver_for(grid)
     m = canonical_map_disk(config, grid.nodes_complex())
     wgt = grid.cell_weights()

@@ -49,17 +49,14 @@ class NelderMeadOptions:
 
 @dataclass
 class SimplexState:
-    """Snapshot of the simplex trajectory, sorted best-first."""
+    """Operation counts and best value per step of a simplex run."""
 
-    vertices: list = dataclass_field(default_factory=list)   # (angles, value)
     operations: dict = dataclass_field(default_factory=lambda: {
         "reflect": 0, "expand": 0, "contract": 0, "shrink": 0})
     best_history: list = dataclass_field(default_factory=list)
 
-    def record(self, points, values):
-        order = np.argsort(values, kind="stable")
-        self.vertices = [(tuple(points[i]), float(values[i])) for i in order]
-        best = float(values[order[0]])
+    def record(self, values):
+        best = min(values)
         if not self.best_history or best < self.best_history[-1]:
             self.best_history.append(best)
         else:
@@ -95,7 +92,7 @@ def nelder_mead(objective, s0, opts: NelderMeadOptions = None) -> NelderMeadResu
               _wrap(s0 + np.array([0.0, opts.step]))]
     values = [f(p) for p in points]
     evals = 3
-    state.record(points, values)
+    state.record(values)
 
     converged = False
     while evals < opts.max_evals:
@@ -143,7 +140,7 @@ def nelder_mead(objective, s0, opts: NelderMeadOptions = None) -> NelderMeadResu
                     points[i] = _wrap(shrunk)
                     values[i] = f(points[i]); evals += 1
                 state.operations["shrink"] += 1
-        state.record(points, values)
+        state.record(values)
 
     order = np.argsort(values, kind="stable")
     best_idx = order[0]
@@ -173,16 +170,18 @@ def worker_count() -> int:
 
 
 def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSpec,
-                     w0_nodes: int = 2048):
-    """Total-energy objective over angle pairs; +inf on degenerate pairs."""
+                     w0_nodes: int = 2048, tol: float = 1e-9, max_iter: int = 50):
+    """Total-energy objective over angle pairs; +inf on degenerate pairs.
+
+    ``tol`` and ``max_iter`` go to the Picard solve of every evaluation;
+    an evaluation that does not converge within them scores +inf.
+    """
 
     def objective(s) -> float:
         config = VortexConfig.pair(float(s[0]), float(s[1]))
-        if config.is_degenerate:
-            return float("inf")
         try:
-            return total_energy(domain, config, field, grid,
-                                w0_nodes=w0_nodes).total
+            return total_energy(domain, config, field, grid, w0_nodes=w0_nodes,
+                                tol=tol, max_iter=max_iter).total
         except ConvergenceError:
             return float("inf")
     return objective
@@ -203,7 +202,8 @@ class LandscapeGrid:
 
 
 def landscape(domain: ConformalDomain, field: ExternalField, n: int,
-              grid: GridSpec, w0_nodes: int = 2048) -> LandscapeGrid:
+              grid: GridSpec, w0_nodes: int = 2048, tol: float = 1e-9,
+              max_iter: int = 50) -> LandscapeGrid:
     """Evaluate the energy on the n x n grid of angle pairs.
 
     Cells whose torus separation is below one cell width are marked
@@ -213,8 +213,8 @@ def landscape(domain: ConformalDomain, field: ExternalField, n: int,
     regardless of scheduling.
     """
     if n < 16:
-        raise ValueError("landscape resolution must be at least 16")
-    objective = energy_objective(domain, field, grid, w0_nodes)
+        raise ConfigurationError(f"landscape resolution must be at least 16, got {n}")
+    objective = energy_objective(domain, field, grid, w0_nodes, tol, max_iter)
     energies = np.full((n, n), np.inf)
     failures = np.zeros(n, dtype=int)
 
@@ -222,9 +222,7 @@ def landscape(domain: ConformalDomain, field: ExternalField, n: int,
         s1 = TWO_PI * i / n
         for j in range(n):
             s2 = TWO_PI * j / n
-            sep = abs(s1 - s2) % TWO_PI
-            sep = min(sep, TWO_PI - sep)
-            if sep < TWO_PI / n:
+            if _torus_dist(s1, s2) < TWO_PI / n:
                 continue
             v = objective((s1, s2))
             if not np.isfinite(v):
@@ -266,9 +264,7 @@ def grid_oracle(domain: ConformalDomain, field: ExternalField, n: int,
     for di in range(-refine, refine + 1):
         for dj in range(-refine, refine + 1):
             s = _wrap(s_best + np.array([di * step, dj * step]))
-            sep = abs(s[0] - s[1]) % TWO_PI
-            sep = min(sep, TWO_PI - sep)
-            if sep < guard:
+            if _torus_dist(s[0], s[1]) < guard:
                 continue
             v = objective(s)
             if v < v_best:

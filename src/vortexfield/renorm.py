@@ -27,8 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .canonical import VortexConfig, canonical_map_disk
-from .errors import ConfigurationError
+from .canonical import VortexConfig, canonical_map_disk, grad_phistar
 from .geom import TWO_PI, ConformalDomain
 from .poisson import GridSpec, PolarField, integrate_disk, solver_for
 
@@ -49,16 +48,13 @@ class EnergyBreakdown:
 def w0_disk(config: VortexConfig) -> float:
     """Unperturbed renormalized energy -pi log|a_1 - a_2| on the disk.
 
-    Returns +inf for coincident vortex angles (the energy blows up as
-    the vortices merge); raises for anything but a two-vortex pair.
+    Returns +inf for a degenerate pair (the energy blows up as the
+    vortices merge).
     """
-    if config.n != 2 or config.multiplicities != (1, 1):
-        raise ConfigurationError("the closed form covers two degree-one vortices")
-    s1, s2 = config.angles
-    sep = 2.0 * abs(np.sin(0.5 * (s1 - s2)))
-    if sep < 1e-15:
+    if config.is_degenerate:
         return float("inf")
-    return float(-np.pi * np.log(sep))
+    s1, s2 = config.angles
+    return float(-np.pi * np.log(2.0 * abs(np.sin(0.5 * (s1 - s2)))))
 
 
 def _log_kernel_integrals(f: np.ndarray, s) -> np.ndarray:
@@ -98,8 +94,6 @@ def w0_conformal(domain: ConformalDomain, config: VortexConfig, nodes: int = 204
     form is recovered exactly.
     """
     require_w0_nodes(nodes)
-    if config.n != 2 or config.multiplicities != (1, 1):
-        raise ConfigurationError("the oval formula covers two degree-one vortices")
     base = w0_disk(config)
     if not np.isfinite(base):
         return base
@@ -121,18 +115,12 @@ def punctured_energy(config: VortexConfig, rho: float, grid: GridSpec,
 
     Midpoint quadrature on the polar grid, with cells near any vortex
     recursively split until their diameter is below rho / 8; a (sub)cell
-    contributes iff its center lies outside every exclusion disk
-    B_rho(a_j).  Requires 2 rho to be smaller than the minimal vortex
-    separation so the exclusion disks stay disjoint.
+    contributes iff its center lies outside both exclusion disks
+    B_rho(a_j).  Requires 2 rho to be smaller than the vortex separation
+    so the exclusion disks stay disjoint.
     """
-    from .canonical import grad_phistar
-
     positions = config.positions
-    sep = np.inf
-    for i in range(len(positions)):
-        for j in range(i + 1, len(positions)):
-            sep = min(sep, abs(positions[i] - positions[j]))
-    if not (0.0 < rho < 0.5 * sep):
+    if not (0.0 < rho < 0.5 * abs(positions[0] - positions[1])):
         raise ValueError("rho must be positive and below half the vortex separation")
 
     def integrand(x: np.ndarray) -> np.ndarray:

@@ -13,16 +13,26 @@ TWO_PI = 2.0 * np.pi
 
 class TestVortexConfig:
     def test_multiplicities_must_sum_to_two(self):
-        with pytest.raises(ConfigurationError):
-            VortexConfig(angles=(0.0, 1.0), multiplicities=(1, 2))
-
-    def test_default_multiplicities(self):
-        cfg = VortexConfig(angles=(0.0, 1.0))
-        assert cfg.multiplicities == (1, 1)
+        # the total degree 2 is carried by exactly two finite degree-one vortices
+        for angles in [(), (0.0,), (0.0, 1.0, 2.0), (np.nan, 1.0), (0.0, np.inf)]:
+            with pytest.raises(ConfigurationError):
+                VortexConfig(angles=angles)
+        assert VortexConfig(angles=(0.0, 1.0)) == VortexConfig.pair(0.0, 1.0)
 
     def test_degeneracy_detection(self):
         assert VortexConfig.pair(1.0, 1.0 + TWO_PI).is_degenerate
         assert not VortexConfig.pair(0.0, np.pi).is_degenerate
+        # one threshold, 1e-9 in angle, measured around the circle
+        assert VortexConfig.pair(1.0, 1.0 + 5e-10).is_degenerate
+        assert not VortexConfig.pair(1.0, 1.0 + 2e-9).is_degenerate
+        # across the 0 / 2 pi seam, in both label orders
+        assert VortexConfig.pair(0.0, TWO_PI - 5e-10).is_degenerate
+        assert VortexConfig.pair(TWO_PI - 5e-10, 0.0).is_degenerate
+        assert VortexConfig.pair(-2e-10, 2e-10).is_degenerate
+        assert not VortexConfig.pair(-1e-9, 1e-9).is_degenerate
+        assert not VortexConfig.pair(0.0, TWO_PI - 2e-9).is_degenerate
+        assert VortexConfig.pair(0.0, TWO_PI).is_degenerate
+        assert VortexConfig.pair(-1e-300, 0.0).is_degenerate
 
     def test_angles_wrap_to_period(self):
         cfg = VortexConfig.pair(-0.5, 7.0)
@@ -100,11 +110,10 @@ class TestCanonicalMapDisk:
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_rejects_unsupported_configurations(self):
-        with pytest.raises(ConfigurationError):
-            canonical_map_disk(VortexConfig(angles=(0.0,), multiplicities=(2,)), 0.0)
-        with pytest.raises(ConfigurationError):
-            canonical_map_disk(
-                VortexConfig(angles=(0.0, 1.0, 2.0), multiplicities=(1, 1, 0)), 0.0)
+        # coincident angles, also across the 0 / 2 pi seam
+        for s1, s2 in [(1.0, 1.0), (0.0, TWO_PI), (1.0, 1.0 + 1e-10)]:
+            with pytest.raises(ConfigurationError):
+                canonical_map_disk(VortexConfig.pair(s1, s2), 0.0)
 
     def test_singularity_guard(self):
         cfg = VortexConfig.pair(0.0, np.pi)
@@ -174,8 +183,8 @@ class TestGradPhistar:
 
         def lifting(x):
             total = np.zeros(x.shape)
-            for a, d in zip(cfg.positions, cfg.multiplicities):
-                total = total + d * np.angle(x - a)
+            for a in cfg.positions:
+                total = total + np.angle(x - a)
             return total
 
         # centered differences, coordinate by coordinate; safe because the

@@ -34,6 +34,15 @@ class TestMinimizeCommand:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["converged"] is False
 
+    def test_budget_exhaustion_is_reported(self, tmp_path, capsys):
+        code = run(["minimize", "--h", "-0.01,0", "--grid", "16,32", "--max-evals", "3",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("minimize did not converge within the evaluation budget "
+                                "(3 evaluations used, budget 3)\n")
+
     def test_invalid_grid_exits_1(self, tmp_path):
         assert run(["minimize", "--grid", "3,7", "--out", str(tmp_path)]) == 1
 
@@ -97,6 +106,17 @@ class TestLandscapeCommand:
         assert err.startswith("invalid configuration: ")
         assert "VORTEXFIELD_THREADS" in err and "'abc'" in err
 
+    def test_max_iter_reaches_every_evaluation(self, tmp_path):
+        # h = (0, 1) needs more than two Picard steps at most of the 240 cells
+        failures = {}
+        for max_iter in ("2", "50"):
+            out = tmp_path / max_iter
+            assert run(["landscape", "--h", "0,1", "--grid", "16,32", "--landscape-n", "16",
+                        "--max-iter", max_iter, "--out", str(out)]) == 0
+            summary = json.loads((out / "landscape_summary.json").read_text())
+            failures[max_iter] = summary["failures"]
+        assert failures["2"] > 200 and failures["50"] == 0
+
     def test_svg_emission(self, tmp_path):
         run(["landscape", "--domain", "disk", "--h", "0,0",
              "--landscape-n", "16", "--svg", "--out", str(tmp_path)])
@@ -150,6 +170,25 @@ class TestFieldCommand:
                     "--s", "0,3.14159", "--svg", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "field.svg").read_text().startswith("<svg")
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("args", [
+        ["minimize", "--domain", "disk", "--c", "nan"],
+        ["minimize", "--tol", "nan"],
+        ["minimize", "--tol", "inf"],
+        ["landscape", "--landscape-n", "8"],
+        ["field", "--s", "0,3", "--jitter", "nan"],
+        ["field", "--s", "0,3", "--jitter", "-1"],
+        ["field", "--s", "0,3", "--samples", "0,48"],
+        ["field", "--s", "0,3", "--jitter", "0.5", "--seed", "-1"],
+        ["field", "--s", "1,1.0000000005"],
+    ])
+    def test_rejected_before_any_work(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run([*args, "--grid", "16,32", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("invalid configuration: ")
+        assert not out.exists()
 
 
 class TestVerifyCommand:

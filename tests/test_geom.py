@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vortexfield.errors import DomainError
 from vortexfield.geom import ConformalDomain
@@ -55,10 +57,15 @@ class TestInverseMap:
         back = dom.inverse(dom.forward(z))
         assert np.max(np.abs(back - z)) < 1e-12
 
-    def test_round_trip_on_closed_disk_boundary(self):
-        dom = ConformalDomain.oval(0.3)
-        t = np.linspace(0.0, TWO_PI, 100, endpoint=False)
-        z = np.exp(1j * t)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(c=st.floats(0.0, 0.499), r=st.floats(0.0, 1.0), t0=st.floats(0.0, TWO_PI))
+    @example(c=0.3, r=1.0, t0=0.0)
+    @example(c=1e-10, r=1.0, t0=0.0)   # cancellation regime of the quadratic formula
+    def test_round_trip_on_closed_disk_boundary(self, c, r, t0):
+        # the boundary circle rotated by t0, plus one point at radius r
+        dom = ConformalDomain.oval(c)
+        t = t0 + np.linspace(0.0, TWO_PI, 100, endpoint=False)
+        z = np.append(np.exp(1j * t), r * np.exp(1j * t0))
         assert np.max(np.abs(dom.inverse(dom.forward(z)) - z)) < 1e-12
 
     def test_rejects_far_outside_points(self):

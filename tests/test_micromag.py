@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vortexfield.canonical import VortexConfig, canonical_map_disk
@@ -173,11 +173,17 @@ class TestTotalEnergy:
                                VortexConfig.pair(np.pi / 2, 3 * np.pi / 2), h, grid)
         assert aligned.total < crossed.total
 
-    def test_exchange_symmetry_is_exact(self):
-        grid = GridSpec(32, 64)
-        h = ExternalField((0.01, -0.005))
-        a = total_energy(ConformalDomain.disk(), VortexConfig.pair(0.4, 2.0), h, grid)
-        b = total_energy(ConformalDomain.disk(), VortexConfig.pair(2.0, 0.4), h, grid)
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(s=st.tuples(st.floats(-TWO_PI, 2 * TWO_PI), st.floats(-TWO_PI, 2 * TWO_PI)),
+           c=st.one_of(st.none(), st.floats(0.0, 0.45)),
+           h=st.tuples(st.floats(-0.02, 0.02), st.floats(-0.02, 0.02)))
+    @example(s=(0.4, 2.0), c=None, h=(0.01, -0.005))
+    def test_exchange_symmetry_is_exact(self, s, c, h):
+        # c = None is the disk; swapping the labels must not move a bit
+        domain = ConformalDomain.disk() if c is None else ConformalDomain.oval(c)
+        field = ExternalField(h)
+        a = total_energy(domain, VortexConfig.pair(s[0], s[1]), field, ROTATION_GRID)
+        b = total_energy(domain, VortexConfig.pair(s[1], s[0]), field, ROTATION_GRID)
         assert a.total == b.total
 
     @settings(max_examples=20, deadline=None, database=None)
@@ -246,10 +252,17 @@ class TestMagnetizationField:
         m = np.array([s.mx + 1j * s.my for s in out.samples])
         assert np.max(np.abs(m - canonical_map_disk(ANTIPODAL, pts))) < 1e-14
 
-    def test_unit_norm(self):
-        out = magnetization_field(ConformalDomain.oval(0.2), ANTIPODAL,
-                                  ExternalField((0.0, 0.05)), GridSpec(32, 64),
-                                  SampleSpec(n_r=8, n_t=16))
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(c=st.floats(0.0, 0.45),
+           h=st.tuples(st.floats(-0.35, 0.35), st.floats(-0.35, 0.35)),
+           n=st.tuples(st.integers(1, 10), st.integers(1, 20)),
+           jitter=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @example(c=0.2, h=(0.0, 0.05), n=(8, 16), jitter=0.0, seed=0)
+    def test_unit_norm(self, c, h, n, jitter, seed):
+        out = magnetization_field(ConformalDomain.oval(c), ANTIPODAL,
+                                  ExternalField(h), GridSpec(32, 64),
+                                  SampleSpec(n_r=n[0], n_t=n[1], jitter=jitter, seed=seed))
+        assert len(out.samples) + out.skipped == n[0] * n[1]
         for s in out.samples:
             assert abs(s.mx**2 + s.my**2 - 1.0) < 1e-10
 
@@ -286,3 +299,10 @@ class TestMagnetizationField:
     def test_jitter_is_reproducible(self):
         spec = SampleSpec(n_r=5, n_t=9, jitter=0.5, seed=42)
         assert np.array_equal(spec.disk_points(), spec.disk_points())
+
+    @pytest.mark.parametrize("kwargs", [{"n_r": 0}, {"n_t": 0}, {"jitter": -0.1},
+                                        {"jitter": np.nan}, {"jitter": np.inf},
+                                        {"seed": -1}])
+    def test_sample_spec_rejects_invalid_values(self, kwargs):
+        with pytest.raises(ValueError):
+            SampleSpec(**kwargs)

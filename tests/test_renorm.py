@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vortexfield.canonical import VortexConfig, canonical_map_disk
-from vortexfield.errors import ConfigurationError
 from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import ExternalField, picard_solve
 from vortexfield.poisson import GridSpec, PolarField, integrate_disk
@@ -27,10 +26,6 @@ class TestW0Disk:
         c, delta = 1.3, 0.7
         assert w0_disk(VortexConfig.pair(c, c + delta)) == pytest.approx(
             w0_disk(VortexConfig.pair(0.0, delta)), abs=1e-14)
-
-    def test_rejects_wrong_multiplicity(self):
-        with pytest.raises(ConfigurationError):
-            w0_disk(VortexConfig(angles=(0.0,), multiplicities=(2,)))
 
 
 class TestW0Conformal:
