@@ -115,14 +115,26 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
 
 
+def _energy_at(config: RunConfig, s):
+    return total_energy(config.conformal_domain(), VortexConfig.pair(*s),
+                        config.external_field(), config.grid_spec(),
+                        w0_nodes=config.w0_nodes, tol=config.tol,
+                        max_iter=config.max_iter)
+
+
 def _minimize_run(config: RunConfig):
-    domain = config.conformal_domain()
-    field = config.external_field()
-    grid = config.grid_spec()
-    objective = energy_objective(domain, field, grid, config.w0_nodes,
+    objective = energy_objective(config.conformal_domain(), config.external_field(),
+                                 config.grid_spec(), config.w0_nodes,
                                  tol=config.tol, max_iter=config.max_iter)
     opts = NelderMeadOptions(max_evals=config.max_evals)
-    return nelder_mead(objective, config.s0, opts)
+    result = nelder_mead(objective, config.s0, opts)
+    if not np.isfinite(result.value):
+        # no vertex of the starting simplex has an energy; solving at the
+        # start again raises the solver's reason (unless the start itself
+        # is the degenerate vertex)
+        _energy_at(config, result.s_min)
+        raise ConvergenceError("no vertex of the starting simplex has a finite energy")
+    return result
 
 
 def _report_budget(command: str, result, config: RunConfig) -> None:
@@ -134,10 +146,7 @@ def _report_budget(command: str, result, config: RunConfig) -> None:
 def cmd_minimize(config: RunConfig) -> int:
     result = _minimize_run(config)
     domain = config.conformal_domain()
-    breakdown = total_energy(domain, VortexConfig.pair(*result.s_min),
-                             config.external_field(), config.grid_spec(),
-                             w0_nodes=config.w0_nodes, tol=config.tol,
-                             max_iter=config.max_iter)
+    breakdown = _energy_at(config, result.s_min)
     positions = domain.forward(np.exp(1j * np.asarray(result.s_min)))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -78,7 +78,9 @@ def nelder_mead(objective, s0, opts: NelderMeadOptions = None) -> NelderMeadResu
     Infinite objective values are legal and always rank worst, so the
     simplex escapes the degenerate diagonal by contraction and shrink.
     Convergence requires both the torus diameter of the simplex and the
-    spread of its (finite) values to fall below their tolerances.
+    spread of its (finite) values to fall below their tolerances.  A
+    start whose three vertices are all +inf returns unconverged after
+    those three evaluations: the search has nothing to rank.
     """
     opts = opts or NelderMeadOptions()
     state = SimplexState()
@@ -95,7 +97,10 @@ def nelder_mead(objective, s0, opts: NelderMeadOptions = None) -> NelderMeadResu
     state.record(values)
 
     converged = False
-    while evals < opts.max_evals:
+    # the best vertex is only ever replaced by a lower value, so only the
+    # starting simplex can be all +inf
+    searching = any(np.isfinite(values))
+    while searching and evals < opts.max_evals:
         order = np.argsort(values, kind="stable")
         points = [points[i] for i in order]
         values = [values[i] for i in order]

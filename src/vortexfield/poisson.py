@@ -9,7 +9,11 @@ with conservative second-order finite differences on the cell-centered
 radial grid r_i = (i - 1/2) dr.  The inner flux coefficient r_{i-1/2}
 vanishes identically at the pole for i = 1, which encodes the natural
 regularity condition there for every mode; the Dirichlet condition at
-r = 1 enters through the ghost-value reflection u_{n+1} = -u_n.
+r = 1 enters through the ghost-value reflection u_{n+1} = -u_n.  The
+Thomas sweeps run over the rows of ``rfft(values, axis=1)``, one radius
+per row and all wavenumbers along it, so every step reads and writes
+contiguous memory; the factor arrays are stored in the same
+(n_r, n_modes) layout.
 
 The same module carries the disk quadrature rule (midpoint in r,
 periodic trapezoid in t) and the graded 1D quadrature used to self-test
@@ -67,12 +71,20 @@ class GridSpec:
         return np.meshgrid(self.r, self.t, indexing="ij")
 
     def nodes_complex(self) -> np.ndarray:
-        R, T = self.mesh()
-        return R * np.exp(1j * T)
+        """Complex node positions r e^{it}, shape (n_r, n_t); cached and read-only."""
+        return _nodes_complex(self.n_r, self.n_t)
 
     def cell_weights(self) -> np.ndarray:
         """Quadrature weights r_i dr dt, shape (n_r, 1) for broadcasting."""
         return (self.r * self.dr * self.dt)[:, None]
+
+
+@lru_cache(maxsize=16)
+def _nodes_complex(n_r: int, n_t: int) -> np.ndarray:
+    R, T = GridSpec(n_r, n_t).mesh()
+    nodes = R * np.exp(1j * T)
+    nodes.flags.writeable = False
+    return nodes
 
 
 @dataclass
@@ -127,19 +139,18 @@ class DiskPoissonSolver:
         self._low = -r_minus / (r * dr * dr)
         self._up = -r_plus / (r * dr * dr)
         diag = (r_minus + r_plus) / (r * dr * dr)
-        D = diag[None, :] + (m**2)[:, None] / (r**2)[None, :]
-        D = D.copy()
-        D[:, -1] += r_plus[-1] / (r[-1] * dr * dr)  # ghost u_{n+1} = -u_n
+        D = diag[:, None] + (m**2)[None, :] / (r**2)[:, None]
+        D[-1, :] += r_plus[-1] / (r[-1] * dr * dr)  # ghost u_{n+1} = -u_n
 
         # Thomas factorization, shared by every solve on this grid
-        cp = np.zeros((m.size, n_r))
+        cp = np.zeros_like(D)
         dp = np.empty_like(D)
-        dp[:, 0] = D[:, 0]
-        cp[:, 0] = self._up[0] / dp[:, 0]
+        dp[0] = D[0]
+        cp[0] = self._up[0] / dp[0]
         for i in range(1, n_r):
-            dp[:, i] = D[:, i] - self._low[i] * cp[:, i - 1]
+            dp[i] = D[i] - self._low[i] * cp[i - 1]
             if i < n_r - 1:
-                cp[:, i] = self._up[i] / dp[:, i]
+                cp[i] = self._up[i] / dp[i]
         self._cp = cp
         self._dp = dp
         self._D = D
@@ -150,27 +161,27 @@ class DiskPoissonSolver:
         if f.grid != self.grid:
             raise ValueError("right-hand side lives on a different grid")
         n_r, n_t = self.grid.n_r, self.grid.n_t
-        fh = np.fft.rfft(f.values, axis=1).T.copy()
+        fh = np.fft.rfft(f.values, axis=1)
         y = np.empty_like(fh)
-        y[:, 0] = fh[:, 0] / self._dp[:, 0]
+        y[0] = fh[0] / self._dp[0]
         for i in range(1, n_r):
-            y[:, i] = (fh[:, i] - self._low[i] * y[:, i - 1]) / self._dp[:, i]
+            y[i] = (fh[i] - self._low[i] * y[i - 1]) / self._dp[i]
         u = np.empty_like(y)
-        u[:, -1] = y[:, -1]
+        u[-1] = y[-1]
         for i in range(n_r - 2, -1, -1):
-            u[:, i] = y[:, i] - self._cp[:, i] * u[:, i + 1]
-        vals = np.fft.irfft(u.T, n=n_t, axis=1)
+            u[i] = y[i] - self._cp[i] * u[i + 1]
+        vals = np.fft.irfft(u, n=n_t, axis=1)
         return PolarField(self.grid, vals, dirichlet=True)
 
     def apply(self, u: PolarField) -> np.ndarray:
         """Apply the discrete operator -lap_h to a Dirichlet field."""
         if u.grid != self.grid:
             raise ValueError("field lives on a different grid")
-        uh = np.fft.rfft(u.values, axis=1).T.copy()
+        uh = np.fft.rfft(u.values, axis=1)
         out = self._D * uh
-        out[:, 1:] += self._low[1:][None, :] * uh[:, :-1]
-        out[:, :-1] += self._up[:-1][None, :] * uh[:, 1:]
-        return np.fft.irfft(out.T, n=self.grid.n_t, axis=1)
+        out[1:] += self._low[1:, None] * uh[:-1]
+        out[:-1] += self._up[:-1, None] * uh[1:]
+        return np.fft.irfft(out, n=self.grid.n_t, axis=1)
 
     def lambda_max(self, iters: int = 60) -> float:
         """Largest eigenvalue of -lap_h, estimated by power iteration."""

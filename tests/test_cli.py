@@ -43,6 +43,26 @@ class TestMinimizeCommand:
         assert captured.err == ("minimize did not converge within the evaluation budget "
                                 "(3 evaluations used, budget 3)\n")
 
+    def test_failing_start_names_the_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # two Picard steps cannot converge at h = (0, 1): every vertex of the
+        # starting simplex fails, and the run stops there
+        from vortexfield import optimize
+        calls = []
+        real = optimize.total_energy
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(optimize, "total_energy", counted)
+        code = run(["minimize", "--h", "0,1", "--grid", "16,32", "--max-iter", "2",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        assert len(calls) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: Picard iteration did not converge in 2 steps")
+        assert "budget" not in err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_invalid_grid_exits_1(self, tmp_path):
         assert run(["minimize", "--grid", "3,7", "--out", str(tmp_path)]) == 1
 
@@ -164,6 +184,22 @@ class TestFieldCommand:
             assert abs(mx * x / r + my * y / r) < 1e-6
             checked += 1
         assert checked > 10
+
+    def test_auto_min_with_failing_start_names_the_solver_failure(self, tmp_path, capsys):
+        code = run(["field", "--auto-min", "--domain", "oval", "--h", "0,1",
+                    "--grid", "16,32", "--max-iter", "2", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: Picard iteration did not converge in 2 steps")
+        assert "budget" not in err
+        assert not (tmp_path / "field.csv").exists()
+
+    def test_strong_field_converges(self, tmp_path):
+        # |h| = 8 is past the plain Picard contraction bound (about 5.8)
+        code = run(["field", "--domain", "oval", "--c", "0.2", "--h", "0,8",
+                    "--s", "0.5,2.5", "--grid", "32,64", "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "field.csv").exists()
 
     def test_oval_svg(self, tmp_path):
         code = run(["field", "--domain", "oval", "--h", "0,0.01",

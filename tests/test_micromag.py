@@ -16,6 +16,7 @@ from vortexfield.renorm import g_functional
 
 TWO_PI = 2.0 * np.pi
 ANTIPODAL = VortexConfig.pair(0.0, np.pi)
+STRONG_PAIR = VortexConfig.pair(0.5, 2.5)
 ROTATION_GRID = GridSpec(32, 64)
 
 
@@ -76,6 +77,33 @@ class TestPicardSolve:
         _, _, residual = minimize_g_descent(VortexConfig.pair(0.5, 2.8),
                                             ExternalField((-0.01, 0.0)), GridSpec(8, 16))
         assert residual < 1e-8
+
+    @pytest.mark.parametrize("h2", [6.5, 10.0])
+    def test_converges_past_the_picard_contraction_bound(self, h2):
+        # plain Picard contracts by about |h| / lambda_1 with lambda_1 ~ 5.78
+        # and does not converge here within 50 iterations
+        grid = GridSpec(64, 128)
+        field = ExternalField((0.0, h2), h_max=h2)
+        theta, report = picard_solve(STRONG_PAIR, field, grid)
+        assert report.converged
+        assert report.iterations <= 20
+        assert report.changes[-1] < 1e-9
+        assert report.residual < 1e-7
+
+    def test_strong_field_fixed_point_matches_descent_oracle(self):
+        grid = GridSpec(16, 32)
+        field = ExternalField((0.0, 6.5), h_max=6.5)
+        theta_p, report = picard_solve(STRONG_PAIR, field, grid)
+        theta_g, _, residual = minimize_g_descent(STRONG_PAIR, field, grid)
+        assert report.converged and residual < 1e-8
+        assert np.max(np.abs(theta_p.values - theta_g.values)) < 1e-8
+
+    def test_moderate_field_iteration_count(self):
+        # plain Picard needs 18 iterations here
+        _, report = picard_solve(STRONG_PAIR, ExternalField((0.0, 3.0), h_max=3.0),
+                                 GridSpec(64, 128))
+        assert report.converged
+        assert report.iterations <= 10
 
     def test_g_decreases_along_iterates(self):
         # observed property of the fixed-point trajectory at |h| <= 0.1

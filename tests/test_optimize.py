@@ -84,6 +84,20 @@ class TestNelderMead:
         assert np.isfinite(result.value)
         assert result.value < 0.0
 
+    def test_all_infinite_start_stops_after_three_evaluations(self):
+        # the best vertex is only replaced by a lower value, so an all-+inf
+        # start is the only simplex with nothing to rank
+        calls = []
+
+        def failing(s):
+            calls.append(tuple(s))
+            return float("inf")
+        result = nelder_mead(failing, (0.5, 2.5), NelderMeadOptions(max_evals=500))
+        assert len(calls) == 3
+        assert result.evaluations == 3
+        assert not result.converged
+        assert result.value == float("inf")
+
     def test_operation_counts_are_recorded(self):
         objective = energy_objective(ConformalDomain.disk(),
                                      ExternalField((0.0, 0.0)), GridSpec(16, 32))

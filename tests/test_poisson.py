@@ -35,6 +35,16 @@ class TestGridSpec:
         assert g.r[0] == pytest.approx(0.5 / 8)
         assert g.r[-1] == pytest.approx(1 - 0.5 / 8)
 
+    def test_nodes_complex_is_cached_and_read_only(self):
+        nodes = GridSpec(16, 32).nodes_complex()
+        assert GridSpec(16, 32).nodes_complex() is nodes
+        assert GridSpec(16, 32).nodes_complex() is GridSpec(16, 32).nodes_complex()
+        assert GridSpec(16, 64).nodes_complex() is not nodes
+        R, T = GridSpec(16, 32).mesh()
+        assert np.array_equal(nodes, R * np.exp(1j * T))
+        with pytest.raises(ValueError):
+            nodes[0, 0] = 0.0
+
 
 class TestSolveDirichlet:
     def test_zero_rhs_gives_zero(self):
@@ -102,6 +112,17 @@ class TestSolveDirichlet:
         f = rng.standard_normal((16, 32))
         u = solver.solve(PolarField(grid, f, dirichlet=False))
         assert np.max(np.abs(solver.apply(u) - f)) < 1e-10
+
+    def test_operator_inverts_solve_on_the_default_grid(self):
+        # at 128 x 256 the operator norm is about 1e9, so the residual is
+        # bounded by rounding relative to it, not by an absolute 1e-10
+        rng = np.random.default_rng(53)
+        grid = GridSpec(128, 256)
+        solver = solver_for(grid)
+        f = rng.standard_normal((128, 256))
+        u = solver.solve(PolarField(grid, f, dirichlet=False))
+        rounding = np.finfo(float).eps * solver.lambda_max() * np.max(np.abs(u.values))
+        assert np.max(np.abs(solver.apply(u) - f)) < 4.0 * rounding
 
 
 class TestIntegrateDisk:
