@@ -15,9 +15,8 @@ from .micromag import (ExternalField, FixedPointReport, MagnetizationField,
                        SampleSpec, VectorFieldSample, magnetization_field,
                        minimize_g_descent, picard_solve, total_energy,
                        v_external)
-from .optimize import (LandscapeGrid, NelderMeadOptions, NelderMeadResult,
-                       SimplexState, energy_objective, grid_oracle, landscape,
-                       nelder_mead)
+from .optimize import (LandscapeGrid, NelderMeadResult, SimplexState,
+                       energy_objective, grid_oracle, landscape, nelder_mead)
 from .poisson import (GridSpec, PolarField, integrate_disk,
                       singular_quadrature_1d, solve_dirichlet, solver_for)
 from .renorm import (EnergyBreakdown, g_functional, punctured_energy,
@@ -28,8 +27,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigurationError", "ConformalDomain", "ConvergenceError", "DomainError",
     "EnergyBreakdown", "ExternalField", "FixedPointReport", "GridSpec",
-    "LandscapeGrid", "MagnetizationField", "NelderMeadOptions",
-    "NelderMeadResult", "PolarField", "SampleSpec", "SimplexState",
+    "LandscapeGrid", "MagnetizationField", "NelderMeadResult", "PolarField",
+    "SampleSpec", "SimplexState",
     "SingularityError", "VectorFieldSample", "VortexConfig",
     "canonical_map_disk", "energy_objective", "g_functional",
     "grad_phistar", "grid_oracle", "integrate_disk",

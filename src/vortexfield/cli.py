@@ -20,8 +20,9 @@ import numpy as np
 from .canonical import VortexConfig
 from .errors import ConfigurationError, ConvergenceError
 from .geom import TWO_PI, ConformalDomain
-from .micromag import ExternalField, SampleSpec, magnetization_field, total_energy
-from .optimize import NelderMeadOptions, energy_objective, landscape, nelder_mead
+from .micromag import (ExternalField, SampleSpec, magnetization_field,
+                       require_picard_budget, total_energy)
+from .optimize import energy_objective, landscape, nelder_mead
 from .poisson import GridSpec
 from .renorm import require_w0_nodes
 from .svgplot import heatmap_svg, quiver_svg
@@ -55,10 +56,7 @@ class RunConfig:
         return ConformalDomain.oval(self.c)
 
     def external_field(self) -> ExternalField:
-        # the strong-field oval experiments exceed the default smallness
-        # bound; trust an explicitly requested field and keep diagnostics
-        norm = float(np.hypot(self.h[0], self.h[1]))
-        return ExternalField(self.h, h_max=max(0.5, norm))
+        return ExternalField(self.h)
 
     def grid_spec(self) -> GridSpec:
         return GridSpec(self.grid[0], self.grid[1])
@@ -76,10 +74,9 @@ class RunConfig:
         self.external_field()
         self.grid_spec()
         self.sample_spec()
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1 or self.max_evals < 3:
-            raise ValueError("iteration budgets must be positive")
+        require_picard_budget(self.tol, self.max_iter)
+        if self.max_evals < 3:
+            raise ValueError(f"max_evals must be at least 3, got {self.max_evals}")
         require_w0_nodes(self.w0_nodes)
         if self.s is not None and VortexConfig.pair(*self.s).is_degenerate:
             raise ValueError("vortex angles coincide (degenerate configuration)")
@@ -94,6 +91,8 @@ def _pair(text: str) -> tuple:
 
 def _int_pair(text: str) -> tuple:
     a, b = _pair(text)
+    if not (a.is_integer() and b.is_integer()):
+        raise argparse.ArgumentTypeError(f"expected two integers, got {text!r}")
     return (int(a), int(b))
 
 
@@ -126,8 +125,7 @@ def _minimize_run(config: RunConfig):
     objective = energy_objective(config.conformal_domain(), config.external_field(),
                                  config.grid_spec(), config.w0_nodes,
                                  tol=config.tol, max_iter=config.max_iter)
-    opts = NelderMeadOptions(max_evals=config.max_evals)
-    result = nelder_mead(objective, config.s0, opts)
+    result = nelder_mead(objective, config.s0, max_evals=config.max_evals)
     if not np.isfinite(result.value):
         # no vertex of the starting simplex has an energy; solving at the
         # start again raises the solver's reason (unless the start itself

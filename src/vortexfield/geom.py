@@ -28,38 +28,32 @@ _BOUNDARY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ConformalDomain:
-    """The unit disk (``kind="disk"``) or the oval image of it.
+    """The image of the unit disk under z / (1 - c z^2); c = 0 is the disk.
 
     Parameters
     ----------
-    kind : str
-        Either ``"disk"`` or ``"conformal"``.
     c : float
-        Coefficient of the map family z / (1 - c z^2); must satisfy
-        0 <= c < 1/2 so the map stays conformal on the closed disk.
-        Ignored for the disk.
+        Coefficient of the map family; must satisfy 0 <= c < 1/2 so the
+        map stays conformal on the closed disk.
     """
 
-    kind: str = "disk"
     c: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("disk", "conformal"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "conformal" and not (0.0 <= self.c < 0.5):
+        if not (0.0 <= self.c < 0.5):
             raise ValueError(f"conformal coefficient must be in [0, 0.5), got {self.c}")
 
     @staticmethod
     def disk() -> "ConformalDomain":
-        return ConformalDomain(kind="disk", c=0.0)
+        return ConformalDomain(0.0)
 
     @staticmethod
     def oval(c: float = 0.2) -> "ConformalDomain":
-        return ConformalDomain(kind="conformal", c=c)
+        return ConformalDomain(c)
 
     @property
     def is_disk(self) -> bool:
-        return self.kind == "disk" or self.c == 0.0
+        return self.c == 0.0
 
     # ------------------------------------------------------------------
     # forward / inverse maps

@@ -48,13 +48,13 @@ from .renorm import EnergyBreakdown, g_functional, w0_conformal, w0_disk
 class ExternalField:
     """Constant in-plane applied field, already rescaled to the thin-film units.
 
-    ``h_max`` guards the smallness assumption behind the contraction
-    argument; callers reproducing the strong-field experiments may raise
-    it explicitly and rely on the solver diagnostics instead.
+    ``h_max`` is an optional bound on |h|, unbounded by default: the
+    Anderson-accelerated solve converges well past the small-field
+    regime, and a field it cannot handle ends in a solver diagnostic.
     """
 
     h: tuple
-    h_max: float = 0.5
+    h_max: float = float("inf")
 
     def __post_init__(self):
         h = (float(self.h[0]), float(self.h[1]))
@@ -110,6 +110,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 _SINGULAR_GRAM = 1e-12
 
 
+def require_picard_budget(tol: float, max_iter: int) -> None:
+    """Reject a Picard tolerance that is not positive and finite, or no iterations."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
                  tol: float = 1e-9, max_iter: int = 50):
     """Solve theta = (-lap)^{-1}[h . (i e^{i theta} M)] from theta_0 = 0.
@@ -120,6 +128,7 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     solve output g(x_k).  Non-convergence within ``max_iter`` is reported
     through ``report.converged``, never silently.
     """
+    require_picard_budget(tol, max_iter)
     solver = solver_for(grid)
     coupling = _coupling(config, grid, field.h)
     shape = (grid.n_r, grid.n_t)
@@ -223,20 +232,23 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
 # magnetization sampling
 # ----------------------------------------------------------------------
 
+#: radius of the outermost sample ring
+SAMPLE_R_MAX = 1.0 - 1e-9
+
+
 @dataclass(frozen=True)
 class SampleSpec:
     """Polar sample lattice for magnetization output.
 
-    The outermost ring sits essentially on the boundary (r_max defaults
-    to 1 - 1e-9) so quiver plots show the tangential wall texture.
-    ``jitter`` perturbs each lattice point by up to that fraction of a
-    cell (seeded, reproducible); ``points`` overrides the lattice with
-    explicit complex positions on the unit disk.
+    The outermost ring sits essentially on the boundary, at
+    ``SAMPLE_R_MAX`` = 1 - 1e-9, so quiver plots show the tangential
+    wall texture.  ``jitter`` perturbs each lattice point by up to that
+    fraction of a cell (seeded, reproducible); ``points`` overrides the
+    lattice with explicit complex positions on the unit disk.
     """
 
     n_r: int = 16
     n_t: int = 48
-    r_max: float = 1.0 - 1e-9
     jitter: float = 0.0
     seed: int = 0
     points: tuple = None
@@ -253,14 +265,14 @@ class SampleSpec:
     def disk_points(self) -> np.ndarray:
         if self.points is not None:
             return np.asarray(self.points, dtype=complex)
-        r = (np.arange(self.n_r) + 1.0) / self.n_r * self.r_max
+        r = (np.arange(self.n_r) + 1.0) / self.n_r * SAMPLE_R_MAX
         t = np.arange(self.n_t) * TWO_PI / self.n_t
         R, T = np.meshgrid(r, t, indexing="ij")
         if self.jitter > 0.0:
             rng = np.random.default_rng(self.seed)
-            R = R + (rng.random(R.shape) - 0.5) * self.jitter * self.r_max / self.n_r
+            R = R + (rng.random(R.shape) - 0.5) * self.jitter * SAMPLE_R_MAX / self.n_r
             T = T + (rng.random(T.shape) - 0.5) * self.jitter * TWO_PI / self.n_t
-            R = np.clip(R, 0.0, self.r_max)
+            R = np.clip(R, 0.0, SAMPLE_R_MAX)
         return (R * np.exp(1j * T)).ravel()
 
 
@@ -286,12 +298,16 @@ class MagnetizationField:
 def interpolate_field(theta: PolarField, points: np.ndarray) -> np.ndarray:
     """Bilinear (r, t) interpolation of a Dirichlet field at disk points.
 
-    Radially the field is linearly extended by 0 at r = 1 and across the
-    pole via u(-r, t) = u(r, t + pi); angularly it is periodic.
+    The rings are padded below by the first ring turned half a period,
+    at r = -r_0, since u(-r, t) = u(r, t + pi) across the pole, and
+    above by zeros at r = 1; angularly the field is periodic.  Radii
+    beyond 1 count as 1.
     """
     g = theta.grid
-    vals = theta.values
-    r = np.abs(points)
+    rings = np.concatenate([np.roll(theta.values[:1], g.n_t // 2, axis=1),
+                            theta.values, np.zeros((1, g.n_t))])
+    radii = np.concatenate([[-g.r[0]], g.r, [1.0]])
+    r = np.minimum(np.abs(points), 1.0)
     t = np.mod(np.angle(points), TWO_PI)
 
     # angular index and weight
@@ -300,36 +316,12 @@ def interpolate_field(theta: PolarField, points: np.ndarray) -> np.ndarray:
     wt = ft - np.floor(ft)
     k1 = (k0 + 1) % g.n_t
 
-    def at_radius_index(i, k):
-        return vals[i, k]
-
-    # radial position between cell centers
-    fr = r / g.dr - 0.5
-    i0 = np.floor(fr).astype(int)
-    wr = fr - np.floor(fr)
-    out = np.empty(points.shape, dtype=float)
-
-    inner = i0 < 0          # below the first ring: blend with across-pole value
-    outer = i0 >= g.n_r - 1  # beyond the last ring: blend with 0 at r = 1
-    mid = ~(inner | outer)
-
-    if np.any(mid):
-        i = i0[mid]
-        lo = (1 - wt[mid]) * at_radius_index(i, k0[mid]) + wt[mid] * at_radius_index(i, k1[mid])
-        hi = (1 - wt[mid]) * at_radius_index(i + 1, k0[mid]) + wt[mid] * at_radius_index(i + 1, k1[mid])
-        out[mid] = (1 - wr[mid]) * lo + wr[mid] * hi
-    if np.any(inner):
-        kp0 = (k0[inner] + g.n_t // 2) % g.n_t
-        kp1 = (k1[inner] + g.n_t // 2) % g.n_t
-        near = (1 - wt[inner]) * at_radius_index(0, k0[inner]) + wt[inner] * at_radius_index(0, k1[inner])
-        far = (1 - wt[inner]) * at_radius_index(0, kp0) + wt[inner] * at_radius_index(0, kp1)
-        lam = (r[inner] + g.r[0]) / (2.0 * g.r[0])
-        out[inner] = lam * near + (1.0 - lam) * far
-    if np.any(outer):
-        last = (1 - wt[outer]) * at_radius_index(g.n_r - 1, k0[outer]) + wt[outer] * at_radius_index(g.n_r - 1, k1[outer])
-        lam = (1.0 - r[outer]) / (1.0 - g.r[-1])
-        out[outer] = np.clip(lam, 0.0, 1.0) * last
-    return out
+    # the padded rings i and i + 1 enclose r: radii[i] <= r <= radii[i + 1]
+    i = np.searchsorted(g.r, r, side="right")
+    wr = (r - radii[i]) / (radii[i + 1] - radii[i])
+    lo = (1 - wt) * rings[i, k0] + wt * rings[i, k1]
+    hi = (1 - wt) * rings[i + 1, k0] + wt * rings[i + 1, k1]
+    return (1 - wr) * lo + wr * hi
 
 
 def magnetization_field(domain: ConformalDomain, config: VortexConfig,
@@ -371,8 +363,7 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
 # independent minimizer (cross-validation oracle)
 # ----------------------------------------------------------------------
 
-def minimize_g_descent(config: VortexConfig, field: ExternalField, grid: GridSpec,
-                       tol: float = 1e-8, max_iter: int = 400_000):
+def minimize_g_descent(config: VortexConfig, field: ExternalField, grid: GridSpec):
     """Minimize the discrete G over interior node values by accelerated descent.
 
     The quadratic part is the Dirichlet form of the same discrete
@@ -382,10 +373,12 @@ def minimize_g_descent(config: VortexConfig, field: ExternalField, grid: GridSpe
     below the inverse Lipschitz constant of the gradient, and carry
     Nesterov momentum that restarts whenever the gradient points along
     the last step (O'Donoghue & Candes, Found. Comput. Math. 15, 2015).
-    Neither needs a value of G.
+    Neither needs a value of G.  The descent stops once the max-norm of
+    the discrete Euler-Lagrange gradient falls below 1e-8, or after
+    400 000 iterations.
 
     Returns ``(theta, iterations, residual)`` where ``residual`` is the
-    max-norm of the discrete Euler-Lagrange gradient at ``theta``.
+    max-norm of that gradient at ``theta``.
     """
     solver = solver_for(grid)
     coupling = _coupling(config, grid, field.h)
@@ -399,7 +392,7 @@ def minimize_g_descent(config: VortexConfig, field: ExternalField, grid: GridSpe
     while True:
         grad = solver.apply(PolarField(grid, y)) - _picard_rhs(y, coupling)
         residual = float(np.max(np.abs(grad)))
-        if residual < tol or iterations >= max_iter:
+        if residual < 1e-8 or iterations >= 400_000:
             break
         x_next = y - step * grad
         if np.sum(wgt * grad * (x_next - x)) > 0.0:

@@ -12,8 +12,6 @@ always wrapped to [0, 2 pi).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -39,12 +37,12 @@ def _chart(points, center):
     return [center + np.mod(p - center + np.pi, TWO_PI) - np.pi for p in points]
 
 
-@dataclass
-class NelderMeadOptions:
-    step: float = 0.25          # initial simplex edge, radians
-    xtol: float = 1e-6          # torus diameter tolerance
-    ftol: float = 1e-6          # value spread tolerance
-    max_evals: int = 500
+#: initial simplex edge, radians
+_STEP = 0.25
+#: torus diameter tolerance
+_XTOL = 1e-6
+#: value spread tolerance
+_FTOL = 1e-6
 
 
 @dataclass
@@ -72,7 +70,7 @@ class NelderMeadResult:
     state: SimplexState
 
 
-def nelder_mead(objective, s0, opts: NelderMeadOptions = None) -> NelderMeadResult:
+def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
     """Minimize a 2 pi-periodic objective over angle pairs.
 
     Infinite objective values are legal and always rank worst, so the
@@ -82,7 +80,6 @@ def nelder_mead(objective, s0, opts: NelderMeadOptions = None) -> NelderMeadResu
     start whose three vertices are all +inf returns unconverged after
     those three evaluations: the search has nothing to rank.
     """
-    opts = opts or NelderMeadOptions()
     state = SimplexState()
 
     def f(p):
@@ -90,8 +87,8 @@ def nelder_mead(objective, s0, opts: NelderMeadOptions = None) -> NelderMeadResu
 
     s0 = _wrap(np.asarray(s0, dtype=float))
     points = [s0,
-              _wrap(s0 + np.array([opts.step, 0.0])),
-              _wrap(s0 + np.array([0.0, opts.step]))]
+              _wrap(s0 + np.array([_STEP, 0.0])),
+              _wrap(s0 + np.array([0.0, _STEP]))]
     values = [f(p) for p in points]
     evals = 3
     state.record(values)
@@ -100,7 +97,7 @@ def nelder_mead(objective, s0, opts: NelderMeadOptions = None) -> NelderMeadResu
     # the best vertex is only ever replaced by a lower value, so only the
     # starting simplex can be all +inf
     searching = any(np.isfinite(values))
-    while searching and evals < opts.max_evals:
+    while searching and evals < max_evals:
         order = np.argsort(values, kind="stable")
         points = [points[i] for i in order]
         values = [values[i] for i in order]
@@ -108,8 +105,8 @@ def nelder_mead(objective, s0, opts: NelderMeadOptions = None) -> NelderMeadResu
         finite = [v for v in values if np.isfinite(v)]
         diam = max(_torus_dist(points[0], points[1]),
                    _torus_dist(points[0], points[2]))
-        if (diam < opts.xtol and len(finite) == 3
-                and finite[-1] - finite[0] < opts.ftol):
+        if (diam < _XTOL and len(finite) == 3
+                and finite[-1] - finite[0] < _FTOL):
             converged = True
             break
 
@@ -162,18 +159,6 @@ def nelder_mead(objective, s0, opts: NelderMeadOptions = None) -> NelderMeadResu
 # exhaustive landscape and oracle
 # ----------------------------------------------------------------------
 
-def worker_count() -> int:
-    """Worker cap from VORTEXFIELD_THREADS; serial by default."""
-    env = os.environ.get("VORTEXFIELD_THREADS", "")
-    if not env.strip():
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigurationError(
-            f"VORTEXFIELD_THREADS must be an integer, got {env!r}") from None
-
-
 def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSpec,
                      w0_nodes: int = 2048, tol: float = 1e-9, max_iter: int = 50):
     """Total-energy objective over angle pairs; +inf on degenerate pairs.
@@ -213,17 +198,14 @@ def landscape(domain: ConformalDomain, field: ExternalField, n: int,
 
     Cells whose torus separation is below one cell width are marked
     +inf without evaluation (the energy diverges on the diagonal).
-    Rows are evaluated independently, optionally by a thread pool; the
-    result array is index-addressed, so the output is deterministic
-    regardless of scheduling.
+    Cells are evaluated serially in row-major order.
     """
     if n < 16:
         raise ConfigurationError(f"landscape resolution must be at least 16, got {n}")
     objective = energy_objective(domain, field, grid, w0_nodes, tol, max_iter)
     energies = np.full((n, n), np.inf)
-    failures = np.zeros(n, dtype=int)
-
-    def fill_row(i: int):
+    failures = 0
+    for i in range(n):
         s1 = TWO_PI * i / n
         for j in range(n):
             s2 = TWO_PI * j / n
@@ -231,29 +213,25 @@ def landscape(domain: ConformalDomain, field: ExternalField, n: int,
                 continue
             v = objective((s1, s2))
             if not np.isfinite(v):
-                failures[i] += 1
+                failures += 1
             energies[i, j] = v
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(n)))
-    else:
-        for i in range(n):
-            fill_row(i)
 
     flat = int(np.argmin(energies))  # row-major; lowest index wins ties
     idx = (flat // n, flat % n)
-    return LandscapeGrid(n=n, energies=energies, failures=int(failures.sum()),
+    return LandscapeGrid(n=n, energies=energies, failures=failures,
                          min_index=idx, min_value=float(energies[idx]))
 
 
+#: the oracle's refinement step is this many times finer than a landscape cell
+_REFINE = 10
+
+
 def grid_oracle(domain: ConformalDomain, field: ExternalField, n: int,
-                grid: GridSpec, w0_nodes: int = 2048, refine: int = 10):
+                grid: GridSpec, w0_nodes: int = 2048):
     """Exhaustive argmin over the landscape, refined once around the winner.
 
     The refinement rescans a one-coarse-cell neighborhood with a step
-    ``refine`` times finer.  Returns ``(s_min, value)``.
+    ``_REFINE`` times finer.  Returns ``(s_min, value)``.
     """
     if n < 32:
         raise ValueError("oracle resolution must be at least 32")
@@ -263,11 +241,11 @@ def grid_oracle(domain: ConformalDomain, field: ExternalField, n: int,
     v_best = scan.min_value
 
     objective = energy_objective(domain, field, grid, w0_nodes)
-    step = TWO_PI / n / refine
+    step = TWO_PI / n / _REFINE
     guard = step  # keep refined probes off the degenerate diagonal
     s_ref = s_best.copy()
-    for di in range(-refine, refine + 1):
-        for dj in range(-refine, refine + 1):
+    for di in range(-_REFINE, _REFINE + 1):
+        for dj in range(-_REFINE, _REFINE + 1):
             s = _wrap(s_best + np.array([di * step, dj * step]))
             if _torus_dist(s[0], s[1]) < guard:
                 continue

@@ -183,13 +183,13 @@ class DiskPoissonSolver:
         out[:-1] += self._up[:-1, None] * uh[1:]
         return np.fft.irfft(out, n=self.grid.n_t, axis=1)
 
-    def lambda_max(self, iters: int = 60) -> float:
-        """Largest eigenvalue of -lap_h, estimated by power iteration."""
+    def lambda_max(self) -> float:
+        """Largest eigenvalue of -lap_h, estimated by 60 steps of power iteration."""
         if self._lambda_max is None:
             rng = np.random.default_rng(0)
             v = rng.standard_normal((self.grid.n_r, self.grid.n_t))
             lam = 1.0
-            for _ in range(iters):
+            for _ in range(60):
                 w = self.apply(PolarField(self.grid, v))
                 # 2-norms summed in memory order, as numpy.linalg.norm does
                 w_flat, v_flat = w.ravel(order="K"), v.ravel(order="K")
@@ -266,17 +266,17 @@ def gauss_legendre(n: int):
     return x, w
 
 
-def graded_log_quadrature(fn, a: float, b: float, nodes: int = 256, grading: int = 4) -> float:
+def graded_log_quadrature(fn, a: float, b: float) -> float:
     """Integrate fn over (a, b) with an integrable log singularity at a.
 
-    Uses the polynomial grading x = a + (b - a) u^q, which turns an
-    endpoint log blow-up into a u^{q-1} log u integrand, then applies
-    Gauss-Legendre on u in (0, 1).
+    Uses the polynomial grading x = a + (b - a) u^4, which turns an
+    endpoint log blow-up into a u^3 log u integrand, then applies
+    256-point Gauss-Legendre on u in (0, 1).
     """
-    x, w = gauss_legendre(nodes)
+    x, w = gauss_legendre(256)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
-    q = grading
+    q = 4
     theta = a + (b - a) * u**q
     jac = (b - a) * q * u ** (q - 1)
     return float(np.sum(fn(theta) * jac * wu))
@@ -287,7 +287,7 @@ LOG_SIN_INTEGRAL = -0.5 * np.pi * np.log(2.0)
 LOG_SIN_SQUARED_INTEGRAL = 0.5 * np.pi * (np.log(2.0) ** 2 + np.pi**2 / 12.0)
 
 
-def singular_quadrature_1d(kind: str, nodes: int = 256) -> float:
+def singular_quadrature_1d(kind: str) -> float:
     """Evaluate a named singular benchmark integral on (0, pi/2).
 
     ``kind`` is ``"log_sin"`` for the integral of log(sin t) or
@@ -296,9 +296,7 @@ def singular_quadrature_1d(kind: str, nodes: int = 256) -> float:
     machinery.
     """
     if kind == "log_sin":
-        return graded_log_quadrature(lambda t: np.log(np.sin(t)), 0.0, 0.5 * np.pi, nodes)
+        return graded_log_quadrature(lambda t: np.log(np.sin(t)), 0.0, 0.5 * np.pi)
     if kind == "log_sin_squared":
-        return graded_log_quadrature(
-            lambda t: np.log(np.sin(t)) ** 2, 0.0, 0.5 * np.pi, nodes
-        )
+        return graded_log_quadrature(lambda t: np.log(np.sin(t)) ** 2, 0.0, 0.5 * np.pi)
     raise ValueError(f"unknown singular integral kind {kind!r}")

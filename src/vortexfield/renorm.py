@@ -90,14 +90,12 @@ def w0_conformal(domain: ConformalDomain, config: VortexConfig, nodes: int = 204
     with the density sampled at ``nodes`` equispaced points: the smooth
     log|Phi'| term by the periodic trapezoid rule, the two log kernels
     exactly against the density's trigonometric interpolant.  On the
-    disk the correction integrand vanishes identically and the closed
-    form is recovered exactly.
+    disk the density is 1 and log|Phi'| is 0, so both corrections vanish
+    and the quadrature reproduces the closed form exactly.
     """
     require_w0_nodes(nodes)
     base = w0_disk(config)
     if not np.isfinite(base):
-        return base
-    if domain.is_disk:
         return base
 
     t = TWO_PI * np.arange(nodes) / nodes
@@ -109,15 +107,14 @@ def w0_conformal(domain: ConformalDomain, config: VortexConfig, nodes: int = 204
     return base + 0.5 * correction
 
 
-def punctured_energy(config: VortexConfig, rho: float, grid: GridSpec,
-                     refine_radius_factor: float = 4.0) -> float:
+def punctured_energy(config: VortexConfig, rho: float, grid: GridSpec) -> float:
     """Dirichlet integral of grad phi* over the disk minus vortex disks.
 
-    Midpoint quadrature on the polar grid, with cells near any vortex
-    recursively split until their diameter is below rho / 8; a (sub)cell
-    contributes iff its center lies outside both exclusion disks
-    B_rho(a_j).  Requires 2 rho to be smaller than the vortex separation
-    so the exclusion disks stay disjoint.
+    Midpoint quadrature on the polar grid, with cells within 4 rho of a
+    vortex recursively split until their diameter is below rho / 8; a
+    (sub)cell contributes iff its center lies outside both exclusion
+    disks B_rho(a_j).  Requires 2 rho to be smaller than the vortex
+    separation so the exclusion disks stay disjoint.
     """
     positions = config.positions
     if not (0.0 < rho < 0.5 * abs(positions[0] - positions[1])):
@@ -150,7 +147,7 @@ def punctured_energy(config: VortexConfig, rho: float, grid: GridSpec,
         d = dist_to_vortices(x)
         diam = np.hypot(DRc, Rc * DTc)
         # cells far from every vortex integrate at base resolution
-        coarse_ok = d > refine_radius_factor * rho + 0.5 * diam
+        coarse_ok = d > 4.0 * rho + 0.5 * diam
         leaf = coarse_ok | (diam < target)
         keep = leaf & (d > rho)
         if np.any(keep):

@@ -6,6 +6,10 @@ import numpy as np
 
 INF_COLOR = "#b0b0b0"  # sentinel for the degenerate diagonal band
 
+HEATMAP_SIZE = 480  # pixels per side
+QUIVER_SIZE = 520   # pixels per side
+ARROW = 0.05        # arrow length as a fraction of the quiver side
+
 
 def _lerp_color(u: float) -> str:
     # dark blue -> yellow ramp
@@ -15,8 +19,9 @@ def _lerp_color(u: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def heatmap_svg(energies: np.ndarray, size: int = 480) -> str:
+def heatmap_svg(energies: np.ndarray) -> str:
     """Render an n x n energy matrix; +inf cells get the sentinel color."""
+    size = HEATMAP_SIZE
     n = energies.shape[0]
     finite = energies[np.isfinite(energies)]
     lo = float(finite.min()) if finite.size else 0.0
@@ -42,14 +47,14 @@ def heatmap_svg(energies: np.ndarray, size: int = 480) -> str:
     return "\n".join(parts)
 
 
-def quiver_svg(samples, vortices, boundary, size: int = 520,
-               arrow: float = 0.05) -> str:
+def quiver_svg(samples, vortices, boundary) -> str:
     """Render magnetization arrows, the domain outline, and vortex markers.
 
     ``samples`` is an iterable with x, y, mx, my attributes, ``vortices``
     a sequence of complex positions, ``boundary`` a complex polyline of
     the domain outline.  Arrows are shaded by their orientation angle.
     """
+    size = QUIVER_SIZE
     xs = [s.x for s in samples] + [z.real for z in boundary]
     ys = [s.y for s in samples] + [z.imag for z in boundary]
     lo = min(min(xs), min(ys)) - 0.1
@@ -70,7 +75,7 @@ def quiver_svg(samples, vortices, boundary, size: int = 520,
     outline = " ".join(f"{sx(z.real):.2f},{sy(z.imag):.2f}" for z in boundary)
     parts.append(f'<polygon points="{outline}" fill="none" stroke="#404040" stroke-width="1.5"/>')
 
-    scale = arrow * size / span * span  # arrow length in pixels
+    scale = ARROW * size  # arrow length in pixels
     for s in samples:
         ang = np.arctan2(s.my, s.mx)
         shade = int(round(40 + 140 * (0.5 + 0.5 * np.sin(ang))))

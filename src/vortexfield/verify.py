@@ -44,7 +44,8 @@ def check_logsin() -> CheckResult:
     )
 
 
-def check_disk_reduction(n_configs: int = 20, nodes: int = 1024) -> CheckResult:
+def check_disk_reduction() -> CheckResult:
+    n_configs, nodes = 20, 1024
     rng = np.random.default_rng(2024)
     disk = ConformalDomain.disk()
     worst = 0.0
@@ -62,15 +63,15 @@ def check_disk_reduction(n_configs: int = 20, nodes: int = 1024) -> CheckResult:
     )
 
 
-def check_punctured_ladder(grid: GridSpec = None) -> CheckResult:
+def check_punctured_ladder() -> CheckResult:
     """Renormalized limit of the punctured Dirichlet integral.
 
     The evaluated integral carries the full |grad phi*|^2, whose
     renormalized limit is twice the half-energy closed form; the check
     extrapolates the rho ladder linearly and compares against
-    2 * w0_disk.
+    2 * w0_disk, on the 128 x 256 grid.
     """
-    grid = grid or GridSpec(128, 256)
+    grid = GridSpec(128, 256)
     config = VortexConfig.pair(0.0, np.pi)
     rhos = (0.1, 0.05, 0.025)
     seq = [punctured_energy(config, rho, grid) - 2.0 * np.pi * np.log(1.0 / rho)
@@ -89,8 +90,8 @@ def check_punctured_ladder(grid: GridSpec = None) -> CheckResult:
     )
 
 
-def check_picard_oracle(grid: GridSpec = None) -> CheckResult:
-    grid = grid or GridSpec(8, 16)
+def check_picard_oracle() -> CheckResult:
+    grid = GridSpec(8, 16)
     config = VortexConfig.pair(0.5, 2.8)
     field = ExternalField((-0.01, 0.0))
     theta_p, report = picard_solve(config, field, grid)

@@ -116,16 +116,6 @@ class TestLandscapeCommand:
                         "--landscape-n", "16", "--out", str(out)]) == 0
         assert (out1 / "landscape.csv").read_bytes() == (out2 / "landscape.csv").read_bytes()
 
-    def test_invalid_thread_count_is_a_configuration_error(self, tmp_path, monkeypatch,
-                                                           capsys):
-        monkeypatch.setenv("VORTEXFIELD_THREADS", "abc")
-        code = run(["landscape", "--h", "0,0", "--landscape-n", "16",
-                    "--out", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("invalid configuration: ")
-        assert "VORTEXFIELD_THREADS" in err and "'abc'" in err
-
     def test_max_iter_reaches_every_evaluation(self, tmp_path):
         # h = (0, 1) needs more than two Picard steps at most of the 240 cells
         failures = {}
@@ -225,6 +215,19 @@ class TestInputValidation:
         assert run([*args, "--grid", "16,32", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("invalid configuration: ")
         assert not out.exists()
+
+    def test_malformed_pairs_are_usage_errors(self, tmp_path, capsys):
+        # a non-integral lattice size is rejected, not truncated
+        cases = [(["--grid", "16.5,32"], "expected two integers"),
+                 (["--samples", "8,12.5"], "expected two integers"),
+                 (["--h", "1,2,3"], "expected two comma-separated values")]
+        for args, message in cases:
+            out = tmp_path / "out"
+            with pytest.raises(SystemExit) as exit_info:
+                run(["field", "--s", "0,3", *args, "--out", str(out)])
+            assert exit_info.value.code == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestVerifyCommand:

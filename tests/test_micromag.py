@@ -10,7 +10,8 @@ from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import (ExternalField, SampleSpec,
                                   interpolate_field, magnetization_field,
                                   minimize_g_descent, picard_solve,
-                                  total_energy, v_external)
+                                  require_picard_budget, total_energy,
+                                  v_external)
 from vortexfield.poisson import DiskPoissonSolver, GridSpec, PolarField, solve_dirichlet
 from vortexfield.renorm import g_functional
 
@@ -23,7 +24,9 @@ ROTATION_GRID = GridSpec(32, 64)
 class TestExternalField:
     def test_smallness_guard(self):
         with pytest.raises(ValueError):
-            ExternalField((0.6, 0.0))
+            ExternalField((0.6, 0.0), h_max=0.5)
+        # unbounded unless a bound is passed
+        assert ExternalField((0.0, 20.0)).norm == 20.0
 
     def test_guard_is_configurable(self):
         f = ExternalField((0.0, 1.0), h_max=1.0)
@@ -60,6 +63,19 @@ class TestPicardSolve:
                                  GridSpec(16, 32), tol=1e-14, max_iter=2)
         assert not report.converged
         assert report.iterations == 2
+
+    @pytest.mark.parametrize("tol, max_iter", [(1e-9, 0), (0.0, 50), (np.nan, 50),
+                                               (np.inf, 50), (-1e-9, 50)])
+    def test_empty_budget_or_bad_tol_is_rejected(self, tol, max_iter):
+        with pytest.raises(ValueError):
+            require_picard_budget(tol, max_iter)
+        with pytest.raises(ValueError):
+            picard_solve(STRONG_PAIR, ExternalField((0.0, 0.3)), GridSpec(16, 32),
+                         tol=tol, max_iter=max_iter)
+        with pytest.raises(ValueError):
+            total_energy(ConformalDomain.disk(), STRONG_PAIR, ExternalField((0.0, 0.3)),
+                         GridSpec(16, 32), tol=tol, max_iter=max_iter)
+        require_picard_budget(1e-9, 1)
 
     def test_matches_descent_oracle(self):
         grid = GridSpec(8, 16)

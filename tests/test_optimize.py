@@ -1,14 +1,11 @@
 """Nelder-Mead on the torus, landscape scans, and the grid-search oracle."""
 
-import os
-
 import numpy as np
 import pytest
 
 from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import ExternalField
-from vortexfield.optimize import (NelderMeadOptions, energy_objective,
-                                  grid_oracle, landscape, nelder_mead)
+from vortexfield.optimize import energy_objective, grid_oracle, landscape, nelder_mead
 from vortexfield.poisson import GridSpec
 
 TWO_PI = 2.0 * np.pi
@@ -52,7 +49,7 @@ class TestNelderMead:
 
     def test_budget_exhaustion_flag(self):
         result = nelder_mead(lambda s: (s[0] - 1.0) ** 2 + (s[1] - 2.0) ** 2,
-                             (0.0, 0.0), NelderMeadOptions(max_evals=5))
+                             (0.0, 0.0), max_evals=5)
         assert not result.converged
         assert result.evaluations >= 5
 
@@ -92,7 +89,7 @@ class TestNelderMead:
         def failing(s):
             calls.append(tuple(s))
             return float("inf")
-        result = nelder_mead(failing, (0.5, 2.5), NelderMeadOptions(max_evals=500))
+        result = nelder_mead(failing, (0.5, 2.5), max_evals=500)
         assert len(calls) == 3
         assert result.evaluations == 3
         assert not result.converged
@@ -135,18 +132,6 @@ class TestLandscape:
         i, j = scan.min_index
         sep = torus_dist(scan.angle(i), scan.angle(j))
         assert abs(sep - np.pi) <= TWO_PI / n + 1e-12
-
-    def test_thread_count_does_not_change_values(self):
-        domain = ConformalDomain.disk()
-        field = ExternalField((0.0, 0.0))
-        grid = GridSpec(16, 32)
-        serial = landscape(domain, field, 16, grid)
-        os.environ["VORTEXFIELD_THREADS"] = "4"
-        try:
-            threaded = landscape(domain, field, 16, grid)
-        finally:
-            del os.environ["VORTEXFIELD_THREADS"]
-        assert np.array_equal(serial.energies, threaded.energies)
 
 
 class TestGridOracle:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vortexfield import renorm, verify
 from vortexfield.canonical import VortexConfig, canonical_map_disk
 from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import ExternalField, picard_solve
@@ -40,6 +41,13 @@ class TestW0Conformal:
             cfg = VortexConfig.pair(s1, s2)
             assert w0_conformal(disk, cfg, 1024) == pytest.approx(
                 w0_disk(cfg), abs=1e-6)
+
+    def test_disk_takes_the_quadrature_path(self, monkeypatch):
+        # the verify check compares the boundary quadrature with the closed
+        # form, so a broken log-kernel term must make it fail on the disk
+        assert verify.check_disk_reduction().passed
+        monkeypatch.setattr(renorm, "_log_kernel_integrals", lambda f, s: 1e-3)
+        assert not verify.check_disk_reduction().passed
 
     def test_node_count_validation(self):
         disk = ConformalDomain.disk()
