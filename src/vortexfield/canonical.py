@@ -79,10 +79,10 @@ class VortexConfig:
         return VortexConfig(angles=tuple(sorted(self.angles)))
 
 
-def _guard_singularities(x: np.ndarray, positions: np.ndarray) -> None:
-    for a in positions:
-        if np.any(np.abs(x - a) < SINGULARITY_GUARD):
-            raise SingularityError("evaluation point within guard radius of a vortex")
+def _guard_singularities(*distances: np.ndarray) -> None:
+    """Raise if any distance to a vortex is below ``SINGULARITY_GUARD``."""
+    if any(np.any(d < SINGULARITY_GUARD) for d in distances):
+        raise SingularityError("evaluation point within guard radius of a vortex")
 
 
 def canonical_map_disk(config: VortexConfig, x) -> np.ndarray:
@@ -104,10 +104,16 @@ def canonical_map_disk(config: VortexConfig, x) -> np.ndarray:
         raise ConfigurationError("coincident vortex angles are degenerate")
     x = np.asarray(x, dtype=complex)
     a1, a2 = config.positions
-    _guard_singularities(x, config.positions)
-    num = (x - a1) * (x - a2) * abs(a1 - a2)
-    den = np.abs(x - a1) * np.abs(x - a2) * (a1 - a2)
-    return num / den
+    m, d2 = x - a1, x - a2
+    r, r2 = np.abs(m), np.abs(d2)
+    _guard_singularities(r, r2)
+    # in place, with one complex constant |a1 - a2| / (a1 - a2) and a real
+    # reciprocal: no complex division per point
+    m *= d2
+    m *= abs(a1 - a2) / (a1 - a2)
+    r *= r2
+    m *= 1.0 / r
+    return m
 
 
 def pushforward_disk(domain: ConformalDomain, config: VortexConfig, z) -> np.ndarray:
@@ -134,7 +140,7 @@ def grad_phistar(config: VortexConfig, x):
     and never formed.  Returns a pair (gx, gy) of real arrays.
     """
     x = np.asarray(x, dtype=complex)
-    _guard_singularities(x, config.positions)
+    _guard_singularities(*(np.abs(x - a) for a in config.positions))
     gx = np.zeros(x.shape, dtype=float)
     gy = np.zeros(x.shape, dtype=float)
     for a in config.positions:

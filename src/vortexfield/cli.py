@@ -80,6 +80,7 @@ class RunConfig:
         require_w0_nodes(self.w0_nodes)
         if self.s is not None and VortexConfig.pair(*self.s).is_degenerate:
             raise ValueError("vortex angles coincide (degenerate configuration)")
+        VortexConfig.pair(*self.s0)   # the simplex start must be finite too
 
 
 def _pair(text: str) -> tuple:
@@ -219,14 +220,17 @@ def cmd_field(config: RunConfig) -> int:
     for smp in field_out.samples:
         lines.append(f"{smp.x!r},{smp.y!r},{smp.mx!r},{smp.my!r}")
     (out / "field.csv").write_text("\n".join(lines) + "\n")
-    _write_json(out / "field_summary.json", {
+    summary = {
         "command": "field",
         "config": asdict(config),
         "s": list(s),
         "samples": len(field_out.samples),
         "skipped": field_out.skipped,
         "vortex_positions": [[v.real, v.imag] for v in field_out.vortex_positions],
-    })
+    }
+    if field_out.solver:
+        summary["solver"] = field_out.solver
+    _write_json(out / "field_summary.json", summary)
     if config.svg:
         boundary = domain.boundary_point(np.linspace(0.0, TWO_PI, 257))
         (out / "field.svg").write_text(

@@ -18,8 +18,9 @@ the history is dropped and the plain Picard step is taken.  Each
 iteration is one Poisson solve; the loop stops when
 max|g(x_k) - x_k| < tol and returns g(x_k).  The solver records the
 per-iteration changes and the final strong-form residual either way.
-The right-hand side is cos(theta) Re q - sin(theta) Im q with
-q = i conj(h_1 + i h_2) M computed once per solve.
+The right-hand side is |h| cos(theta + phi), one cosine per node, with
+the phase phi of q = i conj(h_1 + i h_2) M = |h| e^{i phi} computed once
+per solve (``renorm.coupling_phase``).
 
 An independent cross-check, ``minimize_g_descent``, minimizes the same
 discrete energy by gradient descent with Nesterov momentum and gradient
@@ -33,15 +34,18 @@ displayed magnetization is pushed forward through the conformal map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+# canonical_map_disk stays importable from here: the benchmark's span tracer
+# rebinds this copy (the map itself is built by renorm.coupling_phase)
 from .canonical import SINGULARITY_GUARD, VortexConfig, canonical_map_disk, pushforward_disk
 from .errors import ConvergenceError
 from .geom import TWO_PI, ConformalDomain
 from .poisson import GridSpec, PolarField, solver_for
-from .renorm import EnergyBreakdown, g_functional, w0_conformal, w0_disk
+from .renorm import (EnergyBreakdown, coupling_phase, g_functional, w0_conformal,
+                     w0_disk)
 
 
 @dataclass(frozen=True)
@@ -85,19 +89,13 @@ class FixedPointReport:
     converged: bool
 
 
-def _coupling(config: VortexConfig, grid: GridSpec, h) -> tuple:
-    """(Re q, Im q) on the grid nodes, for q = i conj(h_1 + i h_2) M.
-
-    With it the Picard right-hand side h . (i e^{i theta} M) is
-    cos(theta) Re q - sin(theta) Im q, in real arithmetic.
-    """
-    q = 1j * complex(h[0], -h[1]) * canonical_map_disk(config, grid.nodes_complex())
-    return q.real.copy(), q.imag.copy()
-
-
 def _picard_rhs(theta_vals: np.ndarray, coupling: tuple) -> np.ndarray:
-    q_re, q_im = coupling
-    return np.cos(theta_vals) * q_re - np.sin(theta_vals) * q_im
+    """h . (i e^{i theta} M) = |h| cos(theta + phi), ``coupling`` = (|h|, phi)."""
+    h_abs, phi = coupling
+    rhs = theta_vals + phi
+    np.cos(rhs, out=rhs)
+    rhs *= h_abs
+    return rhs
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -130,7 +128,7 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     """
     require_picard_budget(tol, max_iter)
     solver = solver_for(grid)
-    coupling = _coupling(config, grid, field.h)
+    coupling = coupling_phase(config, grid, field.h)
     shape = (grid.n_r, grid.n_t)
     x = np.zeros(shape)
     # the two most recent differences f_{j+1} - f_j and g_{j+1} - g_j,
@@ -189,6 +187,12 @@ def _solve_theta(config: VortexConfig, field: ExternalField, grid: GridSpec,
     return theta, report
 
 
+def _report_diagnostics(report: FixedPointReport) -> dict:
+    """The solve's iterations, residual and final change, as artifacts report them."""
+    return {"iterations": report.iterations, "residual": report.residual,
+            "final_change": report.changes[-1]}
+
+
 def v_external(config: VortexConfig, field: ExternalField, grid: GridSpec,
                tol: float = 1e-9, max_iter: int = 50) -> float:
     """V(a; h) = min over H^1_0 of G(a; .), via the Picard minimizer."""
@@ -220,11 +224,7 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
         return EnergyBreakdown(w0=w0, v_ext=0.0, diagnostics=diag)
     theta, report = _solve_theta(config, field, grid, tol, max_iter)
     v = g_functional(config, theta, field.h)
-    diag.update(
-        iterations=report.iterations,
-        residual=report.residual,
-        final_change=report.changes[-1],
-    )
+    diag.update(_report_diagnostics(report))
     return EnergyBreakdown(w0=w0, v_ext=v, diagnostics=diag)
 
 
@@ -288,11 +288,17 @@ class VectorFieldSample:
 
 @dataclass
 class MagnetizationField:
-    """Sampled magnetization plus bookkeeping for skipped points."""
+    """Sampled magnetization plus bookkeeping for skipped points.
+
+    ``solver`` holds the Picard solve's iterations, residual and final
+    change, as in :func:`total_energy`'s diagnostics; it is empty at h = 0,
+    where theta = 0 needs no solve.
+    """
 
     samples: list
     skipped: int
     vortex_positions: tuple
+    solver: dict = dataclass_field(default_factory=dict)
 
 
 def interpolate_field(theta: PolarField, points: np.ndarray) -> np.ndarray:
@@ -335,10 +341,12 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     outside the closed disk or inside the vortex guard are skipped and
     counted.
     """
+    solver = {}
     if field.is_zero:
         theta = PolarField.zeros(grid)
     else:
-        theta, _ = _solve_theta(config, field, grid, tol, max_iter)
+        theta, report = _solve_theta(config, field, grid, tol, max_iter)
+        solver = _report_diagnostics(report)
 
     pts = sample.disk_points()
     keep = np.abs(pts) <= 1.0
@@ -356,7 +364,7 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     ]
     vortices = tuple(complex(v) for v in np.asarray(domain.forward(config.positions)))
     return MagnetizationField(samples=samples, skipped=skipped,
-                              vortex_positions=vortices)
+                              vortex_positions=vortices, solver=solver)
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +389,7 @@ def minimize_g_descent(config: VortexConfig, field: ExternalField, grid: GridSpe
     max-norm of that gradient at ``theta``.
     """
     solver = solver_for(grid)
-    coupling = _coupling(config, grid, field.h)
+    coupling = coupling_phase(config, grid, field.h)
     wgt = grid.cell_weights()
     step = 1.0 / (solver.lambda_max() * (1.0 + field.norm))
 

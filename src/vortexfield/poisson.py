@@ -10,10 +10,14 @@ radial grid r_i = (i - 1/2) dr.  The inner flux coefficient r_{i-1/2}
 vanishes identically at the pole for i = 1, which encodes the natural
 regularity condition there for every mode; the Dirichlet condition at
 r = 1 enters through the ghost-value reflection u_{n+1} = -u_n.  The
-Thomas sweeps run over the rows of ``rfft(values, axis=1)``, one radius
-per row and all wavenumbers along it, so every step reads and writes
-contiguous memory; the factor arrays are stored in the same
-(n_r, n_modes) layout.
+Thomas sweeps run in place over the rows of ``rfft(values, axis=1)``,
+one radius per row and all wavenumbers along it, seen as float64: each
+complex coefficient is a (re, im) pair and every factor is real, so a
+row step is a few real ``out=`` operations on contiguous memory.  The
+factor arrays 1/dp and cp are stored repeated to that (n_r, 2 n_modes)
+layout.  The result is bitwise that of the same sweep in complex
+arithmetic, since numpy divides a complex number by a real one by
+multiplying with the reciprocal.
 
 The same module carries the disk quadrature rule (midpoint in r,
 periodic trapezoid in t) and the graded 1D quadrature used to self-test
@@ -151,8 +155,9 @@ class DiskPoissonSolver:
             dp[i] = D[i] - self._low[i] * cp[i - 1]
             if i < n_r - 1:
                 cp[i] = self._up[i] / dp[i]
-        self._cp = cp
-        self._dp = dp
+        # factor rows in the float64 layout of the rfft rows: (re, im) per mode
+        self._inv_dp = list(np.repeat(1.0 / dp, 2, axis=1))
+        self._cp = list(np.repeat(cp, 2, axis=1))
         self._D = D
         self._lambda_max = None
 
@@ -160,17 +165,20 @@ class DiskPoissonSolver:
         """Return u with -lap u = f discretely and u(1) = 0."""
         if f.grid != self.grid:
             raise ValueError("right-hand side lives on a different grid")
-        n_r, n_t = self.grid.n_r, self.grid.n_t
-        fh = np.fft.rfft(f.values, axis=1)
-        y = np.empty_like(fh)
-        y[0] = fh[0] / self._dp[0]
-        for i in range(1, n_r):
-            y[i] = (fh[i] - self._low[i] * y[i - 1]) / self._dp[i]
-        u = np.empty_like(y)
-        u[-1] = y[-1]
-        for i in range(n_r - 2, -1, -1):
-            u[i] = y[i] - self._cp[i] * u[i + 1]
-        vals = np.fft.irfft(u, n=n_t, axis=1)
+        # C order, so each row's (re, im) pairs are contiguous float64
+        fh = np.ascontiguousarray(np.fft.rfft(f.values, axis=1))
+        y = list(fh.view(np.float64))
+        low, inv_dp, cp = self._low, self._inv_dp, self._cp
+        tmp = np.empty_like(y[0])
+        np.multiply(y[0], inv_dp[0], out=y[0])
+        for i in range(1, len(y)):
+            np.multiply(y[i - 1], low[i], out=tmp)
+            np.subtract(y[i], tmp, out=y[i])
+            np.multiply(y[i], inv_dp[i], out=y[i])
+        for i in range(len(y) - 2, -1, -1):
+            np.multiply(cp[i], y[i + 1], out=tmp)
+            np.subtract(y[i], tmp, out=y[i])
+        vals = np.fft.irfft(fh, n=self.grid.n_t, axis=1)
         return PolarField(self.grid, vals, dirichlet=True)
 
     def apply(self, u: PolarField) -> np.ndarray:

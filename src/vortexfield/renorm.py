@@ -18,7 +18,11 @@ The functional g_functional(theta) = int (1/2)|grad theta|^2
 by the fixed-point solver in :mod:`vortexfield.micromag`.  Its kinetic
 term is the operator form (1/2) <theta, A_h theta>_w of the discrete
 Laplacian that solver inverts, so the Picard fixed point is an exact
-stationary point of the reported G.
+stationary point of the reported G.  The field enters in phase form:
+with q = i conj(h_1 + i h_2) M = |h| e^{i phi} (``coupling_phase``;
+|M| = 1), h . (e^{i theta} M) = |h| sin(theta + phi) and the solver's
+right-hand side h . (i e^{i theta} M) = |h| cos(theta + phi), one
+transcendental per node each.
 """
 
 from __future__ import annotations
@@ -167,23 +171,31 @@ def punctured_energy(config: VortexConfig, rho: float, grid: GridSpec) -> float:
     return total
 
 
+def coupling_phase(config: VortexConfig, grid: GridSpec, h) -> tuple:
+    """(|h|, phi) on the grid nodes, with q = i conj(h_1 + i h_2) M = |h| e^{i phi}.
+
+    Since |M| = 1, h . (e^{i theta} M) = |h| sin(theta + phi) and
+    h . (i e^{i theta} M) = |h| cos(theta + phi).
+    """
+    q = canonical_map_disk(config, grid.nodes_complex())
+    q *= 1j * complex(h[0], -h[1])
+    return float(np.hypot(h[0], h[1])), np.angle(q)
+
+
 def g_functional(config: VortexConfig, theta: PolarField, h) -> float:
     """G(a; theta) = int (1/2)|grad theta|^2 - h . (e^{i theta} M(x; a)) dx.
 
     The Dirichlet energy is (1/2) <theta, A_h theta>_w, with A_h the
     discrete -lap of :class:`~vortexfield.poisson.DiskPoissonSolver` and
-    w the disk quadrature weights.  The complex product e^{i theta} M is
-    read as an R^2 vector dotted with h.  ``theta`` must be
-    Dirichlet-tagged (it represents an H^1_0 candidate).
+    w the disk quadrature weights.  The coupling integrand
+    h . (e^{i theta} M) is |h| sin(theta + phi) (``coupling_phase``).
+    ``theta`` must be Dirichlet-tagged (it represents an H^1_0 candidate).
     """
     if not theta.dirichlet:
         raise ValueError("g_functional requires a Dirichlet-tagged theta")
-    h1, h2 = float(h[0]), float(h[1])
     grid = theta.grid
     kinetic = PolarField(grid, 0.5 * theta.values * solver_for(grid).apply(theta),
                          dirichlet=False)
-    m = canonical_map_disk(config, grid.nodes_complex())
-    rotated = np.exp(1j * theta.values) * m
-    coupling = PolarField(grid, h1 * rotated.real + h2 * rotated.imag,
-                          dirichlet=False)
+    h_abs, phi = coupling_phase(config, grid, h)
+    coupling = PolarField(grid, h_abs * np.sin(theta.values + phi), dirichlet=False)
     return integrate_disk(kinetic) - integrate_disk(coupling)

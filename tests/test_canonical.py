@@ -49,6 +49,22 @@ class TestCanonicalMapDisk:
         cfg = VortexConfig.pair(0.0, np.pi)
         assert canonical_map_disk(cfg, 0.0) == pytest.approx(-1.0 + 0.0j, abs=1e-15)
 
+    def test_matches_the_textbook_quotient(self):
+        # one complex constant and a real reciprocal instead of
+        # a complex division per point: within 4 ulp of |M| = 1
+        cfg = VortexConfig.pair(0.5, 2.5)
+        R, T = np.meshgrid((np.arange(64) + 0.5) / 64, np.arange(128) * TWO_PI / 128,
+                           indexing="ij")
+        x = R * np.exp(1j * T)
+        a1, a2 = cfg.positions
+        quotient = ((x - a1) * (x - a2) * abs(a1 - a2)
+                    / (np.abs(x - a1) * np.abs(x - a2) * (a1 - a2)))
+        m = canonical_map_disk(cfg, x)
+        assert m.shape == x.shape
+        assert np.max(np.abs(m - quotient)) <= 4 * np.finfo(float).eps
+        empty = canonical_map_disk(cfg, np.zeros((0, 3), dtype=complex))
+        assert empty.shape == (0, 3) and empty.dtype == complex
+
     def test_unit_modulus_everywhere(self):
         cfg = VortexConfig.pair(0.7, 4.0)
         rng = np.random.default_rng(21)

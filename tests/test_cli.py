@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, file formats, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,17 @@ class TestFieldCommand:
             assert abs(mx * mx + my * my - 1.0) < 1e-9
         summary = json.loads((tmp_path / "field_summary.json").read_text())
         assert summary["samples"] == len(lines) - 1
+        assert "solver" not in summary   # h = 0: theta = 0 without a solve
+
+    def test_summary_reports_the_picard_solve(self, tmp_path):
+        assert run(["field", "--h", "0,1", "--s", "0.5,2.5", "--grid", "16,32",
+                    "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "field_summary.json").read_text())
+        solver = summary["solver"]
+        assert set(solver) == {"iterations", "residual", "final_change"}
+        assert solver["iterations"] >= 1
+        assert solver["final_change"] < summary["config"]["tol"]
+        assert solver["residual"] < 1e-6
 
     def test_boundary_tangency_rows(self, tmp_path):
         # the outermost sample ring sits at r = 1 - 1e-9; arrows there are
@@ -209,10 +221,15 @@ class TestInputValidation:
         ["field", "--s", "0,3", "--samples", "0,48"],
         ["field", "--s", "0,3", "--jitter", "0.5", "--seed", "-1"],
         ["field", "--s", "1,1.0000000005"],
+        ["minimize", "--s0", "inf,1"],
     ])
     def test_rejected_before_any_work(self, tmp_path, capsys, args):
+        # no numpy warning either: the check runs before any arithmetic
         out = tmp_path / "out"
-        assert run([*args, "--grid", "16,32", "--out", str(out)]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([*args, "--grid", "16,32", "--out", str(out)])
+        assert code == 1
         assert capsys.readouterr().err.startswith("invalid configuration: ")
         assert not out.exists()
 

@@ -13,7 +13,8 @@ from vortexfield.micromag import (ExternalField, SampleSpec,
                                   require_picard_budget, total_energy,
                                   v_external)
 from vortexfield.poisson import DiskPoissonSolver, GridSpec, PolarField, solve_dirichlet
-from vortexfield.renorm import g_functional
+from vortexfield.micromag import _picard_rhs
+from vortexfield.renorm import coupling_phase, g_functional
 
 TWO_PI = 2.0 * np.pi
 ANTIPODAL = VortexConfig.pair(0.0, np.pi)
@@ -44,6 +45,17 @@ class TestPicardSolve:
         assert report.converged
         assert report.iterations == 1
         assert np.max(np.abs(theta.values)) == 0.0
+
+    @pytest.mark.parametrize("h", [(-0.01, 0.0), (0.0, 3.0), (2.0, -7.0)])
+    def test_one_cosine_rhs_matches_the_cos_sin_form(self, h):
+        # q = i conj(h1 + i h2) M = |h| e^{i phi}, so |h| cos(theta + phi)
+        # is cos(theta) Re q - sin(theta) Im q up to rounding
+        grid = GridSpec(64, 128)
+        theta = np.random.default_rng(7).uniform(-4.0, 4.0, (64, 128))
+        q = 1j * complex(h[0], -h[1]) * canonical_map_disk(STRONG_PAIR, grid.nodes_complex())
+        rhs = _picard_rhs(theta, coupling_phase(STRONG_PAIR, grid, h))
+        reference = np.cos(theta) * q.real - np.sin(theta) * q.imag
+        assert np.max(np.abs(rhs - reference)) <= 8 * np.finfo(float).eps * np.hypot(*h)
 
     def test_geometric_decay_of_changes(self):
         _, report = picard_solve(ANTIPODAL, ExternalField((-0.01, 0.0)),

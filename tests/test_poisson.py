@@ -15,6 +15,21 @@ from vortexfield.renorm import g_functional
 TWO_PI = 2.0 * np.pi
 
 
+def _complex_sweep(solver, values):
+    """The complex Thomas sweep ``solve`` ran before its real in-place form."""
+    low, cp = solver._low, np.array(solver._cp)[:, ::2]
+    dp = solver._D.copy()
+    dp[1:] -= low[1:, None] * cp[:-1]   # the factorization's own recurrence
+    fh = np.fft.rfft(values, axis=1)
+    y = np.empty_like(fh)
+    y[0] = fh[0] / dp[0]
+    for i in range(1, len(y)):
+        y[i] = (fh[i] - low[i] * y[i - 1]) / dp[i]
+    for i in range(len(y) - 2, -1, -1):
+        y[i] = y[i] - cp[i] * y[i + 1]
+    return np.fft.irfft(y, n=values.shape[1], axis=1)
+
+
 def _solve_fn(n_r, n_t, fn):
     grid = GridSpec(n_r, n_t)
     f = PolarField.from_function(grid, fn, dirichlet=False)
@@ -112,6 +127,16 @@ class TestSolveDirichlet:
         f = rng.standard_normal((16, 32))
         u = solver.solve(PolarField(grid, f, dirichlet=False))
         assert np.max(np.abs(solver.apply(u) - f)) < 1e-10
+
+    @pytest.mark.parametrize("n_r,n_t", [(8, 16), (16, 32), (64, 128), (128, 256)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_real_sweep_equals_complex_sweep(self, n_r, n_t, seed):
+        # numpy divides a complex number by a real one by multiplying with
+        # the reciprocal, so the real in-place sweep is bitwise the same
+        grid = GridSpec(n_r, n_t)
+        f = np.random.default_rng(seed).standard_normal((n_r, n_t))
+        u = solver_for(grid).solve(PolarField(grid, f, dirichlet=False))
+        assert np.array_equal(u.values, _complex_sweep(solver_for(grid), f))
 
     def test_operator_inverts_solve_on_the_default_grid(self):
         # at 128 x 256 the operator norm is about 1e9, so the residual is

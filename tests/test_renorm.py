@@ -7,7 +7,7 @@ from vortexfield import renorm, verify
 from vortexfield.canonical import VortexConfig, canonical_map_disk
 from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import ExternalField, picard_solve
-from vortexfield.poisson import GridSpec, PolarField, integrate_disk
+from vortexfield.poisson import GridSpec, PolarField, integrate_disk, solver_for
 from vortexfield.renorm import (g_functional, punctured_energy, w0_conformal,
                                 w0_disk)
 
@@ -220,6 +220,21 @@ class TestGFunctional:
             errs.append(abs(g_functional(VortexConfig.pair(0.0, np.pi), u, (0.0, 0.0)) - np.pi))
         for i in range(2):
             assert 7.0 <= errs[i] / errs[i + 1] <= 9.0
+
+    @pytest.mark.parametrize("pair", [(0.5, 2.5), (0.0, np.pi), (1.0, 5.9)])
+    @pytest.mark.parametrize("h", [(-0.01, 0.0), (0.0, 3.0)])
+    def test_phase_form_matches_the_complex_exp_form(self, pair, h):
+        # h . (e^{i theta} M) = |h| sin(theta + phi); the reference reads
+        # e^{i theta} M as an R^2 vector dotted with h
+        grid = GridSpec(64, 128)
+        cfg = VortexConfig.pair(*pair)
+        theta, report = picard_solve(cfg, ExternalField(h), grid)
+        assert report.converged
+        rotated = np.exp(1j * theta.values) * canonical_map_disk(cfg, grid.nodes_complex())
+        kinetic = 0.5 * theta.values * solver_for(grid).apply(theta)
+        reference = integrate_disk(PolarField(
+            grid, kinetic - h[0] * rotated.real - h[1] * rotated.imag, dirichlet=False))
+        assert g_functional(cfg, theta, h) == pytest.approx(reference, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_picard_fixed_point_is_stationary(self, n):
