@@ -85,7 +85,7 @@ def _guard_singularities(*distances: np.ndarray) -> None:
         raise SingularityError("evaluation point within guard radius of a vortex")
 
 
-def canonical_map_disk(config: VortexConfig, x) -> np.ndarray:
+def canonical_map_disk(config: VortexConfig, x, out=None, work=None) -> np.ndarray:
     """Canonical harmonic map M(x; a) on the unit disk.
 
     Parameters
@@ -95,24 +95,28 @@ def canonical_map_disk(config: VortexConfig, x) -> np.ndarray:
         :class:`ConfigurationError`.
     x : complex scalar or array
         Evaluation points in the closed disk, away from the vortices.
+    out, work : arrays of the shape of ``x``, optional
+        ``out`` (complex, not ``x`` itself) receives M, and ``work``
+        (complex, real, real) receives x - a_2, |x - a_1| and |x - a_2|.
 
     Returns
     -------
-    Complex array of unit modulus with the same shape as ``x``.
+    Complex array of unit modulus shaped like ``x``: ``out`` when given.
     """
     if config.is_degenerate:
         raise ConfigurationError("coincident vortex angles are degenerate")
     x = np.asarray(x, dtype=complex)
     a1, a2 = config.positions
-    m, d2 = x - a1, x - a2
-    r, r2 = np.abs(m), np.abs(d2)
+    d2_out, r_out, r2_out = (None, None, None) if work is None else work
+    m, d2 = np.subtract(x, a1, out=out), np.subtract(x, a2, out=d2_out)
+    r, r2 = np.abs(m, out=r_out), np.abs(d2, out=r2_out)
     _guard_singularities(r, r2)
     # in place, with one complex constant |a1 - a2| / (a1 - a2) and a real
     # reciprocal: no complex division per point
     m *= d2
     m *= abs(a1 - a2) / (a1 - a2)
     r *= r2
-    m *= 1.0 / r
+    m *= np.divide(1.0, r, out=r_out)
     return m
 
 

@@ -21,6 +21,9 @@ per-iteration changes and the final strong-form residual either way.
 The right-hand side is |h| cos(theta + phi), one cosine per node, with
 the phase phi of q = i conj(h_1 + i h_2) M = |h| e^{i phi} computed once
 per solve (``renorm.coupling_phase``).
+The iterates live in the grid's ``renorm.EvaluationWork``, made once
+per grid; the theta a solve returns is a fresh copy, so no later solve
+overwrites it.
 
 An independent cross-check, ``minimize_g_descent``, minimizes the same
 discrete energy by gradient descent with Nesterov momentum and gradient
@@ -44,8 +47,8 @@ from .canonical import SINGULARITY_GUARD, VortexConfig, canonical_map_disk, push
 from .errors import ConvergenceError
 from .geom import TWO_PI, ConformalDomain
 from .poisson import GridSpec, PolarField, solver_for
-from .renorm import (EnergyBreakdown, coupling_phase, g_functional, w0_conformal,
-                     w0_disk)
+from .renorm import (EnergyBreakdown, coupling_phase, evaluation_work, g_functional,
+                     w0_conformal, w0_disk)
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,9 @@ class ExternalField:
         object.__setattr__(self, "h", h)
         if not np.all(np.isfinite(h)):
             raise ValueError("field components must be finite")
+        # G grows like |h|^2; a Python float overflows to inf without a warning
+        if not np.isfinite(h[0] * h[0] + h[1] * h[1]):
+            raise ValueError(f"|h|^2 overflows for h = {h}")
         if self.norm > self.h_max:
             raise ValueError(
                 f"|h| = {self.norm:.4g} exceeds the smallness bound h_max = {self.h_max}"
@@ -89,10 +95,10 @@ class FixedPointReport:
     converged: bool
 
 
-def _picard_rhs(theta_vals: np.ndarray, coupling: tuple) -> np.ndarray:
+def _picard_rhs(theta_vals: np.ndarray, coupling: tuple, out=None) -> np.ndarray:
     """h . (i e^{i theta} M) = |h| cos(theta + phi), ``coupling`` = (|h|, phi)."""
     h_abs, phi = coupling
-    rhs = theta_vals + phi
+    rhs = np.add(theta_vals, phi, out=out)
     np.cos(rhs, out=rhs)
     rhs *= h_abs
     return rhs
@@ -129,20 +135,23 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     require_picard_budget(tol, max_iter)
     solver = solver_for(grid)
     coupling = coupling_phase(config, grid, field.h)
-    shape = (grid.n_r, grid.n_t)
-    x = np.zeros(shape)
-    # the two most recent differences f_{j+1} - f_j and g_{j+1} - g_j,
-    # iteration k writing slot k % 2
-    d_f, d_g = np.empty((2,) + shape), np.empty((2,) + shape)
+    work = evaluation_work(grid)
+    rhs, scratch, d_f, d_g = work.rhs, work.scratch, work.d_f, work.d_g
+    # iteration k writes slot k % 2 of g, of f = g - x and of the two most
+    # recent differences f_{j+1} - f_j and g_{j+1} - g_j; x is the last g,
+    # or work.x for the start and each extrapolated iterate
+    x = work.x
+    x.fill(0.0)
     pairs = 0
     accelerated = False
     changes = []
     converged = False
     for k in range(max_iter):
-        theta = solver.solve(PolarField(grid, _picard_rhs(x, coupling), dirichlet=False))
-        g = theta.values
-        f = g - x
-        change = float(np.max(np.abs(f)))
+        _picard_rhs(x, coupling, out=rhs.values)
+        theta = solver.solve(rhs, out=work.g[k % 2])
+        g, f = theta.values, work.f[k % 2]
+        np.subtract(g, x, out=f)
+        change = float(np.max(np.abs(f, out=scratch)))
         changes.append(change)
         if change < tol:
             converged = True
@@ -161,13 +170,17 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
             if det > _SINGULAR_GRAM * a * c:
                 p, q = _dot(d_f[0], f), _dot(d_f[1], f)
                 gamma0, gamma1 = (c * p - b * q) / det, (a * q - b * p) / det
-                x = g - gamma0 * d_g[0] - gamma1 * d_g[1]
+                # x = g - gamma0 d_g[0] - gamma1 d_g[1]
+                x = np.subtract(g, np.multiply(gamma0, d_g[0], out=scratch), out=work.x)
+                x -= np.multiply(gamma1, d_g[1], out=scratch)
                 accelerated = True
             else:
                 pairs = 0
-    residual = float(np.max(np.abs(
-        solver.apply(theta) - _picard_rhs(theta.values, coupling)
-    )))
+    lhs = solver.apply(theta, out=scratch)
+    lhs -= _picard_rhs(theta.values, coupling, out=rhs.values)
+    residual = float(np.max(np.abs(lhs, out=lhs)))
+    # a fresh theta, which later solves on this grid cannot overwrite
+    theta = PolarField(grid, theta.values.copy())
     report = FixedPointReport(
         iterations=len(changes), changes=tuple(changes),
         residual=residual, converged=converged,

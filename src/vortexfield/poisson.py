@@ -17,7 +17,9 @@ row step is a few real ``out=`` operations on contiguous memory.  The
 factor arrays 1/dp and cp are stored repeated to that (n_r, 2 n_modes)
 layout.  The result is bitwise that of the same sweep in complex
 arithmetic, since numpy divides a complex number by a real one by
-multiplying with the reciprocal.
+multiplying with the reciprocal.  The cached solver of a grid owns the
+spectra its ``solve`` and ``apply`` work in, and both write their result
+into a caller's ``out`` when given, so neither allocates grid arrays.
 
 The same module carries the disk quadrature rule (midpoint in r,
 periodic trapezoid in t) and the graded 1D quadrature used to self-test
@@ -79,8 +81,8 @@ class GridSpec:
         return _nodes_complex(self.n_r, self.n_t)
 
     def cell_weights(self) -> np.ndarray:
-        """Quadrature weights r_i dr dt, shape (n_r, 1) for broadcasting."""
-        return (self.r * self.dr * self.dt)[:, None]
+        """Quadrature weights r_i dr dt, shape (n_r, 1); cached and read-only."""
+        return _cell_weights(self.n_r, self.n_t)
 
 
 @lru_cache(maxsize=16)
@@ -89,6 +91,14 @@ def _nodes_complex(n_r: int, n_t: int) -> np.ndarray:
     nodes = R * np.exp(1j * T)
     nodes.flags.writeable = False
     return nodes
+
+
+@lru_cache(maxsize=16)
+def _cell_weights(n_r: int, n_t: int) -> np.ndarray:
+    grid = GridSpec(n_r, n_t)
+    weights = (grid.r * grid.dr * grid.dt)[:, None]
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclass
@@ -160,16 +170,20 @@ class DiskPoissonSolver:
         self._cp = list(np.repeat(cp, 2, axis=1))
         self._D = D
         self._lambda_max = None
+        # spectra every solve and apply on this grid writes into, C-ordered
+        # so each row's (re, im) pairs are contiguous float64
+        self._spectra = np.empty((3,) + D.shape, dtype=complex)
+        self._rows = list(self._spectra[0].view(np.float64))
+        self._row_tmp = np.empty(2 * D.shape[1])
 
-    def solve(self, f: PolarField) -> PolarField:
-        """Return u with -lap u = f discretely and u(1) = 0."""
+    def solve(self, f: PolarField, out: PolarField | None = None) -> PolarField:
+        """Return u with -lap u = f discretely and u(1) = 0, as the field ``out`` if given."""
         if f.grid != self.grid:
             raise ValueError("right-hand side lives on a different grid")
-        # C order, so each row's (re, im) pairs are contiguous float64
-        fh = np.ascontiguousarray(np.fft.rfft(f.values, axis=1))
-        y = list(fh.view(np.float64))
-        low, inv_dp, cp = self._low, self._inv_dp, self._cp
-        tmp = np.empty_like(y[0])
+        if out is not None and (out.grid != self.grid or not out.dirichlet):
+            raise ValueError("out must be a Dirichlet field on the solver's grid")
+        fh = np.fft.rfft(f.values, axis=1, out=self._spectra[0])
+        y, low, inv_dp, cp, tmp = self._rows, self._low, self._inv_dp, self._cp, self._row_tmp
         np.multiply(y[0], inv_dp[0], out=y[0])
         for i in range(1, len(y)):
             np.multiply(y[i - 1], low[i], out=tmp)
@@ -178,18 +192,21 @@ class DiskPoissonSolver:
         for i in range(len(y) - 2, -1, -1):
             np.multiply(cp[i], y[i + 1], out=tmp)
             np.subtract(y[i], tmp, out=y[i])
-        vals = np.fft.irfft(fh, n=self.grid.n_t, axis=1)
-        return PolarField(self.grid, vals, dirichlet=True)
+        vals = np.fft.irfft(fh, n=self.grid.n_t, axis=1, out=None if out is None else out.values)
+        return PolarField(self.grid, vals) if out is None else out
 
-    def apply(self, u: PolarField) -> np.ndarray:
-        """Apply the discrete operator -lap_h to a Dirichlet field."""
+    def apply(self, u: PolarField, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply the discrete operator -lap_h to a Dirichlet field, into ``out`` if given."""
         if u.grid != self.grid:
             raise ValueError("field lives on a different grid")
-        uh = np.fft.rfft(u.values, axis=1)
-        out = self._D * uh
-        out[1:] += self._low[1:, None] * uh[:-1]
-        out[:-1] += self._up[:-1, None] * uh[1:]
-        return np.fft.irfft(out, n=self.grid.n_t, axis=1)
+        uh, lap, tmp = self._spectra
+        np.fft.rfft(u.values, axis=1, out=uh)
+        np.multiply(self._D, uh, out=lap)
+        np.multiply(self._low[1:, None], uh[:-1], out=tmp[1:])
+        lap[1:] += tmp[1:]
+        np.multiply(self._up[:-1, None], uh[1:], out=tmp[:-1])
+        lap[:-1] += tmp[:-1]
+        return np.fft.irfft(lap, n=self.grid.n_t, axis=1, out=out)
 
     def lambda_max(self) -> float:
         """Largest eigenvalue of -lap_h, estimated by 60 steps of power iteration."""
@@ -223,9 +240,13 @@ def solve_dirichlet(f: PolarField) -> PolarField:
     return solver_for(f.grid).solve(f)
 
 
-def integrate_disk(g: PolarField) -> float:
-    """Integral over the unit disk: midpoint in r, trapezoid in t."""
-    return float(np.sum(g.values * g.grid.cell_weights()))
+def integrate_disk(g: PolarField, out: np.ndarray | None = None) -> float:
+    """Integral over the unit disk: midpoint in r, trapezoid in t.
+
+    The weighted samples are formed in ``out`` when it is given, which
+    may be ``g.values`` itself.
+    """
+    return float(np.sum(np.multiply(g.values, g.grid.cell_weights(), out=out)))
 
 
 # ----------------------------------------------------------------------

@@ -23,11 +23,14 @@ with q = i conj(h_1 + i h_2) M = |h| e^{i phi} (``coupling_phase``;
 |M| = 1), h . (e^{i theta} M) = |h| sin(theta + phi) and the solver's
 right-hand side h . (i e^{i theta} M) = |h| cos(theta + phi), one
 transcendental per node each.
+``coupling_phase`` and ``g_functional`` work in arrays made once per grid
+(:class:`EvaluationWork`); a returned phi holds until the next call on its grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,15 +174,46 @@ def punctured_energy(config: VortexConfig, rho: float, grid: GridSpec) -> float:
     return total
 
 
+class EvaluationWork:
+    """The arrays an energy evaluation on one grid writes into, made once per grid.
+
+    ``phase`` is the phi of the latest :func:`coupling_phase` on the grid;
+    the others carry the iterates of :func:`vortexfield.micromag.picard_solve`.
+    The map (``map_out``, ``map_work``: ``d_f``, ``d_g`` and ``f``) and
+    :func:`g_functional` (``rhs``, ``scratch``) borrow from those, since
+    neither runs during a Picard solve.
+    """
+
+    def __init__(self, grid: GridSpec):
+        shape = (grid.n_r, grid.n_t)
+        arrays = np.zeros((12,) + shape)
+        # pairs[k] is arrays[2k] and arrays[2k + 1] seen as one complex array
+        pairs = arrays.reshape(6, -1).view(complex).reshape((6,) + shape)
+        self.phase, self.x, self.scratch = arrays[0], arrays[1], arrays[2]
+        self.rhs = PolarField(grid, arrays[3], dirichlet=False)
+        self.g = (PolarField(grid, arrays[4]), PolarField(grid, arrays[5]))
+        self.f, self.d_f, self.d_g = arrays[6:8], arrays[8:10], arrays[10:12]
+        self.map_out, self.map_work = pairs[4], (pairs[5], self.f[0], self.f[1])
+
+
+@lru_cache(maxsize=16)
+def evaluation_work(grid: GridSpec) -> EvaluationWork:
+    """The grid's shared :class:`EvaluationWork`."""
+    return EvaluationWork(grid)
+
+
 def coupling_phase(config: VortexConfig, grid: GridSpec, h) -> tuple:
     """(|h|, phi) on the grid nodes, with q = i conj(h_1 + i h_2) M = |h| e^{i phi}.
 
     Since |M| = 1, h . (e^{i theta} M) = |h| sin(theta + phi) and
-    h . (i e^{i theta} M) = |h| cos(theta + phi).
+    h . (i e^{i theta} M) = |h| cos(theta + phi).  phi is the grid's
+    ``EvaluationWork.phase``: it holds until the next call on that grid.
     """
-    q = canonical_map_disk(config, grid.nodes_complex())
+    work = evaluation_work(grid)
+    q = canonical_map_disk(config, grid.nodes_complex(), out=work.map_out,
+                           work=work.map_work)
     q *= 1j * complex(h[0], -h[1])
-    return float(np.hypot(h[0], h[1])), np.angle(q)
+    return float(np.hypot(h[0], h[1])), np.arctan2(q.imag, q.real, out=work.phase)
 
 
 def g_functional(config: VortexConfig, theta: PolarField, h) -> float:
@@ -190,12 +224,19 @@ def g_functional(config: VortexConfig, theta: PolarField, h) -> float:
     w the disk quadrature weights.  The coupling integrand
     h . (e^{i theta} M) is |h| sin(theta + phi) (``coupling_phase``).
     ``theta`` must be Dirichlet-tagged (it represents an H^1_0 candidate).
+    Both integrands are formed in the grid's ``EvaluationWork``.
     """
     if not theta.dirichlet:
         raise ValueError("g_functional requires a Dirichlet-tagged theta")
     grid = theta.grid
-    kinetic = PolarField(grid, 0.5 * theta.values * solver_for(grid).apply(theta),
-                         dirichlet=False)
+    work = evaluation_work(grid)
+    integrand = work.rhs.values
+    a_theta = solver_for(grid).apply(theta, out=work.scratch)
+    np.multiply(0.5, theta.values, out=integrand)
+    integrand *= a_theta
+    kinetic = integrate_disk(work.rhs, out=integrand)
     h_abs, phi = coupling_phase(config, grid, h)
-    coupling = PolarField(grid, h_abs * np.sin(theta.values + phi), dirichlet=False)
-    return integrate_disk(kinetic) - integrate_disk(coupling)
+    np.add(theta.values, phi, out=integrand)
+    np.sin(integrand, out=integrand)
+    integrand *= h_abs
+    return kinetic - integrate_disk(work.rhs, out=integrand)

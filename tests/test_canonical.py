@@ -62,6 +62,9 @@ class TestCanonicalMapDisk:
         m = canonical_map_disk(cfg, x)
         assert m.shape == x.shape
         assert np.max(np.abs(m - quotient)) <= 4 * np.finfo(float).eps
+        out, work = np.empty_like(x), (np.empty_like(x), np.empty(x.shape), np.empty(x.shape))
+        assert canonical_map_disk(cfg, x, out=out, work=work) is out
+        assert np.array_equal(out, m)
         empty = canonical_map_disk(cfg, np.zeros((0, 3), dtype=complex))
         assert empty.shape == (0, 3) and empty.dtype == complex
 

@@ -222,6 +222,7 @@ class TestInputValidation:
         ["field", "--s", "0,3", "--jitter", "0.5", "--seed", "-1"],
         ["field", "--s", "1,1.0000000005"],
         ["minimize", "--s0", "inf,1"],
+        ["minimize", "--h=1e308,1e308"],
     ])
     def test_rejected_before_any_work(self, tmp_path, capsys, args):
         # no numpy warning either: the check runs before any arithmetic

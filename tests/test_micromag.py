@@ -1,5 +1,8 @@
 """Fixed-point solver, field correction V, total energy, magnetization samples."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -36,6 +39,12 @@ class TestExternalField:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ExternalField((np.nan, 0.0))
+        # finite components whose |h|^2 overflows, or even |h| itself:
+        # rejected without a numpy overflow warning
+        for h in [(1e308, 1e308), (1.5e308, -1.5e308), (1e200, 0.0)]:
+            with warnings.catch_warnings(), pytest.raises(ValueError):
+                warnings.simplefilter("error")
+                ExternalField(h)
 
 
 class TestPicardSolve:
@@ -56,6 +65,15 @@ class TestPicardSolve:
         rhs = _picard_rhs(theta, coupling_phase(STRONG_PAIR, grid, h))
         reference = np.cos(theta) * q.real - np.sin(theta) * q.imag
         assert np.max(np.abs(rhs - reference)) <= 8 * np.finfo(float).eps * np.hypot(*h)
+
+    def test_returned_theta_survives_a_later_solve(self):
+        # the iterates live in per-grid work arrays; the returned theta does not
+        grid = GridSpec(16, 32)
+        theta, _ = picard_solve(ANTIPODAL, ExternalField((0.0, 3.0)), grid)
+        kept = theta.values.copy()
+        picard_solve(STRONG_PAIR, ExternalField((-0.01, 0.0)), grid)
+        g_functional(STRONG_PAIR, theta, (-0.01, 0.0))
+        assert np.array_equal(theta.values, kept)
 
     def test_geometric_decay_of_changes(self):
         _, report = picard_solve(ANTIPODAL, ExternalField((-0.01, 0.0)),
@@ -266,6 +284,31 @@ class TestTotalEnergy:
         w = total_energy(disk, VortexConfig.pair(*s),
                          ExternalField((sigma * h[0], sigma * h[1])), ROTATION_GRID).total
         assert w_rot == pytest.approx(w, abs=1e-12)
+
+    def test_value_survives_evaluations_elsewhere(self):
+        # work arrays are per grid and fully rewritten by each evaluation
+        a, b = GridSpec(16, 32), GridSpec(24, 48)
+        oval, field = ConformalDomain.oval(0.2), ExternalField((0.0, 3.0))
+        first = total_energy(oval, STRONG_PAIR, field, a)
+        total_energy(oval, ANTIPODAL, ExternalField((-0.01, 0.0)), b)
+        total_energy(oval, ANTIPODAL, ExternalField((2.0, -7.0)), a)
+        again = total_energy(oval, STRONG_PAIR, field, a)
+        assert (again.w0, again.v_ext) == (first.w0, first.v_ext)
+
+    @pytest.mark.parametrize("domain,h", [(ConformalDomain.disk(), (-0.01, 0.0)),
+                                          (ConformalDomain.oval(0.2), (0.0, 3.0))])
+    def test_warm_evaluation_allocates_under_two_grid_arrays(self, domain, h):
+        # the map, the Picard loop, the operator and G write into arrays made
+        # once per grid; what is left is the returned theta and small buffers
+        grid, field = GridSpec(128, 256), ExternalField(h)
+        total_energy(domain, STRONG_PAIR, field, grid)
+        tracemalloc.start()
+        try:
+            total_energy(domain, STRONG_PAIR, field, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * grid.n_r * grid.n_t * 8
 
     def test_total_is_sum_of_parts(self):
         grid = GridSpec(32, 64)

@@ -59,6 +59,13 @@ class TestGridSpec:
         assert np.array_equal(nodes, R * np.exp(1j * T))
         with pytest.raises(ValueError):
             nodes[0, 0] = 0.0
+        weights = GridSpec(16, 32).cell_weights()
+        assert GridSpec(16, 32).cell_weights() is weights
+        assert GridSpec(16, 64).cell_weights() is not weights
+        grid = GridSpec(16, 32)
+        assert np.array_equal(weights, (grid.r * grid.dr * grid.dt)[:, None])
+        with pytest.raises(ValueError):
+            weights[0, 0] = 0.0
 
 
 class TestSolveDirichlet:
@@ -137,6 +144,13 @@ class TestSolveDirichlet:
         f = np.random.default_rng(seed).standard_normal((n_r, n_t))
         u = solver_for(grid).solve(PolarField(grid, f, dirichlet=False))
         assert np.array_equal(u.values, _complex_sweep(solver_for(grid), f))
+        # the out= forms write the same values into the caller's arrays
+        out = PolarField.zeros(grid)
+        assert solver_for(grid).solve(PolarField(grid, f, dirichlet=False), out=out) is out
+        assert np.array_equal(out.values, u.values)
+        applied = np.empty((n_r, n_t))
+        assert solver_for(grid).apply(u, out=applied) is applied
+        assert np.array_equal(applied, solver_for(grid).apply(u))
 
     def test_operator_inverts_solve_on_the_default_grid(self):
         # at 128 x 256 the operator norm is about 1e9, so the residual is
