@@ -6,15 +6,13 @@ constant in-plane external field, by evaluating and minimizing the
 renormalized vortex interaction energy.
 """
 
-from .canonical import (VortexConfig, canonical_map_disk, grad_phistar,
-                        pushforward_map)
+from .canonical import VortexConfig, canonical_map_disk, grad_phistar
 from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      SingularityError)
 from .geom import ConformalDomain
 from .micromag import (ExternalField, FixedPointReport, MagnetizationField,
                        SampleSpec, VectorFieldSample, magnetization_field,
-                       minimize_g_descent, picard_solve, total_energy,
-                       v_external)
+                       minimize_g_descent, picard_solve, total_energy)
 from .optimize import (LandscapeGrid, NelderMeadResult, SimplexState,
                        energy_objective, grid_oracle, landscape, nelder_mead)
 from .poisson import (GridSpec, PolarField, integrate_disk,
@@ -33,7 +31,7 @@ __all__ = [
     "canonical_map_disk", "energy_objective", "g_functional",
     "grad_phistar", "grid_oracle", "integrate_disk",
     "landscape", "magnetization_field", "minimize_g_descent", "nelder_mead",
-    "picard_solve", "punctured_energy", "pushforward_map",
+    "picard_solve", "punctured_energy",
     "singular_quadrature_1d", "solve_dirichlet", "solver_for",
-    "total_energy", "v_external", "w0_conformal", "w0_disk",
+    "total_energy", "w0_conformal", "w0_disk",
 ]

@@ -8,9 +8,9 @@ else.  The canonical harmonic map on the disk is
 
 a unit-modulus field tangent to the boundary away from the vortices.  On
 a conformal image Omega = Phi(B_1) it is pushed forward by the phase of
-Phi' (``pushforward_disk`` in disk coordinates, ``pushforward_map`` at
-points of Omega).  The multivalued harmonic lifting phi* of M is never
-materialized; only its single-valued analytic gradient
+Phi', at disk points (``pushforward_disk``).  The multivalued harmonic
+lifting phi* of M is never materialized; only its single-valued
+analytic gradient
 
     grad phi*(x) = (x - a_1)^perp / |x - a_1|^2 + (x - a_2)^perp / |x - a_2|^2
 
@@ -123,18 +123,11 @@ def canonical_map_disk(config: VortexConfig, x, out=None, work=None) -> np.ndarr
 def pushforward_disk(domain: ConformalDomain, config: VortexConfig, z) -> np.ndarray:
     """M_*(Phi(z)) = M(z; a) Phi'(z) / |Phi'(z)|, at disk points z.
 
-    For the disk the correction factor is 1 and M itself is returned.
+    For the disk Phi' = 1 exactly, and M itself comes back bitwise.
     """
     m = canonical_map_disk(config, z)
-    if domain.is_disk:
-        return m
     dphi = domain.dforward(z)
     return m * dphi / np.abs(dphi)
-
-
-def pushforward_map(domain: ConformalDomain, config: VortexConfig, w) -> np.ndarray:
-    """Canonical map M_* on Omega = Phi(B_1), at points w of Omega."""
-    return pushforward_disk(domain, config, domain.inverse(w))
 
 
 def grad_phistar(config: VortexConfig, x):

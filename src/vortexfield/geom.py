@@ -9,6 +9,12 @@ c < 1/2 the derivative Phi'(z) = (1 + c z^2) / (1 - c z^2)^2 never
 vanishes on the closed disk, so Phi is a conformal diffeomorphism onto
 its image.  All boundary quantities (speed, curvature) are evaluated
 analytically from Phi' and Phi''.
+
+The disk is c = 0 and runs the same formulas, which are exact there:
+every c z^2 term is a signed zero, so Phi(z) = z (a -0.0 part may come
+back as +0.0), Phi' = 1, Phi'' = 0 and the turning density is 1, each
+to the last bit.  ``is_disk`` only selects the closed-form W0 of the
+disk.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ class ConformalDomain:
         return self.c == 0.0
 
     # ------------------------------------------------------------------
-    # forward / inverse maps
+    # forward map and its derivatives
     # ------------------------------------------------------------------
     def forward(self, z):
         """Phi(z) for z in the closed unit disk.
@@ -67,41 +73,17 @@ class ConformalDomain:
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) > 1.0 + _BOUNDARY_TOL):
             raise DomainError("forward map evaluated outside the closed unit disk")
-        if self.is_disk:
-            return z + 0.0
         return z / (1.0 - self.c * z * z)
-
-    def inverse(self, w):
-        """Psi(w), the inverse of :meth:`forward`.
-
-        Evaluated as 2 w / (1 + sqrt(1 + 4 c w^2)), the same value as the
-        quadratic-formula root without its cancellation for small c w^2.
-        The square root takes its principal branch; the branch point
-        sits at |w| = 1/(2 sqrt(c)), strictly outside the closed image
-        of the disk for every c < 1/2.
-        """
-        w = np.asarray(w, dtype=complex)
-        if self.is_disk:
-            z = w + 0.0
-        else:
-            z = 2.0 * w / (1.0 + np.sqrt(1.0 + 4.0 * self.c * w * w))
-        if np.any(np.abs(z) > 1.0 + 1e-9):
-            raise DomainError("inverse map produced |z| > 1; point outside the domain")
-        return z
 
     def dforward(self, z):
         """Phi'(z)."""
         z = np.asarray(z, dtype=complex)
-        if self.is_disk:
-            return np.ones_like(z)
         q = 1.0 - self.c * z * z
         return (1.0 + self.c * z * z) / (q * q)
 
     def d2forward(self, z):
         """Phi''(z)."""
         z = np.asarray(z, dtype=complex)
-        if self.is_disk:
-            return np.zeros_like(z)
         q = 1.0 - self.c * z * z
         return 2.0 * self.c * z * (3.0 + self.c * z * z) / (q * q * q)
 
@@ -142,8 +124,6 @@ class ConformalDomain:
         Phi' has no zeros inside the disk.
         """
         z = np.exp(1j * np.asarray(t, dtype=float))
-        if self.is_disk:
-            return np.ones_like(np.asarray(t, dtype=float))
         return 1.0 + np.real(z * self.d2forward(z) / self.dforward(z))
 
     def outward_normal(self, t):

@@ -28,7 +28,12 @@ overwrites it.
 An independent cross-check, ``minimize_g_descent``, minimizes the same
 discrete energy by gradient descent with Nesterov momentum and gradient
 restart, never touching the linear solver.  It needs gradients only, so
-it carries no copy of G.
+it carries no copy of G.  The gradient A_h theta - |h| cos(theta + phi)
+is Lipschitz with constant at most lambda + |h|, lambda the largest
+eigenvalue of A_h.  ``DiskPoissonSolver.lambda_max`` is a Gershgorin
+bound, so lambda_max >= lambda, and lambda_max >= 1 on every grid: the
+fixed step 1/(lambda_max (1 + |h|)) is provably below the inverse
+Lipschitz constant.
 
 The oval experiments reuse the disk solve unchanged: theta is always
 computed on the unit disk against the disk canonical map, and only the
@@ -206,15 +211,6 @@ def _report_diagnostics(report: FixedPointReport) -> dict:
             "final_change": report.changes[-1]}
 
 
-def v_external(config: VortexConfig, field: ExternalField, grid: GridSpec,
-               tol: float = 1e-9, max_iter: int = 50) -> float:
-    """V(a; h) = min over H^1_0 of G(a; .), via the Picard minimizer."""
-    if field.is_zero:
-        return 0.0
-    theta, _ = _solve_theta(config, field, grid, tol, max_iter)
-    return g_functional(config, theta, field.h)
-
-
 def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalField,
                  grid: GridSpec, w0_nodes: int = 2048, tol: float = 1e-9,
                  max_iter: int = 50) -> EnergyBreakdown:
@@ -349,11 +345,14 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
                         tol: float = 1e-9, max_iter: int = 50) -> MagnetizationField:
     """Sample m = e^{i theta} M (disk) or its conformal pushforward (oval).
 
+    The configuration is put in canonical label order first, as in
+    :func:`total_energy`, so the state sampled is the one it scores.
     theta comes from the disk Picard solve and is bilinearly interpolated
     off-grid; the exponential keeps |m| = 1 exactly.  Sample points
     outside the closed disk or inside the vortex guard are skipped and
     counted.
     """
+    config = config.canonical_order()
     solver = {}
     if field.is_zero:
         theta = PolarField.zeros(grid)
@@ -369,11 +368,10 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     pts = pts[keep]
 
     m = np.exp(1j * interpolate_field(theta, pts)) * pushforward_disk(domain, config, pts)
-    positions = pts if domain.is_disk else domain.forward(pts)
 
     samples = [
         VectorFieldSample(float(p.real), float(p.imag), float(v.real), float(v.imag))
-        for p, v in zip(positions, m)
+        for p, v in zip(domain.forward(pts), m)
     ]
     vortices = tuple(complex(v) for v in np.asarray(domain.forward(config.positions)))
     return MagnetizationField(samples=samples, skipped=skipped,

@@ -179,7 +179,7 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
 
 @dataclass
 class LandscapeGrid:
-    """Energies on an n x n angle grid with the degenerate band at +inf."""
+    """Energies on an n x n angle grid with the diagonal at +inf."""
 
     n: int
     energies: np.ndarray
@@ -196,9 +196,10 @@ def landscape(domain: ConformalDomain, field: ExternalField, n: int,
               max_iter: int = 50) -> LandscapeGrid:
     """Evaluate the energy on the n x n grid of angle pairs.
 
-    Cells whose torus separation is below one cell width are marked
-    +inf without evaluation (the energy diverges on the diagonal).
-    Cells are evaluated serially in row-major order.
+    The diagonal cells i == j, where the two vortices coincide, are
+    marked +inf without evaluation (the energy diverges there); every
+    other cell is evaluated.  Cells are evaluated serially in row-major
+    order.
     """
     if n < 16:
         raise ConfigurationError(f"landscape resolution must be at least 16, got {n}")
@@ -206,12 +207,10 @@ def landscape(domain: ConformalDomain, field: ExternalField, n: int,
     energies = np.full((n, n), np.inf)
     failures = 0
     for i in range(n):
-        s1 = TWO_PI * i / n
         for j in range(n):
-            s2 = TWO_PI * j / n
-            if _torus_dist(s1, s2) < TWO_PI / n:
+            if i == j:
                 continue
-            v = objective((s1, s2))
+            v = objective((TWO_PI * i / n, TWO_PI * j / n))
             if not np.isfinite(v):
                 failures += 1
             energies[i, j] = v

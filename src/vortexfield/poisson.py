@@ -21,11 +21,16 @@ multiplying with the reciprocal.  The cached solver of a grid owns the
 spectra its ``solve`` and ``apply`` work in, and both write their result
 into a caller's ``out`` when given, so neither allocates grid arrays.
 
+``lambda_max`` bounds the spectrum of the operator from above by
+Gershgorin's theorem, the largest row sum of the mode-wise tridiagonal
+matrices, with no iteration.
+
 The same module carries the disk quadrature rule (midpoint in r,
-periodic trapezoid in t) and the graded 1D quadrature used to self-test
-the singular-integration layer against the two log-sine integrals.  It
-has no separate gradient energy: the discrete Dirichlet energy of u is
-(1/2) <u, A_h u> in that quadrature, with A_h = ``DiskPoissonSolver.apply``.
+periodic trapezoid in t) and a 65-node tanh-sinh rule, in closed form,
+used to self-test the singular-integration layer against the two
+log-sine integrals.  It has no separate gradient energy: the discrete
+Dirichlet energy of u is (1/2) <u, A_h u> in that quadrature, with
+A_h = ``DiskPoissonSolver.apply``.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .geom import TWO_PI
 
 
@@ -169,7 +173,6 @@ class DiskPoissonSolver:
         self._inv_dp = list(np.repeat(1.0 / dp, 2, axis=1))
         self._cp = list(np.repeat(cp, 2, axis=1))
         self._D = D
-        self._lambda_max = None
         # spectra every solve and apply on this grid writes into, C-ordered
         # so each row's (re, im) pairs are contiguous float64
         self._spectra = np.empty((3,) + D.shape, dtype=complex)
@@ -209,20 +212,14 @@ class DiskPoissonSolver:
         return np.fft.irfft(lap, n=self.grid.n_t, axis=1, out=out)
 
     def lambda_max(self) -> float:
-        """Largest eigenvalue of -lap_h, estimated by 60 steps of power iteration."""
-        if self._lambda_max is None:
-            rng = np.random.default_rng(0)
-            v = rng.standard_normal((self.grid.n_r, self.grid.n_t))
-            lam = 1.0
-            for _ in range(60):
-                w = self.apply(PolarField(self.grid, v))
-                # 2-norms summed in memory order, as numpy.linalg.norm does
-                w_flat, v_flat = w.ravel(order="K"), v.ravel(order="K")
-                norm_w = np.sqrt(w_flat @ w_flat)
-                lam = float(norm_w / np.sqrt(v_flat @ v_flat))
-                v = w / norm_w
-            self._lambda_max = lam
-        return self._lambda_max
+        """Gershgorin bound on the largest eigenvalue of -lap_h.
+
+        The largest row sum D + |low| + |up| over every radius and mode;
+        the last row has no upper neighbour, as in ``apply``.
+        """
+        off = np.abs(self._low)
+        off[:-1] += np.abs(self._up[:-1])
+        return float(np.max(self._D + off[:, None]))
 
 
 @lru_cache(maxsize=16)
@@ -250,65 +247,27 @@ def integrate_disk(g: PolarField, out: np.ndarray | None = None) -> float:
 
 
 # ----------------------------------------------------------------------
-# graded 1D quadrature for endpoint log singularities
+# tanh-sinh quadrature for endpoint log singularities
 # ----------------------------------------------------------------------
 
-def _legendre_in_angle(n: int, theta: np.ndarray):
-    """P_n(cos theta) and d/dtheta P_n(cos theta) by the three-term recurrence."""
-    x = np.cos(theta)
-    p_prev, p = np.ones_like(x), x
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    # (1 - x^2) P_n'(x) = n (P_{n-1} - x P_n), and d/dtheta = -sin(theta) d/dx
-    return p, n * (x * p - p_prev) / np.sin(theta)
-
-
-@lru_cache(maxsize=8)
-def gauss_legendre(n: int):
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
-
-    Newton's method on theta -> P_n(cos theta), with P_n evaluated by the
-    three-term recurrence, from the starting guesses
-    theta_k = pi (k - 1/4) / (n + 1/2) (Hale & Townsend, SIAM J. Sci.
-    Comput. 35, 2013).  Working in the angle keeps the nodes next to
-    +-1 accurate, and the weights follow as 2 / (d/dtheta P_n)^2, which
-    is 2 / ((1 - x^2) P_n'(x)^2).  No eigensolver is involved.  The
-    arrays are cached and read-only.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one node, got {n}")
-    theta = np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5)
-    for _ in range(20):
-        p, dp = _legendre_in_angle(n, theta)
-        step = p / dp
-        theta -= step
-        # Newton converges quadratically: after a step this small the
-        # remaining error is below rounding
-        if np.max(np.abs(step)) < 1e-12:
-            break
-    else:
-        raise ConvergenceError(f"Gauss-Legendre Newton iteration did not converge for n={n}")
-    _, dp = _legendre_in_angle(n, theta)
-    x, w = np.cos(theta), 2.0 / dp**2
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+# x = s(u) = 1 / (1 + exp(-pi sinh u)) maps the real line onto (0, 1) with
+# ds/du = pi cosh(u) exp(-pi sinh u) s^2, which decays double-exponentially
+# at both ends; the trapezoid rule with step 1/8 on |u| <= 4 gives 65 nodes
+_TS_U = np.arange(-32, 33) / 8.0
+_TS_EXP = np.exp(-np.pi * np.sinh(_TS_U))
+_TS_NODES = 1.0 / (1.0 + _TS_EXP)
+_TS_WEIGHTS = np.pi * np.cosh(_TS_U) * _TS_EXP * _TS_NODES**2 / 8.0
 
 
 def graded_log_quadrature(fn, a: float, b: float) -> float:
     """Integrate fn over (a, b) with an integrable log singularity at a.
 
-    Uses the polynomial grading x = a + (b - a) u^4, which turns an
-    endpoint log blow-up into a u^3 log u integrand, then applies
-    256-point Gauss-Legendre on u in (0, 1).
+    The tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974) on
+    x = a + (b - a) s(u): the nodes crowd double-exponentially towards
+    both ends, the node nearest a about 6e-38 (b - a) away from it, so
+    a log blow-up at a is integrated to rounding error.
     """
-    x, w = gauss_legendre(256)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
-    q = 4
-    theta = a + (b - a) * u**q
-    jac = (b - a) * q * u ** (q - 1)
-    return float(np.sum(fn(theta) * jac * wu))
+    return float((b - a) * np.sum(fn(a + (b - a) * _TS_NODES) * _TS_WEIGHTS))
 
 
 #: reference values of the two log-sine integrals on (0, pi/2)

@@ -13,8 +13,7 @@ from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import (ExternalField, SampleSpec,
                                   interpolate_field, magnetization_field,
                                   minimize_g_descent, picard_solve,
-                                  require_picard_budget, total_energy,
-                                  v_external)
+                                  require_picard_budget, total_energy)
 from vortexfield.poisson import DiskPoissonSolver, GridSpec, PolarField, solve_dirichlet
 from vortexfield.micromag import _picard_rhs
 from vortexfield.renorm import coupling_phase, g_functional
@@ -168,14 +167,19 @@ class TestPicardSolve:
             previous = current
 
 
+def _v_ext(config, h, grid):
+    """V(a; h) as total_energy reports it on the disk."""
+    return total_energy(ConformalDomain.disk(), config, ExternalField(h), grid).v_ext
+
+
 class TestVExternal:
     def test_zero_field_gives_zero(self):
-        assert v_external(ANTIPODAL, ExternalField((0.0, 0.0)), GridSpec(16, 32)) == 0.0
+        assert _v_ext(ANTIPODAL, (0.0, 0.0), GridSpec(16, 32)) == 0.0
 
     def test_minimizer_beats_zero_candidate(self):
         grid = GridSpec(64, 128)
         h = (0.0, 0.01)
-        v = v_external(ANTIPODAL, ExternalField(h), grid)
+        v = _v_ext(ANTIPODAL, h, grid)
         m = canonical_map_disk(ANTIPODAL, grid.nodes_complex())
         from vortexfield.poisson import integrate_disk
         zero_candidate = -integrate_disk(PolarField(
@@ -184,13 +188,17 @@ class TestVExternal:
 
     def test_label_swap_equals_field_flip(self):
         # swapping the two identical vortices flips the sign of M, which
-        # is the same problem as flipping h; the values agree exactly
+        # is the same problem as flipping h; the values agree exactly.
+        # total_energy sorts the labels, so the unsorted pair is solved here
         grid = GridSpec(32, 64)
         h = (0.013, 0.007)
-        v1 = v_external(VortexConfig.pair(0.0, np.pi), ExternalField(h), grid)
-        v2 = v_external(VortexConfig.pair(np.pi, 0.0),
-                        ExternalField((-h[0], -h[1])), grid)
-        assert v1 == pytest.approx(v2, abs=1e-15)
+        values = []
+        for config, field in ((VortexConfig.pair(0.0, np.pi), h),
+                              (VortexConfig.pair(np.pi, 0.0), (-h[0], -h[1]))):
+            theta, report = picard_solve(config, ExternalField(field), grid)
+            assert report.converged
+            values.append(g_functional(config, theta, field))
+        assert values[0] == pytest.approx(values[1], abs=1e-15)
 
     def test_field_flip_changes_v_at_first_order(self):
         # Numerical verification outcome: V(a; h) and V(a; -h) are NOT
@@ -199,8 +207,8 @@ class TestVExternal:
         # linear part -h . int(M) flips sign while the gain does not.
         grid = GridSpec(64, 128)
         h = (0.013, 0.007)
-        v_plus = v_external(ANTIPODAL, ExternalField(h), grid)
-        v_minus = v_external(ANTIPODAL, ExternalField((-h[0], -h[1])), grid)
+        v_plus = _v_ext(ANTIPODAL, h, grid)
+        v_minus = _v_ext(ANTIPODAL, (-h[0], -h[1]), grid)
         norm2 = h[0] ** 2 + h[1] ** 2
         assert abs(v_plus - v_minus) > 10 * norm2       # genuinely different
         assert abs(v_plus + v_minus) <= norm2           # but symmetric to O(h^2)
@@ -210,7 +218,7 @@ class TestVExternal:
         grid = GridSpec(32, 64)
         lipschitz = np.pi * 1.1
         hs = [(0.0, 0.01), (0.0, 0.02), (0.01, 0.01), (-0.01, 0.02)]
-        values = [v_external(ANTIPODAL, ExternalField(h), grid) for h in hs]
+        values = [_v_ext(ANTIPODAL, h, grid) for h in hs]
         for i in range(len(hs)):
             for j in range(i + 1, len(hs)):
                 dh = np.hypot(hs[i][0] - hs[j][0], hs[i][1] - hs[j][1])
@@ -219,10 +227,9 @@ class TestVExternal:
     @pytest.mark.parametrize("h", [(-0.01, 0.0), (0.0, 0.01)])
     def test_scaling_toward_zero_field(self, h):
         grid = GridSpec(32, 64)
-        base = v_external(ANTIPODAL, ExternalField(h), grid)
+        base = _v_ext(ANTIPODAL, h, grid)
         for eps in (0.5, 0.25):
-            scaled = v_external(ANTIPODAL,
-                                ExternalField((eps * h[0], eps * h[1])), grid)
+            scaled = _v_ext(ANTIPODAL, (eps * h[0], eps * h[1]), grid)
             assert abs(scaled) <= eps * abs(base) + 1e-8
 
 
@@ -394,6 +401,18 @@ class TestMagnetizationField:
         expected = dom.forward(np.asarray(pts))
         got = np.array([s.x + 1j * s.y for s in out.samples])
         assert np.max(np.abs(got - expected)) < 1e-14
+
+    @pytest.mark.parametrize("c", [0.0, 0.2])
+    def test_label_order_does_not_change_the_state(self, c):
+        # total_energy scores both orders as one configuration, so the
+        # field must show one state for both
+        dom, field = ConformalDomain.oval(c), ExternalField((0.0, 1.0))
+        sample = SampleSpec(n_r=6, n_t=12, jitter=0.5, seed=3)
+        first, second = (magnetization_field(dom, VortexConfig.pair(*s), field,
+                                             GridSpec(16, 32), sample)
+                         for s in ((0.5, 2.5), (2.5, 0.5)))
+        assert first.samples == second.samples
+        assert first.vortex_positions == second.vortex_positions
 
     def test_jitter_is_reproducible(self):
         spec = SampleSpec(n_r=5, n_t=9, jitter=0.5, seed=42)

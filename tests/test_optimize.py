@@ -116,6 +116,15 @@ class TestLandscape:
         for i in range(16):
             assert scan.energies[i, i] == np.inf
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_only_the_diagonal_is_skipped(self, n):
+        # cells next to the diagonal have finite energies; a separation
+        # test against one cell width rounds some of them into the band
+        scan = landscape(ConformalDomain.disk(), ExternalField((0.0, 0.0)), n,
+                         GridSpec(16, 32))
+        assert np.count_nonzero(np.isinf(scan.energies)) == n
+        assert scan.failures == 0
+
     def test_exchange_symmetry(self):
         scan = landscape(ConformalDomain.disk(), ExternalField((0.01, 0.003)), 16,
                          GridSpec(16, 32))
