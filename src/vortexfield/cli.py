@@ -1,5 +1,20 @@
 """Command-line interface: minimize, landscape, field, verify.
 
+Each command accepts only the option groups it reads; an option outside
+them is a usage error.  The groups are:
+
+- problem: ``--domain --c --h --grid --tol --max-iter --w0-nodes``
+- search (the simplex search): ``--s0 --max-evals``
+- output: ``--out``
+- plots: ``--svg``
+
+``minimize`` reads problem, search and output; ``landscape`` reads
+problem, plots, output and ``--landscape-n``; ``field`` reads problem,
+search, plots, output and ``--s --auto-min --samples --jitter --seed``
+(it searches only with ``--auto-min``, which excludes ``--s``); ``verify``
+reads ``--out`` and ``--only``.  :meth:`RunConfig.validate` checks each
+value once, before any work.
+
 Outputs are flat files (JSON summaries, CSV tables, optional static
 SVG); every artifact embeds the fully resolved configuration so runs
 are reproducible from their own output.  Numbers are written with
@@ -26,7 +41,7 @@ from .optimize import energy_objective, landscape, nelder_mead
 from .poisson import GridSpec
 from .renorm import require_w0_nodes
 from .svgplot import heatmap_svg, quiver_svg
-from .verify import run_checks
+from .verify import run_checks, select_checks
 
 
 @dataclass
@@ -68,9 +83,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.domain not in ("disk", "oval"):
             raise ValueError(f"unknown domain {self.domain!r}")
-        if not np.isfinite(self.c):
-            raise ValueError(f"c must be finite, got {self.c}")
-        self.conformal_domain()
+        ConformalDomain(self.c)   # the range of c, on the disk too
         self.external_field()
         self.grid_spec()
         self.sample_spec()
@@ -80,7 +93,12 @@ class RunConfig:
         require_w0_nodes(self.w0_nodes)
         if self.s is not None and VortexConfig.pair(*self.s).is_degenerate:
             raise ValueError("vortex angles coincide (degenerate configuration)")
+        if self.s is not None and self.auto_min:
+            raise ValueError("--s gives the vortex angles and --auto-min searches "
+                             "for them: pass one of the two")
         VortexConfig.pair(*self.s0)   # the simplex start must be finite too
+        if self.only and not select_checks(self.only):
+            raise ValueError(f"--only {self.only!r} matches no check name or tag")
 
 
 def _pair(text: str) -> tuple:
@@ -245,7 +263,7 @@ def cmd_verify(config: RunConfig) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: {r.detail}")
-    all_passed = all(r.passed for r in results) and bool(results)
+    all_passed = all(r.passed for r in results)
     _write_json(out / "verify_report.json", {
         "command": "verify",
         "config": asdict(config),
@@ -268,40 +286,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary):
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        p.add_argument("--domain", choices=("disk", "oval"))
-        p.add_argument("--c", type=float,
-                       help="conformal coefficient of the oval family")
-        p.add_argument("--h", type=_pair, metavar="H1,H2",
-                       help="external field components")
-        p.add_argument("--grid", type=_int_pair, metavar="NR,NT",
-                       help="solver grid (radial, angular)")
-        p.add_argument("--tol", type=float,
-                       help="fixed-point stopping tolerance (max-norm)")
-        p.add_argument("--max-iter", type=int,
-                       help="fixed-point iteration budget")
-        p.add_argument("--w0-nodes", type=int,
-                       help="boundary quadrature nodes (power of two)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--svg", action="store_true", help="emit static SVG plots")
-        return p
+    def group():
+        return argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
 
-    p_min = command("minimize", "minimize the renormalized energy")
-    p_min.add_argument("--s0", type=_pair, metavar="S1,S2",
-                       help="initial angle pair for the simplex search")
-    p_min.add_argument("--max-evals", type=int,
-                       help="objective evaluation budget")
+    problem = group()
+    problem.add_argument("--domain", choices=("disk", "oval"),
+                         help="unit disk or conformal oval")
+    problem.add_argument("--c", type=float,
+                         help="conformal coefficient of the oval family")
+    problem.add_argument("--h", type=_pair, metavar="H1,H2",
+                         help="external field components")
+    problem.add_argument("--grid", type=_int_pair, metavar="NR,NT",
+                         help="solver grid (radial, angular)")
+    problem.add_argument("--tol", type=float,
+                         help="fixed-point stopping tolerance (max-norm)")
+    problem.add_argument("--max-iter", type=int,
+                         help="fixed-point iteration budget")
+    problem.add_argument("--w0-nodes", type=int,
+                         help="boundary quadrature nodes (power of two)")
+    search = group()
+    search.add_argument("--s0", type=_pair, metavar="S1,S2",
+                        help="initial angle pair for the simplex search")
+    search.add_argument("--max-evals", type=int,
+                        help="objective evaluation budget")
+    output = group()
+    output.add_argument("--out", help="output directory")
+    plots = group()
+    plots.add_argument("--svg", action="store_true", help="emit static SVG plots")
 
-    p_land = command("landscape", "scan the energy over angle pairs")
+    def command(name, summary, *parents):
+        return sub.add_parser(name, help=summary, parents=[*parents, output],
+                              argument_default=argparse.SUPPRESS)
+
+    command("minimize", "minimize the renormalized energy", problem, search)
+
+    p_land = command("landscape", "scan the energy over angle pairs", problem, plots)
     p_land.add_argument("--landscape-n", type=int, metavar="N",
                         help="grid resolution per angle")
 
-    p_field = command("field", "sample the magnetization vector field")
+    p_field = command("field", "sample the magnetization vector field",
+                      problem, search, plots)
     p_field.add_argument("--s", type=_pair, metavar="S1,S2",
                          help="vortex angles (skip the minimization)")
-    p_field.add_argument("--s0", type=_pair, metavar="S1,S2")
-    p_field.add_argument("--max-evals", type=int)
     p_field.add_argument("--auto-min", action="store_true",
                          help="locate vortices by minimization first")
     p_field.add_argument("--samples", type=_int_pair, metavar="NR,NT",

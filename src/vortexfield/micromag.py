@@ -252,8 +252,10 @@ class SampleSpec:
     The outermost ring sits essentially on the boundary, at
     ``SAMPLE_R_MAX`` = 1 - 1e-9, so quiver plots show the tangential
     wall texture.  ``jitter`` perturbs each lattice point by up to that
-    fraction of a cell (seeded, reproducible); ``points`` overrides the
-    lattice with explicit complex positions on the unit disk.
+    fraction of a cell (seeded, reproducible); an offset past the pole
+    continues through it, and only ``SAMPLE_R_MAX`` clips.  ``points``
+    overrides the lattice with explicit complex positions on the unit
+    disk.
     """
 
     n_r: int = 16
@@ -281,7 +283,7 @@ class SampleSpec:
             rng = np.random.default_rng(self.seed)
             R = R + (rng.random(R.shape) - 0.5) * self.jitter * SAMPLE_R_MAX / self.n_r
             T = T + (rng.random(T.shape) - 0.5) * self.jitter * TWO_PI / self.n_t
-            R = np.clip(R, 0.0, SAMPLE_R_MAX)
+            R = np.minimum(R, SAMPLE_R_MAX)   # R < 0 lands past the pole
         return (R * np.exp(1j * T)).ravel()
 
 

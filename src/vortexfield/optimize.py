@@ -226,7 +226,7 @@ _REFINE = 10
 
 
 def grid_oracle(domain: ConformalDomain, field: ExternalField, n: int,
-                grid: GridSpec, w0_nodes: int = 2048):
+                grid: GridSpec):
     """Exhaustive argmin over the landscape, refined once around the winner.
 
     The refinement rescans a one-coarse-cell neighborhood with a step
@@ -234,12 +234,12 @@ def grid_oracle(domain: ConformalDomain, field: ExternalField, n: int,
     """
     if n < 32:
         raise ValueError("oracle resolution must be at least 32")
-    scan = landscape(domain, field, n, grid, w0_nodes)
+    scan = landscape(domain, field, n, grid)
     i, j = scan.min_index
     s_best = np.array([scan.angle(i), scan.angle(j)])
     v_best = scan.min_value
 
-    objective = energy_objective(domain, field, grid, w0_nodes)
+    objective = energy_objective(domain, field, grid)
     step = TWO_PI / n / _REFINE
     guard = step  # keep refined probes off the degenerate diagonal
     s_ref = s_best.copy()

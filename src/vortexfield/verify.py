@@ -9,7 +9,7 @@ minimizer.  Checks are cheap enough to run in CI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -23,11 +23,13 @@ from .renorm import punctured_energy, w0_conformal, w0_disk
 
 @dataclass
 class CheckResult:
-    name: str
-    tags: tuple
+    """One check's verdict; :func:`run_checks` stamps on its name and tags."""
+
     passed: bool
     measured: dict = dataclass_field(default_factory=dict)
     detail: str = ""
+    name: str = ""
+    tags: tuple = ()
 
 
 def check_logsin() -> CheckResult:
@@ -36,7 +38,6 @@ def check_logsin() -> CheckResult:
     e1 = abs(v1 - LOG_SIN_INTEGRAL)
     e2 = abs(v2 - LOG_SIN_SQUARED_INTEGRAL)
     return CheckResult(
-        name="logsin_integrals", tags=("quadrature",),
         passed=bool(e1 < 1e-6 and e2 < 1e-6),
         measured={"log_sin": v1, "log_sin_error": e1,
                   "log_sin_squared": v2, "log_sin_squared_error": e2},
@@ -56,7 +57,6 @@ def check_disk_reduction() -> CheckResult:
         config = VortexConfig.pair(s1, s2)
         worst = max(worst, abs(w0_conformal(disk, config, nodes) - w0_disk(config)))
     return CheckResult(
-        name="disk_reduction", tags=("quadrature",),
         passed=bool(worst < 1e-6),
         measured={"max_error": worst, "configs": n_configs, "nodes": nodes},
         detail=f"conformal quadrature reduces to the disk closed form, worst {worst:.2e}",
@@ -81,7 +81,6 @@ def check_punctured_ladder() -> CheckResult:
     target = 2.0 * w0_disk(config)
     err = abs(extrapolated - target)
     return CheckResult(
-        name="punctured_ladder", tags=("punctured",),
         passed=bool(monotone and err < 2e-2),
         measured={"sequence": list(seq), "extrapolated": extrapolated,
                   "target": target, "error": err},
@@ -98,7 +97,6 @@ def check_picard_oracle() -> CheckResult:
     theta_g, iters, residual = minimize_g_descent(config, field, grid)
     diff = float(np.max(np.abs(theta_p.values - theta_g.values)))
     return CheckResult(
-        name="picard_oracle", tags=("oracle",),
         passed=bool(report.converged and diff < 1e-6),
         measured={"max_diff": diff, "picard_iterations": report.iterations,
                   "descent_iterations": iters, "descent_residual": residual},
@@ -114,11 +112,13 @@ ALL_CHECKS = (
 )
 
 
+def select_checks(only: str = "") -> list:
+    """The ``(name, tags, fn)`` entries whose name contains ``only`` or whose
+    tags include it; every entry when ``only`` is empty."""
+    return [(name, tags, fn) for name, tags, fn in ALL_CHECKS
+            if not only or only in name or only in tags]
+
+
 def run_checks(only: str = ""):
     """Run the suite, optionally filtered by check name or tag."""
-    results = []
-    for name, tags, fn in ALL_CHECKS:
-        if only and only not in name and only not in tags:
-            continue
-        results.append(fn())
-    return results
+    return [replace(fn(), name=name, tags=tags) for name, tags, fn in select_checks(only)]

@@ -1,12 +1,13 @@
 """CLI contract tests: exit codes, file formats, determinism."""
 
+import argparse
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from vortexfield.cli import main
+from vortexfield.cli import build_parser, main
 
 TWO_PI = 2.0 * np.pi
 
@@ -223,6 +224,8 @@ class TestInputValidation:
         ["field", "--s", "1,1.0000000005"],
         ["minimize", "--s0", "inf,1"],
         ["minimize", "--h=1e308,1e308"],
+        ["minimize", "--domain", "disk", "--c", "-3"],
+        ["field", "--s", "0.5,2.5", "--auto-min"],
     ])
     def test_rejected_before_any_work(self, tmp_path, capsys, args):
         # no numpy warning either: the check runs before any arithmetic
@@ -248,7 +251,46 @@ class TestInputValidation:
             assert not out.exists()
 
 
+PROBLEM = {"--domain", "--c", "--h", "--grid", "--tol", "--max-iter", "--w0-nodes"}
+SEARCH = {"--s0", "--max-evals"}
+
+
+class TestCommandOptions:
+    @pytest.mark.parametrize("command, expected", [
+        ("minimize", PROBLEM | SEARCH | {"--out"}),
+        ("landscape", PROBLEM | {"--svg", "--out", "--landscape-n"}),
+        ("field", PROBLEM | SEARCH | {"--svg", "--out", "--s", "--auto-min",
+                                      "--samples", "--jitter", "--seed"}),
+        ("verify", {"--out", "--only"}),
+    ])
+    def test_each_command_takes_only_the_options_it_reads(self, command, expected):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        actions = [a for a in subparsers.choices[command]._actions if a.dest != "help"]
+        options = [opt for a in actions for opt in a.option_strings]
+        assert sorted(options) == sorted(expected)
+        assert all(a.help for a in actions)
+
+    @pytest.mark.parametrize("args", [["verify", "--grid", "16,32"],
+                                      ["verify", "--h=1,0"],
+                                      ["minimize", "--svg"]])
+    def test_options_a_command_does_not_read_are_usage_errors(self, tmp_path, args):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            run([*args, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert not out.exists()
+
+
 class TestVerifyCommand:
+    def test_unknown_check_set_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["verify", "--only", "nosuch", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration: ")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_quadrature_subset(self, tmp_path, capsys):
         code = run(["verify", "--only", "quadrature", "--out", str(tmp_path)])
         assert code == 0

@@ -418,6 +418,14 @@ class TestMagnetizationField:
         spec = SampleSpec(n_r=5, n_t=9, jitter=0.5, seed=42)
         assert np.array_equal(spec.disk_points(), spec.disk_points())
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_jitter_past_the_pole_keeps_points_distinct(self, seed):
+        # above a jitter of 2 a first-ring offset can exceed the ring's
+        # radius; the point continues through the pole instead of landing on it
+        points = SampleSpec(n_r=2, n_t=32, jitter=3.0, seed=seed).disk_points()
+        assert len(np.unique(points)) == points.size
+        assert np.max(np.abs(points)) < 1.0
+
     @pytest.mark.parametrize("kwargs", [{"n_r": 0}, {"n_t": 0}, {"jitter": -0.1},
                                         {"jitter": np.nan}, {"jitter": np.inf},
                                         {"seed": -1}])
