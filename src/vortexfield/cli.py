@@ -11,14 +11,16 @@ them is a usage error.  The groups are:
 ``minimize`` reads problem, search and output; ``landscape`` reads
 problem, plots, output and ``--landscape-n``; ``field`` reads problem,
 search, plots, output and ``--s --auto-min --samples --jitter --seed``
-(it searches only with ``--auto-min``, which excludes ``--s``); ``verify``
-reads ``--out`` and ``--only``.  :meth:`RunConfig.validate` checks each
-value once, before any work.
+(it searches only with ``--auto-min``, which excludes ``--s``; without
+it the search options are refused); ``verify`` reads ``--out`` and
+``--only``.  :meth:`RunConfig.validate` checks each value once, before
+any work.
 
 Outputs are flat files (JSON summaries, CSV tables, optional static
-SVG); every artifact embeds the fully resolved configuration so runs
-are reproducible from their own output.  Numbers are written with
-shortest round-trip formatting, so identical configurations produce
+SVG); every artifact embeds the resolved configuration it was made from
+(``verify_report.json`` only the two fields verify reads), so runs are
+reproducible from their own output.  Numbers are written with shortest
+round-trip formatting, so identical configurations produce
 byte-identical files.
 """
 
@@ -266,7 +268,7 @@ def cmd_verify(config: RunConfig) -> int:
     all_passed = all(r.passed for r in results)
     _write_json(out / "verify_report.json", {
         "command": "verify",
-        "config": asdict(config),
+        "config": {"out": config.out, "only": config.only},
         "all_passed": all_passed,
         "checks": [
             {"name": r.name, "tags": list(r.tags), "passed": r.passed,
@@ -366,6 +368,12 @@ def _join_signed_values(argv: list) -> list:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    # an unset option is absent from args, so a search option given to a
+    # field run that does not search can be told from its default here
+    searched = [f"--{k.replace('_', '-')}" for k in ("s0", "max_evals") if hasattr(args, k)]
+    if args.command == "field" and searched and not getattr(args, "auto_min", False):
+        raise ValueError(f"field searches only with --auto-min: "
+                         f"{' and '.join(searched)} would be ignored")
     config = RunConfig()
     for key in vars(config):
         if hasattr(args, key):

@@ -18,9 +18,10 @@ the history is dropped and the plain Picard step is taken.  Each
 iteration is one Poisson solve; the loop stops when
 max|g(x_k) - x_k| < tol and returns g(x_k).  The solver records the
 per-iteration changes and the final strong-form residual either way.
-The right-hand side is |h| cos(theta + phi), one cosine per node, with
-the phase phi of q = i conj(h_1 + i h_2) M = |h| e^{i phi} computed once
-per solve (``renorm.coupling_phase``).
+The right-hand side is a cos(theta + phi), one cosine per node, with
+the phase phi of q = i conj(h_1 + i h_2) M = a e^{i phi}, a = +-|h|,
+computed once per solve (``renorm.coupling_phase``) or handed in by the
+caller that already has it.
 The iterates live in the grid's ``renorm.EvaluationWork``, made once
 per grid; the theta a solve returns is a fresh copy, so no later solve
 overwrites it.
@@ -28,12 +29,40 @@ overwrites it.
 An independent cross-check, ``minimize_g_descent``, minimizes the same
 discrete energy by gradient descent with Nesterov momentum and gradient
 restart, never touching the linear solver.  It needs gradients only, so
-it carries no copy of G.  The gradient A_h theta - |h| cos(theta + phi)
+it carries no copy of G.  The gradient A_h theta - a cos(theta + phi)
 is Lipschitz with constant at most lambda + |h|, lambda the largest
 eigenvalue of A_h.  ``DiskPoissonSolver.lambda_max`` is a Gershgorin
 bound, so lambda_max >= lambda, and lambda_max >= 1 on every grid: the
 fixed step 1/(lambda_max (1 + |h|)) is provably below the inverse
 Lipschitz constant.
+
+Both orientations of M are admissible states of the same vortex pair:
+swapping the labels flips M, and in the thin-film limit m = +-tau on the
+boundary arcs between the vortices (Moser, ARMA 174, 2004; Kurzke,
+Calc. Var. PDE 26, 2006).  So ``total_energy`` reports
+
+    W(a; h) = W_0(a) + min over sigma = +-1 of V(a; sigma h),
+
+which does not depend on the angle origin or the label order.  Branch
+sigma is the sorted-label M times sigma, solved as the field sigma h;
+``coupling_phase`` gives h and -h one phase, so flipping the branch
+negates the amplitude a and nothing else.  L = int h . M dx = sum w Im q
+costs one weighted sum of the q the map builds anyway, and
+V(a; sigma h) <= G_sigma(0) = -sigma L, so the branch sigma* = sign L is
+solved first.  The other branch is skipped when the lower bound B in
+
+    V(a; -sigma* h) >= B = |L| - |h|^2 pi / (2 (lambda_lo - |h|)),   |h| < lambda_lo,
+
+exceeds the solved V* by a rounding margin.  The bound holds for
+G_{-sigma*} at every theta, from three facts:
+|sin(x + phi) - sin phi - x cos phi| <= x^2/2 at every node;
+<theta, A_h theta>_w >= lambda_lo ||theta||_w^2
+(``DiskPoissonSolver.lambda_min``); and ||cos phi||_w^2 <= sum w = pi.
+With Cauchy-Schwarz they give G_{-sigma*}(theta) >= |L|
+- |h| ||theta||_w ||cos phi||_w + (1/2)(lambda_lo - |h|) ||theta||_w^2,
+whose minimum over ||theta||_w is B.  A skipped branch would
+have lost, so W is bitwise the minimum of both branches solved; ties go
+to the favoured branch.
 
 The oval experiments reuse the disk solve unchanged: theta is always
 computed on the unit disk against the disk canonical map, and only the
@@ -101,11 +130,11 @@ class FixedPointReport:
 
 
 def _picard_rhs(theta_vals: np.ndarray, coupling: tuple, out=None) -> np.ndarray:
-    """h . (i e^{i theta} M) = |h| cos(theta + phi), ``coupling`` = (|h|, phi)."""
-    h_abs, phi = coupling
+    """h . (i e^{i theta} M) = a cos(theta + phi), ``coupling`` = (a, phi)."""
+    amplitude, phi = coupling
     rhs = np.add(theta_vals, phi, out=out)
     np.cos(rhs, out=rhs)
-    rhs *= h_abs
+    rhs *= amplitude
     return rhs
 
 
@@ -128,18 +157,21 @@ def require_picard_budget(tol: float, max_iter: int) -> None:
 
 
 def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
-                 tol: float = 1e-9, max_iter: int = 50):
+                 tol: float = 1e-9, max_iter: int = 50, coupling: tuple = None):
     """Solve theta = (-lap)^{-1}[h . (i e^{i theta} M)] from theta_0 = 0.
 
     Picard iteration with Anderson(2) extrapolation (module docstring).
     ``report.changes[k]`` is max|g(x_k) - x_k| for the k-th iterate x_k;
     the loop stops when it falls below ``tol`` and returns that last
     solve output g(x_k).  Non-convergence within ``max_iter`` is reported
-    through ``report.converged``, never silently.
+    through ``report.converged``, never silently.  ``coupling`` is the
+    ``(a, phi)`` of ``coupling_phase(config, grid, field.h)`` when the
+    caller has it; the result is the same bit for bit.
     """
     require_picard_budget(tol, max_iter)
     solver = solver_for(grid)
-    coupling = coupling_phase(config, grid, field.h)
+    if coupling is None:
+        coupling = coupling_phase(config, grid, field.h)
     work = evaluation_work(grid)
     rhs, scratch, d_f, d_g = work.rhs, work.scratch, work.d_f, work.d_g
     # iteration k writes slot k % 2 of g, of f = g - x and of the two most
@@ -194,9 +226,10 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
 
 
 def _solve_theta(config: VortexConfig, field: ExternalField, grid: GridSpec,
-                 tol: float, max_iter: int):
+                 tol: float, max_iter: int, coupling: tuple = None):
     """``picard_solve``, raising :class:`ConvergenceError` if it does not converge."""
-    theta, report = picard_solve(config, field, grid, tol=tol, max_iter=max_iter)
+    theta, report = picard_solve(config, field, grid, tol=tol, max_iter=max_iter,
+                                 coupling=coupling)
     if not report.converged:
         raise ConvergenceError(
             f"Picard iteration did not converge in {report.iterations} steps "
@@ -205,21 +238,95 @@ def _solve_theta(config: VortexConfig, field: ExternalField, grid: GridSpec,
     return theta, report
 
 
-def _report_diagnostics(report: FixedPointReport) -> dict:
-    """The solve's iterations, residual and final change, as artifacts report them."""
-    return {"iterations": report.iterations, "residual": report.residual,
-            "final_change": report.changes[-1]}
+#: the losing branch is skipped only when its bound exceeds the solved V
+#: by this much times 1 + |L| + pi |h|, far above the rounding of V and L
+_PRUNE_MARGIN = 1e-9
+
+
+@dataclass
+class Orientation:
+    """The winning branch sigma of min over sigma of V(a; sigma h), and its solve.
+
+    ``theta`` is kept only when asked for; ``loser_bound`` is the lower
+    bound on the other branch's V, None when |h| >= lambda_lo.
+    """
+
+    sigma: int
+    v: float
+    theta: PolarField | None
+    report: FixedPointReport
+    branches_solved: int
+    loser_bound: float | None
+
+    def diagnostics(self) -> dict:
+        """The winning solve and the branch choice, as artifacts report them."""
+        report = self.report
+        return {"iterations": report.iterations, "residual": report.residual,
+                "final_change": report.changes[-1], "sigma": self.sigma,
+                "branches_solved": self.branches_solved, "loser_bound": self.loser_bound}
+
+
+def _loser_bound(moment: float, h_norm: float, grid: GridSpec) -> float | None:
+    """|L| - |h|^2 pi / (2 (lambda_lo - |h|)) <= V(a; -sign(L) h), or None
+    when |h| >= lambda_lo (module docstring)."""
+    lam = solver_for(grid).lambda_min()
+    if h_norm >= lam:
+        return None
+    return abs(moment) - h_norm * h_norm * np.pi / (2.0 * (lam - h_norm))
+
+
+def _branch(config: VortexConfig, h: tuple, sigma: int, coupling: tuple, grid: GridSpec,
+            tol: float, max_iter: int, keep_theta: bool) -> tuple:
+    """(V(a; sigma h), theta or None, report) from one Picard solve.
+
+    ``coupling`` is the (a, phi) of h; the branch's is (sigma a, phi).
+    """
+    amplitude, phi = coupling
+    branch_h = (sigma * h[0], sigma * h[1])
+    theta, report = _solve_theta(config, ExternalField(branch_h), grid, tol, max_iter,
+                                 coupling=(sigma * amplitude, phi))
+    return g_functional(config, theta, branch_h), theta if keep_theta else None, report
+
+
+def min_over_orientations(config: VortexConfig, field: ExternalField, grid: GridSpec,
+                          tol: float = 1e-9, max_iter: int = 50,
+                          keep_theta: bool = False) -> Orientation:
+    """min over sigma = +-1 of V(a; sigma h), for a pair in canonical order.
+
+    The favoured branch sigma* = sign L (+1 at L = 0) is solved first;
+    the other only when its lower bound does not clear the solved V by
+    the rounding margin (module docstring).  The coupling is built once:
+    its phi stays in the grid's work array, and each branch's
+    ``g_functional`` rewrites it with the same bits.  Without
+    ``keep_theta`` no theta outlives its branch.
+    """
+    amplitude, phi, moment = coupling_phase(config, grid, field.h, moment=True)
+    favoured = 1 if moment >= 0.0 else -1
+    bound = _loser_bound(moment, field.norm, grid)
+    margin = _PRUNE_MARGIN * (1.0 + abs(moment) + np.pi * field.norm)
+    branches = []
+    for sigma in (favoured, -favoured):
+        v, theta, report = _branch(config, field.h, sigma, (amplitude, phi), grid, tol,
+                                   max_iter, keep_theta)
+        branches.append((v, sigma, theta, report))
+        if bound is not None and bound - margin > v:
+            break
+    v, sigma, theta, report = min(branches, key=lambda b: b[0])   # a tie keeps sigma*
+    return Orientation(sigma, v, theta, report, len(branches), bound)
 
 
 def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalField,
                  grid: GridSpec, w0_nodes: int = 2048, tol: float = 1e-9,
                  max_iter: int = 50) -> EnergyBreakdown:
-    """W(a; h) = W_0(a) + V(a; h) for the disk or a conformal image.
+    """W(a; h) = W_0(a) + min over sigma = +-1 of V(a; sigma h), on the disk or an oval.
 
     The two vortices are identical particles, so the configuration is
-    put in canonical (sorted) label order first; this makes the energy
-    exactly exchange-symmetric.  theta is always solved on the unit disk
-    against the disk canonical map, also for conformal domains.
+    put in canonical (sorted) label order first, and sigma is relative
+    to the M of that order; the minimum over sigma makes W independent
+    of the label order and of the angle origin.  theta is always solved
+    on the unit disk against the disk canonical map, also for conformal
+    domains.  The diagnostics carry the winning solve, its ``sigma``,
+    ``branches_solved`` and ``loser_bound`` (:func:`min_over_orientations`).
     """
     config = config.canonical_order()
     diag = {"grid": (grid.n_r, grid.n_t), "w0_nodes": w0_nodes}
@@ -231,10 +338,9 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
         w0 = w0_conformal(domain, config, nodes=w0_nodes)
     if field.is_zero:
         return EnergyBreakdown(w0=w0, v_ext=0.0, diagnostics=diag)
-    theta, report = _solve_theta(config, field, grid, tol, max_iter)
-    v = g_functional(config, theta, field.h)
-    diag.update(_report_diagnostics(report))
-    return EnergyBreakdown(w0=w0, v_ext=v, diagnostics=diag)
+    branch = min_over_orientations(config, field, grid, tol, max_iter)
+    diag.update(branch.diagnostics())
+    return EnergyBreakdown(w0=w0, v_ext=branch.v, diagnostics=diag)
 
 
 # ----------------------------------------------------------------------
@@ -301,9 +407,9 @@ class VectorFieldSample:
 class MagnetizationField:
     """Sampled magnetization plus bookkeeping for skipped points.
 
-    ``solver`` holds the Picard solve's iterations, residual and final
-    change, as in :func:`total_energy`'s diagnostics; it is empty at h = 0,
-    where theta = 0 needs no solve.
+    ``solver`` holds the winning branch's solve and the branch choice, as
+    in :func:`total_energy`'s diagnostics; it is empty at h = 0, where
+    theta = 0 needs no solve.
     """
 
     samples: list
@@ -345,22 +451,22 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
                         field: ExternalField, grid: GridSpec,
                         sample: SampleSpec = SampleSpec(),
                         tol: float = 1e-9, max_iter: int = 50) -> MagnetizationField:
-    """Sample m = e^{i theta} M (disk) or its conformal pushforward (oval).
+    """Sample m = sigma e^{i theta} M (disk) or its conformal pushforward (oval).
 
-    The configuration is put in canonical label order first, as in
-    :func:`total_energy`, so the state sampled is the one it scores.
-    theta comes from the disk Picard solve and is bilinearly interpolated
-    off-grid; the exponential keeps |m| = 1 exactly.  Sample points
-    outside the closed disk or inside the vortex guard are skipped and
-    counted.
+    The configuration is put in canonical label order first, and sigma
+    and theta are the winning branch of :func:`min_over_orientations`,
+    as in :func:`total_energy`, so the state sampled is the one it
+    scores.  theta is bilinearly interpolated off-grid; the exponential
+    keeps |m| = 1 exactly.  Sample points outside the closed disk or
+    inside the vortex guard are skipped and counted.
     """
     config = config.canonical_order()
-    solver = {}
+    solver, sigma = {}, 1
     if field.is_zero:
         theta = PolarField.zeros(grid)
     else:
-        theta, report = _solve_theta(config, field, grid, tol, max_iter)
-        solver = _report_diagnostics(report)
+        branch = min_over_orientations(config, field, grid, tol, max_iter, keep_theta=True)
+        theta, sigma, solver = branch.theta, branch.sigma, branch.diagnostics()
 
     pts = sample.disk_points()
     keep = np.abs(pts) <= 1.0
@@ -369,7 +475,7 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     skipped = int(np.count_nonzero(~keep))
     pts = pts[keep]
 
-    m = np.exp(1j * interpolate_field(theta, pts)) * pushforward_disk(domain, config, pts)
+    m = sigma * np.exp(1j * interpolate_field(theta, pts)) * pushforward_disk(domain, config, pts)
 
     samples = [
         VectorFieldSample(float(p.real), float(p.imag), float(v.real), float(v.imag))

@@ -23,7 +23,9 @@ into a caller's ``out`` when given, so neither allocates grid arrays.
 
 ``lambda_max`` bounds the spectrum of the operator from above by
 Gershgorin's theorem, the largest row sum of the mode-wise tridiagonal
-matrices, with no iteration.
+matrices, with no iteration.  ``lambda_min`` bounds it from below by
+bisection on the signs of the LDL^T pivots of the m = 0 tridiagonal
+(Sylvester's law of inertia), with no LAPACK call.
 
 The same module carries the disk quadrature rule (midpoint in r,
 periodic trapezoid in t) and a 65-node tanh-sinh rule, in closed form,
@@ -178,6 +180,7 @@ class DiskPoissonSolver:
         self._spectra = np.empty((3,) + D.shape, dtype=complex)
         self._rows = list(self._spectra[0].view(np.float64))
         self._row_tmp = np.empty(2 * D.shape[1])
+        self._lambda_min = None
 
     def solve(self, f: PolarField, out: PolarField | None = None) -> PolarField:
         """Return u with -lap u = f discretely and u(1) = 0, as the field ``out`` if given."""
@@ -220,6 +223,42 @@ class DiskPoissonSolver:
         off = np.abs(self._low)
         off[:-1] += np.abs(self._up[:-1])
         return float(np.max(self._D + off[:, None]))
+
+    def lambda_min(self) -> float:
+        """A lower bound on the smallest eigenvalue of -lap_h, computed once per solver.
+
+        Each mode adds m^2 / r^2 >= 0 to the diagonal of the m = 0
+        tridiagonal, so that mode holds the smallest eigenvalue.  Its
+        matrix is similar to a symmetric one with the same LDL^T pivots,
+        and by Sylvester's law of inertia the matrix less lam has as many
+        negative pivots as eigenvalues below lam.  Bisection on "every
+        pivot positive" brackets the eigenvalue to adjacent floats; the
+        result is the lower end less 8 ulp of the mode's Gershgorin
+        bound, which covers the rounding of the pivots.
+        """
+        if self._lambda_min is None:
+            diag = self._D[:, 0].tolist()
+            # low_i up_{i-1}: the squared off-diagonal of the symmetric form
+            off_sq = [0.0] + (self._low[1:] * self._up[:-1]).tolist()
+            gershgorin = float(np.max(self._D[:, 0] - self._low
+                                      - np.append(self._up[:-1], 0.0)))
+
+            def positive_definite(lam):
+                pivot = 1.0
+                for d, b2 in zip(diag, off_sq):
+                    pivot = d - lam - b2 / pivot
+                    if pivot <= 0.0:
+                        return False
+                return True
+
+            lo, hi = 0.0, gershgorin
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                lo, hi = (mid, hi) if positive_definite(mid) else (lo, mid)
+            self._lambda_min = float(lo - 8.0 * np.finfo(float).eps * gershgorin)
+        return self._lambda_min
 
 
 @lru_cache(maxsize=16)

@@ -19,10 +19,24 @@ by the fixed-point solver in :mod:`vortexfield.micromag`.  Its kinetic
 term is the operator form (1/2) <theta, A_h theta>_w of the discrete
 Laplacian that solver inverts, so the Picard fixed point is an exact
 stationary point of the reported G.  The field enters in phase form:
-with q = i conj(h_1 + i h_2) M = |h| e^{i phi} (``coupling_phase``;
-|M| = 1), h . (e^{i theta} M) = |h| sin(theta + phi) and the solver's
-right-hand side h . (i e^{i theta} M) = |h| cos(theta + phi), one
-transcendental per node each.
+with q = i conj(h_1 + i h_2) M = a e^{i phi}, a = +-|h|
+(``coupling_phase``; |M| = 1), h . (e^{i theta} M) = a sin(theta + phi)
+and the solver's right-hand side h . (i e^{i theta} M) =
+a cos(theta + phi), one transcendental per node each.  h and -h share
+phi bitwise and differ in the sign of a.
+
+Both orientations of M are states of the same vortex pair, so the energy
+reported is W = W_0 + min over sigma = +-1 of V(a; sigma h), V the
+minimum of G (:func:`vortexfield.micromag.min_over_orientations`).
+``coupling_phase`` also returns L = int h . M dx = sum w Im q on
+request, and V(a; sigma h) <= G(0) = -sigma L picks the branch solved
+first.  The other branch is bounded below without a solve:
+
+    V(a; -sign(L) h) >= |L| - |h|^2 pi / (2 (lambda_lo - |h|)),   |h| < lambda_lo,
+
+from |sin(x + phi) - sin phi - x cos phi| <= x^2/2 at every node,
+<theta, A_h theta>_w >= lambda_lo ||theta||_w^2 with lambda_lo from
+``DiskPoissonSolver.lambda_min``, and ||cos phi||_w^2 <= sum w = pi.
 ``coupling_phase`` and ``g_functional`` work in arrays made once per grid
 (:class:`EvaluationWork`); a returned phi holds until the next call on its grid.
 """
@@ -202,18 +216,29 @@ def evaluation_work(grid: GridSpec) -> EvaluationWork:
     return EvaluationWork(grid)
 
 
-def coupling_phase(config: VortexConfig, grid: GridSpec, h) -> tuple:
-    """(|h|, phi) on the grid nodes, with q = i conj(h_1 + i h_2) M = |h| e^{i phi}.
+def coupling_phase(config: VortexConfig, grid: GridSpec, h, moment: bool = False) -> tuple:
+    """(a, phi) on the grid nodes, with q = i conj(h_1 + i h_2) M = a e^{i phi}.
 
-    Since |M| = 1, h . (e^{i theta} M) = |h| sin(theta + phi) and
-    h . (i e^{i theta} M) = |h| cos(theta + phi).  phi is the grid's
+    Since |M| = 1, h . (e^{i theta} M) = a sin(theta + phi) and
+    h . (i e^{i theta} M) = a cos(theta + phi), with the amplitude
+    a = +-|h|.  The phase is that of the orientation of h with h_1 > 0,
+    or h_1 = 0 <= h_2, and the other orientation has a = -|h|: h and -h
+    share one phi bitwise, so flipping the field negates a exactly
+    (phi + pi is not exact in floating point).  With ``moment``, the
+    result gains a third entry, L = int h . M dx = sum w Im q, summed
+    from the q the map has just built.  phi is the grid's
     ``EvaluationWork.phase``: it holds until the next call on that grid.
     """
     work = evaluation_work(grid)
     q = canonical_map_disk(config, grid.nodes_complex(), out=work.map_out,
                            work=work.map_work)
-    q *= 1j * complex(h[0], -h[1])
-    return float(np.hypot(h[0], h[1])), np.arctan2(q.imag, q.real, out=work.phase)
+    sign = -1.0 if h[0] < 0.0 or (h[0] == 0.0 and h[1] < 0.0) else 1.0
+    q *= 1j * complex(sign * h[0], -sign * h[1])
+    amplitude = sign * float(np.hypot(h[0], h[1]))
+    phi = np.arctan2(q.imag, q.real, out=work.phase)
+    if not moment:
+        return amplitude, phi
+    return amplitude, phi, sign * float(grid.cell_weights()[:, 0] @ q.imag.sum(axis=1))
 
 
 def g_functional(config: VortexConfig, theta: PolarField, h) -> float:
@@ -235,8 +260,8 @@ def g_functional(config: VortexConfig, theta: PolarField, h) -> float:
     np.multiply(0.5, theta.values, out=integrand)
     integrand *= a_theta
     kinetic = integrate_disk(work.rhs, out=integrand)
-    h_abs, phi = coupling_phase(config, grid, h)
+    amplitude, phi = coupling_phase(config, grid, h)
     np.add(theta.values, phi, out=integrand)
     np.sin(integrand, out=integrand)
-    integrand *= h_abs
+    integrand *= amplitude
     return kinetic - integrate_disk(work.rhs, out=integrand)

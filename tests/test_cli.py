@@ -163,7 +163,11 @@ class TestFieldCommand:
                     "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "field_summary.json").read_text())
         solver = summary["solver"]
-        assert set(solver) == {"iterations", "residual", "final_change"}
+        assert set(solver) == {"iterations", "residual", "final_change", "sigma",
+                               "branches_solved", "loser_bound"}
+        assert solver["sigma"] in (1, -1)
+        assert solver["branches_solved"] in (1, 2)
+        assert isinstance(solver["loser_bound"], float)   # |h| = 1 < lambda_min
         assert solver["iterations"] >= 1
         assert solver["final_change"] < summary["config"]["tol"]
         assert solver["residual"] < 1e-6
@@ -226,6 +230,8 @@ class TestInputValidation:
         ["minimize", "--h=1e308,1e308"],
         ["minimize", "--domain", "disk", "--c", "-3"],
         ["field", "--s", "0.5,2.5", "--auto-min"],
+        ["field", "--s", "0.5,2.5", "--max-evals", "3"],
+        ["field", "--s", "0.5,2.5", "--s0", "1,2"],
     ])
     def test_rejected_before_any_work(self, tmp_path, capsys, args):
         # no numpy warning either: the check runs before any arithmetic
@@ -300,6 +306,11 @@ class TestVerifyCommand:
         assert report["all_passed"] is True
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    def test_report_holds_the_config_verify_reads(self, tmp_path):
+        assert run(["verify", "--only", "quadrature", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["config"] == {"out": str(tmp_path), "only": "quadrature"}
 
     def test_punctured_subset(self, tmp_path):
         code = run(["verify", "--only", "punctured", "--out", str(tmp_path)])

@@ -16,6 +16,7 @@ from vortexfield.micromag import (ExternalField, SampleSpec,
                                   require_picard_budget, total_energy)
 from vortexfield.poisson import DiskPoissonSolver, GridSpec, PolarField, solve_dirichlet
 from vortexfield.micromag import _picard_rhs
+from vortexfield.optimize import energy_objective, nelder_mead
 from vortexfield.renorm import coupling_phase, g_functional
 
 TWO_PI = 2.0 * np.pi
@@ -167,6 +168,16 @@ class TestPicardSolve:
             previous = current
 
 
+def _branch_values(config, h, grid):
+    """V(a; h) and V(a; -h), each from picard_solve and g_functional."""
+    values = []
+    for field in (h, (-h[0], -h[1])):
+        theta, report = picard_solve(config, ExternalField(field), grid)
+        assert report.converged
+        values.append(g_functional(config, theta, field))
+    return values
+
+
 def _v_ext(config, h, grid):
     """V(a; h) as total_energy reports it on the disk."""
     return total_energy(ConformalDomain.disk(), config, ExternalField(h), grid).v_ext
@@ -201,14 +212,14 @@ class TestVExternal:
         assert values[0] == pytest.approx(values[1], abs=1e-15)
 
     def test_field_flip_changes_v_at_first_order(self):
-        # Numerical verification outcome: V(a; h) and V(a; -h) are NOT
-        # equal for antipodal vortices; they satisfy
+        # Numerical verification outcome: the branch values V(a; h) and
+        # V(a; -h) are NOT equal for antipodal vortices; they satisfy
         # V(h) + V(-h) = -2 * (quadratic gain) = O(|h|^2), because the
         # linear part -h . int(M) flips sign while the gain does not.
+        # total_energy takes the smaller of the two
         grid = GridSpec(64, 128)
         h = (0.013, 0.007)
-        v_plus = _v_ext(ANTIPODAL, h, grid)
-        v_minus = _v_ext(ANTIPODAL, (-h[0], -h[1]), grid)
+        v_plus, v_minus = _branch_values(ANTIPODAL, h, grid)
         norm2 = h[0] ** 2 + h[1] ** 2
         assert abs(v_plus - v_minus) > 10 * norm2       # genuinely different
         assert abs(v_plus + v_minus) <= norm2           # but symmetric to O(h^2)
@@ -273,23 +284,20 @@ class TestTotalEnergy:
            k=st.integers(1, ROTATION_GRID.n_t - 1),
            h=st.tuples(st.floats(-0.02, 0.02), st.floats(-0.02, 0.02)))
     def test_exact_rotation_law_on_the_disk(self, s, k, h):
-        # W(s + phi; R_phi h) = W(s; sigma h) for grid rotations
-        # phi = k dt.  M flips sign with the sorted label order, so
-        # sigma = -1 exactly when the rotation wraps one angle past 2 pi
-        # and reverses that order.
+        # W(s + phi; R_phi h) = W(s; h) for grid rotations phi = k dt.  A
+        # rotation that wraps one angle past 2 pi reverses the sorted
+        # label order and so flips M; the minimum over both orientations
+        # does not see that
         sep = abs(s[0] - s[1]) % TWO_PI
         assume(min(sep, TWO_PI - sep) > 0.05)
-        s = tuple(sorted(s))
         phi = k * ROTATION_GRID.dt
         rotated = tuple(np.mod(np.add(s, phi), TWO_PI))
-        sigma = -1.0 if rotated[0] > rotated[1] else 1.0
         c, d = np.cos(phi), np.sin(phi)
         disk = ConformalDomain.disk()
         w_rot = total_energy(disk, VortexConfig.pair(*rotated),
                              ExternalField((c * h[0] - d * h[1], d * h[0] + c * h[1])),
                              ROTATION_GRID).total
-        w = total_energy(disk, VortexConfig.pair(*s),
-                         ExternalField((sigma * h[0], sigma * h[1])), ROTATION_GRID).total
+        w = total_energy(disk, VortexConfig.pair(*s), ExternalField(h), ROTATION_GRID).total
         assert w_rot == pytest.approx(w, abs=1e-12)
 
     def test_value_survives_evaluations_elsewhere(self):
@@ -306,9 +314,12 @@ class TestTotalEnergy:
                                           (ConformalDomain.oval(0.2), (0.0, 3.0))])
     def test_warm_evaluation_allocates_under_two_grid_arrays(self, domain, h):
         # the map, the Picard loop, the operator and G write into arrays made
-        # once per grid; what is left is the returned theta and small buffers
+        # once per grid; what is left is the returned theta and small
+        # buffers, one theta at a time when both orientations are solved
+        # (the oval case; the weak-field disk case prunes the second)
         grid, field = GridSpec(128, 256), ExternalField(h)
-        total_energy(domain, STRONG_PAIR, field, grid)
+        eb = total_energy(domain, STRONG_PAIR, field, grid)
+        assert eb.diagnostics["branches_solved"] == (1 if domain.is_disk else 2)
         tracemalloc.start()
         try:
             total_energy(domain, STRONG_PAIR, field, grid)
@@ -322,6 +333,97 @@ class TestTotalEnergy:
         eb = total_energy(ConformalDomain.oval(0.2), ANTIPODAL,
                           ExternalField((0.0, 0.01)), grid)
         assert eb.total == eb.w0 + eb.v_ext
+
+
+ORIENTATION_GRID = GridSpec(16, 32)
+
+
+def _torus_dist(a, b):
+    d = abs(a - b) % TWO_PI
+    return min(d, TWO_PI - d)
+
+
+def _pair_strategy():
+    angle = st.floats(0.0, TWO_PI, exclude_max=True)
+    return st.tuples(angle, angle).filter(lambda s: _torus_dist(*s) > 0.05)
+
+
+def _polar_field(norm, angle):
+    return (norm * np.cos(angle), norm * np.sin(angle))
+
+
+class TestOrientations:
+    """W = W_0 + min over sigma of V(a; sigma h), with the loser pruned by a bound."""
+
+    def _check_against_both_branches(self, domain, s, h):
+        config = VortexConfig.pair(*s).canonical_order()
+        eb = total_energy(domain, config, ExternalField(h), ORIENTATION_GRID)
+        v = dict(zip((1, -1), _branch_values(config, h, ORIENTATION_GRID)))
+        assert eb.v_ext == min(v.values())
+        assert eb.total == eb.w0 + min(v.values())
+        diag = eb.diagnostics
+        assert v[diag["sigma"]] == eb.v_ext
+        moment = coupling_phase(config, ORIENTATION_GRID, h, moment=True)[2]
+        favoured = 1 if moment >= 0.0 else -1
+        if diag["loser_bound"] is not None:
+            # up to rounding, far below the margin the pruning allows for
+            rounding = 1e-12 * (abs(moment) + np.pi * np.hypot(*h))
+            assert diag["loser_bound"] <= v[-favoured] + rounding
+        if diag["branches_solved"] == 1:
+            assert diag["sigma"] == favoured
+        return diag
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(s=_pair_strategy(), c=st.one_of(st.none(), st.floats(0.0, 0.45)),
+           norm=st.floats(0.0, 5.0, exclude_min=True), angle=st.floats(0.0, TWO_PI))
+    @example(s=(0.5, 2.5), c=0.2, norm=3.0, angle=np.pi / 2)        # both solved
+    @example(s=(0.5, 2.5), c=None, norm=0.01, angle=np.pi)          # pruned
+    @example(s=(2.0, 5.1), c=0.45, norm=5.0, angle=1.0)
+    def test_pruned_value_is_the_minimum_of_both_branches(self, s, c, norm, angle):
+        domain = ConformalDomain.disk() if c is None else ConformalDomain.oval(c)
+        diag = self._check_against_both_branches(domain, s, _polar_field(norm, angle))
+        assert diag["loser_bound"] is not None
+
+    def test_a_field_past_lambda_min_solves_both_branches(self):
+        # |h| = 8 is above the smallest eigenvalue of -lap_h (about 5.78),
+        # where the bound does not hold
+        for domain in (ConformalDomain.disk(), ConformalDomain.oval(0.2)):
+            diag = self._check_against_both_branches(domain, (0.5, 2.5), (0.0, 8.0))
+            assert diag["loser_bound"] is None
+            assert diag["branches_solved"] == 2
+
+    def test_field_flip_leaves_w_unchanged(self):
+        # both orientations of M are admissible, so W is even in h
+        oval = ConformalDomain.oval(0.2)
+        for h in [(0.0, 3.0), (-0.01, 0.0), (1.0, -2.0)]:
+            w = [total_energy(oval, STRONG_PAIR, ExternalField(f), ORIENTATION_GRID).total
+                 for f in (h, (-h[0], -h[1]))]
+            assert w[0] == pytest.approx(w[1], abs=1e-12)
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(s=_pair_strategy(), c=st.floats(0.0, 0.45),
+           norm=st.floats(0.0, 3.0), angle=st.floats(0.0, TWO_PI))
+    @example(s=(0.5, 2.5), c=0.2, norm=3.0, angle=np.pi / 2)
+    def test_half_turn_of_the_pair_on_ovals(self, s, c, norm, angle):
+        # Phi is odd, so W_0 and |Phi'| are pi-periodic, and M changes
+        # sign under a half turn of the pair, which the minimum over the
+        # orientations absorbs; n_t is even, so the half turn maps nodes
+        # onto nodes
+        oval, field = ConformalDomain.oval(c), ExternalField(_polar_field(norm, angle))
+        w = total_energy(oval, VortexConfig.pair(*s), field, ORIENTATION_GRID).total
+        turned = total_energy(oval, VortexConfig.pair(s[0] + np.pi, s[1] + np.pi), field,
+                              ORIENTATION_GRID).total
+        assert turned == pytest.approx(w, abs=1e-10)
+
+    @pytest.mark.parametrize("h", [(-0.01, 0.0), (0.0, 1.0), (3.0, 0.0), (2.0, 2.0)])
+    def test_disk_minimizer_is_the_antipodal_pair_on_the_field_axis(self, h):
+        result = nelder_mead(energy_objective(ConformalDomain.disk(), ExternalField(h),
+                                              GridSpec(32, 64)), (0.5, 2.5))
+        assert result.converged
+        axis = np.arctan2(h[1], h[0])
+        for s in result.s_min:
+            assert min(_torus_dist(s, axis), _torus_dist(s, axis + np.pi)) < 1e-4
+        assert _torus_dist(*result.s_min) == pytest.approx(np.pi, abs=2e-4)
 
 
 class TestInterpolation:

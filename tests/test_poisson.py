@@ -183,6 +183,26 @@ class TestSolveDirichlet:
         bound, estimate = solver.lambda_max(), _power_iteration(solver)
         assert estimate <= bound <= 1.01 * estimate
 
+    @pytest.mark.parametrize("n_r,n_t", [(8, 16), (16, 32), (32, 64), (64, 128)])
+    def test_lambda_min_bounds_the_dense_spectrum(self, n_r, n_t):
+        # each mode m is a tridiagonal matrix, similar through r^(1/2) to a
+        # symmetric one; LAPACK on those is the reference, and m = 0 holds
+        # the smallest eigenvalue of them all
+        grid = GridSpec(n_r, n_t)
+        solver = solver_for(grid)
+        root = np.sqrt(grid.r)
+        smallest = []
+        for m in range(n_t // 2 + 1):
+            a = (np.diag(solver._D[:, m]) + np.diag(solver._low[1:], -1)
+                 + np.diag(solver._up[:-1], 1))
+            sym = root[:, None] * a / root[None, :]
+            smallest.append(np.linalg.eigvalsh(0.5 * (sym + sym.T))[0])
+        reference = min(smallest)
+        assert reference == smallest[0]
+        bound = solver.lambda_min()
+        assert bound <= reference
+        assert reference - bound <= 1e-8 * reference
+
 
 class TestIntegrateDisk:
     def test_unit_function_gives_area(self):
