@@ -79,25 +79,36 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
     spread of its (finite) values to fall below their tolerances.  A
     start whose three vertices are all +inf returns unconverged after
     those three evaluations: the search has nothing to rank.
+
+    The budget is checked before every evaluation after the starting
+    three, so an unconverged run uses exactly ``max(3, max_evals)``.  A
+    step the budget cuts short keeps what it evaluated: a reflection
+    that beat the best vertex is taken without its expansion, and a
+    shrink keeps the vertices it re-evaluated.
     """
     state = SimplexState()
+    evals = 0
 
     def f(p):
+        nonlocal evals
+        evals += 1
         return float(objective(_wrap(np.asarray(p, dtype=float))))
+
+    def spent():
+        return evals >= max_evals
 
     s0 = _wrap(np.asarray(s0, dtype=float))
     points = [s0,
               _wrap(s0 + np.array([_STEP, 0.0])),
               _wrap(s0 + np.array([0.0, _STEP]))]
     values = [f(p) for p in points]
-    evals = 3
     state.record(values)
 
     converged = False
     # the best vertex is only ever replaced by a lower value, so only the
     # starting simplex can be all +inf
     searching = any(np.isfinite(values))
-    while searching and evals < max_evals:
+    while searching and not spent():
         order = np.argsort(values, kind="stable")
         points = [points[i] for i in order]
         values = [values[i] for i in order]
@@ -114,10 +125,10 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
         centroid = 0.5 * (best + mid)
 
         reflected = centroid + 1.0 * (centroid - worst)
-        f_r = f(reflected); evals += 1
+        f_r = f(reflected)
         if f_r < values[0]:
             expanded = centroid + 2.0 * (centroid - worst)
-            f_e = f(expanded); evals += 1
+            f_e = np.inf if spent() else f(expanded)
             if f_e < f_r:
                 points[2], values[2] = _wrap(expanded), f_e
                 state.operations["expand"] += 1
@@ -127,20 +138,22 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
         elif f_r < values[1]:
             points[2], values[2] = _wrap(reflected), f_r
             state.operations["reflect"] += 1
-        else:
+        elif not spent():
             if f_r < values[2]:
                 contracted = centroid + 0.5 * (reflected - centroid)
             else:
                 contracted = centroid + 0.5 * (worst - centroid)
-            f_c = f(contracted); evals += 1
+            f_c = f(contracted)
             if f_c < min(f_r, values[2]):
                 points[2], values[2] = _wrap(contracted), f_c
                 state.operations["contract"] += 1
             else:
                 for i in (1, 2):
+                    if spent():
+                        break
                     shrunk = best + 0.5 * (_chart([points[i]], points[0])[0] - best)
                     points[i] = _wrap(shrunk)
-                    values[i] = f(points[i]); evals += 1
+                    values[i] = f(points[i])
                 state.operations["shrink"] += 1
         state.record(values)
 
@@ -164,14 +177,19 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
     """Total-energy objective over angle pairs; +inf on degenerate pairs.
 
     ``tol`` and ``max_iter`` go to the Picard solve of every evaluation;
-    an evaluation that does not converge within them scores +inf.
+    an evaluation that does not converge within them scores +inf.  The
+    objective keeps the last theta of each orientation branch and, for
+    |h| < lambda_lo, starts the next solve of that branch from it
+    (:func:`vortexfield.micromag.min_over_orientations`); a new objective
+    starts from theta = 0, so equal searches give equal results.
     """
+    starts = {}
 
     def objective(s) -> float:
         config = VortexConfig.pair(float(s[0]), float(s[1]))
         try:
             return total_energy(domain, config, field, grid, w0_nodes=w0_nodes,
-                                tol=tol, max_iter=max_iter).total
+                                tol=tol, max_iter=max_iter, starts=starts).total
         except ConvergenceError:
             return float("inf")
     return objective

@@ -192,7 +192,8 @@ class EvaluationWork:
     """The arrays an energy evaluation on one grid writes into, made once per grid.
 
     ``phase`` is the phi of the latest :func:`coupling_phase` on the grid;
-    the others carry the iterates of :func:`vortexfield.micromag.picard_solve`.
+    the others carry the iterates of :func:`vortexfield.micromag.picard_solve`,
+    which leaves A_h theta of the theta it returns in ``x``.
     The map (``map_out``, ``map_work``: ``d_f``, ``d_g`` and ``f``) and
     :func:`g_functional` (``rhs``, ``scratch``) borrow from those, since
     neither runs during a Picard solve.
@@ -241,7 +242,8 @@ def coupling_phase(config: VortexConfig, grid: GridSpec, h, moment: bool = False
     return amplitude, phi, sign * float(grid.cell_weights()[:, 0] @ q.imag.sum(axis=1))
 
 
-def g_functional(config: VortexConfig, theta: PolarField, h) -> float:
+def g_functional(config: VortexConfig, theta: PolarField, h,
+                 a_theta: np.ndarray | None = None) -> float:
     """G(a; theta) = int (1/2)|grad theta|^2 - h . (e^{i theta} M(x; a)) dx.
 
     The Dirichlet energy is (1/2) <theta, A_h theta>_w, with A_h the
@@ -249,6 +251,8 @@ def g_functional(config: VortexConfig, theta: PolarField, h) -> float:
     w the disk quadrature weights.  The coupling integrand
     h . (e^{i theta} M) is |h| sin(theta + phi) (``coupling_phase``).
     ``theta`` must be Dirichlet-tagged (it represents an H^1_0 candidate).
+    ``a_theta`` is A_h theta when the caller has it (a Picard solve
+    leaves it in ``EvaluationWork.x``); the value is the same bit for bit.
     Both integrands are formed in the grid's ``EvaluationWork``.
     """
     if not theta.dirichlet:
@@ -256,7 +260,8 @@ def g_functional(config: VortexConfig, theta: PolarField, h) -> float:
     grid = theta.grid
     work = evaluation_work(grid)
     integrand = work.rhs.values
-    a_theta = solver_for(grid).apply(theta, out=work.scratch)
+    if a_theta is None:
+        a_theta = solver_for(grid).apply(theta, out=work.scratch)
     np.multiply(0.5, theta.values, out=integrand)
     integrand *= a_theta
     kinetic = integrate_disk(work.rhs, out=integrand)

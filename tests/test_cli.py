@@ -65,6 +65,24 @@ class TestMinimizeCommand:
         assert "budget" not in err
         assert not (tmp_path / "summary.json").exists()
 
+    def test_budget_is_not_exceeded(self, tmp_path, capsys):
+        code = run(["minimize", "--h=-0.01,0", "--grid", "16,32", "--max-evals", "4",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        assert "(4 evaluations used, budget 4)" in capsys.readouterr().err
+        assert json.loads((tmp_path / "summary.json").read_text())["evaluations"] == 4
+
+    def test_byte_identical_reruns_in_one_process(self, tmp_path):
+        # the search's warm starts live in its objective, so a second run
+        # starts cold like the first
+        args = ["minimize", "--domain", "oval", "--c", "0.2", "--h=0,3", "--grid", "16,32",
+                "--out", str(tmp_path)]
+        written = []
+        for _ in range(2):
+            assert run(args) == 0
+            written.append((tmp_path / "summary.json").read_bytes())
+        assert written[0] == written[1]
+
     def test_invalid_grid_exits_1(self, tmp_path):
         assert run(["minimize", "--grid", "3,7", "--out", str(tmp_path)]) == 1
 
@@ -200,6 +218,16 @@ class TestFieldCommand:
         assert err.startswith("solver failure: Picard iteration did not converge in 2 steps")
         assert "budget" not in err
         assert not (tmp_path / "field.csv").exists()
+
+    def test_auto_min_byte_identical_reruns_in_one_process(self, tmp_path):
+        args = ["field", "--auto-min", "--domain", "oval", "--c", "0.2", "--h=0,3",
+                "--grid", "16,32", "--jitter", "0.5", "--out", str(tmp_path)]
+        written = []
+        for _ in range(2):
+            assert run(args) == 0
+            written.append([(tmp_path / name).read_bytes()
+                            for name in ("field.csv", "field_summary.json")])
+        assert written[0] == written[1]
 
     def test_strong_field_converges(self, tmp_path):
         # |h| = 8 is past the plain Picard contraction bound (about 5.8)

@@ -12,9 +12,10 @@ from vortexfield.canonical import VortexConfig, canonical_map_disk
 from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import (ExternalField, SampleSpec,
                                   interpolate_field, magnetization_field,
-                                  minimize_g_descent, picard_solve,
-                                  require_picard_budget, total_energy)
-from vortexfield.poisson import DiskPoissonSolver, GridSpec, PolarField, solve_dirichlet
+                                  min_over_orientations, minimize_g_descent,
+                                  picard_solve, require_picard_budget, total_energy)
+from vortexfield.poisson import (DiskPoissonSolver, GridSpec, PolarField, solve_dirichlet,
+                                 solver_for)
 from vortexfield.micromag import _picard_rhs
 from vortexfield.optimize import energy_objective, nelder_mead
 from vortexfield.renorm import coupling_phase, g_functional
@@ -65,6 +66,27 @@ class TestPicardSolve:
         rhs = _picard_rhs(theta, coupling_phase(STRONG_PAIR, grid, h))
         reference = np.cos(theta) * q.real - np.sin(theta) * q.imag
         assert np.max(np.abs(rhs - reference)) <= 8 * np.finfo(float).eps * np.hypot(*h)
+
+    @pytest.mark.parametrize("domain,h", [(ConformalDomain.disk(), (-0.01, 0.0)),
+                                          (ConformalDomain.oval(0.2), (0.0, 3.0)),
+                                          (ConformalDomain.oval(0.2), (0.0, 8.0))])
+    def test_one_operator_apply_per_branch_solve(self, domain, h, monkeypatch):
+        # the residual's A_h theta serves G's kinetic term; V and the residual
+        # are bitwise those of g_functional and the operator called alone
+        grid = GridSpec(32, 64)
+        applies, real = [], DiskPoissonSolver.apply
+
+        def counted(self, u, out=None):
+            applies.append(1)
+            return real(self, u, out=out)
+        monkeypatch.setattr(DiskPoissonSolver, "apply", counted)
+        branch = min_over_orientations(STRONG_PAIR, ExternalField(h), grid, keep_theta=True)
+        assert len(applies) == branch.branches_solved
+        sigma_h = (branch.sigma * h[0], branch.sigma * h[1])
+        assert branch.v == g_functional(STRONG_PAIR, branch.theta, sigma_h)
+        lhs = real(solver_for(grid), branch.theta) - _picard_rhs(
+            branch.theta.values, coupling_phase(STRONG_PAIR, grid, sigma_h))
+        assert branch.report.residual == float(np.max(np.abs(lhs)))
 
     def test_returned_theta_survives_a_later_solve(self):
         # the iterates live in per-grid work arrays; the returned theta does not
@@ -379,10 +401,15 @@ class TestOrientations:
     @example(s=(0.5, 2.5), c=0.2, norm=3.0, angle=np.pi / 2)        # both solved
     @example(s=(0.5, 2.5), c=None, norm=0.01, angle=np.pi)          # pruned
     @example(s=(2.0, 5.1), c=0.45, norm=5.0, angle=1.0)
+    # |h|^2 underflows: the subnormal sums round by ~1e-10 relative, past the margin
+    @example(s=(0.0, 1.0), c=None, norm=2.2250738585e-313, angle=0.0)
     def test_pruned_value_is_the_minimum_of_both_branches(self, s, c, norm, angle):
         domain = ConformalDomain.disk() if c is None else ConformalDomain.oval(c)
         diag = self._check_against_both_branches(domain, s, _polar_field(norm, angle))
-        assert diag["loser_bound"] is not None
+        if norm * norm >= np.finfo(float).tiny:
+            assert diag["loser_bound"] is not None
+        else:
+            assert diag["loser_bound"] is None and diag["branches_solved"] == 2
 
     def test_a_field_past_lambda_min_solves_both_branches(self):
         # |h| = 8 is above the smallest eigenvalue of -lap_h (about 5.78),
@@ -424,6 +451,93 @@ class TestOrientations:
         for s in result.s_min:
             assert min(_torus_dist(s, axis), _torus_dist(s, axis + np.pi)) < 1e-4
         assert _torus_dist(*result.s_min) == pytest.approx(np.pi, abs=2e-4)
+
+
+WARM_GRID = GridSpec(32, 64)
+
+
+class TestWarmStart:
+    """A search starts each branch solve from that branch's last theta when |h| < lambda_lo."""
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(s=_pair_strategy(), near=st.booleans(),
+           offset=st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+           far=_pair_strategy(), c=st.one_of(st.none(), st.floats(0.0, 0.45)),
+           norm=st.floats(0.0, 5.0, exclude_min=True), angle=st.floats(0.0, TWO_PI))
+    @example(s=(0.5, 2.5), near=True, offset=(1e-6, -1e-6), far=(0.5, 2.5), c=0.2,
+             norm=3.0, angle=np.pi / 2)
+    @example(s=(0.5, 2.5), near=False, offset=(0.0, 0.0), far=(4.0, 1.0), c=None,
+             norm=5.0, angle=1.0)
+    def test_any_start_reaches_the_cold_solution(self, s, near, offset, far, c, norm,
+                                                 angle):
+        # G is strongly convex for |h| < lambda_lo, so theta(s) is as good a
+        # start at s' as theta = 0
+        target = (s[0] + offset[0], s[1] + offset[1]) if near else far
+        assume(_torus_dist(*target) > 0.05)
+        tol, grid = 1e-9, ORIENTATION_GRID
+        field = ExternalField(_polar_field(norm, angle))
+        config = VortexConfig.pair(*target)
+        previous, _ = picard_solve(VortexConfig.pair(*s), field, grid, tol=tol)
+        warm, report = picard_solve(config, field, grid, tol=tol, start=previous)
+        cold, _ = picard_solve(config, field, grid, tol=tol)
+        assert report.converged
+        assert np.max(np.abs(warm.values - cold.values)) <= 10 * tol
+        v_warm = g_functional(config, warm, field.h)
+        v_cold = g_functional(config, cold, field.h)
+        assert v_warm == pytest.approx(v_cold, abs=1e-12 * (1.0 + abs(v_cold)))
+
+    def test_a_start_of_zeros_is_the_cold_solve(self):
+        field = ExternalField((0.0, 3.0))
+        cold, cold_report = picard_solve(STRONG_PAIR, field, WARM_GRID)
+        warm, warm_report = picard_solve(STRONG_PAIR, field, WARM_GRID,
+                                         start=PolarField.zeros(WARM_GRID))
+        assert np.array_equal(warm.values, cold.values)
+        assert warm_report == cold_report
+
+    def test_bad_starts_are_refused_before_any_solve(self, monkeypatch):
+        def no_solve(self, f, out=None):
+            raise AssertionError("picard_solve solved with a bad start")
+        monkeypatch.setattr(DiskPoissonSolver, "solve", no_solve)
+        field = ExternalField((0.0, 3.0))
+        other_grid = PolarField.zeros(GridSpec(16, 32))
+        not_finite = PolarField.zeros(WARM_GRID)
+        not_finite.values[3, 5] = np.nan
+        for start in (other_grid, not_finite):
+            with pytest.raises(ValueError):
+                picard_solve(STRONG_PAIR, field, WARM_GRID, start=start)
+
+    def test_search_trace_matches_cold_values_in_fewer_iterations(self, monkeypatch):
+        # 20 pairs spiralling into the oval's minimizer, as a search visits them
+        oval, field = ConformalDomain.oval(0.2), ExternalField((0.0, 3.0))
+        k = np.arange(20)
+        radius = 0.3 * 0.7 ** k
+        trace = np.stack([5.1286 + radius * np.cos(k), 1.9870 + radius * np.sin(k)], 1)
+        from vortexfield import micromag
+        iterations, real = [], micromag.picard_solve
+
+        def counted(*args, **kwargs):
+            theta, report = real(*args, **kwargs)
+            iterations.append(report.iterations)
+            return theta, report
+        monkeypatch.setattr(micromag, "picard_solve", counted)
+        objective = energy_objective(oval, field, WARM_GRID)
+        warm = [objective(s) for s in trace]
+        warm_iterations = sum(iterations)
+        iterations.clear()
+        cold = [total_energy(oval, VortexConfig.pair(*s), field, WARM_GRID).total
+                for s in trace]
+        assert warm == pytest.approx(cold, abs=1e-12)
+        assert warm_iterations < sum(iterations)
+
+    def test_a_field_past_lambda_min_always_starts_cold(self):
+        # |h| = 8 > lambda_lo: G need not be convex, and every solve starts from 0
+        oval, field = ConformalDomain.oval(0.2), ExternalField((0.0, 8.0))
+        objective = energy_objective(oval, field, ORIENTATION_GRID)
+        pairs = [(0.5, 2.5), (0.52, 2.49), (0.55, 2.45), (3.0, 6.0), (0.5, 2.5)]
+        warm = [objective(s) for s in pairs]
+        cold = [total_energy(oval, VortexConfig.pair(*s), field, ORIENTATION_GRID).total
+                for s in pairs]
+        assert warm == cold
 
 
 class TestInterpolation:

@@ -53,6 +53,28 @@ class TestNelderMead:
         assert not result.converged
         assert result.evaluations >= 5
 
+    @pytest.mark.parametrize("problem", ["quadratic", "disk-weak"])
+    def test_budget_is_never_exceeded(self, problem):
+        # a step that ends in a shrink needs up to four evaluations; the
+        # budget is checked before each one
+        if problem == "quadratic":
+            def energy(s):
+                return (s[0] - 1.0) ** 2 + (s[1] - 2.0) ** 2
+        else:
+            energy = energy_objective(ConformalDomain.disk(), ExternalField((-0.01, 0.0)),
+                                      GridSpec(16, 32))
+        for max_evals in range(3, 41):
+            calls = []
+
+            def counted(s):
+                calls.append(1)
+                return energy(s)
+            result = nelder_mead(counted, (0.5, 2.5), max_evals=max_evals)
+            assert result.evaluations == len(calls)
+            assert result.evaluations <= max_evals
+            if not result.converged:
+                assert result.evaluations == max_evals
+
     def test_torus_shift_invariance_of_value(self):
         objective = energy_objective(ConformalDomain.disk(),
                                      ExternalField((0.0, 0.0)), GridSpec(16, 32))
