@@ -10,11 +10,11 @@ them is a usage error.  The groups are:
 
 ``minimize`` reads problem, search and output; ``landscape`` reads
 problem, plots, output and ``--landscape-n``; ``field`` reads problem,
-search, plots, output and ``--s --auto-min --samples --jitter --seed``
-(it searches only with ``--auto-min``, which excludes ``--s``; without
-it the search options are refused); ``verify`` reads ``--out`` and
-``--only``.  :meth:`RunConfig.validate` checks each value once, before
-any work.
+search, plots, output and ``--s --auto-min --samples --jitter --seed``;
+``verify`` reads ``--out`` and ``--only``.  Before any work,
+:func:`config_from_args` checks ``field``'s mode (exactly one of ``--s``
+and ``--auto-min``, and the search options only with ``--auto-min``),
+and :meth:`RunConfig.validate` checks each value once.
 
 Outputs are flat files (JSON summaries, CSV tables, optional static
 SVG); every artifact embeds the resolved configuration it was made from
@@ -95,9 +95,6 @@ class RunConfig:
         require_w0_nodes(self.w0_nodes)
         if self.s is not None and VortexConfig.pair(*self.s).is_degenerate:
             raise ValueError("vortex angles coincide (degenerate configuration)")
-        if self.s is not None and self.auto_min:
-            raise ValueError("--s gives the vortex angles and --auto-min searches "
-                             "for them: pass one of the two")
         VortexConfig.pair(*self.s0)   # the simplex start must be finite too
         if self.only and not select_checks(self.only):
             raise ValueError(f"--only {self.only!r} matches no check name or tag")
@@ -218,17 +215,14 @@ def cmd_landscape(config: RunConfig) -> int:
 
 
 def cmd_field(config: RunConfig) -> int:
-    if config.s is None and not config.auto_min:
-        print("field requires --s s1,s2 or --auto-min", file=sys.stderr)
-        return 1
-    if config.s is not None:
-        s = config.s
-    else:
+    if config.auto_min:
         result = _minimize_run(config)
         if not result.converged:
             _report_budget("auto-min", result, config)
             return 2
         s = result.s_min
+    else:
+        s = config.s
     domain = config.conformal_domain()
     field_out = magnetization_field(domain, VortexConfig.pair(*s),
                                     config.external_field(), config.grid_spec(),
@@ -368,12 +362,16 @@ def _join_signed_values(argv: list) -> list:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    # an unset option is absent from args, so a search option given to a
-    # field run that does not search can be told from its default here
-    searched = [f"--{k.replace('_', '-')}" for k in ("s0", "max_evals") if hasattr(args, k)]
-    if args.command == "field" and searched and not getattr(args, "auto_min", False):
-        raise ValueError(f"field searches only with --auto-min: "
-                         f"{' and '.join(searched)} would be ignored")
+    # an unset option is absent from args, so field's mode is told from
+    # the options given, not from their defaults
+    if args.command == "field":
+        auto_min = getattr(args, "auto_min", False)
+        if hasattr(args, "s") == auto_min:
+            raise ValueError("field takes exactly one of --s s1,s2 and --auto-min")
+        searched = [f"--{k.replace('_', '-')}" for k in ("s0", "max_evals") if hasattr(args, k)]
+        if searched and not auto_min:
+            raise ValueError(f"field searches only with --auto-min: "
+                             f"{' and '.join(searched)} would be ignored")
     config = RunConfig()
     for key in vars(config):
         if hasattr(args, key):

@@ -40,9 +40,11 @@ Picard map contracts in the A_h-norm by at most |h| / lambda_lo < 1
 from every start.  A search (``optimize.energy_objective``) therefore
 starts each solve of a branch from the theta that branch last solved
 to, and saves iterations when the pairs lie close: 7.1 instead of 8.5
-per solve along a Nelder-Mead run at h = (0, 3), 128 x 256.  For
-|h| >= lambda_lo, where a start can reach another fixed point, and for
-every solve outside a search, theta_0 = 0.
+per solve along a Nelder-Mead run at h = (0, 3), 128 x 256.  Thetas
+leave an evaluation by one channel, the {sigma: theta} dict ``thetas``:
+a search keeps one across calls, and ``magnetization_field`` passes a
+fresh one.  For |h| >= lambda_lo, where a start can reach another fixed
+point, and for every solve outside a search, theta_0 = 0.
 
 An independent cross-check, ``minimize_g_descent``, minimizes the same
 discrete energy by gradient descent with Nesterov momentum and gradient
@@ -187,7 +189,8 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     solve output g(x_k).  Non-convergence within ``max_iter`` is reported
     through ``report.converged``, never silently.  ``coupling`` is the
     ``(a, phi)`` of ``coupling_phase(config, grid, field.h)`` when the
-    caller has it; the result is the same bit for bit.
+    caller has it; the result is the same bit for bit.  ``field`` is
+    read only to build the coupling, so with ``coupling`` it may be None.
 
     ``start`` defaults to theta_0 = 0, and a start of zeros gives that
     solve bit for bit.  For |h| < lambda_lo every start reaches the one
@@ -264,20 +267,6 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     return theta, report
 
 
-def _solve_theta(config: VortexConfig, field: ExternalField, grid: GridSpec,
-                 tol: float, max_iter: int, coupling: tuple = None,
-                 start: PolarField = None):
-    """``picard_solve``, raising :class:`ConvergenceError` if it does not converge."""
-    theta, report = picard_solve(config, field, grid, tol=tol, max_iter=max_iter,
-                                 coupling=coupling, start=start)
-    if not report.converged:
-        raise ConvergenceError(
-            f"Picard iteration did not converge in {report.iterations} steps "
-            f"(last change {report.changes[-1]:.3e})"
-        )
-    return theta, report
-
-
 #: the losing branch is skipped only when its bound exceeds the solved V
 #: by this much times 1 + |L| + pi |h|, far above the rounding of V and L
 _PRUNE_MARGIN = 1e-9
@@ -287,13 +276,12 @@ _PRUNE_MARGIN = 1e-9
 class Orientation:
     """The winning branch sigma of min over sigma of V(a; sigma h), and its solve.
 
-    ``theta`` is kept only when asked for; ``loser_bound`` is the lower
-    bound on the other branch's V, None when |h| >= lambda_lo.
+    ``loser_bound`` is the lower bound on the other branch's V, None
+    when |h| >= lambda_lo.
     """
 
     sigma: int
     v: float
-    theta: PolarField | None
     report: FixedPointReport
     branches_solved: int
     loser_bound: float | None
@@ -316,63 +304,66 @@ def _loser_bound(moment: float, h_norm: float, lam: float) -> float | None:
 
 
 def _branch(config: VortexConfig, h: tuple, sigma: int, coupling: tuple, grid: GridSpec,
-            tol: float, max_iter: int, keep_theta: bool, starts: dict | None) -> tuple:
-    """(V(a; sigma h), theta or None, report) from one Picard solve.
+            tol: float, max_iter: int, thetas: dict | None) -> tuple:
+    """(V(a; sigma h), report) from one Picard solve, or :class:`ConvergenceError`.
 
     ``coupling`` is the (a, phi) of h; the branch's is (sigma a, phi).
-    With ``starts``, the solve starts from ``starts[sigma]`` when there
-    is one, and stores its theta there.
+    With ``thetas``, the solve starts from ``thetas[sigma]`` when there
+    is one, and leaves its theta there.
     """
     amplitude, phi = coupling
-    branch_h = (sigma * h[0], sigma * h[1])
-    theta, report = _solve_theta(config, ExternalField(branch_h), grid, tol, max_iter,
+    theta, report = picard_solve(config, None, grid, tol=tol, max_iter=max_iter,
                                  coupling=(sigma * amplitude, phi),
-                                 start=None if starts is None else starts.get(sigma))
-    if starts is not None:
-        starts[sigma] = theta
+                                 start=None if thetas is None else thetas.get(sigma))
+    if not report.converged:
+        raise ConvergenceError(
+            f"Picard iteration did not converge in {report.iterations} steps "
+            f"(last change {report.changes[-1]:.3e})"
+        )
+    if thetas is not None:
+        thetas[sigma] = theta
     # picard_solve left A_h theta in work.x
-    v = g_functional(config, theta, branch_h, a_theta=evaluation_work(grid).x)
-    return v, theta if keep_theta else None, report
+    v = g_functional(config, theta, (sigma * h[0], sigma * h[1]),
+                     a_theta=evaluation_work(grid).x)
+    return v, report
 
 
 def min_over_orientations(config: VortexConfig, field: ExternalField, grid: GridSpec,
                           tol: float = 1e-9, max_iter: int = 50,
-                          keep_theta: bool = False,
-                          starts: dict | None = None) -> Orientation:
+                          thetas: dict | None = None) -> Orientation:
     """min over sigma = +-1 of V(a; sigma h), for a pair in canonical order.
 
     The favoured branch sigma* = sign L (+1 at L = 0) is solved first;
     the other only when its lower bound does not clear the solved V by
     the rounding margin (module docstring).  The coupling is built once:
     its phi stays in the grid's work array, and each branch's
-    ``g_functional`` rewrites it with the same bits.  ``starts`` is a
-    search's {sigma: theta} of the last solve of each branch: for
-    |h| < lambda_lo each solve starts from it and replaces it, and for
-    |h| >= lambda_lo it is left alone and every solve starts from 0.
-    Without ``keep_theta`` no theta outlives its branch, except in
-    ``starts``.
+    ``g_functional`` rewrites it with the same bits.  Each branch solve
+    leaves its theta in the {sigma: theta} dict ``thetas`` and, for
+    |h| < lambda_lo, starts from the one there; for |h| >= lambda_lo the
+    dict is emptied first, so every solve starts from 0.  Without
+    ``thetas`` no theta outlives its branch.
     """
     amplitude, phi, moment = coupling_phase(config, grid, field.h, moment=True)
     favoured = 1 if moment >= 0.0 else -1
     lam = solver_for(grid).lambda_min()
     bound = _loser_bound(moment, field.norm, lam)
-    if field.norm >= lam:
-        starts = None
+    if thetas is not None and field.norm >= lam:
+        thetas.clear()   # G need not be convex here: start from 0
     margin = _PRUNE_MARGIN * (1.0 + abs(moment) + np.pi * field.norm)
     branches = []
     for sigma in (favoured, -favoured):
-        v, theta, report = _branch(config, field.h, sigma, (amplitude, phi), grid, tol,
-                                   max_iter, keep_theta, starts)
-        branches.append((v, sigma, theta, report))
+        v, report = _branch(config, field.h, sigma, (amplitude, phi), grid, tol, max_iter,
+                            thetas)
+        branches.append((v, sigma, report))
         if bound is not None and bound - margin > v:
             break
-    v, sigma, theta, report = min(branches, key=lambda b: b[0])   # a tie keeps sigma*
-    return Orientation(sigma, v, theta, report, len(branches), bound)
+    v, sigma, report = min(branches, key=lambda b: b[0])   # a tie keeps sigma*
+    return Orientation(sigma, v, report, len(branches), bound)
 
 
 def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalField,
                  grid: GridSpec, w0_nodes: int = 2048, tol: float = 1e-9,
-                 max_iter: int = 50, starts: dict | None = None) -> EnergyBreakdown:
+                 max_iter: int = 50, thetas: dict | None = None) -> EnergyBreakdown:
     """W(a; h) = W_0(a) + min over sigma = +-1 of V(a; sigma h), on the disk or an oval.
 
     The two vortices are identical particles, so the configuration is
@@ -382,7 +373,7 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     on the unit disk against the disk canonical map, also for conformal
     domains.  The diagnostics carry the winning solve, its ``sigma``,
     ``branches_solved`` and ``loser_bound`` (:func:`min_over_orientations`).
-    ``starts`` carries a search's last theta per branch from one call to
+    ``thetas`` carries a search's last theta per branch from one call to
     the next (:func:`min_over_orientations`); without it every solve
     starts from theta = 0.
     """
@@ -396,7 +387,7 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
         w0 = w0_conformal(domain, config, nodes=w0_nodes)
     if field.is_zero:
         return EnergyBreakdown(w0=w0, v_ext=0.0, diagnostics=diag)
-    branch = min_over_orientations(config, field, grid, tol, max_iter, starts=starts)
+    branch = min_over_orientations(config, field, grid, tol, max_iter, thetas=thetas)
     diag.update(branch.diagnostics())
     return EnergyBreakdown(w0=w0, v_ext=branch.v, diagnostics=diag)
 
@@ -417,16 +408,15 @@ class SampleSpec:
     ``SAMPLE_R_MAX`` = 1 - 1e-9, so quiver plots show the tangential
     wall texture.  ``jitter`` perturbs each lattice point by up to that
     fraction of a cell (seeded, reproducible); an offset past the pole
-    continues through it, and only ``SAMPLE_R_MAX`` clips.  ``points``
-    overrides the lattice with explicit complex positions on the unit
-    disk.
+    continues through it, and only ``SAMPLE_R_MAX`` clips.  A jitter of
+    at most 2 (n_r + 1) moves a first-ring point at most ``SAMPLE_R_MAX``
+    past the pole, so every point lies inside the disk.
     """
 
     n_r: int = 16
     n_t: int = 48
     jitter: float = 0.0
     seed: int = 0
-    points: tuple = None
 
     def __post_init__(self):
         if self.n_r < 1 or self.n_t < 1:
@@ -434,12 +424,13 @@ class SampleSpec:
                              f"got {self.n_r} x {self.n_t}")
         if not (np.isfinite(self.jitter) and self.jitter >= 0.0):
             raise ValueError(f"jitter must be finite and non-negative, got {self.jitter}")
+        if self.jitter > 2 * (self.n_r + 1):
+            raise ValueError(f"jitter {self.jitter} exceeds 2 (n_r + 1) = {2 * (self.n_r + 1)} "
+                             f"for n_r = {self.n_r}, past which samples leave the disk")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def disk_points(self) -> np.ndarray:
-        if self.points is not None:
-            return np.asarray(self.points, dtype=complex)
         r = (np.arange(self.n_r) + 1.0) / self.n_r * SAMPLE_R_MAX
         t = np.arange(self.n_t) * TWO_PI / self.n_t
         R, T = np.meshgrid(r, t, indexing="ij")
@@ -515,21 +506,21 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     and theta are the winning branch of :func:`min_over_orientations`,
     as in :func:`total_energy`, so the state sampled is the one it
     scores.  theta is bilinearly interpolated off-grid; the exponential
-    keeps |m| = 1 exactly.  Sample points outside the closed disk or
-    inside the vortex guard are skipped and counted.
+    keeps |m| = 1 exactly.  Sample points inside the vortex guard are
+    skipped and counted; none lies outside the disk (:class:`SampleSpec`).
     """
     config = config.canonical_order()
     solver, sigma = {}, 1
     if field.is_zero:
         theta = PolarField.zeros(grid)
     else:
-        branch = min_over_orientations(config, field, grid, tol, max_iter, keep_theta=True)
-        theta, sigma, solver = branch.theta, branch.sigma, branch.diagnostics()
+        thetas = {}
+        branch = min_over_orientations(config, field, grid, tol, max_iter, thetas=thetas)
+        theta, sigma, solver = thetas[branch.sigma], branch.sigma, branch.diagnostics()
 
     pts = sample.disk_points()
-    keep = np.abs(pts) <= 1.0
-    for a in config.positions:
-        keep &= np.abs(pts - a) > max(SINGULARITY_GUARD, 1e-9)
+    guard = max(SINGULARITY_GUARD, 1e-9)
+    keep = np.all([np.abs(pts - a) > guard for a in config.positions], axis=0)
     skipped = int(np.count_nonzero(~keep))
     pts = pts[keep]
 

@@ -183,13 +183,13 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
     (:func:`vortexfield.micromag.min_over_orientations`); a new objective
     starts from theta = 0, so equal searches give equal results.
     """
-    starts = {}
+    thetas = {}
 
     def objective(s) -> float:
         config = VortexConfig.pair(float(s[0]), float(s[1]))
         try:
             return total_energy(domain, config, field, grid, w0_nodes=w0_nodes,
-                                tol=tol, max_iter=max_iter, starts=starts).total
+                                tol=tol, max_iter=max_iter, thetas=thetas).total
         except ConvergenceError:
             return float("inf")
     return objective

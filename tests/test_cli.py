@@ -260,6 +260,9 @@ class TestInputValidation:
         ["field", "--s", "0.5,2.5", "--auto-min"],
         ["field", "--s", "0.5,2.5", "--max-evals", "3"],
         ["field", "--s", "0.5,2.5", "--s0", "1,2"],
+        ["field", "--s", "0.5,2.5", "--jitter", "1e308"],
+        ["field", "--s", "0.5,2.5", "--jitter", "100"],
+        ["field"],
     ])
     def test_rejected_before_any_work(self, tmp_path, capsys, args):
         # no numpy warning either: the check runs before any arithmetic

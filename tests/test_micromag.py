@@ -80,12 +80,14 @@ class TestPicardSolve:
             applies.append(1)
             return real(self, u, out=out)
         monkeypatch.setattr(DiskPoissonSolver, "apply", counted)
-        branch = min_over_orientations(STRONG_PAIR, ExternalField(h), grid, keep_theta=True)
+        thetas = {}
+        branch = min_over_orientations(STRONG_PAIR, ExternalField(h), grid, thetas=thetas)
+        theta = thetas[branch.sigma]
         assert len(applies) == branch.branches_solved
         sigma_h = (branch.sigma * h[0], branch.sigma * h[1])
-        assert branch.v == g_functional(STRONG_PAIR, branch.theta, sigma_h)
-        lhs = real(solver_for(grid), branch.theta) - _picard_rhs(
-            branch.theta.values, coupling_phase(STRONG_PAIR, grid, sigma_h))
+        assert branch.v == g_functional(STRONG_PAIR, theta, sigma_h)
+        lhs = real(solver_for(grid), theta) - _picard_rhs(
+            theta.values, coupling_phase(STRONG_PAIR, grid, sigma_h))
         assert branch.report.residual == float(np.max(np.abs(lhs)))
 
     def test_returned_theta_survives_a_later_solve(self):
@@ -411,6 +413,18 @@ class TestOrientations:
         else:
             assert diag["loser_bound"] is None and diag["branches_solved"] == 2
 
+    def test_both_solved_thetas_are_left_in_the_dict(self):
+        # |h| = 8 >= lambda_lo: both branches are solved from theta = 0, and
+        # each leaves the theta of the cold solve at its field sigma h
+        h, thetas = (0.0, 8.0), {}
+        branch = min_over_orientations(STRONG_PAIR, ExternalField(h), ORIENTATION_GRID,
+                                       thetas=thetas)
+        assert branch.branches_solved == 2 and set(thetas) == {1, -1}
+        for sigma, theta in thetas.items():
+            cold, _ = picard_solve(STRONG_PAIR, ExternalField((sigma * h[0], sigma * h[1])),
+                                   ORIENTATION_GRID)
+            assert np.array_equal(theta.values, cold.values)
+
     def test_a_field_past_lambda_min_solves_both_branches(self):
         # |h| = 8 is above the smallest eigenvalue of -lap_h (about 5.78),
         # where the bound does not hold
@@ -589,32 +603,29 @@ class TestMagnetizationField:
             assert abs(s.mx**2 + s.my**2 - 1.0) < 1e-10
 
     def test_boundary_tangency_for_any_field(self):
-        # theta = 0 on the boundary, so m = M there and stays tangent
-        t = np.linspace(0.3, TWO_PI - 0.3, 40)
-        pts = (1.0 - 1e-9) * np.exp(1j * t)
+        # theta = 0 on the boundary, so m = M on the outermost ring, at
+        # r = 1 - 1e-9, and stays tangent away from the vortices at 0 and pi
         out = magnetization_field(ConformalDomain.disk(), ANTIPODAL,
                                   ExternalField((0.03, 0.04)), GridSpec(64, 128),
-                                  SampleSpec(points=tuple(pts)))
-        assert out.skipped == 0
-        for s, ti in zip(out.samples, t):
-            nu = np.exp(1j * ti)
+                                  SampleSpec(n_r=1, n_t=80))
+        assert len(out.samples) + out.skipped == 80
+        checked = 0
+        for s in out.samples:
+            t = np.angle(s.x + 1j * s.y) % TWO_PI
+            if min(t, TWO_PI - t, abs(t - np.pi)) < 0.3:
+                continue
             m = s.mx + 1j * s.my
-            assert abs(np.real(m * np.conj(nu))) < 1e-6
-
-    def test_outside_points_are_skipped_and_counted(self):
-        pts = (0.5, 1.5 + 0.0j, 2.0j)
-        out = magnetization_field(ConformalDomain.disk(), ANTIPODAL,
-                                  ExternalField((0.0, 0.0)), GridSpec(16, 32),
-                                  SampleSpec(points=pts))
-        assert out.skipped == 2
-        assert len(out.samples) == 1
+            assert abs(np.real(m * np.exp(-1j * t))) < 1e-6
+            checked += 1
+        assert checked == 80 - 2 * 7   # 7 lattice angles lie within 0.3 of each vortex
 
     def test_oval_positions_pass_through_forward_map(self):
-        dom = ConformalDomain.oval(0.2)
-        pts = (0.5, 0.3j)
-        out = magnetization_field(dom, ANTIPODAL, ExternalField((0.0, 0.0)),
-                                  GridSpec(16, 32), SampleSpec(points=pts))
-        expected = dom.forward(np.asarray(pts))
+        # no lattice point lies within the guard of the vortices at 0.5 and 2.5
+        dom, sample = ConformalDomain.oval(0.2), SampleSpec(n_r=3, n_t=8, jitter=0.5, seed=1)
+        out = magnetization_field(dom, STRONG_PAIR, ExternalField((0.0, 0.0)),
+                                  GridSpec(16, 32), sample)
+        assert out.skipped == 0
+        expected = dom.forward(sample.disk_points())
         got = np.array([s.x + 1j * s.y for s in out.samples])
         assert np.max(np.abs(got - expected)) < 1e-14
 
@@ -642,8 +653,27 @@ class TestMagnetizationField:
         assert len(np.unique(points)) == points.size
         assert np.max(np.abs(points)) < 1.0
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n=st.tuples(st.integers(1, 20), st.integers(1, 64)), fraction=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**64 - 1))
+    @example(n=(1, 1), fraction=1.0, seed=0)
+    @example(n=(20, 64), fraction=1.0, seed=5)
+    def test_jitter_up_to_its_bound_stays_inside_the_disk(self, n, fraction, seed):
+        # up to 2 (n_r + 1) a first-ring point passes the pole by at most
+        # SAMPLE_R_MAX; just above the bound the jitter is refused
+        bound = 2.0 * (n[0] + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = SampleSpec(n_r=n[0], n_t=n[1], jitter=min(fraction * bound, bound),
+                                seed=seed).disk_points()
+        assert points.size == n[0] * n[1]
+        assert np.all(np.isfinite(points)) and np.max(np.abs(points)) < 1.0
+        with pytest.raises(ValueError):
+            SampleSpec(n_r=n[0], n_t=n[1], jitter=np.nextafter(bound, np.inf), seed=seed)
+
     @pytest.mark.parametrize("kwargs", [{"n_r": 0}, {"n_t": 0}, {"jitter": -0.1},
                                         {"jitter": np.nan}, {"jitter": np.inf},
+                                        {"jitter": 1e308}, {"n_r": 2, "jitter": 6.5},
                                         {"seed": -1}])
     def test_sample_spec_rejects_invalid_values(self, kwargs):
         with pytest.raises(ValueError):
