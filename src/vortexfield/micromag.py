@@ -47,14 +47,23 @@ fresh one.  For |h| >= lambda_lo, where a start can reach another fixed
 point, and for every solve outside a search, theta_0 = 0.
 
 An independent cross-check, ``minimize_g_descent``, minimizes the same
-discrete energy by gradient descent with Nesterov momentum and gradient
-restart, never touching the linear solver.  It needs gradients only, so
-it carries no copy of G.  The gradient A_h theta - a cos(theta + phi)
-is Lipschitz with constant at most lambda + |h|, lambda the largest
-eigenvalue of A_h.  ``DiskPoissonSolver.lambda_max`` is a Gershgorin
-bound, so lambda_max >= lambda, and lambda_max >= 1 on every grid: the
-fixed step 1/(lambda_max (1 + |h|)) is provably below the inverse
-Lipschitz constant.
+discrete energy by preconditioned gradient descent with Nesterov
+momentum and gradient restart, never touching the linear solver.  It
+needs gradients only, so it carries no copy of G.  The preconditioner
+P is the mode-wise diagonal D of A_h (Jacobi, applied to each angular
+wavenumber: ``DiskPoissonSolver.precondition``), and a step is
+x - tau P^{-1} grad G with the gradient A_h theta - a cos(theta + phi).
+The step is provably below the inverse Lipschitz constant of that
+gradient in the P-metric.  Each tridiagonal T_m of A_h is r-weighted
+symmetric, so D^{-1} T_m is similar to (r D)^{-1/2} (r T_m) (r D)^{-1/2}:
+its eigenvalues are real, and by Gershgorin they lie below
+kappa_J = max (D + |low| + |up|) / D (``DiskPoissonSolver.kappa_jacobi``),
+which is 2 on every grid since the m^2 / r^2 and ghost terms only add
+to D.  The diagonal part a sin(theta + phi) of the Hessian adds at most
+|h| / min D (``DiskPoissonSolver.diag_min``) in the P-metric, since
+P >= min D.  So tau = 1 / (kappa_J + |h| / min D).  Without P the
+Gershgorin lambda_max of A_h, which grows 16-fold per grid doubling
+through m^2 / r^2 at the first ring, would set the step.
 
 Both orientations of M are admissible states of the same vortex pair:
 swapping the labels flips M, and in the thin-film limit m = +-tau on the
@@ -544,14 +553,16 @@ def minimize_g_descent(config: VortexConfig, field: ExternalField, grid: GridSpe
 
     The quadratic part is the Dirichlet form of the same discrete
     operator the Picard solver inverts, so both methods target one
-    discrete minimizer; this routine only ever applies the operator
-    (no linear solves).  Steps have the fixed length 1/(lambda_max (1 + |h|)),
-    below the inverse Lipschitz constant of the gradient, and carry
-    Nesterov momentum that restarts whenever the gradient points along
-    the last step (O'Donoghue & Candes, Found. Comput. Math. 15, 2015).
-    Neither needs a value of G.  The descent stops once the max-norm of
-    the discrete Euler-Lagrange gradient falls below 1e-8, or after
-    400 000 iterations.
+    discrete minimizer; this routine only ever applies the operator and
+    its mode-wise diagonal inverse P^{-1} (no linear solves).  Each step
+    is y - tau P^{-1} grad G with tau = 1 / (kappa_J + |h| / min D),
+    below the inverse Lipschitz constant of the gradient in the P-metric
+    (module docstring), and carries Nesterov momentum that restarts
+    whenever the gradient points along the last step, <grad G, x_next - x>_w > 0
+    (O'Donoghue & Candes, Found. Comput. Math. 15, 2015).  That test is a
+    directional derivative, the same in every metric, and neither needs
+    a value of G.  The descent stops once the max-norm of the discrete
+    Euler-Lagrange gradient falls below 1e-8, or after 400 000 iterations.
 
     Returns ``(theta, iterations, residual)`` where ``residual`` is the
     max-norm of that gradient at ``theta``.
@@ -559,7 +570,7 @@ def minimize_g_descent(config: VortexConfig, field: ExternalField, grid: GridSpe
     solver = solver_for(grid)
     coupling = coupling_phase(config, grid, field.h)
     wgt = grid.cell_weights()
-    step = 1.0 / (solver.lambda_max() * (1.0 + field.norm))
+    step = 1.0 / (solver.kappa_jacobi + field.norm / solver.diag_min)
 
     x = np.zeros((grid.n_r, grid.n_t))
     y = x
@@ -570,7 +581,7 @@ def minimize_g_descent(config: VortexConfig, field: ExternalField, grid: GridSpe
         residual = float(np.max(np.abs(grad)))
         if residual < 1e-8 or iterations >= 400_000:
             break
-        x_next = y - step * grad
+        x_next = y - step * solver.precondition(PolarField(grid, grad))
         if np.sum(wgt * grad * (x_next - x)) > 0.0:
             t, y = 1.0, x_next
         else:

@@ -18,14 +18,23 @@ factor arrays 1/dp and cp are stored repeated to that (n_r, 2 n_modes)
 layout.  The result is bitwise that of the same sweep in complex
 arithmetic, since numpy divides a complex number by a real one by
 multiplying with the reciprocal.  The cached solver of a grid owns the
-spectra its ``solve`` and ``apply`` work in, and both write their result
-into a caller's ``out`` when given, so neither allocates grid arrays.
+spectra its ``solve``, ``apply`` and ``precondition`` work in, and each
+writes its result into a caller's ``out`` when given, so none allocates
+grid arrays.
 
-``lambda_max`` bounds the spectrum of the operator from above by
-Gershgorin's theorem, the largest row sum of the mode-wise tridiagonal
-matrices, with no iteration.  ``lambda_min`` bounds it from below by
-bisection on the signs of the LDL^T pivots of the m = 0 tridiagonal
-(Sylvester's law of inertia), with no LAPACK call.
+``precondition`` applies P^{-1}, the inverse of the operator's mode-wise
+diagonal D: rfft the rows, divide each coefficient by its D, irfft.  It is
+the Jacobi preconditioner of the descent oracle
+(``micromag.minimize_g_descent``), which steps by the Gershgorin bound
+``kappa_jacobi`` = max (D + |low| + |up|) / D on the spectrum of
+P^{-1} A_h, 2 on every grid, and by ``diag_min`` = min D; both are
+computed once per solver.  ``lambda_max`` bounds the spectrum of the
+operator itself from above by Gershgorin's theorem, the largest row
+sum of the mode-wise tridiagonal matrices, with no iteration; it now
+serves only its own test and a benchmark tracer target.
+``lambda_min`` bounds it from below by bisection on the signs of the
+LDL^T pivots of the m = 0 tridiagonal (Sylvester's law of inertia),
+with no LAPACK call.
 
 The same module carries the disk quadrature rule (midpoint in r,
 periodic trapezoid in t) and a 65-node tanh-sinh rule, in closed form,
@@ -175,6 +184,13 @@ class DiskPoissonSolver:
         self._inv_dp = list(np.repeat(1.0 / dp, 2, axis=1))
         self._cp = list(np.repeat(cp, 2, axis=1))
         self._D = D
+        # |low| + |up| per radius; the last row has no upper neighbour, as in apply
+        self._off = np.abs(self._low)
+        self._off[:-1] += np.abs(self._up[:-1])
+        #: Gershgorin bound on the spectrum of P^{-1} A_h, P the mode-wise diagonal
+        self.kappa_jacobi = float(np.max((D + self._off[:, None]) / D))
+        #: the smallest entry of P, so P >= diag_min in the quadrature inner product
+        self.diag_min = float(np.min(D))
         # spectra every solve and apply on this grid writes into, C-ordered
         # so each row's (re, im) pairs are contiguous float64
         self._spectra = np.empty((3,) + D.shape, dtype=complex)
@@ -214,15 +230,21 @@ class DiskPoissonSolver:
         lap[:-1] += tmp[:-1]
         return np.fft.irfft(lap, n=self.grid.n_t, axis=1, out=out)
 
+    def precondition(self, u: PolarField, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply P^{-1}, the inverse of the mode-wise diagonal of -lap_h, into ``out`` if given."""
+        if u.grid != self.grid:
+            raise ValueError("field lives on a different grid")
+        uh = np.fft.rfft(u.values, axis=1, out=self._spectra[0])
+        np.divide(uh, self._D, out=uh)
+        return np.fft.irfft(uh, n=self.grid.n_t, axis=1, out=out)
+
     def lambda_max(self) -> float:
         """Gershgorin bound on the largest eigenvalue of -lap_h.
 
         The largest row sum D + |low| + |up| over every radius and mode;
         the last row has no upper neighbour, as in ``apply``.
         """
-        off = np.abs(self._low)
-        off[:-1] += np.abs(self._up[:-1])
-        return float(np.max(self._D + off[:, None]))
+        return float(np.max(self._D + self._off[:, None]))
 
     def lambda_min(self) -> float:
         """A lower bound on the smallest eigenvalue of -lap_h, computed once per solver.

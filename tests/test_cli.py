@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from vortexfield import verify
 from vortexfield.cli import build_parser, main
+from vortexfield.micromag import minimize_g_descent
 
 TWO_PI = 2.0 * np.pi
 
@@ -348,3 +350,18 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert [c["name"] for c in report["checks"]] == ["punctured_ladder"]
+
+    def test_oracle_check_fails_on_a_descent_stopped_by_its_cap(self, tmp_path, monkeypatch):
+        # the descent's own theta, but reported as cut off at the step cap
+        # with its gradient still above 1e-8: close enough to pass on the
+        # max-norm gap alone, and no oracle
+        def capped(config, field, grid):
+            theta, _, _ = minimize_g_descent(config, field, grid)
+            return theta, 400_000, 2e-8
+
+        monkeypatch.setattr(verify, "minimize_g_descent", capped)
+        assert run(["verify", "--only", "oracle", "--out", str(tmp_path)]) == 3
+        (check,) = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
+        assert check["name"] == "picard_oracle" and check["passed"] is False
+        assert check["measured"]["max_diff"] < 1e-6
+        assert check["measured"]["descent_residual"] == 2e-8

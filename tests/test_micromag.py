@@ -148,6 +148,28 @@ class TestPicardSolve:
                                             ExternalField((-0.01, 0.0)), GridSpec(8, 16))
         assert residual < 1e-8
 
+    @pytest.mark.parametrize("grid, h, config, ceiling", [
+        # the step 1 / (lambda_max (1 + |h|)) took 826 and 9,527 iterations here
+        (GridSpec(8, 16), (-0.01, 0.0), VortexConfig.pair(0.5, 2.8), 150),
+        (GridSpec(16, 32), (0.0, 6.5), STRONG_PAIR, 500),
+    ])
+    def test_preconditioned_descent_step_ceiling(self, grid, h, config, ceiling):
+        _, iters, residual = minimize_g_descent(config, ExternalField(h), grid)
+        assert residual < 1e-8
+        assert iters <= ceiling
+
+    def test_oval_strong_field_matches_descent_oracle(self):
+        # the field and start pair of the field-oval-strong benchmark, whose
+        # solves run on the disk; the step 1 / (lambda_max (1 + |h|)) took
+        # 37,336 iterations here
+        grid = GridSpec(32, 64)
+        field = ExternalField((0.0, 3.0))
+        theta_p, report = picard_solve(STRONG_PAIR, field, grid)
+        theta_g, iters, residual = minimize_g_descent(STRONG_PAIR, field, grid)
+        assert report.converged and residual < 1e-8
+        assert iters <= 1500
+        assert np.max(np.abs(theta_p.values - theta_g.values)) < 1e-8
+
     @pytest.mark.parametrize("h2", [6.5, 10.0])
     def test_converges_past_the_picard_contraction_bound(self, h2):
         # plain Picard contracts by about |h| / lambda_1 with lambda_1 ~ 5.78

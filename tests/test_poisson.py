@@ -42,6 +42,30 @@ def _power_iteration(solver):
     return lam
 
 
+def _apply_diagonal(solver, v):
+    """P v, P the mode-wise diagonal of A_h that ``precondition`` inverts."""
+    return np.fft.irfft(solver._D * np.fft.rfft(v, axis=1), n=v.shape[1], axis=1)
+
+
+def _jacobi_power_iteration(solver):
+    """60 steps of power iteration on P^{-1} A_h, P the mode-wise diagonal.
+
+    P^{-1} A_h is self-adjoint in <u, P v>_w, so the Rayleigh quotient
+    <v, A_h v>_w / <v, P v>_w of every iterate lies below its largest
+    eigenvalue and approaches it.
+    """
+    grid = solver.grid
+    w = grid.cell_weights()
+    v = np.random.default_rng(0).standard_normal((grid.n_r, grid.n_t))
+    lam = 1.0
+    for _ in range(60):
+        a_v = solver.apply(PolarField(grid, v))
+        lam = float(np.sum(w * v * a_v) / np.sum(w * v * _apply_diagonal(solver, v)))
+        v = solver.precondition(PolarField(grid, a_v))
+        v /= np.max(np.abs(v))
+    return lam
+
+
 def _solve_fn(n_r, n_t, fn):
     grid = GridSpec(n_r, n_t)
     f = PolarField.from_function(grid, fn, dirichlet=False)
@@ -182,6 +206,28 @@ class TestSolveDirichlet:
         solver = solver_for(GridSpec(n_r, n_t))
         bound, estimate = solver.lambda_max(), _power_iteration(solver)
         assert estimate <= bound <= 1.01 * estimate
+
+    @pytest.mark.parametrize("n_r,n_t", [(8, 16), (16, 32), (64, 128), (128, 256)])
+    def test_kappa_jacobi_bounds_the_preconditioned_power_estimate(self, n_r, n_t):
+        # the Gershgorin discs of D^{-1} A_h reach at most 2, on every grid,
+        # and the top of its real spectrum tends to 2 as the grid refines
+        solver = solver_for(GridSpec(n_r, n_t))
+        bound, estimate = solver.kappa_jacobi, _jacobi_power_iteration(solver)
+        assert estimate <= bound == pytest.approx(2.0, abs=1e-12)
+        assert bound <= 1.1 * estimate
+        assert solver.diag_min == np.min(solver._D)
+
+    def test_precondition_inverts_the_modewise_diagonal(self):
+        rng = np.random.default_rng(17)
+        grid = GridSpec(16, 32)
+        solver = solver_for(grid)
+        v = rng.standard_normal((16, 32))
+        out = np.empty_like(v)
+        p_inv_v = solver.precondition(PolarField(grid, v), out=out)
+        assert p_inv_v is out
+        assert np.max(np.abs(_apply_diagonal(solver, out) - v)) < 1e-13
+        with pytest.raises(ValueError):
+            solver.precondition(PolarField(GridSpec(8, 16), np.zeros((8, 16))))
 
     @pytest.mark.parametrize("n_r,n_t", [(8, 16), (16, 32), (32, 64), (64, 128)])
     def test_lambda_min_bounds_the_dense_spectrum(self, n_r, n_t):
