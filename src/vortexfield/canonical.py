@@ -9,12 +9,14 @@ else.  The canonical harmonic map on the disk is
 a unit-modulus field tangent to the boundary away from the vortices.  On
 a conformal image Omega = Phi(B_1) it is pushed forward by the phase of
 Phi', at disk points (``pushforward_disk``).  The multivalued harmonic
-lifting phi* of M is never materialized; only its single-valued
-analytic gradient
+lifting phi* of M is never materialized; ``grad_phistar`` evaluates its
+single-valued analytic gradient
 
     grad phi*(x) = (x - a_1)^perp / |x - a_1|^2 + (x - a_2)^perp / |x - a_2|^2
 
-is used downstream (v^perp rotates v by +90 degrees).
+term by term (v^perp rotates v by +90 degrees).  It serves as the
+reference for the closed form of |grad phi*|^2 that
+``renorm.punctured_energy`` integrates.
 
 A pair is degenerate when its angular separation on the circle is below
 ``DEGENERACY_GUARD``; :attr:`VortexConfig.is_degenerate` is the one test

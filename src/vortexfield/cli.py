@@ -39,7 +39,7 @@ from .errors import ConfigurationError, ConvergenceError
 from .geom import TWO_PI, ConformalDomain
 from .micromag import (ExternalField, SampleSpec, magnetization_field,
                        require_picard_budget, total_energy)
-from .optimize import energy_objective, landscape, nelder_mead
+from .optimize import BestEvaluation, energy_objective, landscape, nelder_mead
 from .poisson import GridSpec
 from .renorm import require_w0_nodes
 from .svgplot import heatmap_svg, quiver_svg
@@ -139,10 +139,10 @@ def _energy_at(config: RunConfig, s):
                         max_iter=config.max_iter)
 
 
-def _minimize_run(config: RunConfig):
+def _minimize_run(config: RunConfig, best: BestEvaluation | None = None):
     objective = energy_objective(config.conformal_domain(), config.external_field(),
                                  config.grid_spec(), config.w0_nodes,
-                                 tol=config.tol, max_iter=config.max_iter)
+                                 tol=config.tol, max_iter=config.max_iter, best=best)
     result = nelder_mead(objective, config.s0, max_evals=config.max_evals)
     if not np.isfinite(result.value):
         # no vertex of the starting simplex has an energy; solving at the
@@ -160,9 +160,10 @@ def _report_budget(command: str, result, config: RunConfig) -> None:
 
 
 def cmd_minimize(config: RunConfig) -> int:
-    result = _minimize_run(config)
+    best = BestEvaluation()
+    result = _minimize_run(config, best)
     domain = config.conformal_domain()
-    breakdown = _energy_at(config, result.s_min)
+    breakdown = best.breakdown
     positions = domain.forward(np.exp(1j * np.asarray(result.s_min)))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)

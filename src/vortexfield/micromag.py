@@ -63,7 +63,13 @@ to D.  The diagonal part a sin(theta + phi) of the Hessian adds at most
 |h| / min D (``DiskPoissonSolver.diag_min``) in the P-metric, since
 P >= min D.  So tau = 1 / (kappa_J + |h| / min D).  Without P the
 Gershgorin lambda_max of A_h, which grows 16-fold per grid doubling
-through m^2 / r^2 at the first ring, would set the step.
+through m^2 / r^2 at the first ring, would set the step.  The iterates
+and grad G live in arrays made once per call, y and grad G wrapped as
+fields once, and each step writes into them with ``out=``.  Every
+operation keeps the operands of the plain expression, such as
+(w grad G) (x_next - x) in the restart test, so theta and the step
+count are bitwise those of a step that allocates.  The theta returned
+is the call's own array.
 
 Both orientations of M are admissible states of the same vortex pair:
 swapping the labels flips M, and in the thin-film limit m = +-tau on the
@@ -572,22 +578,34 @@ def minimize_g_descent(config: VortexConfig, field: ExternalField, grid: GridSpe
     wgt = grid.cell_weights()
     step = 1.0 / (solver.kappa_jacobi + field.norm / solver.diag_min)
 
-    x = np.zeros((grid.n_r, grid.n_t))
-    y = x
+    # every step writes into these; y and grad G are wrapped as fields once
+    x, x_next, grad, diff, tmp = np.zeros((5, grid.n_r, grid.n_t))
+    y = PolarField(grid, np.zeros_like(x))
+    grad_field = PolarField(grid, grad)
     t = 1.0
     iterations = 0
     while True:
-        grad = solver.apply(PolarField(grid, y)) - _picard_rhs(y, coupling)
-        residual = float(np.max(np.abs(grad)))
+        solver.apply(y, out=grad)
+        grad -= _picard_rhs(y.values, coupling, out=tmp)
+        residual = float(np.max(np.abs(grad, out=tmp)))
+        if not np.isfinite(residual):
+            raise ConvergenceError("descent gradient is not finite")
         if residual < 1e-8 or iterations >= 400_000:
             break
-        x_next = y - step * solver.precondition(PolarField(grid, grad))
-        if np.sum(wgt * grad * (x_next - x)) > 0.0:
-            t, y = 1.0, x_next
+        solver.precondition(grad_field, out=tmp)
+        tmp *= step
+        np.subtract(y.values, tmp, out=x_next)
+        np.subtract(x_next, x, out=diff)
+        np.multiply(wgt, grad, out=tmp)
+        tmp *= diff
+        if np.sum(tmp) > 0.0:
+            t = 1.0
+            np.copyto(y.values, x_next)
         else:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x_next + ((t - 1.0) / t_next) * (x_next - x)
+            np.multiply((t - 1.0) / t_next, diff, out=y.values)
+            y.values += x_next
             t = t_next
-        x = x_next
+        x, x_next = x_next, x
         iterations += 1
-    return PolarField(grid, y), iterations, residual
+    return y, iterations, residual

@@ -21,6 +21,7 @@ from .errors import ConfigurationError, ConvergenceError
 from .geom import TWO_PI, ConformalDomain
 from .micromag import ExternalField, total_energy
 from .poisson import GridSpec
+from .renorm import EnergyBreakdown
 
 
 def _wrap(s: np.ndarray) -> np.ndarray:
@@ -172,8 +173,17 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
 # exhaustive landscape and oracle
 # ----------------------------------------------------------------------
 
+@dataclass
+class BestEvaluation:
+    """The lowest value an objective has returned, first on ties, and its breakdown."""
+
+    value: float = float("inf")
+    breakdown: EnergyBreakdown | None = None
+
+
 def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSpec,
-                     w0_nodes: int = 2048, tol: float = 1e-9, max_iter: int = 50):
+                     w0_nodes: int = 2048, tol: float = 1e-9, max_iter: int = 50,
+                     best: BestEvaluation | None = None):
     """Total-energy objective over angle pairs; +inf on degenerate pairs.
 
     ``tol`` and ``max_iter`` go to the Picard solve of every evaluation;
@@ -181,17 +191,23 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
     objective keeps the last theta of each orientation branch and, for
     |h| < lambda_lo, starts the next solve of that branch from it
     (:func:`vortexfield.micromag.min_over_orientations`); a new objective
-    starts from theta = 0, so equal searches give equal results.
+    starts from theta = 0, so equal searches give equal results.  With
+    ``best``, it records there the breakdown of its lowest value.  Nelder-Mead
+    never drops its best vertex, so that is the breakdown of the pair it
+    reports, and a caller need not solve that pair again.
     """
     thetas = {}
 
     def objective(s) -> float:
         config = VortexConfig.pair(float(s[0]), float(s[1]))
         try:
-            return total_energy(domain, config, field, grid, w0_nodes=w0_nodes,
-                                tol=tol, max_iter=max_iter, thetas=thetas).total
+            breakdown = total_energy(domain, config, field, grid, w0_nodes=w0_nodes,
+                                     tol=tol, max_iter=max_iter, thetas=thetas)
         except ConvergenceError:
             return float("inf")
+        if best is not None and breakdown.total < best.value:
+            best.value, best.breakdown = breakdown.total, breakdown
+        return breakdown.total
     return objective
 
 

@@ -11,7 +11,12 @@ Three evaluators of the vortex interaction energy live here:
 * ``punctured_energy``: the Dirichlet integral of grad phi* over the
   disk minus small exclusion disks around the vortices, by adaptive
   midpoint quadrature.  Its renormalized limit carries twice the energy
-  of the closed form above; see the module tests for the ladder.
+  of the closed form above; see the module tests for the ladder.  Since
+  grad phi* = i sum_j 1 / conj(x - a_j) as a complex number, the
+  integrand is |2x - a_1 - a_2|^2 / (|x - a_1| |x - a_2|)^2, from the
+  two distances the exclusion test needs anyway, and each sub-cell
+  centre is its parent's scaled and turned by one scalar per level: no
+  cell costs a transcendental.
 
 The functional g_functional(theta) = int (1/2)|grad theta|^2
 - h . (e^{i theta} M) is the external-field correction being minimized
@@ -48,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .canonical import VortexConfig, canonical_map_disk, grad_phistar
+from .canonical import VortexConfig, canonical_map_disk
 from .geom import TWO_PI, ConformalDomain
 from .poisson import GridSpec, PolarField, integrate_disk, solver_for
 
@@ -128,63 +133,65 @@ def w0_conformal(domain: ConformalDomain, config: VortexConfig, nodes: int = 204
     return base + 0.5 * correction
 
 
+def _grad_phistar_sq(x: np.ndarray, a1: complex, a2: complex,
+                     d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """|grad phi*|^2 = |2x - a_1 - a_2|^2 / (|x - a_1| |x - a_2|)^2, given d_j = |x - a_j|.
+
+    As a complex number grad phi* = i sum_j 1 / conj(x - a_j), whose
+    modulus is |conj(x - a_2) + conj(x - a_1)| / (d_1 d_2).
+    """
+    g = np.abs(2.0 * x - (a1 + a2))
+    g /= d1
+    g /= d2
+    return g * g
+
+
+# the four children of a split cell, in the order they are stacked: the
+# offsets of their centres in units of the parent's dr and dt
+_CHILD_DR = np.array([-0.25, -0.25, 0.25, 0.25])[:, None]
+_CHILD_DT = np.array([-0.25, 0.25, -0.25, 0.25])[:, None]
+
+
 def punctured_energy(config: VortexConfig, rho: float, grid: GridSpec) -> float:
     """Dirichlet integral of grad phi* over the disk minus vortex disks.
 
     Midpoint quadrature on the polar grid, with cells within 4 rho of a
-    vortex recursively split until their diameter is below rho / 8; a
-    (sub)cell contributes iff its center lies outside both exclusion
-    disks B_rho(a_j).  Requires 2 rho to be smaller than the vortex
-    separation so the exclusion disks stay disjoint.
+    vortex recursively split into 2 x 2 children until their diameter is
+    below rho / 8; a (sub)cell contributes iff its center lies outside
+    both exclusion disks B_rho(a_j).  Requires 2 rho to be smaller than
+    the vortex separation so the exclusion disks stay disjoint.
+
+    No transcendental is evaluated per cell.  All cells of one level share
+    dr and dt, halved per level, so the diameter is sqrt(dr^2 + (r dt)^2)
+    and a child's center is its parent's x scaled by (r +- dr/4) / r and
+    turned by e^{+-i dt/4}, one scalar exponential per level.  The base
+    level is the grid's cached ``nodes_complex``, one radius per ring; a
+    deeper level is a column of cells, one radius each.  The integrand is
+    ``_grad_phistar_sq``, from the two vortex distances of the exclusion
+    test.
     """
-    positions = config.positions
-    if not (0.0 < rho < 0.5 * abs(positions[0] - positions[1])):
+    a1, a2 = config.positions
+    if not (0.0 < rho < 0.5 * abs(a1 - a2)):
         raise ValueError("rho must be positive and below half the vortex separation")
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        gx, gy = grad_phistar(config, x)
-        return gx * gx + gy * gy
-
-    def dist_to_vortices(x: np.ndarray) -> np.ndarray:
-        d = np.full(x.shape, np.inf)
-        for a in positions:
-            d = np.minimum(d, np.abs(x - a))
-        return d
-
-    R, T = grid.mesh()
-    R = R.ravel()
-    T = T.ravel()
-    DR = np.full(R.shape, grid.dr)
-    DT = np.full(T.shape, grid.dt)
-
+    x, r = grid.nodes_complex(), grid.r[:, None]
+    dr, dt = grid.dr, grid.dt
     total = 0.0
-    stack = [(R, T, DR, DT)]
-    target = rho / 8.0
-    while stack:
-        Rc, Tc, DRc, DTc = stack.pop()
-        if Rc.size == 0:
-            continue
-        x = Rc * np.exp(1j * Tc)
-        d = dist_to_vortices(x)
-        diam = np.hypot(DRc, Rc * DTc)
+    while x.size:
+        d1, d2 = np.abs(x - a1), np.abs(x - a2)
+        d = np.minimum(d1, d2)
+        half_diam = np.sqrt((0.5 * dr) ** 2 + (r * (0.5 * dt)) ** 2)
         # cells far from every vortex integrate at base resolution
-        coarse_ok = d > 4.0 * rho + 0.5 * diam
-        leaf = coarse_ok | (diam < target)
+        leaf = (d > 4.0 * rho + half_diam) | (half_diam < rho / 16.0)
         keep = leaf & (d > rho)
-        if np.any(keep):
-            total += float(np.sum(integrand(x[keep]) * Rc[keep] * DRc[keep] * DTc[keep]))
+        density = _grad_phistar_sq(x, a1, a2, d1, d2)
+        total += float(np.sum(density * r, where=keep)) * dr * dt
         split = ~leaf
-        if np.any(split):
-            Rs, Ts, DRs, DTs = Rc[split], Tc[split], DRc[split], DTc[split]
-            quads = []
-            for i_off in (-0.25, 0.25):
-                for j_off in (-0.25, 0.25):
-                    quads.append((Rs + i_off * DRs, Ts + j_off * DTs,
-                                  0.5 * DRs, 0.5 * DTs))
-            stack.append((np.concatenate([q[0] for q in quads]),
-                          np.concatenate([q[1] for q in quads]),
-                          np.concatenate([q[2] for q in quads]),
-                          np.concatenate([q[3] for q in quads])))
+        xs, rs = x[split], np.broadcast_to(r, x.shape)[split]
+        r = rs + _CHILD_DR * dr
+        x = (xs * np.exp(1j * dt * _CHILD_DT) * (r / rs)).reshape(-1, 1)
+        r = r.reshape(-1, 1)
+        dr, dt = 0.5 * dr, 0.5 * dt
     return total
 
 

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from vortexfield import verify
+from vortexfield.canonical import VortexConfig
 from vortexfield.cli import build_parser, main
-from vortexfield.micromag import minimize_g_descent
+from vortexfield.geom import ConformalDomain
+from vortexfield.micromag import ExternalField, minimize_g_descent
+from vortexfield.poisson import GridSpec
 
 TWO_PI = 2.0 * np.pi
 
@@ -84,6 +87,28 @@ class TestMinimizeCommand:
             assert run(args) == 0
             written.append((tmp_path / "summary.json").read_bytes())
         assert written[0] == written[1]
+
+    def test_summary_reuses_the_search_evaluation(self, tmp_path, monkeypatch):
+        # the reported pair is the search's lowest value: its breakdown is
+        # kept, not solved again
+        from vortexfield import cli, optimize
+        real = optimize.total_energy
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(optimize, "total_energy", counted)
+        monkeypatch.setattr(cli, "total_energy", counted)
+        code = run(["minimize", "--h=-0.01,0", "--grid", "16,32", "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert len(calls) == summary["evaluations"]
+        assert summary["total"] == summary["optimizer"]["best_history"][-1]
+        cold = real(ConformalDomain.disk(), VortexConfig.pair(*summary["s_min"]),
+                    ExternalField((-0.01, 0.0)), GridSpec(16, 32))
+        assert summary["total"] == pytest.approx(cold.total, rel=1e-12, abs=0.0)
+        assert summary["w0"] == cold.w0
 
     def test_invalid_grid_exits_1(self, tmp_path):
         assert run(["minimize", "--grid", "3,7", "--out", str(tmp_path)]) == 1

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vortexfield.canonical import VortexConfig, canonical_map_disk
+from vortexfield.errors import ConvergenceError
 from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import (ExternalField, SampleSpec,
                                   interpolate_field, magnetization_field,
@@ -147,6 +148,23 @@ class TestPicardSolve:
         _, _, residual = minimize_g_descent(VortexConfig.pair(0.5, 2.8),
                                             ExternalField((-0.01, 0.0)), GridSpec(8, 16))
         assert residual < 1e-8
+
+    def test_descent_returns_a_theta_no_later_call_writes(self):
+        grid = GridSpec(8, 16)
+        first, _, _ = minimize_g_descent(VortexConfig.pair(0.5, 2.8),
+                                         ExternalField((-0.01, 0.0)), grid)
+        kept = first.values.copy()
+        second, _, _ = minimize_g_descent(STRONG_PAIR, ExternalField((0.0, 3.0)), grid)
+        assert not np.shares_memory(first.values, second.values)
+        assert np.array_equal(first.values, kept)
+
+    def test_descent_with_a_non_finite_gradient_raises(self, monkeypatch):
+        from vortexfield import micromag
+        real = micromag.coupling_phase
+        monkeypatch.setattr(micromag, "coupling_phase",
+                            lambda *args: (float("nan"), real(*args)[1]))
+        with pytest.raises(ConvergenceError, match="not finite"):
+            minimize_g_descent(ANTIPODAL, ExternalField((0.0, 0.01)), GridSpec(8, 16))
 
     @pytest.mark.parametrize("grid, h, config, ceiling", [
         # the step 1 / (lambda_max (1 + |h|)) took 826 and 9,527 iterations here

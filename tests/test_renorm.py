@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from vortexfield import renorm, verify
-from vortexfield.canonical import VortexConfig, canonical_map_disk
+from vortexfield.canonical import VortexConfig, canonical_map_disk, grad_phistar
 from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import ExternalField, picard_solve
 from vortexfield.poisson import GridSpec, PolarField, integrate_disk, solver_for
@@ -124,12 +126,64 @@ class TestW0Conformal:
         assert at_tips < at_waist
 
 
+def punctured_reference(config, rho, grid):
+    """The punctured quadrature cell by cell: per-cell exp, arrays of cell
+    sizes, and |grad phi*|^2 as gx^2 + gy^2 from ``grad_phistar``."""
+    a1, a2 = config.positions
+    R, T = grid.mesh()
+    R, T = R.ravel(), T.ravel()
+    DR, DT = np.full(R.shape, grid.dr), np.full(T.shape, grid.dt)
+    total = 0.0
+    while R.size:
+        x = R * np.exp(1j * T)
+        d = np.minimum(np.abs(x - a1), np.abs(x - a2))
+        diam = np.hypot(DR, R * DT)
+        leaf = (d > 4.0 * rho + 0.5 * diam) | (diam < rho / 8.0)
+        keep = leaf & (d > rho)
+        gx, gy = grad_phistar(config, x[keep])
+        total += float(np.sum((gx * gx + gy * gy) * R[keep] * DR[keep] * DT[keep]))
+        split = ~leaf
+        R, T, DR, DT = R[split], T[split], DR[split], DT[split]
+        children = [(R + i * DR, T + j * DT) for i in (-0.25, 0.25) for j in (-0.25, 0.25)]
+        R = np.concatenate([c[0] for c in children])
+        T = np.concatenate([c[1] for c in children])
+        DR, DT = np.tile(0.5 * DR, 4), np.tile(0.5 * DT, 4)
+    return total
+
+
+REFERENCE_CASES = [(pair, rho, grid)
+                   for pair in ((0.0, np.pi), (0.5, 2.8), (1.0, 1.3))
+                   for rho in (0.1, 0.05, 0.025)
+                   for grid in (GridSpec(16, 32), GridSpec(64, 128))
+                   if rho < np.sin(0.5 * (pair[1] - pair[0]))]
+
+
 class TestPuncturedEnergy:
     # Continuum reference values of E(rho) - 2 pi log(1/rho) for the
     # antipodal pair, computed with an exact 1D reduction of the integral
     # (polar coordinates around u = 1 after the substitution u = x^2,
     # Gauss-Legendre in the angle); the limit is -2 pi log 2.
     CONTINUUM_GAP = {0.1: -3.763119656, 0.05: -4.057146420, 0.025: -4.205664307}
+
+    @pytest.mark.parametrize("pair,rho,grid", REFERENCE_CASES)
+    def test_matches_cell_by_cell_reference(self, pair, rho, grid):
+        cfg = VortexConfig.pair(*pair)
+        assert punctured_energy(cfg, rho, grid) == pytest.approx(
+            punctured_reference(cfg, rho, grid), rel=1e-13, abs=0.0)
+
+    @given(st.floats(0.0, TWO_PI), st.floats(1e-3, TWO_PI - 1e-3),
+           st.floats(0.0, 0.999), st.floats(0.0, TWO_PI))
+    def test_closed_form_integrand_matches_gradient(self, s1, gap, radius, angle):
+        cfg = VortexConfig.pair(s1, s1 + gap)
+        a1, a2 = cfg.positions
+        x = np.array([radius * np.exp(1j * angle)])
+        d1, d2 = np.abs(x - a1), np.abs(x - a2)
+        assume(min(d1[0], d2[0]) > 1e-6)
+        gx, gy = grad_phistar(cfg, x)
+        # relative to the size of the two terms, which cancel where grad phi* vanishes
+        scale = (1.0 / d1 + 1.0 / d2) ** 2
+        closed = renorm._grad_phistar_sq(x, a1, a2, d1, d2)
+        assert abs(closed - (gx * gx + gy * gy))[0] <= 1e-12 * scale[0]
 
     def test_rho_precondition(self):
         grid = GridSpec(32, 64)
