@@ -216,8 +216,9 @@ def cmd_landscape(config: RunConfig) -> int:
 
 
 def cmd_field(config: RunConfig) -> int:
+    best = BestEvaluation(thetas={})
     if config.auto_min:
-        result = _minimize_run(config)
+        result = _minimize_run(config, best)
         if not result.converged:
             _report_budget("auto-min", result, config)
             return 2
@@ -225,10 +226,11 @@ def cmd_field(config: RunConfig) -> int:
     else:
         s = config.s
     domain = config.conformal_domain()
+    # the search's thetas at s start the solves there
     field_out = magnetization_field(domain, VortexConfig.pair(*s),
                                     config.external_field(), config.grid_spec(),
                                     config.sample_spec(), tol=config.tol,
-                                    max_iter=config.max_iter)
+                                    max_iter=config.max_iter, thetas=best.thetas)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["x,y,mx,my"]

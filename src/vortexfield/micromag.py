@@ -43,30 +43,33 @@ to, and saves iterations when the pairs lie close: 7.1 instead of 8.5
 per solve along a Nelder-Mead run at h = (0, 3), 128 x 256.  Thetas
 leave an evaluation by one channel, the {sigma: theta} dict ``thetas``:
 a search keeps one across calls, and ``magnetization_field`` passes a
-fresh one.  For |h| >= lambda_lo, where a start can reach another fixed
-point, and for every solve outside a search, theta_0 = 0.
+copy of the one it is given, or a fresh one.  For |h| >= lambda_lo,
+where a start can reach another fixed point, and for every solve
+outside a search, theta_0 = 0.
 
 An independent cross-check, ``minimize_g_descent``, minimizes the same
 discrete energy by preconditioned gradient descent with Nesterov
 momentum and gradient restart, never touching the linear solver.  It
-needs gradients only, so it carries no copy of G.  The preconditioner
-P is the mode-wise diagonal D of A_h (Jacobi, applied to each angular
-wavenumber: ``DiskPoissonSolver.precondition``), and a step is
-x - tau P^{-1} grad G with the gradient A_h theta - a cos(theta + phi).
-The step is provably below the inverse Lipschitz constant of that
-gradient in the P-metric.  Each tridiagonal T_m of A_h is r-weighted
-symmetric, so D^{-1} T_m is similar to (r D)^{-1/2} (r T_m) (r D)^{-1/2}:
-its eigenvalues are real, and by Gershgorin they lie below
-kappa_J = max (D + |low| + |up|) / D (``DiskPoissonSolver.kappa_jacobi``),
-which is 2 on every grid since the m^2 / r^2 and ghost terms only add
-to D.  The diagonal part a sin(theta + phi) of the Hessian adds at most
-|h| / min D (``DiskPoissonSolver.diag_min``) in the P-metric, since
-P >= min D.  So tau = 1 / (kappa_J + |h| / min D).  Without P the
-Gershgorin lambda_max of A_h, which grows 16-fold per grid doubling
-through m^2 / r^2 at the first ring, would set the step.  The iterates
-and grad G live in arrays made once per call, y and grad G wrapped as
-fields once, and each step writes into them with ``out=``.  Every
-operation keeps the operands of the plain expression, such as
+needs gradients only, so it carries no copy of G.  For each angular
+wavenumber A_h is a tridiagonal T = D + O, D its diagonal, and the
+preconditioner is the two-term Neumann series of T^{-1},
+M^{-1} = D^{-1} - D^{-1} O D^{-1} (``DiskPoissonSolver.precondition``).
+A step is x - tau M^{-1} grad G with the gradient
+A_h theta - a cos(theta + phi), and tau is provably below the inverse
+Lipschitz constant of that gradient in the M-metric.  Each T is
+r-weighted symmetric, so D^{-1} O is similar to the symmetric
+(r D)^{-1/2} (r O) (r D)^{-1/2} and has real eigenvalues nu; D + O and
+D - O are similar through diag((-1)^i), and both are positive definite,
+so |nu| < 1.  Since M^{-1} T = I - (D^{-1} O)^2, the spectrum of
+M^{-1} A_h lies in (0, 1]; and M^{-1} = D^{-1/2} (I - N) D^{-1/2} with N
+similar to D^{-1} O, so M^{-1} < 2 / min D (``DiskPoissonSolver.diag_min``).
+The diagonal part a sin(theta + phi) of the Hessian therefore adds at
+most 2 |h| / min D in the M-metric, and tau = 1 / (1 + 2 |h| / min D).
+Jacobi, M = D, took 2.6 times the steps on the ``verify`` oracle (97
+against 37 at 8 x 16): its spectrum reaches 2, which halves the step.
+The iterates and grad G live in arrays made once per call, y and grad G
+wrapped as fields once, and each step writes into them with ``out=``.
+Every operation keeps the operands of the plain expression, such as
 (w grad G) (x_next - x) in the restart test, so theta and the step
 count are bitwise those of a step that allocates.  The theta returned
 is the call's own array.
@@ -514,7 +517,8 @@ def interpolate_field(theta: PolarField, points: np.ndarray) -> np.ndarray:
 def magnetization_field(domain: ConformalDomain, config: VortexConfig,
                         field: ExternalField, grid: GridSpec,
                         sample: SampleSpec = SampleSpec(),
-                        tol: float = 1e-9, max_iter: int = 50) -> MagnetizationField:
+                        tol: float = 1e-9, max_iter: int = 50,
+                        thetas: dict | None = None) -> MagnetizationField:
     """Sample m = sigma e^{i theta} M (disk) or its conformal pushforward (oval).
 
     The configuration is put in canonical label order first, and sigma
@@ -523,13 +527,17 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     scores.  theta is bilinearly interpolated off-grid; the exponential
     keeps |m| = 1 exactly.  Sample points inside the vortex guard are
     skipped and counted; none lies outside the disk (:class:`SampleSpec`).
+    ``thetas`` is a {sigma: theta} dict of starts, such as a search's at
+    this pair (``optimize.BestEvaluation.thetas``); the solves start from
+    a copy of it, as :func:`min_over_orientations` allows, and the
+    caller's dict is left as it is.  Without it they start from 0.
     """
     config = config.canonical_order()
     solver, sigma = {}, 1
     if field.is_zero:
         theta = PolarField.zeros(grid)
     else:
-        thetas = {}
+        thetas = {} if thetas is None else dict(thetas)
         branch = min_over_orientations(config, field, grid, tol, max_iter, thetas=thetas)
         theta, sigma, solver = thetas[branch.sigma], branch.sigma, branch.diagnostics()
 
@@ -560,9 +568,9 @@ def minimize_g_descent(config: VortexConfig, field: ExternalField, grid: GridSpe
     The quadratic part is the Dirichlet form of the same discrete
     operator the Picard solver inverts, so both methods target one
     discrete minimizer; this routine only ever applies the operator and
-    its mode-wise diagonal inverse P^{-1} (no linear solves).  Each step
-    is y - tau P^{-1} grad G with tau = 1 / (kappa_J + |h| / min D),
-    below the inverse Lipschitz constant of the gradient in the P-metric
+    the mode-wise preconditioner M^{-1} (no linear solves).  Each step
+    is y - tau M^{-1} grad G with tau = 1 / (1 + 2 |h| / min D), below
+    the inverse Lipschitz constant of the gradient in the M-metric
     (module docstring), and carries Nesterov momentum that restarts
     whenever the gradient points along the last step, <grad G, x_next - x>_w > 0
     (O'Donoghue & Candes, Found. Comput. Math. 15, 2015).  That test is a
@@ -576,7 +584,7 @@ def minimize_g_descent(config: VortexConfig, field: ExternalField, grid: GridSpe
     solver = solver_for(grid)
     coupling = coupling_phase(config, grid, field.h)
     wgt = grid.cell_weights()
-    step = 1.0 / (solver.kappa_jacobi + field.norm / solver.diag_min)
+    step = 1.0 / (1.0 + 2.0 * field.norm / solver.diag_min)
 
     # every step writes into these; y and grad G are wrapped as fields once
     x, x_next, grad, diff, tmp = np.zeros((5, grid.n_r, grid.n_t))

@@ -175,10 +175,17 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
 
 @dataclass
 class BestEvaluation:
-    """The lowest value an objective has returned, first on ties, and its breakdown."""
+    """The lowest value an objective has returned, first on ties, and its breakdown.
+
+    ``thetas``, when it is a dict, receives a shallow copy of the
+    objective's {sigma: theta} dict as that evaluation left it.  It is
+    None by default: the copy keeps up to two grid arrays alive that a
+    caller with no further solve at the pair does not need.
+    """
 
     value: float = float("inf")
     breakdown: EnergyBreakdown | None = None
+    thetas: dict | None = None
 
 
 def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSpec,
@@ -192,9 +199,13 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
     |h| < lambda_lo, starts the next solve of that branch from it
     (:func:`vortexfield.micromag.min_over_orientations`); a new objective
     starts from theta = 0, so equal searches give equal results.  With
-    ``best``, it records there the breakdown of its lowest value.  Nelder-Mead
-    never drops its best vertex, so that is the breakdown of the pair it
-    reports, and a caller need not solve that pair again.
+    ``best``, it records there the breakdown of its lowest value and, if
+    ``best.thetas`` is a dict, a shallow copy of the thetas dict as that
+    evaluation left it.  Nelder-Mead never drops its best vertex, so that
+    is the breakdown of the pair it reports, and a caller need not solve
+    that pair again; a solve there may start from those thetas.  The copy
+    is safe to keep: each theta is a fresh array of its Picard solve, and
+    nothing writes to it later.
     """
     thetas = {}
 
@@ -207,6 +218,8 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
             return float("inf")
         if best is not None and breakdown.total < best.value:
             best.value, best.breakdown = breakdown.total, breakdown
+            if best.thetas is not None:
+                best.thetas = dict(thetas)
         return breakdown.total
     return objective
 

@@ -22,16 +22,18 @@ spectra its ``solve``, ``apply`` and ``precondition`` work in, and each
 writes its result into a caller's ``out`` when given, so none allocates
 grid arrays.
 
-``precondition`` applies P^{-1}, the inverse of the operator's mode-wise
-diagonal D: rfft the rows, divide each coefficient by its D, irfft.  It is
-the Jacobi preconditioner of the descent oracle
-(``micromag.minimize_g_descent``), which steps by the Gershgorin bound
-``kappa_jacobi`` = max (D + |low| + |up|) / D on the spectrum of
-P^{-1} A_h, 2 on every grid, and by ``diag_min`` = min D; both are
-computed once per solver.  ``lambda_max`` bounds the spectrum of the
-operator itself from above by Gershgorin's theorem, the largest row
-sum of the mode-wise tridiagonal matrices, with no iteration; it now
-serves only its own test and a benchmark tracer target.
+``precondition`` applies M^{-1} = D^{-1} - D^{-1} O D^{-1}, the two-term
+Neumann series of the inverse of each mode's tridiagonal T = D + O, with
+D its diagonal and O its off-diagonals (Dubois, Greenbaum & Rodrigue,
+Computing 22, 1979): rfft the rows, form D^{-1} (u - O D^{-1} u) with
+the factors ``apply`` multiplies by, irfft.  It is the preconditioner
+of the descent oracle (``micromag.minimize_g_descent``), whose step
+rests on two bounds: the spectrum of M^{-1} A_h lies in (0, 1], and
+M^{-1} < 2 / ``diag_min``, with ``diag_min`` = min D computed once per
+solver.  ``lambda_max`` bounds the spectrum of the operator itself from
+above by Gershgorin's theorem, the largest row sum of the mode-wise
+tridiagonal matrices, with no iteration; it now serves only its own
+test and a benchmark tracer target.
 ``lambda_min`` bounds it from below by bisection on the signs of the
 LDL^T pivots of the m = 0 tridiagonal (Sylvester's law of inertia),
 with no LAPACK call.
@@ -187,9 +189,7 @@ class DiskPoissonSolver:
         # |low| + |up| per radius; the last row has no upper neighbour, as in apply
         self._off = np.abs(self._low)
         self._off[:-1] += np.abs(self._up[:-1])
-        #: Gershgorin bound on the spectrum of P^{-1} A_h, P the mode-wise diagonal
-        self.kappa_jacobi = float(np.max((D + self._off[:, None]) / D))
-        #: the smallest entry of P, so P >= diag_min in the quadrature inner product
+        #: the smallest entry of D, so M^{-1} < 2 / diag_min in the quadrature inner product
         self.diag_min = float(np.min(D))
         # spectra every solve and apply on this grid writes into, C-ordered
         # so each row's (re, im) pairs are contiguous float64
@@ -231,10 +231,25 @@ class DiskPoissonSolver:
         return np.fft.irfft(lap, n=self.grid.n_t, axis=1, out=out)
 
     def precondition(self, u: PolarField, out: np.ndarray | None = None) -> np.ndarray:
-        """Apply P^{-1}, the inverse of the mode-wise diagonal of -lap_h, into ``out`` if given."""
+        """Apply M^{-1} = D^{-1} - D^{-1} O D^{-1} mode by mode, into ``out`` if given.
+
+        For each angular mode -lap_h is the tridiagonal T = D + O, and
+        M^{-1} T = I - (D^{-1} O)^2.  D + O and D - O are similar through
+        diag((-1)^i) and both positive definite, so the real eigenvalues
+        nu of D^{-1} O satisfy |nu| < 1: the spectrum of M^{-1} A_h lies
+        in (0, 1], M^{-1} is positive definite, and its largest
+        eigenvalue is below 2 / ``diag_min``.
+        """
         if u.grid != self.grid:
             raise ValueError("field lives on a different grid")
-        uh = np.fft.rfft(u.values, axis=1, out=self._spectra[0])
+        # D^{-1} (u - O D^{-1} u), from the factors apply multiplies by
+        uh, scaled, tmp = self._spectra
+        np.fft.rfft(u.values, axis=1, out=uh)
+        np.divide(uh, self._D, out=scaled)
+        np.multiply(self._low[1:, None], scaled[:-1], out=tmp[1:])
+        uh[1:] -= tmp[1:]
+        np.multiply(self._up[:-1, None], scaled[1:], out=tmp[:-1])
+        uh[:-1] -= tmp[:-1]
         np.divide(uh, self._D, out=uh)
         return np.fft.irfft(uh, n=self.grid.n_t, axis=1, out=out)
 

@@ -7,7 +7,9 @@ Three evaluators of the vortex interaction energy live here:
   with the log kernel integrated exactly against the trigonometric
   interpolant of the density through the Fourier series
   log|2 sin(x/2)| = -sum_{k>=1} cos(kx)/k (Kress, *Linear Integral
-  Equations*, ch. 12).
+  Equations*, ch. 12).  The boundary data that do not depend on the
+  pair, the log|Phi'| term and the density's coefficients, form a
+  :class:`W0Boundary`, which evaluates any number of pairs.
 * ``punctured_energy``: the Dirichlet integral of grad phi* over the
   disk minus small exclusion disks around the vortices, by adaptive
   midpoint quadrature.  Its renormalized limit carries twice the energy
@@ -83,19 +85,17 @@ def w0_disk(config: VortexConfig) -> float:
     return float(-np.pi * np.log(2.0 * abs(np.sin(0.5 * (s1 - s2)))))
 
 
-def _log_kernel_integrals(f: np.ndarray, s) -> np.ndarray:
-    """int_0^{2 pi} f(t) log|e^{it} - e^{is}| dt for each s, f sampled at N nodes.
+def _log_kernel_integrals(coeffs: np.ndarray, s) -> np.ndarray:
+    """int_0^{2 pi} f(t) log|e^{it} - e^{is}| dt for each s, from ``coeffs`` = fhat_k / k.
 
-    With f(t) = sum_k fhat_k e^{ikt} the integral is
-    -pi sum_{k != 0} fhat_k e^{iks} / |k|; the Nyquist mode, shared by
-    k = +-N/2, counts once with half weight.
+    With f(t) = sum_k fhat_k e^{ikt} sampled at N nodes, the integral is
+    -pi sum_{k != 0} fhat_k e^{iks} / |k| = -2 pi Re sum_{k=1}^{N/2} e^{iks} fhat_k / k,
+    the Nyquist mode, shared by k = +-N/2, counted once with half weight
+    (:class:`W0Boundary` halves it in ``coeffs``).
     """
-    n = f.size
-    k = np.arange(1, n // 2 + 1)
-    fhat = np.fft.rfft(f)[1:] / n
-    fhat[-1] *= 0.5
+    k = np.arange(1, coeffs.size + 1)
     phases = np.exp(1j * np.outer(np.asarray(s, dtype=float), k))
-    return -TWO_PI * np.real(phases @ (fhat / k))
+    return -TWO_PI * np.real(phases @ coeffs)
 
 
 def require_w0_nodes(nodes: int) -> None:
@@ -104,33 +104,56 @@ def require_w0_nodes(nodes: int) -> None:
         raise ValueError(f"w0 nodes must be a power of two, at least 64, got {nodes}")
 
 
-def w0_conformal(domain: ConformalDomain, config: VortexConfig, nodes: int = 2048) -> float:
-    """Unperturbed renormalized energy on a conformal image of the disk.
+class W0Boundary:
+    """The boundary data of W_0 on one domain, sampled at ``nodes`` points.
 
-    Evaluates
+    W_0 on a conformal image of the disk is
 
         -pi log|a_1 - a_2|
         + (1/2) int_{|z|=1} kappa(Phi(z)) |Phi'(z)|
-              (log|z - a_1| + log|z - a_2| + log|Phi'(z)|) dH^1
+              (log|z - a_1| + log|z - a_2| + log|Phi'(z)|) dH^1,
 
-    with the density sampled at ``nodes`` equispaced points: the smooth
-    log|Phi'| term by the periodic trapezoid rule, the two log kernels
-    exactly against the density's trigonometric interpolant.  On the
-    disk the density is 1 and log|Phi'| is 0, so both corrections vanish
-    and the quadrature reproduces the closed form exactly.
+    and only the two log kernels depend on the pair.  The density
+    f = kappa |Phi'| is sampled at ``nodes`` equispaced points once: the
+    smooth log|Phi'| term by the periodic trapezoid rule (``log_term``),
+    and the density's Fourier coefficients fhat_k / k, k = 1 ... nodes/2,
+    with the Nyquist mode halved (``coeffs``), against which
+    :meth:`w0` integrates the log kernels exactly.
     """
-    require_w0_nodes(nodes)
-    base = w0_disk(config)
-    if not np.isfinite(base):
-        return base
 
-    t = TWO_PI * np.arange(nodes) / nodes
-    dt = TWO_PI / nodes
-    z = np.exp(1j * t)
-    f = domain.curvature_speed(t)
-    correction = float(np.sum(f * np.log(np.abs(domain.dforward(z)))) * dt)
-    correction += float(np.sum(_log_kernel_integrals(f, config.angles)))
-    return base + 0.5 * correction
+    def __init__(self, domain: ConformalDomain, nodes: int):
+        require_w0_nodes(nodes)
+        t = TWO_PI * np.arange(nodes) / nodes
+        dt = TWO_PI / nodes
+        z = np.exp(1j * t)
+        f = domain.curvature_speed(t)
+        self.log_term = float(np.sum(f * np.log(np.abs(domain.dforward(z)))) * dt)
+        fhat = np.fft.rfft(f)[1:] / nodes
+        fhat[-1] *= 0.5
+        self.coeffs = fhat / np.arange(1, nodes // 2 + 1)
+
+    def w0(self, config: VortexConfig) -> float:
+        """W_0 of the pair; +inf for a degenerate one."""
+        base = w0_disk(config)
+        if not np.isfinite(base):
+            return base
+        correction = self.log_term
+        correction += float(np.sum(_log_kernel_integrals(self.coeffs, config.angles)))
+        return base + 0.5 * correction
+
+
+def w0_conformal(domain: ConformalDomain, config: VortexConfig, nodes: int = 2048) -> float:
+    """Unperturbed renormalized energy on a conformal image of the disk.
+
+    The boundary formula of :class:`W0Boundary`, with the density
+    sampled at ``nodes`` equispaced points: the smooth log|Phi'| term by
+    the periodic trapezoid rule, the two log kernels exactly against the
+    density's trigonometric interpolant.  On the disk the density is 1
+    and log|Phi'| is 0, so both corrections vanish and the quadrature
+    reproduces the closed form exactly.  A caller that evaluates many
+    pairs on one domain builds one :class:`W0Boundary` instead.
+    """
+    return W0Boundary(domain, nodes).w0(config)
 
 
 def _grad_phistar_sq(x: np.ndarray, a1: complex, a2: complex,

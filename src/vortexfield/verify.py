@@ -18,7 +18,7 @@ from .geom import TWO_PI, ConformalDomain
 from .micromag import ExternalField, minimize_g_descent, picard_solve
 from .poisson import (GridSpec, LOG_SIN_INTEGRAL, LOG_SIN_SQUARED_INTEGRAL,
                       singular_quadrature_1d)
-from .renorm import punctured_energy, w0_conformal, w0_disk
+from .renorm import W0Boundary, punctured_energy, w0_disk
 
 
 @dataclass
@@ -48,14 +48,14 @@ def check_logsin() -> CheckResult:
 def check_disk_reduction() -> CheckResult:
     n_configs, nodes = 20, 1024
     rng = np.random.default_rng(2024)
-    disk = ConformalDomain.disk()
+    boundary = W0Boundary(ConformalDomain.disk(), nodes)
     worst = 0.0
     for _ in range(n_configs):
         s1, s2 = rng.uniform(0.0, TWO_PI, size=2)
         if min(abs(s1 - s2), TWO_PI - abs(s1 - s2)) < 0.2:
             s2 = (s1 + np.pi) % TWO_PI
         config = VortexConfig.pair(s1, s2)
-        worst = max(worst, abs(w0_conformal(disk, config, nodes) - w0_disk(config)))
+        worst = max(worst, abs(boundary.w0(config) - w0_disk(config)))
     return CheckResult(
         passed=bool(worst < 1e-6),
         measured={"max_error": worst, "configs": n_configs, "nodes": nodes},

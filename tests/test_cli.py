@@ -11,7 +11,7 @@ from vortexfield import verify
 from vortexfield.canonical import VortexConfig
 from vortexfield.cli import build_parser, main
 from vortexfield.geom import ConformalDomain
-from vortexfield.micromag import ExternalField, minimize_g_descent
+from vortexfield.micromag import ExternalField, magnetization_field, minimize_g_descent
 from vortexfield.poisson import GridSpec
 
 TWO_PI = 2.0 * np.pi
@@ -255,6 +255,21 @@ class TestFieldCommand:
             written.append([(tmp_path / name).read_bytes()
                             for name in ("field.csv", "field_summary.json")])
         assert written[0] == written[1]
+
+    def test_auto_min_starts_from_the_search_thetas(self, tmp_path):
+        # the search has solved the minimizer, so its theta there is converged
+        # on the first Picard step; the field it samples is the cold one's
+        assert run(["field", "--auto-min", "--domain", "oval", "--c", "0.2", "--h=0,3",
+                    "--grid", "32,64", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "field_summary.json").read_text())
+        assert summary["solver"]["iterations"] <= 2
+        cold = magnetization_field(ConformalDomain.oval(0.2), VortexConfig.pair(*summary["s"]),
+                                   ExternalField((0.0, 3.0)), GridSpec(32, 64))
+        rows = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1)
+        expected = np.array([(p.x, p.y, p.mx, p.my) for p in cold.samples])
+        assert rows.shape == expected.shape
+        assert np.max(np.abs(rows - expected)) <= 1e-9
+        assert cold.solver["iterations"] > 2
 
     def test_strong_field_converges(self, tmp_path):
         # |h| = 8 is past the plain Picard contraction bound (about 5.8)

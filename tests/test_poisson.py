@@ -42,17 +42,20 @@ def _power_iteration(solver):
     return lam
 
 
-def _apply_diagonal(solver, v):
-    """P v, P the mode-wise diagonal of A_h that ``precondition`` inverts."""
-    return np.fft.irfft(solver._D * np.fft.rfft(v, axis=1), n=v.shape[1], axis=1)
+def _modewise_matrices(solver):
+    """Per angular mode, the dense T = D + O of A_h and M^{-1} = D^{-1} - D^{-1} O D^{-1}."""
+    off = np.diag(solver._low[1:], -1) + np.diag(solver._up[:-1], 1)
+    for d in solver._D.T:
+        inv_d = np.diag(1.0 / d)
+        yield np.diag(d) + off, inv_d - inv_d @ off @ inv_d
 
 
-def _jacobi_power_iteration(solver):
-    """60 steps of power iteration on P^{-1} A_h, P the mode-wise diagonal.
+def _neumann_power_iteration(solver):
+    """60 steps of power iteration on M^{-1} A_h.
 
-    P^{-1} A_h is self-adjoint in <u, P v>_w, so the Rayleigh quotient
-    <v, A_h v>_w / <v, P v>_w of every iterate lies below its largest
-    eigenvalue and approaches it.
+    M^{-1} A_h is self-adjoint in <u, A_h v>_w, so the Rayleigh quotient
+    <A_h v, M^{-1} A_h v>_w / <v, A_h v>_w of every iterate lies below its
+    largest eigenvalue and approaches it.
     """
     grid = solver.grid
     w = grid.cell_weights()
@@ -60,9 +63,9 @@ def _jacobi_power_iteration(solver):
     lam = 1.0
     for _ in range(60):
         a_v = solver.apply(PolarField(grid, v))
-        lam = float(np.sum(w * v * a_v) / np.sum(w * v * _apply_diagonal(solver, v)))
-        v = solver.precondition(PolarField(grid, a_v))
-        v /= np.max(np.abs(v))
+        v_next = solver.precondition(PolarField(grid, a_v))
+        lam = float(np.sum(w * a_v * v_next) / np.sum(w * v * a_v))
+        v = v_next / np.max(np.abs(v_next))
     return lam
 
 
@@ -207,27 +210,48 @@ class TestSolveDirichlet:
         bound, estimate = solver.lambda_max(), _power_iteration(solver)
         assert estimate <= bound <= 1.01 * estimate
 
-    @pytest.mark.parametrize("n_r,n_t", [(8, 16), (16, 32), (64, 128), (128, 256)])
-    def test_kappa_jacobi_bounds_the_preconditioned_power_estimate(self, n_r, n_t):
-        # the Gershgorin discs of D^{-1} A_h reach at most 2, on every grid,
-        # and the top of its real spectrum tends to 2 as the grid refines
-        solver = solver_for(GridSpec(n_r, n_t))
-        bound, estimate = solver.kappa_jacobi, _jacobi_power_iteration(solver)
-        assert estimate <= bound == pytest.approx(2.0, abs=1e-12)
-        assert bound <= 1.1 * estimate
-        assert solver.diag_min == np.min(solver._D)
-
-    def test_precondition_inverts_the_modewise_diagonal(self):
-        rng = np.random.default_rng(17)
-        grid = GridSpec(16, 32)
+    @pytest.mark.parametrize("n_r,n_t", [(8, 16), (16, 32)])
+    def test_precondition_is_the_two_term_neumann_series(self, n_r, n_t):
+        # each mode's dense D^{-1} - D^{-1} O D^{-1} applied to its rfft column
+        grid = GridSpec(n_r, n_t)
         solver = solver_for(grid)
-        v = rng.standard_normal((16, 32))
+        v = np.random.default_rng(17).standard_normal((n_r, n_t))
+        vh = np.fft.rfft(v, axis=1)
+        mh = np.stack([m_inv @ vh[:, m]
+                       for m, (_, m_inv) in enumerate(_modewise_matrices(solver))], axis=1)
+        reference = np.fft.irfft(mh, n=n_t, axis=1)
         out = np.empty_like(v)
-        p_inv_v = solver.precondition(PolarField(grid, v), out=out)
-        assert p_inv_v is out
-        assert np.max(np.abs(_apply_diagonal(solver, out) - v)) < 1e-13
+        assert solver.precondition(PolarField(grid, v), out=out) is out
+        assert np.max(np.abs(out - reference)) < 1e-13
         with pytest.raises(ValueError):
-            solver.precondition(PolarField(GridSpec(8, 16), np.zeros((8, 16))))
+            solver.precondition(PolarField(GridSpec(2 * n_r, n_t), np.zeros((2 * n_r, n_t))))
+
+    @pytest.mark.parametrize("n_r,n_t", [(8, 16), (16, 32), (32, 64), (64, 128), (128, 256)])
+    def test_preconditioned_spectrum_lies_in_zero_one(self, n_r, n_t):
+        # M^{-1} T = I - (D^{-1} O)^2 with |nu| < 1 for every eigenvalue nu of
+        # D^{-1} O; the power estimate runs on precondition and apply themselves
+        solver = solver_for(GridSpec(n_r, n_t))
+        assert _neumann_power_iteration(solver) <= 1.0 + 1e-12
+        smallest = min(float(np.min(np.linalg.eigvals(m_inv @ t).real))
+                       for t, m_inv in _modewise_matrices(solver))
+        assert smallest > 0.0
+
+    @pytest.mark.parametrize("n_r,n_t", [(8, 16), (16, 32), (32, 64), (64, 128), (128, 256)])
+    def test_preconditioner_is_below_two_over_diag_min(self, n_r, n_t):
+        # M^{-1} is r-weighted symmetric, so r^(1/2) M^{-1} r^(-1/2) is symmetric
+        # with its spectrum; that spectrum is positive and below 2 / min D
+        grid = GridSpec(n_r, n_t)
+        solver = solver_for(grid)
+        root = np.sqrt(grid.r)
+        largest, smallest = 0.0, np.inf
+        for _, m_inv in _modewise_matrices(solver):
+            sym = root[:, None] * m_inv / root[None, :]
+            assert np.allclose(sym, sym.T, rtol=1e-14, atol=0.0)
+            eig = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+            largest, smallest = max(largest, eig[-1]), min(smallest, eig[0])
+        assert solver.diag_min == np.min(solver._D)
+        assert smallest > 0.0
+        assert largest * solver.diag_min <= 2.0
 
     @pytest.mark.parametrize("n_r,n_t", [(8, 16), (16, 32), (32, 64), (64, 128)])
     def test_lambda_min_bounds_the_dense_spectrum(self, n_r, n_t):

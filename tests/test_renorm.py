@@ -85,6 +85,44 @@ class TestW0Conformal:
         assert w0_conformal(dom, VortexConfig.pair(1.0, 1.0), 1024) == np.inf
 
     @staticmethod
+    def _one_pass_w0(dom, cfg, nodes):
+        # the boundary formula with every boundary quantity formed per call
+        base = w0_disk(cfg)
+        if not np.isfinite(base):
+            return base
+        t = TWO_PI * np.arange(nodes) / nodes
+        dt = TWO_PI / nodes
+        f = dom.curvature_speed(t)
+        correction = float(np.sum(f * np.log(np.abs(dom.dforward(np.exp(1j * t))))) * dt)
+        k = np.arange(1, nodes // 2 + 1)
+        fhat = np.fft.rfft(f)[1:] / nodes
+        fhat[-1] *= 0.5
+        phases = np.exp(1j * np.outer(np.asarray(cfg.angles, dtype=float), k))
+        correction += float(np.sum(-TWO_PI * np.real(phases @ (fhat / k))))
+        return base + 0.5 * correction
+
+    @pytest.mark.parametrize("nodes", [256, 1024, 2048])
+    @pytest.mark.parametrize("c", [0.0, 0.1, 0.2, 0.45])
+    def test_equals_the_one_pass_formula_bitwise(self, c, nodes):
+        dom = ConformalDomain.oval(c)
+        rng = np.random.default_rng(nodes + int(100 * c))
+        for s1, s2 in rng.uniform(0.0, TWO_PI, size=(30, 2)):
+            cfg = VortexConfig.pair(s1, s2)
+            assert w0_conformal(dom, cfg, nodes) == self._one_pass_w0(dom, cfg, nodes)
+
+    @pytest.mark.parametrize("c", [0.0, 0.2])
+    def test_one_boundary_serves_many_pairs(self, c):
+        dom = ConformalDomain.oval(c)
+        boundary = renorm.W0Boundary(dom, 1024)
+        rng = np.random.default_rng(7)
+        for s1, s2 in rng.uniform(0.0, TWO_PI, size=(20, 2)):
+            cfg = VortexConfig.pair(s1, s2)
+            assert boundary.w0(cfg) == w0_conformal(dom, cfg, 1024)
+        assert boundary.w0(VortexConfig.pair(1.0, 1.0)) == np.inf
+        with pytest.raises(ValueError):
+            renorm.W0Boundary(dom, 100)
+
+    @staticmethod
     def _subtracted_trapezoid_w0(dom, cfg, n=65536):
         # independent reference: trapezoid rule after subtracting
         # f(s) + f'(s) sin(t - s), both of zero integral against the
