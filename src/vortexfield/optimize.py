@@ -8,6 +8,34 @@ brute-force oracle.  All simplex arithmetic happens in the minimal-image
 chart centered at the current best vertex, so centroids and shrinks
 never tear across the 0 / 2 pi seam; stored and reported angles are
 always wrapped to [0, 2 pi).
+
+Near a smooth minimum the simplex converges only linearly, by one
+contraction after another (Lagarias, Reeds, Wright & Wright, SIAM J.
+Optim. 9, 1998).  So once per search, when the three vertex values
+agree to ``_FTOL`` but the simplex is still wider than ``_XTOL``, the
+search hands its end game to Newton steps on a central-difference
+model (Conn, Scheinberg & Vicente, Introduction to Derivative-Free
+Optimization, SIAM 2009):
+
+- the stencil: at the lowest point x evaluated so far and the scale
+  eta, which starts at the simplex diameter, the values at x +- eta e_1,
+  x +- eta e_2 and x + eta (e_1 + e_2) give the central-difference
+  gradient, the second differences H_11 and H_22, and the forward mixed
+  difference H_12;
+- the trust rule: the step p = -H^-1 g is taken only when H is positive
+  definite and |p|_inf <= eta, since the model holds only within its
+  own stencil;
+- the stop rule: a step with |p|_inf < ``_XTOL`` ends the search,
+  converged; otherwise x + p is evaluated, and if it is lower than
+  every point evaluated so far the next step starts there with
+  eta = max(|p|_inf, ``_XTOL``);
+- the fallback: a stencil value that is not finite, an H that is not
+  positive definite, a step longer than eta, or an x + p with no
+  decrease hands the search back to the simplex, with its best vertex
+  replaced by the lowest point the finish found; the simplex then ends
+  on its own test;
+- the budget: it is checked before every stencil point and before
+  x + p, as before every simplex evaluation.
 """
 
 from __future__ import annotations
@@ -48,10 +76,14 @@ _FTOL = 1e-6
 
 @dataclass
 class SimplexState:
-    """Operation counts and best value per step of a simplex run."""
+    """Operation counts and best value per step of a simplex run.
+
+    ``"newton"`` counts the steps the Newton finish takes; every other
+    key counts a simplex step.
+    """
 
     operations: dict = dataclass_field(default_factory=lambda: {
-        "reflect": 0, "expand": 0, "contract": 0, "shrink": 0})
+        "reflect": 0, "expand": 0, "contract": 0, "shrink": 0, "newton": 0})
     best_history: list = dataclass_field(default_factory=list)
 
     def record(self, values):
@@ -60,6 +92,58 @@ class SimplexState:
             self.best_history.append(best)
         else:
             self.best_history.append(self.best_history[-1])
+
+
+#: the finish's stencil around x, in units of the scale eta: +-e_1, +-e_2, e_1 + e_2
+_STENCIL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
+
+
+def _newton_finish(f, spent, x, fx, eta, state):
+    """Newton steps on a central-difference model, from the lowest point x.
+
+    Returns the lowest point evaluated, first on ties, its value, and
+    whether a step shorter than ``_XTOL`` was computed at a positive
+    definite model Hessian.  The stencil, trust rule, stop rule, fallback
+    and budget rule are those of the module docstring; a step taken
+    counts as one ``"newton"`` operation.
+    """
+    low, f_low = x, fx
+    while True:
+        values = []
+        for d in _STENCIL:
+            if spent():
+                return low, f_low, False
+            point = x + eta * d
+            values.append(f(point))
+            if values[-1] < f_low:
+                low, f_low = _wrap(point), values[-1]
+        if not np.all(np.isfinite(values)):
+            return low, f_low, False
+        f_p1, f_m1, f_p2, f_m2, f_pp = values
+        g1, g2 = (f_p1 - f_m1) / (2.0 * eta), (f_p2 - f_m2) / (2.0 * eta)
+        h11 = (f_p1 - 2.0 * fx + f_m1) / eta**2
+        h22 = (f_p2 - 2.0 * fx + f_m2) / eta**2
+        h12 = (f_pp - f_p1 - f_p2 + fx) / eta**2
+        det = h11 * h22 - h12 * h12
+        if not (h11 > 0.0 and det > 0.0):
+            return low, f_low, False
+        p = np.array([h12 * g2 - h22 * g1, h12 * g1 - h11 * g2]) / det
+        step = float(np.max(np.abs(p)))
+        if not step <= eta:
+            return low, f_low, False
+        if step < _XTOL:
+            state.operations["newton"] += 1
+            return low, f_low, True
+        if spent():
+            return low, f_low, False
+        f_new = f(x + p)
+        if not f_new < f_low:
+            return low, f_low, False
+        state.operations["newton"] += 1
+        x = low = _wrap(x + p)
+        fx = f_low = f_new
+        eta = max(step, _XTOL)
+        state.record([f_low])
 
 
 @dataclass
@@ -76,16 +160,30 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
 
     Infinite objective values are legal and always rank worst, so the
     simplex escapes the degenerate diagonal by contraction and shrink.
-    Convergence requires both the torus diameter of the simplex and the
-    spread of its (finite) values to fall below their tolerances.  A
-    start whose three vertices are all +inf returns unconverged after
+    A start whose three vertices are all +inf returns unconverged after
     those three evaluations: the search has nothing to rank.
 
+    The first time the three vertex values are finite and agree to
+    ``_FTOL`` while the simplex diameter is still at least ``_XTOL``,
+    the search runs the Newton finish of the module docstring from its
+    best vertex, with the diameter as the first stencil scale: five
+    stencil evaluations per step, a step only at a positive-definite
+    model Hessian and no longer than the scale, and x + p kept only if
+    it is lower than every point evaluated so far.  Any other outcome
+    hands the search back to the simplex, whose best vertex becomes the
+    lowest point the finish found.  ``converged`` is True when either
+    the simplex diameter fell below ``_XTOL`` with its finite values
+    within ``_FTOL``, or the finish computed a step shorter than
+    ``_XTOL`` at a positive-definite model Hessian.  ``s_min`` and
+    ``value`` are always the lowest value the objective returned, the
+    first one on ties.
+
     The budget is checked before every evaluation after the starting
-    three, so an unconverged run uses exactly ``max(3, max_evals)``.  A
-    step the budget cuts short keeps what it evaluated: a reflection
-    that beat the best vertex is taken without its expansion, and a
-    shrink keeps the vertices it re-evaluated.
+    three, the finish's included, so an unconverged run uses exactly
+    ``max(3, max_evals)``.  A step the budget cuts short keeps what it
+    evaluated: a reflection that beat the best vertex is taken without
+    its expansion, a shrink keeps the vertices it re-evaluated, and a
+    cut Newton step keeps the lowest stencil point.
     """
     state = SimplexState()
     evals = 0
@@ -105,7 +203,7 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
     values = [f(p) for p in points]
     state.record(values)
 
-    converged = False
+    converged = finished = False
     # the best vertex is only ever replaced by a lower value, so only the
     # starting simplex can be all +inf
     searching = any(np.isfinite(values))
@@ -117,10 +215,18 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
         finite = [v for v in values if np.isfinite(v)]
         diam = max(_torus_dist(points[0], points[1]),
                    _torus_dist(points[0], points[2]))
-        if (diam < _XTOL and len(finite) == 3
-                and finite[-1] - finite[0] < _FTOL):
-            converged = True
-            break
+        if len(finite) == 3 and finite[-1] - finite[0] < _FTOL:
+            if diam < _XTOL:
+                converged = True
+                break
+            if not finished:
+                finished = True
+                points[0], values[0], converged = _newton_finish(
+                    f, spent, points[0], values[0], diam, state)
+                state.record(values)
+                if converged:
+                    break
+                continue
 
         best, mid, worst = _chart(points, points[0])
         centroid = 0.5 * (best + mid)

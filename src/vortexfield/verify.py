@@ -2,9 +2,10 @@
 
 Each check pits one computational path against an independent one:
 closed forms against quadrature, the conformal boundary integral against
-the disk closed form, the punctured-domain limit against the known
-renormalized value, and the Picard fixed point against a descent-method
-minimizer.  Checks are cheap enough to run in CI.
+the disk closed form and, on an oval, against a subtracted trapezoid
+rule, the punctured-domain limit against the known renormalized value,
+and the Picard fixed point against a descent-method minimizer.  Checks
+are cheap enough to run in CI.
 """
 
 from __future__ import annotations
@@ -63,6 +64,51 @@ def check_disk_reduction() -> CheckResult:
     )
 
 
+def subtracted_trapezoid_w0(domain: ConformalDomain, config: VortexConfig,
+                            nodes: int = 65536) -> float:
+    """W_0 by the trapezoid rule, a reference independent of :class:`W0Boundary`.
+
+    Near each vortex s the density f is replaced by f - f(s) - f'(s) sin(t - s):
+    both subtracted terms have zero integral against the log kernel, and
+    what is left vanishes to second order at t = s, so the integrand is
+    C^1 there and the periodic trapezoid rule applies.
+    """
+    t = TWO_PI * np.arange(nodes) / nodes
+    f = domain.curvature_speed(t)
+    total = np.sum(f * np.log(np.abs(domain.dforward(np.exp(1j * t))))) * TWO_PI / nodes
+    for s in config.angles:
+        fs = domain.curvature_speed(np.array([s]))[0]
+        fp = (domain.curvature_speed(np.array([s + 1e-5]))[0]
+              - domain.curvature_speed(np.array([s - 1e-5]))[0]) / 2e-5
+        dist = np.abs(np.exp(1j * t) - np.exp(1j * s))
+        logk = np.log(np.where(dist > 1e-14, dist, 1.0))
+        total += np.sum((f - fs - fp * np.sin(t - s)) * logk) * TWO_PI / nodes
+    return float(w0_disk(config) + 0.5 * total)
+
+
+def check_oval_w0() -> CheckResult:
+    """W_0 on the c = 0.2 oval against the subtracted trapezoid rule.
+
+    On the disk the log-kernel term of W_0 is exactly 0, so
+    :func:`check_disk_reduction` cannot see it; on this oval it is -0.32
+    and +1.24 at the two pairs.
+    """
+    c, nodes, reference_nodes = 0.2, 256, 1024
+    domain = ConformalDomain.oval(c)
+    boundary = W0Boundary(domain, nodes)
+    worst = 0.0
+    for pair in ((0.3, 2.1), (1.0, 4.5)):
+        config = VortexConfig.pair(*pair)
+        worst = max(worst, abs(boundary.w0(config)
+                               - subtracted_trapezoid_w0(domain, config, reference_nodes)))
+    return CheckResult(
+        passed=bool(worst < 1e-6),
+        measured={"max_error": worst, "c": c, "nodes": nodes,
+                  "reference_nodes": reference_nodes},
+        detail=f"oval W0 vs subtracted trapezoid rule, worst {worst:.2e}",
+    )
+
+
 def check_punctured_ladder() -> CheckResult:
     """Renormalized limit of the punctured Dirichlet integral.
 
@@ -108,6 +154,7 @@ def check_picard_oracle() -> CheckResult:
 ALL_CHECKS = (
     ("logsin_integrals", ("quadrature",), check_logsin),
     ("disk_reduction", ("quadrature",), check_disk_reduction),
+    ("oval_w0", ("quadrature",), check_oval_w0),
     ("punctured_ladder", ("punctured",), check_punctured_ladder),
     ("picard_oracle", ("oracle",), check_picard_oracle),
 )

@@ -375,7 +375,7 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
         names = {c["name"] for c in report["checks"]}
-        assert names == {"logsin_integrals", "disk_reduction"}
+        assert names == {"logsin_integrals", "disk_reduction", "oval_w0"}
         assert report["all_passed"] is True
         out = capsys.readouterr().out
         assert "PASS" in out

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import ExternalField
-from vortexfield.optimize import energy_objective, grid_oracle, landscape, nelder_mead
+from vortexfield.optimize import (SimplexState, _newton_finish, energy_objective,
+                                  grid_oracle, landscape, nelder_mead)
 from vortexfield.poisson import GridSpec
 
 TWO_PI = 2.0 * np.pi
@@ -17,13 +20,82 @@ def torus_dist(a, b):
     return min(d, TWO_PI - d)
 
 
+def quadratic(s):
+    return (s[0] - 1.0) ** 2 + (s[1] - 2.0) ** 2
+
+
+def flat_valley(s):
+    # every minimizer, s_2 - s_1 = pi mod 2 pi, has a singular Hessian
+    return np.cos(s[0] - s[1])
+
+
+def disk_weak():
+    return energy_objective(ConformalDomain.disk(), ExternalField((-0.01, 0.0)),
+                            GridSpec(16, 32))
+
+
+#: a fresh objective per call: the energy objective keeps warm starts
+PROBLEMS = {"quadratic": lambda: quadratic, "disk-weak": disk_weak,
+            "flat": lambda: flat_valley}
+
+
 class TestNelderMead:
     def test_smooth_quadratic(self):
-        result = nelder_mead(lambda s: (s[0] - 1.0) ** 2 + (s[1] - 2.0) ** 2,
-                             (0.0, 0.0))
+        result = nelder_mead(quadratic, (0.0, 0.0))
         assert result.converged
         assert abs(result.s_min[0] - 1.0) < 1e-5
         assert abs(result.s_min[1] - 2.0) < 1e-5
+        # the simplex alone converges here after 93 evaluations
+        assert result.state.operations["newton"] >= 1
+        assert result.evaluations < 93
+
+    @settings(max_examples=12, deadline=None)
+    @given(problem=st.sampled_from(["quadratic", "disk-weak"]),
+           s0=st.tuples(st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI)))
+    def test_reports_the_first_lowest_value_returned(self, problem, s0):
+        energy = PROBLEMS[problem]()
+        returned = []
+
+        def recorded(s):
+            returned.append((tuple(s), energy(s)))
+            return returned[-1][1]
+        result = nelder_mead(recorded, s0)
+        values = [v for _, v in returned]
+        first = int(np.argmin(values))  # argmin returns the first of ties
+        assert result.value == values[first]
+        assert result.s_min == tuple(np.mod(returned[first][0], TWO_PI))
+        history = result.state.best_history
+        assert all(later <= earlier for earlier, later in zip(history, history[1:]))
+        assert history[-1] == result.value
+
+    @pytest.mark.parametrize("s0", [(0.5, 2.5), (2.0, 0.1), (4.0, 5.5)])
+    def test_singular_hessian_still_converges(self, s0):
+        result = nelder_mead(flat_valley, s0)
+        assert result.converged
+        gap = (result.s_min[1] - result.s_min[0]) % TWO_PI
+        assert abs(gap - np.pi) < 1e-5
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("objective", [
+        # a positive-definite model whose step, 51 long, leaves its stencil
+        lambda s: s[0] + 0.01 * s[0] ** 2 + (s[1] - 1.0) ** 2,
+        # a stencil value that is not finite
+        lambda s: np.inf if s[1] > 1.05 else s[0] + (s[1] - 1.0) ** 2,
+    ])
+    def test_newton_finish_falls_back_with_its_lowest_stencil_point(self, objective):
+        calls = []
+
+        def counted(s):
+            calls.append(tuple(s))
+            return objective(s)
+        state = SimplexState()
+        x = np.array([1.0, 1.0])
+        low, f_low, converged = _newton_finish(counted, lambda: False, x, objective(x),
+                                               0.1, state)
+        assert len(calls) == 5 and not converged
+        assert state.operations["newton"] == 0
+        assert np.allclose(low, (0.9, 1.0), rtol=0.0, atol=1e-15)
+        assert f_low == objective(calls[1])
 
     def test_disk_zero_field_finds_antipodal_pair(self):
         objective = energy_objective(ConformalDomain.disk(),
@@ -53,17 +125,19 @@ class TestNelderMead:
         assert not result.converged
         assert result.evaluations >= 5
 
-    @pytest.mark.parametrize("problem", ["quadratic", "disk-weak"])
+    @pytest.mark.parametrize("problem", ["quadratic", "disk-weak", "flat"])
     def test_budget_is_never_exceeded(self, problem):
-        # a step that ends in a shrink needs up to four evaluations; the
-        # budget is checked before each one
-        if problem == "quadratic":
-            def energy(s):
-                return (s[0] - 1.0) ** 2 + (s[1] - 2.0) ** 2
-        else:
-            energy = energy_objective(ConformalDomain.disk(), ExternalField((-0.01, 0.0)),
-                                      GridSpec(16, 32))
-        for max_evals in range(3, 41):
+        # a step that ends in a shrink needs up to four evaluations and a
+        # Newton step six; the budget is checked before each one.  Every
+        # search below ends before ``top``, so the budgets cut each simplex
+        # step, each Newton step and, on the flat valley, the fallback
+        energy = PROBLEMS[problem]()
+        top = 130 if problem == "flat" else 56
+        full = nelder_mead(energy, (0.5, 2.5))
+        assert full.converged and full.evaluations < top
+        assert full.state.operations["newton"] >= 1
+        newton_steps = set()
+        for max_evals in range(3, top):
             calls = []
 
             def counted(s):
@@ -74,6 +148,8 @@ class TestNelderMead:
             assert result.evaluations <= max_evals
             if not result.converged:
                 assert result.evaluations == max_evals
+            newton_steps.add(result.state.operations["newton"])
+        assert newton_steps == set(range(full.state.operations["newton"] + 1))
 
     def test_torus_shift_invariance_of_value(self):
         objective = energy_objective(ConformalDomain.disk(),
@@ -123,7 +199,7 @@ class TestNelderMead:
         result = nelder_mead(objective, (0.5, 2.5))
         ops = result.state.operations
         assert sum(ops.values()) > 0
-        assert set(ops) == {"reflect", "expand", "contract", "shrink"}
+        assert set(ops) == {"reflect", "expand", "contract", "shrink", "newton"}
 
 
 class TestLandscape:

@@ -51,6 +51,15 @@ class TestW0Conformal:
         monkeypatch.setattr(renorm, "_log_kernel_integrals", lambda f, s: 1e-3)
         assert not verify.check_disk_reduction().passed
 
+    def test_oval_check_sees_the_log_kernel_sign(self, monkeypatch):
+        # on the disk the log-kernel term is exactly 0 whatever its sign;
+        # on the oval a sign flip moves W0 by at least 0.64
+        assert verify.check_oval_w0().passed
+        real = renorm._log_kernel_integrals
+        monkeypatch.setattr(renorm, "_log_kernel_integrals", lambda f, s: -real(f, s))
+        assert verify.check_disk_reduction().passed
+        assert not verify.check_oval_w0().passed
+
     def test_node_count_validation(self):
         disk = ConformalDomain.disk()
         cfg = VortexConfig.pair(0.0, np.pi)
@@ -122,30 +131,13 @@ class TestW0Conformal:
         with pytest.raises(ValueError):
             renorm.W0Boundary(dom, 100)
 
-    @staticmethod
-    def _subtracted_trapezoid_w0(dom, cfg, n=65536):
-        # independent reference: trapezoid rule after subtracting
-        # f(s) + f'(s) sin(t - s), both of zero integral against the
-        # log kernel, so the integrand is C^1 at the vortex
-        t = TWO_PI * np.arange(n) / n
-        f = dom.curvature_speed(t)
-        total = np.sum(f * np.log(np.abs(dom.dforward(np.exp(1j * t))))) * TWO_PI / n
-        for s in cfg.angles:
-            fs = dom.curvature_speed(np.array([s]))[0]
-            fp = (dom.curvature_speed(np.array([s + 1e-5]))[0]
-                  - dom.curvature_speed(np.array([s - 1e-5]))[0]) / 2e-5
-            dist = np.abs(np.exp(1j * t) - np.exp(1j * s))
-            logk = np.log(np.where(dist > 1e-14, dist, 1.0))
-            total += np.sum((f - fs - fp * np.sin(t - s)) * logk) * TWO_PI / n
-        return w0_disk(cfg) + 0.5 * total
-
     @pytest.mark.parametrize("c", [0.1, 0.45])
     def test_matches_subtracted_trapezoid_reference(self, c):
         dom = ConformalDomain.oval(c)
         for pair in [(0.0, np.pi), (0.3, 2.1)]:
             cfg = VortexConfig.pair(*pair)
             assert w0_conformal(dom, cfg, 256) == pytest.approx(
-                self._subtracted_trapezoid_w0(dom, cfg), abs=1e-9)
+                verify.subtracted_trapezoid_w0(dom, cfg), abs=1e-9)
 
     @pytest.mark.parametrize("c", [0.1, 0.2, 0.45])
     def test_256_nodes_match_2048(self, c):
