@@ -38,14 +38,30 @@ is safe: for |h| < lambda_lo, at any theta and in any direction delta,
 so G is strongly convex with exactly one stationary point, and the
 Picard map contracts in the A_h-norm by at most |h| / lambda_lo < 1
 from every start.  A search (``optimize.energy_objective``) therefore
-starts each solve of a branch from the theta that branch last solved
-to, and saves iterations when the pairs lie close: 7.1 instead of 8.5
-per solve along a Nelder-Mead run at h = (0, 3), 128 x 256.  Thetas
-leave an evaluation by one channel, the {sigma: theta} dict ``thetas``:
-a search keeps one across calls, and ``magnetization_field`` passes a
-copy of the one it is given, or a fresh one.  For |h| >= lambda_lo,
-where a start can reach another fixed point, and for every solve
-outside a search, theta_0 = 0.
+starts each solve of branch sigma from the affine combination
+sum lambda_i theta_i of that branch's last three solved thetas, with
+weights that solve
+
+    [s_1 s_2 s_3; 1 1 1] lambda = [s; 1]
+
+for the new pair s, each stored pair s_i taken in the minimal-image
+chart at s.  This is the secant predictor of natural-parameter
+continuation (Allgower & Georg, Numerical Continuation Methods, 1990,
+ch. 2), exact where theta is affine in s.  With fewer than three solves,
+or three pairs on a line (a singular system, as on an axis of the
+Newton stencil), the solve starts from the branch's latest theta.  The
+weights are not bounded, since convexity makes any finite start safe.
+Along the Nelder-Mead run of the ``field-oval-strong`` benchmark
+(h = (0, 3), 128 x 256) a solve takes 6.1 iterations, against 7.4 from
+the latest theta alone.  Thetas leave an evaluation by one channel, the
+dict ``thetas``: ``thetas[sigma]`` is branch sigma's latest theta, and
+``thetas[("history", sigma)]`` the tuple of its last three (s, theta),
+oldest first, which each solve replaces and never changes, so a shallow
+copy of the dict is a snapshot.  A search keeps one dict across calls,
+and ``magnetization_field`` passes a copy of the one it is given, or a
+fresh one.  For |h| >= lambda_lo, where a start can reach another fixed
+point, the dict is emptied and keeps no history; there, and for every
+solve outside a search, theta_0 = 0.
 
 An independent cross-check, ``minimize_g_descent``, minimizes the same
 discrete energy by preconditioned gradient descent with Nesterov
@@ -121,8 +137,8 @@ from .canonical import SINGULARITY_GUARD, VortexConfig, canonical_map_disk, push
 from .errors import ConvergenceError
 from .geom import TWO_PI, ConformalDomain
 from .poisson import GridSpec, PolarField, solver_for
-from .renorm import (EnergyBreakdown, coupling_phase, evaluation_work, g_functional,
-                     w0_conformal, w0_disk)
+from .renorm import (EnergyBreakdown, W0Boundary, coupling_phase, evaluation_work,
+                     g_functional, w0_conformal, w0_disk)
 
 
 @dataclass(frozen=True)
@@ -213,8 +229,10 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     ``start`` defaults to theta_0 = 0, and a start of zeros gives that
     solve bit for bit.  For |h| < lambda_lo every start reaches the one
     stationary point of G (module docstring), so a search may start
-    from the theta of a nearby pair; a start on another grid or with a
-    non-finite value is refused before any solve.  The grid's
+    from a prediction made from nearby pairs; a start on another grid or
+    with a non-finite value is refused before any solve.  The start is
+    copied into the grid's ``EvaluationWork`` before the first solve, so
+    it may live in that work's ``g[0]``.  The grid's
     ``EvaluationWork.x`` holds A_h theta of the returned theta until
     the next Picard solve on the grid.
     """
@@ -321,18 +339,55 @@ def _loser_bound(moment: float, h_norm: float, lam: float) -> float | None:
     return abs(moment) - h_norm * h_norm * np.pi / (2.0 * (lam - h_norm))
 
 
+def _affine_start(history: tuple, s: tuple, grid: GridSpec) -> PolarField | None:
+    """sum lambda_i theta_i over a branch's last three solves (s_i, theta_i), or None.
+
+    The weights solve sum lambda_i s_i = s, sum lambda_i = 1, with each
+    s_i in the minimal-image chart at s (module docstring).  None with
+    fewer than three solves, or for three pairs on a line.  The start is
+    formed in the grid's ``EvaluationWork.g[0]``, which
+    :func:`picard_solve` copies before its first solve writes there.
+    """
+    if len(history) < 3:
+        return None
+    # offsets from s in the chart (s - pi, s + pi]^2, relative to the latest pair
+    a, b, c = (np.mod(np.subtract(p, s) + np.pi, TWO_PI) - np.pi for p, _ in history)
+    u, v = a - c, b - c
+    # every offset is a multiple of 2^-53, so a nonzero det is at least 2^-106,
+    # each |lambda| is below 4 pi^2 2^106 < 1e34, and the combination is finite
+    det = u[0] * v[1] - u[1] * v[0]
+    if det == 0.0:
+        return None
+    lam_a = (v[0] * c[1] - v[1] * c[0]) / det
+    lam_b = (u[1] * c[0] - u[0] * c[1]) / det
+    work = evaluation_work(grid)
+    start, term = work.g[0], work.scratch
+    np.multiply(lam_a, history[0][1].values, out=start.values)
+    start.values += np.multiply(lam_b, history[1][1].values, out=term)
+    start.values += np.multiply(1.0 - lam_a - lam_b, history[2][1].values, out=term)
+    return start
+
+
 def _branch(config: VortexConfig, h: tuple, sigma: int, coupling: tuple, grid: GridSpec,
-            tol: float, max_iter: int, thetas: dict | None) -> tuple:
+            tol: float, max_iter: int, thetas: dict | None, warm: bool) -> tuple:
     """(V(a; sigma h), report) from one Picard solve, or :class:`ConvergenceError`.
 
     ``coupling`` is the (a, phi) of h; the branch's is (sigma a, phi).
-    With ``thetas``, the solve starts from ``thetas[sigma]`` when there
-    is one, and leaves its theta there.
+    The solve leaves its theta in ``thetas[sigma]`` when there is a
+    dict.  With ``warm`` it starts from the affine fit through the
+    branch's last three solves in ``thetas[("history", sigma)]``, or else
+    from ``thetas[sigma]`` when there is one, and adds itself to that
+    history; otherwise it starts from 0.
     """
     amplitude, phi = coupling
+    start = None
+    if warm:
+        history = thetas.get(("history", sigma), ())
+        start = _affine_start(history, config.angles, grid)
+        if start is None:
+            start = thetas.get(sigma)
     theta, report = picard_solve(config, None, grid, tol=tol, max_iter=max_iter,
-                                 coupling=(sigma * amplitude, phi),
-                                 start=None if thetas is None else thetas.get(sigma))
+                                 coupling=(sigma * amplitude, phi), start=start)
     if not report.converged:
         raise ConvergenceError(
             f"Picard iteration did not converge in {report.iterations} steps "
@@ -340,6 +395,8 @@ def _branch(config: VortexConfig, h: tuple, sigma: int, coupling: tuple, grid: G
         )
     if thetas is not None:
         thetas[sigma] = theta
+    if warm:
+        thetas[("history", sigma)] = history[-2:] + ((config.angles, theta),)
     # picard_solve left A_h theta in work.x
     v = g_functional(config, theta, (sigma * h[0], sigma * h[1]),
                      a_theta=evaluation_work(grid).x)
@@ -356,22 +413,25 @@ def min_over_orientations(config: VortexConfig, field: ExternalField, grid: Grid
     the rounding margin (module docstring).  The coupling is built once:
     its phi stays in the grid's work array, and each branch's
     ``g_functional`` rewrites it with the same bits.  Each branch solve
-    leaves its theta in the {sigma: theta} dict ``thetas`` and, for
-    |h| < lambda_lo, starts from the one there; for |h| >= lambda_lo the
-    dict is emptied first, so every solve starts from 0.  Without
-    ``thetas`` no theta outlives its branch.
+    leaves its theta in the dict ``thetas``.  For |h| < lambda_lo it
+    starts from the affine fit through its branch's last three solves
+    there, or from the latest one, and joins that history (module
+    docstring); for |h| >= lambda_lo the dict is emptied first, so
+    every solve starts from 0.  Without ``thetas`` no theta outlives
+    its branch.
     """
     amplitude, phi, moment = coupling_phase(config, grid, field.h, moment=True)
     favoured = 1 if moment >= 0.0 else -1
     lam = solver_for(grid).lambda_min()
     bound = _loser_bound(moment, field.norm, lam)
-    if thetas is not None and field.norm >= lam:
+    warm = thetas is not None and field.norm < lam
+    if thetas is not None and not warm:
         thetas.clear()   # G need not be convex here: start from 0
     margin = _PRUNE_MARGIN * (1.0 + abs(moment) + np.pi * field.norm)
     branches = []
     for sigma in (favoured, -favoured):
         v, report = _branch(config, field.h, sigma, (amplitude, phi), grid, tol, max_iter,
-                            thetas)
+                            thetas, warm)
         branches.append((v, sigma, report))
         if bound is not None and bound - margin > v:
             break
@@ -381,7 +441,8 @@ def min_over_orientations(config: VortexConfig, field: ExternalField, grid: Grid
 
 def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalField,
                  grid: GridSpec, w0_nodes: int = 2048, tol: float = 1e-9,
-                 max_iter: int = 50, thetas: dict | None = None) -> EnergyBreakdown:
+                 max_iter: int = 50, thetas: dict | None = None,
+                 boundary: W0Boundary | None = None) -> EnergyBreakdown:
     """W(a; h) = W_0(a) + min over sigma = +-1 of V(a; sigma h), on the disk or an oval.
 
     The two vortices are identical particles, so the configuration is
@@ -391,18 +452,28 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     on the unit disk against the disk canonical map, also for conformal
     domains.  The diagnostics carry the winning solve, its ``sigma``,
     ``branches_solved`` and ``loser_bound`` (:func:`min_over_orientations`).
-    ``thetas`` carries a search's last theta per branch from one call to
-    the next (:func:`min_over_orientations`); without it every solve
-    starts from theta = 0.
+    ``thetas`` carries a search's solves of each branch from one call to
+    the next, and for |h| < lambda_lo each solve starts from the affine
+    fit through its branch's last three (:func:`min_over_orientations`);
+    without it every solve starts from theta = 0.  W_0 on an oval comes
+    from ``boundary``, a search's :class:`~vortexfield.renorm.W0Boundary`
+    built once, bit for bit the value of ``w0_conformal``; one built for
+    another domain or node count is refused.  Without it the call builds
+    its own.
     """
+    if boundary is not None and (boundary.domain != domain or boundary.nodes != w0_nodes):
+        raise ValueError(f"W0 boundary of {boundary.domain} at {boundary.nodes} nodes "
+                         f"does not match {domain} at {w0_nodes} nodes")
     config = config.canonical_order()
     diag = {"grid": (grid.n_r, grid.n_t), "w0_nodes": w0_nodes}
     if config.is_degenerate:
         return EnergyBreakdown(w0=float("inf"), v_ext=0.0, diagnostics=diag)
     if domain.is_disk:
         w0 = w0_disk(config)
-    else:
+    elif boundary is None:
         w0 = w0_conformal(domain, config, nodes=w0_nodes)
+    else:
+        w0 = boundary.w0(config)
     if field.is_zero:
         return EnergyBreakdown(w0=w0, v_ext=0.0, diagnostics=diag)
     branch = min_over_orientations(config, field, grid, tol, max_iter, thetas=thetas)
@@ -527,10 +598,11 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     scores.  theta is bilinearly interpolated off-grid; the exponential
     keeps |m| = 1 exactly.  Sample points inside the vortex guard are
     skipped and counted; none lies outside the disk (:class:`SampleSpec`).
-    ``thetas`` is a {sigma: theta} dict of starts, such as a search's at
-    this pair (``optimize.BestEvaluation.thetas``); the solves start from
-    a copy of it, as :func:`min_over_orientations` allows, and the
-    caller's dict is left as it is.  Without it they start from 0.
+    ``thetas`` is a dict of starts, such as a search's at this pair
+    (``optimize.BestEvaluation.thetas``); the solves start from a copy of
+    it, as :func:`min_over_orientations` allows, and the caller's dict is
+    left as it is.  When a branch's latest solve there is at this pair,
+    the affine fit is that theta itself.  Without it they start from 0.
     """
     config = config.canonical_order()
     solver, sigma = {}, 1

@@ -49,7 +49,7 @@ from .errors import ConfigurationError, ConvergenceError
 from .geom import TWO_PI, ConformalDomain
 from .micromag import ExternalField, total_energy
 from .poisson import GridSpec
-from .renorm import EnergyBreakdown
+from .renorm import EnergyBreakdown, W0Boundary
 
 
 def _wrap(s: np.ndarray) -> np.ndarray:
@@ -284,9 +284,10 @@ class BestEvaluation:
     """The lowest value an objective has returned, first on ties, and its breakdown.
 
     ``thetas``, when it is a dict, receives a shallow copy of the
-    objective's {sigma: theta} dict as that evaluation left it.  It is
-    None by default: the copy keeps up to two grid arrays alive that a
-    caller with no further solve at the pair does not need.
+    objective's thetas dict as that evaluation left it.  It is None by
+    default: the copy keeps up to six grid arrays alive, the last three
+    solves of each branch, that a caller with no further solve at the
+    pair does not need.
     """
 
     value: float = float("inf")
@@ -301,25 +302,32 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
 
     ``tol`` and ``max_iter`` go to the Picard solve of every evaluation;
     an evaluation that does not converge within them scores +inf.  The
-    objective keeps the last theta of each orientation branch and, for
-    |h| < lambda_lo, starts the next solve of that branch from it
+    objective keeps the solves of each orientation branch in one thetas
+    dict and, for |h| < lambda_lo, starts the next solve of that branch
+    from the affine fit through its last three
     (:func:`vortexfield.micromag.min_over_orientations`); a new objective
-    starts from theta = 0, so equal searches give equal results.  With
+    starts from theta = 0, so equal searches give equal results.  On an
+    oval it builds one :class:`~vortexfield.renorm.W0Boundary` and
+    evaluates W_0 of every pair with it, so the boundary density and its
+    FFT are computed once per search, not once per evaluation.  With
     ``best``, it records there the breakdown of its lowest value and, if
     ``best.thetas`` is a dict, a shallow copy of the thetas dict as that
     evaluation left it.  Nelder-Mead never drops its best vertex, so that
     is the breakdown of the pair it reports, and a caller need not solve
     that pair again; a solve there may start from those thetas.  The copy
-    is safe to keep: each theta is a fresh array of its Picard solve, and
-    nothing writes to it later.
+    is safe to keep: each theta is a fresh array of its Picard solve that
+    nothing writes to later, and each history a tuple that later solves
+    replace, never extend.
     """
     thetas = {}
+    boundary = None if domain.is_disk else W0Boundary(domain, w0_nodes)
 
     def objective(s) -> float:
         config = VortexConfig.pair(float(s[0]), float(s[1]))
         try:
             breakdown = total_energy(domain, config, field, grid, w0_nodes=w0_nodes,
-                                     tol=tol, max_iter=max_iter, thetas=thetas)
+                                     tol=tol, max_iter=max_iter, thetas=thetas,
+                                     boundary=boundary)
         except ConvergenceError:
             return float("inf")
         if best is not None and breakdown.total < best.value:

@@ -118,11 +118,15 @@ class W0Boundary:
     smooth log|Phi'| term by the periodic trapezoid rule (``log_term``),
     and the density's Fourier coefficients fhat_k / k, k = 1 ... nodes/2,
     with the Nyquist mode halved (``coeffs``), against which
-    :meth:`w0` integrates the log kernels exactly.
+    :meth:`w0` integrates the log kernels exactly.  A search builds one
+    per domain (``optimize.energy_objective``) and hands it to every
+    ``total_energy`` call, which checks ``domain`` and ``nodes`` against
+    its own; a direct ``total_energy`` call builds its own.
     """
 
     def __init__(self, domain: ConformalDomain, nodes: int):
         require_w0_nodes(nodes)
+        self.domain, self.nodes = domain, nodes
         t = TWO_PI * np.arange(nodes) / nodes
         dt = TWO_PI / nodes
         z = np.exp(1j * t)

@@ -19,7 +19,7 @@ from vortexfield.poisson import (DiskPoissonSolver, GridSpec, PolarField, solve_
                                  solver_for)
 from vortexfield.micromag import _picard_rhs
 from vortexfield.optimize import energy_objective, nelder_mead
-from vortexfield.renorm import coupling_phase, g_functional
+from vortexfield.renorm import W0Boundary, coupling_phase, g_functional
 
 TWO_PI = 2.0 * np.pi
 ANTIPODAL = VortexConfig.pair(0.0, np.pi)
@@ -399,6 +399,22 @@ class TestTotalEnergy:
                           ExternalField((0.0, 0.01)), grid)
         assert eb.total == eb.w0 + eb.v_ext
 
+    def test_a_given_boundary_gives_the_same_w0_bitwise(self):
+        oval, field, grid = ConformalDomain.oval(0.2), ExternalField((0.0, 0.3)), GridSpec(16, 32)
+        boundary = W0Boundary(oval, 256)
+        for s in [(0.5, 2.5), (1.0, 4.5), (3.0, 3.0)]:
+            config = VortexConfig.pair(*s)
+            own = total_energy(oval, config, field, grid, w0_nodes=256)
+            shared = total_energy(oval, config, field, grid, w0_nodes=256, boundary=boundary)
+            assert (shared.w0, shared.v_ext) == (own.w0, own.v_ext)
+
+    def test_a_boundary_of_another_domain_or_node_count_is_refused(self):
+        oval = ConformalDomain.oval(0.2)
+        for boundary in (W0Boundary(ConformalDomain.oval(0.3), 256), W0Boundary(oval, 512)):
+            with pytest.raises(ValueError, match="does not match"):
+                total_energy(oval, STRONG_PAIR, ExternalField((0.0, 0.3)), GridSpec(16, 32),
+                             w0_nodes=256, boundary=boundary)
+
 
 ORIENTATION_GRID = GridSpec(16, 32)
 
@@ -455,16 +471,28 @@ class TestOrientations:
             assert diag["loser_bound"] is None and diag["branches_solved"] == 2
 
     def test_both_solved_thetas_are_left_in_the_dict(self):
-        # |h| = 8 >= lambda_lo: both branches are solved from theta = 0, and
-        # each leaves the theta of the cold solve at its field sigma h
+        # |h| = 8 >= lambda_lo: both branches are solved from theta = 0, whatever
+        # the dict held before, and each leaves only the theta of the cold solve
+        # at its field sigma h, with no history to predict from
         h, thetas = (0.0, 8.0), {}
+        for s in [(0.45, 2.55), (0.55, 2.45), (0.5, 2.6)]:
+            min_over_orientations(VortexConfig.pair(*s), ExternalField((0.0, 3.0)),
+                                  ORIENTATION_GRID, thetas=thetas)
+        assert len(thetas[("history", 1)]) == 3
+        for s in [(0.45, 2.55), (0.55, 2.45)]:
+            min_over_orientations(VortexConfig.pair(*s), ExternalField(h), ORIENTATION_GRID,
+                                  thetas=thetas)
+            assert set(thetas) == {1, -1}
         branch = min_over_orientations(STRONG_PAIR, ExternalField(h), ORIENTATION_GRID,
                                        thetas=thetas)
         assert branch.branches_solved == 2 and set(thetas) == {1, -1}
         for sigma, theta in thetas.items():
-            cold, _ = picard_solve(STRONG_PAIR, ExternalField((sigma * h[0], sigma * h[1])),
-                                   ORIENTATION_GRID)
+            cold, report = picard_solve(STRONG_PAIR,
+                                        ExternalField((sigma * h[0], sigma * h[1])),
+                                        ORIENTATION_GRID)
             assert np.array_equal(theta.values, cold.values)
+            if sigma == branch.sigma:
+                assert branch.report == report
 
     def test_a_field_past_lambda_min_solves_both_branches(self):
         # |h| = 8 is above the smallest eigenvalue of -lap_h (about 5.78),
@@ -512,7 +540,7 @@ WARM_GRID = GridSpec(32, 64)
 
 
 class TestWarmStart:
-    """A search starts each branch solve from that branch's last theta when |h| < lambda_lo."""
+    """Below lambda_lo a search starts each branch solve from a fit to its last solves."""
 
     @settings(max_examples=25, deadline=None, database=None)
     @given(s=_pair_strategy(), near=st.booleans(),
@@ -584,6 +612,72 @@ class TestWarmStart:
         assert warm == pytest.approx(cold, abs=1e-12)
         assert warm_iterations < sum(iterations)
 
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(s=_pair_strategy(),
+           offsets=st.lists(st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+                            min_size=4, max_size=4),
+           c=st.sampled_from([None, 0.2]), norm=st.floats(0.0, 5.0, exclude_min=True),
+           angle=st.floats(0.0, TWO_PI))
+    @example(s=(0.5, 2.5), offsets=[(0.05, 0.0), (0.0, 0.05), (-0.05, -0.05), (0.01, 0.02)],
+             c=0.2, norm=3.0, angle=np.pi / 2)
+    @example(s=(0.02, 3.1), offsets=[(-0.05, 0.0), (0.03, 0.04), (0.0, -0.06), (-0.04, 0.02)],
+             c=None, norm=5.0, angle=1.0)       # across the 0 / 2 pi seam
+    def test_a_predicted_start_reaches_the_cold_value(self, s, offsets, c, norm, angle):
+        # three solves near s fill a branch's history; the fourth solve starts
+        # from the affine fit through them and must land on the cold V
+        pairs = [(s[0] + d[0], s[1] + d[1]) for d in offsets]
+        assume(all(_torus_dist(*p) > 0.05 for p in pairs))
+        domain = ConformalDomain.disk() if c is None else ConformalDomain.oval(c)
+        field = ExternalField(_polar_field(norm, angle))
+        thetas = {}
+        for p in pairs[:3]:
+            total_energy(domain, VortexConfig.pair(*p), field, ORIENTATION_GRID, thetas=thetas)
+        assume(any(len(thetas.get(("history", sigma), ())) == 3 for sigma in (1, -1)))
+        target = VortexConfig.pair(*pairs[3])
+        warm = total_energy(domain, target, field, ORIENTATION_GRID, thetas=thetas)
+        cold = total_energy(domain, target, field, ORIENTATION_GRID)
+        assert warm.w0 == cold.w0
+        assert warm.v_ext == pytest.approx(cold.v_ext, abs=1e-12 * (1.0 + abs(cold.v_ext)))
+
+    def test_collinear_history_starts_from_the_latest_theta(self):
+        # three pairs on a line, as on a Newton stencil axis, make the 3 x 3
+        # system singular: the solve starts from the latest theta, bit for bit
+        field, x, eta = ExternalField((0.0, 3.0)), np.array([0.5, 2.5]), 0.05
+        target = VortexConfig.pair(*(x + eta * np.array([0.0, 1.0])))
+        results = {}
+        for name, offsets in [("line", [(1.0, 0.0), (-1.0, 0.0), (0.0, 0.0)]),
+                              ("triangle", [(1.0, 0.0), (-1.0, -1.0), (0.0, 0.0)])]:
+            thetas = {}
+            for d in offsets:
+                min_over_orientations(VortexConfig.pair(*(x + eta * np.array(d))), field,
+                                      WARM_GRID, thetas=thetas)
+            assert len(thetas[("history", 1)]) == 3
+            solved = [sigma for sigma in (1, -1) if sigma in thetas]
+            latest = {sigma: thetas[sigma] for sigma in solved}
+            with_history = min_over_orientations(target, field, WARM_GRID, thetas=thetas)
+            latest_only = min_over_orientations(target, field, WARM_GRID, thetas=latest)
+            results[name] = (with_history.report == latest_only.report
+                             and all(np.array_equal(thetas[sigma].values, latest[sigma].values)
+                                     for sigma in solved))
+        assert results == {"line": True, "triangle": False}
+
+    def test_search_takes_fewer_iterations_per_solve(self, monkeypatch):
+        # the 32 x 64 oval search at h = (0, 3): 6.56 Picard iterations per
+        # solve from the affine fit, 7.78 from the latest theta alone
+        from vortexfield import micromag
+        iterations, real = [], micromag.picard_solve
+
+        def counted(*args, **kwargs):
+            theta, report = real(*args, **kwargs)
+            iterations.append(report.iterations)
+            return theta, report
+        monkeypatch.setattr(micromag, "picard_solve", counted)
+        result = nelder_mead(energy_objective(ConformalDomain.oval(0.2),
+                                              ExternalField((0.0, 3.0)), WARM_GRID),
+                             (0.5, 2.5))
+        assert result.converged
+        assert sum(iterations) / len(iterations) < 7.0
+
     def test_a_field_past_lambda_min_always_starts_cold(self):
         # |h| = 8 > lambda_lo: G need not be convex, and every solve starts from 0
         oval, field = ConformalDomain.oval(0.2), ExternalField((0.0, 8.0))
@@ -646,16 +740,19 @@ class TestMagnetizationField:
     @pytest.mark.parametrize("h, warm", [((0.0, 3.0), True), ((0.0, 8.0), False)])
     def test_starts_from_a_copy_of_the_given_thetas(self, h, warm):
         # below lambda_lo the thetas solved at the pair converge on the first
-        # step; past it the copy is emptied and the solve runs cold
+        # step, also with a history whose latest pair is the one sampled; past
+        # it the copy is emptied and the solve runs cold
         grid, domain = GridSpec(16, 32), ConformalDomain.oval(0.2)
         field = ExternalField(h, h_max=8.0)
         thetas = {}
-        min_over_orientations(STRONG_PAIR, field, grid, thetas=thetas)
+        for s in [(0.45, 2.55), (0.55, 2.6), (0.5, 2.5)]:
+            min_over_orientations(VortexConfig.pair(*s), field, grid, thetas=thetas)
+        assert len(thetas.get(("history", 1), ())) == (3 if warm else 0)
         given = dict(thetas)
         out = magnetization_field(domain, STRONG_PAIR, field, grid, thetas=thetas)
         cold = magnetization_field(domain, STRONG_PAIR, field, grid)
         assert thetas.keys() == given.keys()
-        assert all(thetas[sigma] is given[sigma] for sigma in given)
+        assert all(thetas[key] is given[key] for key in given)
         assert (out.solver["iterations"] == 1) == warm
         assert (out.solver == cold.solver) != warm
 

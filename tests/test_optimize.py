@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortexfield.canonical import VortexConfig
 from vortexfield.geom import ConformalDomain
-from vortexfield.micromag import ExternalField
-from vortexfield.optimize import (SimplexState, _newton_finish, energy_objective,
-                                  grid_oracle, landscape, nelder_mead)
+from vortexfield.micromag import ExternalField, total_energy
+from vortexfield.optimize import (BestEvaluation, SimplexState, _newton_finish,
+                                  energy_objective, grid_oracle, landscape, nelder_mead)
 from vortexfield.poisson import GridSpec
 
 TWO_PI = 2.0 * np.pi
@@ -200,6 +201,43 @@ class TestNelderMead:
         ops = result.state.operations
         assert sum(ops.values()) > 0
         assert set(ops) == {"reflect", "expand", "contract", "shrink", "newton"}
+
+
+class TestEnergyObjective:
+    def test_builds_one_w0_boundary_per_oval_search(self, monkeypatch):
+        calls, real = [], ConformalDomain.curvature_speed
+
+        def counted(self, t):
+            calls.append(self)
+            return real(self, t)
+        monkeypatch.setattr(ConformalDomain, "curvature_speed", counted)
+        oval, grid, zero = ConformalDomain.oval(0.2), GridSpec(16, 32), ExternalField((0.0, 0.0))
+        pairs = [(0.5, 2.5), (0.6, 2.4), (1.0, 4.0)]
+        objective = energy_objective(oval, zero, grid, w0_nodes=256)
+        values = [objective(s) for s in pairs]
+        assert len(calls) == 1
+        # a direct call builds its own, to the same bits
+        assert values == [total_energy(oval, VortexConfig.pair(*s), zero, grid,
+                                       w0_nodes=256).total for s in pairs]
+        assert len(calls) == 1 + len(pairs)
+        energy_objective(ConformalDomain.disk(), zero, grid)(pairs[0])
+        assert len(calls) == 1 + len(pairs)
+
+    def test_the_best_snapshot_keeps_its_history(self):
+        # the history is a tuple, so later solves cannot extend the snapshot
+        best = BestEvaluation(thetas={})
+        objective = energy_objective(ConformalDomain.oval(0.2), ExternalField((0.0, 3.0)),
+                                     GridSpec(16, 32), best=best)
+        pairs = [(0.6, 2.4), (0.5, 2.5), (0.4, 2.6)]
+        for s in pairs:
+            objective(s)
+        snapshot = dict(best.thetas)
+        for s in [(0.7, 2.3), (0.8, 2.2)]:
+            assert objective(s) > best.value
+        assert best.thetas.keys() == snapshot.keys()
+        assert all(best.thetas[key] is value for key, value in snapshot.items())
+        assert [p for p, _ in best.thetas[("history", 1)]] == pairs
+        assert best.thetas[("history", 1)][-1][1] is best.thetas[1]
 
 
 class TestLandscape:
