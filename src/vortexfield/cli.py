@@ -139,11 +139,14 @@ def _energy_at(config: RunConfig, s):
                         max_iter=config.max_iter)
 
 
+def _objective(config: RunConfig, best: BestEvaluation | None = None):
+    return energy_objective(config.conformal_domain(), config.external_field(),
+                            config.grid_spec(), config.w0_nodes,
+                            tol=config.tol, max_iter=config.max_iter, best=best)
+
+
 def _minimize_run(config: RunConfig, best: BestEvaluation | None = None):
-    objective = energy_objective(config.conformal_domain(), config.external_field(),
-                                 config.grid_spec(), config.w0_nodes,
-                                 tol=config.tol, max_iter=config.max_iter, best=best)
-    result = nelder_mead(objective, config.s0, max_evals=config.max_evals)
+    result = nelder_mead(_objective(config, best), config.s0, max_evals=config.max_evals)
     if not np.isfinite(result.value):
         # no vertex of the starting simplex has an energy; solving at the
         # start again raises the solver's reason (unless the start itself
@@ -190,9 +193,7 @@ def cmd_minimize(config: RunConfig) -> int:
 
 
 def cmd_landscape(config: RunConfig) -> int:
-    scan = landscape(config.conformal_domain(), config.external_field(),
-                     config.landscape_n, config.grid_spec(), config.w0_nodes,
-                     tol=config.tol, max_iter=config.max_iter)
+    scan = landscape(_objective(config), config.landscape_n)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     n = scan.n

@@ -54,14 +54,15 @@ weights are not bounded, since convexity makes any finite start safe.
 Along the Nelder-Mead run of the ``field-oval-strong`` benchmark
 (h = (0, 3), 128 x 256) a solve takes 6.1 iterations, against 7.4 from
 the latest theta alone.  Thetas leave an evaluation by one channel, the
-dict ``thetas``: ``thetas[sigma]`` is branch sigma's latest theta, and
-``thetas[("history", sigma)]`` the tuple of its last three (s, theta),
-oldest first, which each solve replaces and never changes, so a shallow
-copy of the dict is a snapshot.  A search keeps one dict across calls,
-and ``magnetization_field`` passes a copy of the one it is given, or a
+dict ``thetas``, one key per branch: ``thetas[sigma]`` is its record,
+the tuple of its last three or fewer (s, theta), oldest first, from
+which ``_start`` picks the fit, the latest theta or, when empty, 0.
+Each solve replaces the record and never changes it, so a shallow copy
+of the dict is a snapshot.  A search keeps one dict across calls, and
+``magnetization_field`` passes a copy of the one it is given, or a
 fresh one.  For |h| >= lambda_lo, where a start can reach another fixed
-point, the dict is emptied and keeps no history; there, and for every
-solve outside a search, theta_0 = 0.
+point, the dict is emptied first and each record holds one cold solve;
+there, and for every solve outside a search, theta_0 = 0.
 
 An independent cross-check, ``minimize_g_descent``, minimizes the same
 discrete energy by preconditioned gradient descent with Nesterov
@@ -339,64 +340,58 @@ def _loser_bound(moment: float, h_norm: float, lam: float) -> float | None:
     return abs(moment) - h_norm * h_norm * np.pi / (2.0 * (lam - h_norm))
 
 
-def _affine_start(history: tuple, s: tuple, grid: GridSpec) -> PolarField | None:
-    """sum lambda_i theta_i over a branch's last three solves (s_i, theta_i), or None.
+def _start(record: tuple, s: tuple, grid: GridSpec) -> PolarField | None:
+    """A branch's start at s from its record, its last three or fewer (s_i, theta_i).
 
-    The weights solve sum lambda_i s_i = s, sum lambda_i = 1, with each
-    s_i in the minimal-image chart at s (module docstring).  None with
-    fewer than three solves, or for three pairs on a line.  The start is
-    formed in the grid's ``EvaluationWork.g[0]``, which
-    :func:`picard_solve` copies before its first solve writes there.
+    With three solves it is the affine fit sum lambda_i theta_i, whose
+    weights solve sum lambda_i s_i = s, sum lambda_i = 1, with each s_i
+    in the minimal-image chart at s (module docstring).  With fewer, or
+    for three pairs on a line, it is the latest theta; for an empty
+    record it is None, a cold start.  The fit is formed in the grid's
+    ``EvaluationWork.g[0]``, which :func:`picard_solve` copies before
+    its first solve writes there.
     """
-    if len(history) < 3:
-        return None
+    if len(record) < 3:
+        return record[-1][1] if record else None
     # offsets from s in the chart (s - pi, s + pi]^2, relative to the latest pair
-    a, b, c = (np.mod(np.subtract(p, s) + np.pi, TWO_PI) - np.pi for p, _ in history)
+    a, b, c = (np.mod(np.subtract(p, s) + np.pi, TWO_PI) - np.pi for p, _ in record)
     u, v = a - c, b - c
     # every offset is a multiple of 2^-53, so a nonzero det is at least 2^-106,
     # each |lambda| is below 4 pi^2 2^106 < 1e34, and the combination is finite
     det = u[0] * v[1] - u[1] * v[0]
     if det == 0.0:
-        return None
+        return record[-1][1]
     lam_a = (v[0] * c[1] - v[1] * c[0]) / det
     lam_b = (u[1] * c[0] - u[0] * c[1]) / det
     work = evaluation_work(grid)
     start, term = work.g[0], work.scratch
-    np.multiply(lam_a, history[0][1].values, out=start.values)
-    start.values += np.multiply(lam_b, history[1][1].values, out=term)
-    start.values += np.multiply(1.0 - lam_a - lam_b, history[2][1].values, out=term)
+    np.multiply(lam_a, record[0][1].values, out=start.values)
+    start.values += np.multiply(lam_b, record[1][1].values, out=term)
+    start.values += np.multiply(1.0 - lam_a - lam_b, record[2][1].values, out=term)
     return start
 
 
 def _branch(config: VortexConfig, h: tuple, sigma: int, coupling: tuple, grid: GridSpec,
-            tol: float, max_iter: int, thetas: dict | None, warm: bool) -> tuple:
+            tol: float, max_iter: int, thetas: dict | None) -> tuple:
     """(V(a; sigma h), report) from one Picard solve, or :class:`ConvergenceError`.
 
     ``coupling`` is the (a, phi) of h; the branch's is (sigma a, phi).
-    The solve leaves its theta in ``thetas[sigma]`` when there is a
-    dict.  With ``warm`` it starts from the affine fit through the
-    branch's last three solves in ``thetas[("history", sigma)]``, or else
-    from ``thetas[sigma]`` when there is one, and adds itself to that
-    history; otherwise it starts from 0.
+    When there is a dict, the solve starts from :func:`_start` of the
+    branch's record ``thetas[sigma]`` and replaces that record with its
+    last two solves and this one; otherwise it starts from 0.
     """
     amplitude, phi = coupling
-    start = None
-    if warm:
-        history = thetas.get(("history", sigma), ())
-        start = _affine_start(history, config.angles, grid)
-        if start is None:
-            start = thetas.get(sigma)
+    record = () if thetas is None else thetas.get(sigma, ())
     theta, report = picard_solve(config, None, grid, tol=tol, max_iter=max_iter,
-                                 coupling=(sigma * amplitude, phi), start=start)
+                                 coupling=(sigma * amplitude, phi),
+                                 start=_start(record, config.angles, grid))
     if not report.converged:
         raise ConvergenceError(
             f"Picard iteration did not converge in {report.iterations} steps "
             f"(last change {report.changes[-1]:.3e})"
         )
     if thetas is not None:
-        thetas[sigma] = theta
-    if warm:
-        thetas[("history", sigma)] = history[-2:] + ((config.angles, theta),)
+        thetas[sigma] = record[-2:] + ((config.angles, theta),)
     # picard_solve left A_h theta in work.x
     v = g_functional(config, theta, (sigma * h[0], sigma * h[1]),
                      a_theta=evaluation_work(grid).x)
@@ -413,25 +408,23 @@ def min_over_orientations(config: VortexConfig, field: ExternalField, grid: Grid
     the rounding margin (module docstring).  The coupling is built once:
     its phi stays in the grid's work array, and each branch's
     ``g_functional`` rewrites it with the same bits.  Each branch solve
-    leaves its theta in the dict ``thetas``.  For |h| < lambda_lo it
-    starts from the affine fit through its branch's last three solves
-    there, or from the latest one, and joins that history (module
-    docstring); for |h| >= lambda_lo the dict is emptied first, so
-    every solve starts from 0.  Without ``thetas`` no theta outlives
-    its branch.
+    starts from ``_start`` of its record ``thetas[sigma]``, the last
+    three or fewer (s, theta) of that branch, and joins it (module
+    docstring).  For |h| >= lambda_lo the dict is emptied first, so
+    every solve starts from 0 and each record holds only its one cold
+    solve.  Without ``thetas`` no theta outlives its branch.
     """
     amplitude, phi, moment = coupling_phase(config, grid, field.h, moment=True)
     favoured = 1 if moment >= 0.0 else -1
     lam = solver_for(grid).lambda_min()
     bound = _loser_bound(moment, field.norm, lam)
-    warm = thetas is not None and field.norm < lam
-    if thetas is not None and not warm:
+    if thetas is not None and field.norm >= lam:
         thetas.clear()   # G need not be convex here: start from 0
     margin = _PRUNE_MARGIN * (1.0 + abs(moment) + np.pi * field.norm)
     branches = []
     for sigma in (favoured, -favoured):
         v, report = _branch(config, field.h, sigma, (amplitude, phi), grid, tol, max_iter,
-                            thetas, warm)
+                            thetas)
         branches.append((v, sigma, report))
         if bound is not None and bound - margin > v:
             break
@@ -452,10 +445,11 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     on the unit disk against the disk canonical map, also for conformal
     domains.  The diagnostics carry the winning solve, its ``sigma``,
     ``branches_solved`` and ``loser_bound`` (:func:`min_over_orientations`).
-    ``thetas`` carries a search's solves of each branch from one call to
+    ``thetas`` carries a search's record of each branch from one call to
     the next, and for |h| < lambda_lo each solve starts from the affine
-    fit through its branch's last three (:func:`min_over_orientations`);
-    without it every solve starts from theta = 0.  W_0 on an oval comes
+    fit through its branch's last three solves, or from its latest
+    (:func:`min_over_orientations`); without it every solve starts from
+    theta = 0.  W_0 on an oval comes
     from ``boundary``, a search's :class:`~vortexfield.renorm.W0Boundary`
     built once, bit for bit the value of ``w0_conformal``; one built for
     another domain or node count is refused.  Without it the call builds
@@ -598,11 +592,13 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     scores.  theta is bilinearly interpolated off-grid; the exponential
     keeps |m| = 1 exactly.  Sample points inside the vortex guard are
     skipped and counted; none lies outside the disk (:class:`SampleSpec`).
-    ``thetas`` is a dict of starts, such as a search's at this pair
-    (``optimize.BestEvaluation.thetas``); the solves start from a copy of
-    it, as :func:`min_over_orientations` allows, and the caller's dict is
-    left as it is.  When a branch's latest solve there is at this pair,
-    the affine fit is that theta itself.  Without it they start from 0.
+    ``thetas`` is a dict of branch records, such as a search's at this
+    pair (``optimize.BestEvaluation.thetas``); the solves start from a
+    copy of it, as :func:`min_over_orientations` allows, and the
+    caller's dict is left as it is.  The sampled theta is the latest of
+    the winning branch's record, ``thetas[sigma][-1][1]``.  When a
+    branch's latest solve there is at this pair, the affine fit is that
+    theta itself.  Without it they start from 0.
     """
     config = config.canonical_order()
     solver, sigma = {}, 1
@@ -611,7 +607,7 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     else:
         thetas = {} if thetas is None else dict(thetas)
         branch = min_over_orientations(config, field, grid, tol, max_iter, thetas=thetas)
-        theta, sigma, solver = thetas[branch.sigma], branch.sigma, branch.diagnostics()
+        theta, sigma, solver = thetas[branch.sigma][-1][1], branch.sigma, branch.diagnostics()
 
     pts = sample.disk_points()
     guard = max(SINGULARITY_GUARD, 1e-9)

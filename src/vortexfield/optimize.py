@@ -284,10 +284,10 @@ class BestEvaluation:
     """The lowest value an objective has returned, first on ties, and its breakdown.
 
     ``thetas``, when it is a dict, receives a shallow copy of the
-    objective's thetas dict as that evaluation left it.  It is None by
-    default: the copy keeps up to six grid arrays alive, the last three
-    solves of each branch, that a caller with no further solve at the
-    pair does not need.
+    objective's thetas dict as that evaluation left it: one record per
+    branch, the tuple of its last three or fewer (s, theta).  It is None
+    by default: the copy keeps up to six grid arrays alive that a caller
+    with no further solve at the pair does not need.
     """
 
     value: float = float("inf")
@@ -302,9 +302,9 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
 
     ``tol`` and ``max_iter`` go to the Picard solve of every evaluation;
     an evaluation that does not converge within them scores +inf.  The
-    objective keeps the solves of each orientation branch in one thetas
-    dict and, for |h| < lambda_lo, starts the next solve of that branch
-    from the affine fit through its last three
+    objective keeps each orientation branch's record of its last three or
+    fewer (s, theta) and, for |h| < lambda_lo, starts the branch's next
+    solve from the affine fit through them, or from the latest
     (:func:`vortexfield.micromag.min_over_orientations`); a new objective
     starts from theta = 0, so equal searches give equal results.  On an
     oval it builds one :class:`~vortexfield.renorm.W0Boundary` and
@@ -314,10 +314,10 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
     ``best.thetas`` is a dict, a shallow copy of the thetas dict as that
     evaluation left it.  Nelder-Mead never drops its best vertex, so that
     is the breakdown of the pair it reports, and a caller need not solve
-    that pair again; a solve there may start from those thetas.  The copy
-    is safe to keep: each theta is a fresh array of its Picard solve that
-    nothing writes to later, and each history a tuple that later solves
-    replace, never extend.
+    that pair again; a solve there may start from those records.  The
+    copy is safe to keep: each theta is a fresh array of its Picard solve
+    that nothing writes to later, and each record a tuple that later
+    solves replace, never extend.
     """
     thetas = {}
     boundary = None if domain.is_disk else W0Boundary(domain, w0_nodes)
@@ -352,19 +352,20 @@ class LandscapeGrid:
         return TWO_PI * i / self.n
 
 
-def landscape(domain: ConformalDomain, field: ExternalField, n: int,
-              grid: GridSpec, w0_nodes: int = 2048, tol: float = 1e-9,
-              max_iter: int = 50) -> LandscapeGrid:
-    """Evaluate the energy on the n x n grid of angle pairs.
+def landscape(objective, n: int) -> LandscapeGrid:
+    """Evaluate a 2 pi-periodic objective on the n x n grid of angle pairs.
 
-    The diagonal cells i == j, where the two vortices coincide, are
-    marked +inf without evaluation (the energy diverges there); every
-    other cell is evaluated.  Cells are evaluated serially in row-major
-    order.
+    The diagonal cells i == j, where the two vortices coincide, are +inf
+    with no call; every other cell is evaluated once, in row-major order,
+    and each value that is not finite counts as a failure.  ``min_index``
+    is the first lowest cell.  On :func:`energy_objective` below
+    lambda_lo, the cells of a row, each in canonical order, lie on two
+    lines that meet at the diagonal, so the affine fit is singular and a
+    solve starts from the cell before it, except where its branch's last
+    three pairs span a row's start or the diagonal.
     """
     if n < 16:
         raise ConfigurationError(f"landscape resolution must be at least 16, got {n}")
-    objective = energy_objective(domain, field, grid, w0_nodes, tol, max_iter)
     energies = np.full((n, n), np.inf)
     failures = 0
     for i in range(n):
@@ -390,17 +391,18 @@ def grid_oracle(domain: ConformalDomain, field: ExternalField, n: int,
                 grid: GridSpec):
     """Exhaustive argmin over the landscape, refined once around the winner.
 
-    The refinement rescans a one-coarse-cell neighborhood with a step
+    One :func:`energy_objective` serves the scan and the refinement.  The
+    refinement rescans a one-coarse-cell neighborhood with a step
     ``_REFINE`` times finer.  Returns ``(s_min, value)``.
     """
     if n < 32:
         raise ValueError("oracle resolution must be at least 32")
-    scan = landscape(domain, field, n, grid)
+    objective = energy_objective(domain, field, grid)
+    scan = landscape(objective, n)
     i, j = scan.min_index
     s_best = np.array([scan.angle(i), scan.angle(j)])
     v_best = scan.min_value
 
-    objective = energy_objective(domain, field, grid)
     step = TWO_PI / n / _REFINE
     guard = step  # keep refined probes off the degenerate diagonal
     s_ref = s_best.copy()

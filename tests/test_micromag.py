@@ -83,7 +83,7 @@ class TestPicardSolve:
         monkeypatch.setattr(DiskPoissonSolver, "apply", counted)
         thetas = {}
         branch = min_over_orientations(STRONG_PAIR, ExternalField(h), grid, thetas=thetas)
-        theta = thetas[branch.sigma]
+        theta = thetas[branch.sigma][-1][1]
         assert len(applies) == branch.branches_solved
         sigma_h = (branch.sigma * h[0], branch.sigma * h[1])
         assert branch.v == g_functional(STRONG_PAIR, theta, sigma_h)
@@ -472,24 +472,27 @@ class TestOrientations:
 
     def test_both_solved_thetas_are_left_in_the_dict(self):
         # |h| = 8 >= lambda_lo: both branches are solved from theta = 0, whatever
-        # the dict held before, and each leaves only the theta of the cold solve
-        # at its field sigma h, with no history to predict from
+        # the dict held before, and each record holds only its cold solve at
+        # its field sigma h, with nothing to predict from
         h, thetas = (0.0, 8.0), {}
         for s in [(0.45, 2.55), (0.55, 2.45), (0.5, 2.6)]:
             min_over_orientations(VortexConfig.pair(*s), ExternalField((0.0, 3.0)),
                                   ORIENTATION_GRID, thetas=thetas)
-        assert len(thetas[("history", 1)]) == 3
+        assert len(thetas[1]) == 3
         for s in [(0.45, 2.55), (0.55, 2.45)]:
             min_over_orientations(VortexConfig.pair(*s), ExternalField(h), ORIENTATION_GRID,
                                   thetas=thetas)
             assert set(thetas) == {1, -1}
+            assert [p for p, _ in thetas[1]] == [p for p, _ in thetas[-1]] == [s]
         branch = min_over_orientations(STRONG_PAIR, ExternalField(h), ORIENTATION_GRID,
                                        thetas=thetas)
         assert branch.branches_solved == 2 and set(thetas) == {1, -1}
-        for sigma, theta in thetas.items():
+        for sigma, record in thetas.items():
             cold, report = picard_solve(STRONG_PAIR,
                                         ExternalField((sigma * h[0], sigma * h[1])),
                                         ORIENTATION_GRID)
+            ((pair, theta),) = record
+            assert pair == STRONG_PAIR.angles
             assert np.array_equal(theta.values, cold.values)
             if sigma == branch.sigma:
                 assert branch.report == report
@@ -632,7 +635,7 @@ class TestWarmStart:
         thetas = {}
         for p in pairs[:3]:
             total_energy(domain, VortexConfig.pair(*p), field, ORIENTATION_GRID, thetas=thetas)
-        assume(any(len(thetas.get(("history", sigma), ())) == 3 for sigma in (1, -1)))
+        assume(any(len(thetas.get(sigma, ())) == 3 for sigma in (1, -1)))
         target = VortexConfig.pair(*pairs[3])
         warm = total_energy(domain, target, field, ORIENTATION_GRID, thetas=thetas)
         cold = total_energy(domain, target, field, ORIENTATION_GRID)
@@ -642,6 +645,7 @@ class TestWarmStart:
     def test_collinear_history_starts_from_the_latest_theta(self):
         # three pairs on a line, as on a Newton stencil axis, make the 3 x 3
         # system singular: the solve starts from the latest theta, bit for bit
+        # the solve from a record of that one theta
         field, x, eta = ExternalField((0.0, 3.0)), np.array([0.5, 2.5]), 0.05
         target = VortexConfig.pair(*(x + eta * np.array([0.0, 1.0])))
         results = {}
@@ -651,13 +655,14 @@ class TestWarmStart:
             for d in offsets:
                 min_over_orientations(VortexConfig.pair(*(x + eta * np.array(d))), field,
                                       WARM_GRID, thetas=thetas)
-            assert len(thetas[("history", 1)]) == 3
-            solved = [sigma for sigma in (1, -1) if sigma in thetas]
-            latest = {sigma: thetas[sigma] for sigma in solved}
+            assert len(thetas[1]) == 3
+            solved = list(thetas)
+            latest = {sigma: thetas[sigma][-1:] for sigma in solved}
             with_history = min_over_orientations(target, field, WARM_GRID, thetas=thetas)
             latest_only = min_over_orientations(target, field, WARM_GRID, thetas=latest)
             results[name] = (with_history.report == latest_only.report
-                             and all(np.array_equal(thetas[sigma].values, latest[sigma].values)
+                             and all(np.array_equal(thetas[sigma][-1][1].values,
+                                                    latest[sigma][-1][1].values)
                                      for sigma in solved))
         assert results == {"line": True, "triangle": False}
 
@@ -747,7 +752,7 @@ class TestMagnetizationField:
         thetas = {}
         for s in [(0.45, 2.55), (0.55, 2.6), (0.5, 2.5)]:
             min_over_orientations(VortexConfig.pair(*s), field, grid, thetas=thetas)
-        assert len(thetas.get(("history", 1), ())) == (3 if warm else 0)
+        assert len(thetas[1]) == (3 if warm else 1)
         given = dict(thetas)
         out = magnetization_field(domain, STRONG_PAIR, field, grid, thetas=thetas)
         cold = magnetization_field(domain, STRONG_PAIR, field, grid)

@@ -224,7 +224,7 @@ class TestEnergyObjective:
         assert len(calls) == 1 + len(pairs)
 
     def test_the_best_snapshot_keeps_its_history(self):
-        # the history is a tuple, so later solves cannot extend the snapshot
+        # each branch's record is a tuple, so later solves cannot extend the snapshot
         best = BestEvaluation(thetas={})
         objective = energy_objective(ConformalDomain.oval(0.2), ExternalField((0.0, 3.0)),
                                      GridSpec(16, 32), best=best)
@@ -236,19 +236,21 @@ class TestEnergyObjective:
             assert objective(s) > best.value
         assert best.thetas.keys() == snapshot.keys()
         assert all(best.thetas[key] is value for key, value in snapshot.items())
-        assert [p for p, _ in best.thetas[("history", 1)]] == pairs
-        assert best.thetas[("history", 1)][-1][1] is best.thetas[1]
+        assert [p for p, _ in best.thetas[1]] == pairs
+
+
+def disk_scan(h, n):
+    return landscape(energy_objective(ConformalDomain.disk(), ExternalField(h),
+                                      GridSpec(16, 32)), n)
 
 
 class TestLandscape:
     def test_resolution_precondition(self):
         with pytest.raises(ValueError):
-            landscape(ConformalDomain.disk(), ExternalField((0.0, 0.0)), 8,
-                      GridSpec(16, 32))
+            disk_scan((0.0, 0.0), 8)
 
     def test_diagonal_band_is_infinite(self):
-        scan = landscape(ConformalDomain.disk(), ExternalField((0.0, 0.0)), 16,
-                         GridSpec(16, 32))
+        scan = disk_scan((0.0, 0.0), 16)
         for i in range(16):
             assert scan.energies[i, i] == np.inf
 
@@ -256,14 +258,12 @@ class TestLandscape:
     def test_only_the_diagonal_is_skipped(self, n):
         # cells next to the diagonal have finite energies; a separation
         # test against one cell width rounds some of them into the band
-        scan = landscape(ConformalDomain.disk(), ExternalField((0.0, 0.0)), n,
-                         GridSpec(16, 32))
+        scan = disk_scan((0.0, 0.0), n)
         assert np.count_nonzero(np.isinf(scan.energies)) == n
         assert scan.failures == 0
 
     def test_exchange_symmetry(self):
-        scan = landscape(ConformalDomain.disk(), ExternalField((0.01, 0.003)), 16,
-                         GridSpec(16, 32))
+        scan = disk_scan((0.01, 0.003), 16)
         finite = np.isfinite(scan.energies)
         assert np.array_equal(finite, finite.T)
         mask = finite & finite.T
@@ -272,11 +272,30 @@ class TestLandscape:
 
     def test_zero_field_minimum_on_antidiagonal(self):
         n = 64
-        scan = landscape(ConformalDomain.disk(), ExternalField((0.0, 0.0)), n,
-                         GridSpec(16, 32))
+        scan = disk_scan((0.0, 0.0), n)
         i, j = scan.min_index
         sep = torus_dist(scan.angle(i), scan.angle(j))
         assert abs(sep - np.pi) <= TWO_PI / n + 1e-12
+
+    def test_scans_a_plain_objective(self):
+        # each off-diagonal cell once, row-major; the diagonal with no call;
+        # one +inf cell is a failure; cos(s_1 - s_2) = -1 on s_2 - s_1 = pi
+        # ties, and the first of those cells wins
+        n, calls = 16, []
+        failing = (TWO_PI * 3 / n, TWO_PI * 5 / n)
+
+        def objective(s):
+            calls.append(tuple(s))
+            return np.inf if tuple(s) == failing else np.cos(s[0] - s[1])
+        scan = landscape(objective, n)
+        cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+        assert calls == [(TWO_PI * i / n, TWO_PI * j / n) for i, j in cells]
+        assert all(scan.energies[i, i] == np.inf for i in range(n))
+        assert all(scan.energies[i, j] == np.cos(s[0] - s[1])
+                   for (i, j), s in zip(cells, calls) if s != failing)
+        assert scan.failures == 1 and scan.energies[3, 5] == np.inf
+        assert np.count_nonzero(scan.energies == -1.0) > 1
+        assert scan.min_index == (0, n // 2) and scan.min_value == -1.0
 
 
 class TestGridOracle:
@@ -292,6 +311,21 @@ class TestGridOracle:
         _, oracle_value = grid_oracle(domain, field, 64, grid)
         nm = nelder_mead(energy_objective(domain, field, grid), (0.5, 2.5))
         assert oracle_value <= nm.value + 1e-6
+
+    def test_builds_one_objective(self, monkeypatch):
+        # the scan and the refinement share one objective, so W_0's boundary
+        # is built once per call
+        calls, real = [], ConformalDomain.curvature_speed
+
+        def counted(self, t):
+            calls.append(self)
+            return real(self, t)
+        monkeypatch.setattr(ConformalDomain, "curvature_speed", counted)
+        s_min, value = grid_oracle(ConformalDomain.oval(0.2), ExternalField((0.0, 3.0)), 32,
+                                   GridSpec(16, 32))
+        assert len(calls) == 1
+        assert s_min == pytest.approx((1.1780972450961724, 4.319689898685965), abs=1e-12)
+        assert value == pytest.approx(-7.814100431853986, abs=1e-12)
 
     def test_resolution_precondition(self):
         with pytest.raises(ValueError):
