@@ -53,16 +53,18 @@ Newton stencil), the solve starts from the branch's latest theta.  The
 weights are not bounded, since convexity makes any finite start safe.
 Along the Nelder-Mead run of the ``field-oval-strong`` benchmark
 (h = (0, 3), 128 x 256) a solve takes 6.1 iterations, against 7.4 from
-the latest theta alone.  Thetas leave an evaluation by one channel, the
-dict ``thetas``, one key per branch: ``thetas[sigma]`` is its record,
-the tuple of its last three or fewer (s, theta), oldest first, from
-which ``_start`` picks the fit, the latest theta or, when empty, 0.
-Each solve replaces the record and never changes it, so a shallow copy
-of the dict is a snapshot.  A search keeps one dict across calls, and
-``magnetization_field`` passes a copy of the one it is given, or a
-fresh one.  For |h| >= lambda_lo, where a start can reach another fixed
-point, the dict is emptied first and each record holds one cold solve;
-there, and for every solve outside a search, theta_0 = 0.
+the latest theta alone.  Thetas outlive their solve only in the dict
+``thetas``, one key per branch: ``thetas[sigma]`` is its record, the
+tuple of its last three or fewer (s, theta), oldest first, from which
+``_start`` picks the fit, the latest theta or, when empty, 0.  Only
+``_start`` and ``_branch`` read that layout, and ``Orientation.theta``
+hands the winning theta on.  Each solve replaces the record and
+never changes it, so a shallow copy of the dict is a snapshot.  A search
+keeps one dict across calls, and ``magnetization_field`` passes a copy
+of the one it is given, or a fresh one.  For |h| >= lambda_lo, where a
+start can reach another fixed point, the dict is emptied first and each
+record holds one cold solve; there, and for every solve outside a
+search, theta_0 = 0.
 
 An independent cross-check, ``minimize_g_descent``, minimizes the same
 discrete energy by preconditioned gradient descent with Nesterov
@@ -313,6 +315,9 @@ _PRUNE_MARGIN = 1e-9
 class Orientation:
     """The winning branch sigma of min over sigma of V(a; sigma h), and its solve.
 
+    ``theta`` is the winning solve's theta when the call kept a record
+    dict, which holds it anyway, and None without one, so that a call
+    that solves both branches holds one theta at a time.
     ``loser_bound`` is the lower bound on the other branch's V, None
     when |h| >= lambda_lo.
     """
@@ -320,6 +325,7 @@ class Orientation:
     sigma: int
     v: float
     report: FixedPointReport
+    theta: PolarField | None
     branches_solved: int
     loser_bound: float | None
 
@@ -373,12 +379,13 @@ def _start(record: tuple, s: tuple, grid: GridSpec) -> PolarField | None:
 
 def _branch(config: VortexConfig, h: tuple, sigma: int, coupling: tuple, grid: GridSpec,
             tol: float, max_iter: int, thetas: dict | None) -> tuple:
-    """(V(a; sigma h), report) from one Picard solve, or :class:`ConvergenceError`.
+    """(V(a; sigma h), report, theta) from one Picard solve, or :class:`ConvergenceError`.
 
     ``coupling`` is the (a, phi) of h; the branch's is (sigma a, phi).
     When there is a dict, the solve starts from :func:`_start` of the
     branch's record ``thetas[sigma]`` and replaces that record with its
-    last two solves and this one; otherwise it starts from 0.
+    last two solves and this one; otherwise it starts from 0 and the
+    theta returned is None.
     """
     amplitude, phi = coupling
     record = () if thetas is None else thetas.get(sigma, ())
@@ -395,7 +402,7 @@ def _branch(config: VortexConfig, h: tuple, sigma: int, coupling: tuple, grid: G
     # picard_solve left A_h theta in work.x
     v = g_functional(config, theta, (sigma * h[0], sigma * h[1]),
                      a_theta=evaluation_work(grid).x)
-    return v, report
+    return v, report, theta if thetas is not None else None
 
 
 def min_over_orientations(config: VortexConfig, field: ExternalField, grid: GridSpec,
@@ -412,7 +419,8 @@ def min_over_orientations(config: VortexConfig, field: ExternalField, grid: Grid
     three or fewer (s, theta) of that branch, and joins it (module
     docstring).  For |h| >= lambda_lo the dict is emptied first, so
     every solve starts from 0 and each record holds only its one cold
-    solve.  Without ``thetas`` no theta outlives its branch.
+    solve.  Without ``thetas`` no theta outlives its branch, and the
+    result's ``theta`` is None.
     """
     amplitude, phi, moment = coupling_phase(config, grid, field.h, moment=True)
     favoured = 1 if moment >= 0.0 else -1
@@ -423,13 +431,13 @@ def min_over_orientations(config: VortexConfig, field: ExternalField, grid: Grid
     margin = _PRUNE_MARGIN * (1.0 + abs(moment) + np.pi * field.norm)
     branches = []
     for sigma in (favoured, -favoured):
-        v, report = _branch(config, field.h, sigma, (amplitude, phi), grid, tol, max_iter,
-                            thetas)
-        branches.append((v, sigma, report))
+        v, report, theta = _branch(config, field.h, sigma, (amplitude, phi), grid, tol,
+                                   max_iter, thetas)
+        branches.append((v, sigma, report, theta))
         if bound is not None and bound - margin > v:
             break
-    v, sigma, report = min(branches, key=lambda b: b[0])   # a tie keeps sigma*
-    return Orientation(sigma, v, report, len(branches), bound)
+    v, sigma, report, theta = min(branches, key=lambda b: b[0])   # a tie keeps sigma*
+    return Orientation(sigma, v, report, theta, len(branches), bound)
 
 
 def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalField,
@@ -595,19 +603,19 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     ``thetas`` is a dict of branch records, such as a search's at this
     pair (``optimize.BestEvaluation.thetas``); the solves start from a
     copy of it, as :func:`min_over_orientations` allows, and the
-    caller's dict is left as it is.  The sampled theta is the latest of
-    the winning branch's record, ``thetas[sigma][-1][1]``.  When a
-    branch's latest solve there is at this pair, the affine fit is that
-    theta itself.  Without it they start from 0.
+    caller's dict is left as it is.  When a branch's latest solve there
+    is at this pair, the affine fit is that theta itself.  Without it
+    they start from 0, in a fresh dict that keeps the winning theta.
+    The sampled theta is the winning branch's, ``Orientation.theta``.
     """
     config = config.canonical_order()
     solver, sigma = {}, 1
     if field.is_zero:
         theta = PolarField.zeros(grid)
     else:
-        thetas = {} if thetas is None else dict(thetas)
-        branch = min_over_orientations(config, field, grid, tol, max_iter, thetas=thetas)
-        theta, sigma, solver = thetas[branch.sigma][-1][1], branch.sigma, branch.diagnostics()
+        branch = min_over_orientations(config, field, grid, tol, max_iter,
+                                       thetas={} if thetas is None else dict(thetas))
+        theta, sigma, solver = branch.theta, branch.sigma, branch.diagnostics()
 
     pts = sample.disk_points()
     guard = max(SINGULARITY_GUARD, 1e-9)

@@ -34,12 +34,15 @@ Optimization, SIAM 2009):
   decrease hands the search back to the simplex, with its best vertex
   replaced by the lowest point the finish found; the simplex then ends
   on its own test;
-- the budget: it is checked before every stencil point and before
-  x + p, as before every simplex evaluation.
+- the budget: as in every search and scan here, one :class:`_Evaluations`
+  counts the calls and past the budget returns +inf with no call, which
+  no step accepts; it also ranks NaN as +inf and keeps the answer, the
+  first lowest value returned and its pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -74,6 +77,41 @@ _XTOL = 1e-6
 _FTOL = 1e-6
 
 
+class _Evaluations:
+    """An objective as a search or scan sees it: one budget and one answer rule.
+
+    Each call wraps its pair to [0, 2 pi), calls the objective and counts
+    the call.  Past ``budget`` calls it returns +inf without calling the
+    objective, so no step accepts that value.  A NaN comes back as +inf,
+    and each value that is not finite counts among ``failures``.
+    ``value`` and ``point`` are the first lowest value returned and its
+    pair: only a strictly lower value replaces them, and the first pair
+    stands while every value is +inf.
+    """
+
+    def __init__(self, objective, budget: float = float("inf")):
+        self.objective, self.budget = objective, budget
+        self.count = self.failures = 0
+        self.point, self.value = None, float("inf")
+
+    def spent(self) -> bool:
+        return self.count >= self.budget
+
+    def __call__(self, s) -> float:
+        if self.spent():
+            return float("inf")
+        self.count += 1
+        s = _wrap(np.asarray(s, dtype=float))
+        v = float(self.objective(s))
+        if not math.isfinite(v):
+            self.failures += 1
+            if math.isnan(v):
+                v = float("inf")
+        if self.point is None or v < self.value:
+            self.point, self.value = s, v
+        return v
+
+
 @dataclass
 class SimplexState:
     """Operation counts and best value per step of a simplex run.
@@ -98,27 +136,20 @@ class SimplexState:
 _STENCIL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
 
 
-def _newton_finish(f, spent, x, fx, eta, state):
-    """Newton steps on a central-difference model, from the lowest point x.
+def _newton_finish(f: _Evaluations, eta: float, state: SimplexState) -> bool:
+    """Newton steps on a central-difference model, from the lowest point f has seen.
 
-    Returns the lowest point evaluated, first on ties, its value, and
-    whether a step shorter than ``_XTOL`` was computed at a positive
-    definite model Hessian.  The stencil, trust rule, stop rule, fallback
-    and budget rule are those of the module docstring; a step taken
-    counts as one ``"newton"`` operation.
+    Returns whether a step shorter than ``_XTOL`` was computed at a
+    positive definite model Hessian; ``f`` keeps the lowest point
+    evaluated.  The stencil, trust rule, stop rule, fallback and budget
+    rule are those of the module docstring; a step taken counts as one
+    ``"newton"`` operation.
     """
-    low, f_low = x, fx
     while True:
-        values = []
-        for d in _STENCIL:
-            if spent():
-                return low, f_low, False
-            point = x + eta * d
-            values.append(f(point))
-            if values[-1] < f_low:
-                low, f_low = _wrap(point), values[-1]
+        x, fx = f.point, f.value
+        values = [f(x + eta * d) for d in _STENCIL]
         if not np.all(np.isfinite(values)):
-            return low, f_low, False
+            return False
         f_p1, f_m1, f_p2, f_m2, f_pp = values
         g1, g2 = (f_p1 - f_m1) / (2.0 * eta), (f_p2 - f_m2) / (2.0 * eta)
         h11 = (f_p1 - 2.0 * fx + f_m1) / eta**2
@@ -126,24 +157,20 @@ def _newton_finish(f, spent, x, fx, eta, state):
         h12 = (f_pp - f_p1 - f_p2 + fx) / eta**2
         det = h11 * h22 - h12 * h12
         if not (h11 > 0.0 and det > 0.0):
-            return low, f_low, False
+            return False
         p = np.array([h12 * g2 - h22 * g1, h12 * g1 - h11 * g2]) / det
         step = float(np.max(np.abs(p)))
         if not step <= eta:
-            return low, f_low, False
+            return False
         if step < _XTOL:
             state.operations["newton"] += 1
-            return low, f_low, True
-        if spent():
-            return low, f_low, False
-        f_new = f(x + p)
-        if not f_new < f_low:
-            return low, f_low, False
+            return True
+        low = f.value
+        if not f(x + p) < low:
+            return False
         state.operations["newton"] += 1
-        x = low = _wrap(x + p)
-        fx = f_low = f_new
         eta = max(step, _XTOL)
-        state.record([f_low])
+        state.record([f.value])
 
 
 @dataclass
@@ -158,7 +185,7 @@ class NelderMeadResult:
 def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
     """Minimize a 2 pi-periodic objective over angle pairs.
 
-    Infinite objective values are legal and always rank worst, so the
+    Infinite objective values are legal and, with NaN, rank worst, so the
     simplex escapes the degenerate diagonal by contraction and shrink.
     A start whose three vertices are all +inf returns unconverged after
     those three evaluations: the search has nothing to rank.
@@ -174,27 +201,18 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
     lowest point the finish found.  ``converged`` is True when either
     the simplex diameter fell below ``_XTOL`` with its finite values
     within ``_FTOL``, or the finish computed a step shorter than
-    ``_XTOL`` at a positive-definite model Hessian.  ``s_min`` and
-    ``value`` are always the lowest value the objective returned, the
-    first one on ties.
+    ``_XTOL`` at a positive-definite model Hessian.
 
-    The budget is checked before every evaluation after the starting
-    three, the finish's included, so an unconverged run uses exactly
-    ``max(3, max_evals)``.  A step the budget cuts short keeps what it
-    evaluated: a reflection that beat the best vertex is taken without
-    its expansion, a shrink keeps the vertices it re-evaluated, and a
-    cut Newton step keeps the lowest stencil point.
+    The objective is seen through one :class:`_Evaluations` with a
+    budget of ``max(3, max_evals)``, so an unconverged run makes exactly
+    that many calls; ``s_min``, ``value`` and ``evaluations`` are its
+    answer and its count.  Only the loop test and the guard before a
+    contraction read the budget: a cut expansion or Newton step sees
+    +inf and is not taken, and a contraction that could only see +inf
+    is not counted as a shrink.
     """
     state = SimplexState()
-    evals = 0
-
-    def f(p):
-        nonlocal evals
-        evals += 1
-        return float(objective(_wrap(np.asarray(p, dtype=float))))
-
-    def spent():
-        return evals >= max_evals
+    f = _Evaluations(objective, max(3, max_evals))
 
     s0 = _wrap(np.asarray(s0, dtype=float))
     points = [s0,
@@ -204,10 +222,8 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
     state.record(values)
 
     converged = finished = False
-    # the best vertex is only ever replaced by a lower value, so only the
-    # starting simplex can be all +inf
-    searching = any(np.isfinite(values))
-    while searching and not spent():
+    # the lowest value never rises, so only an all-+inf start has nothing to rank
+    while f.value < np.inf and not f.spent():
         order = np.argsort(values, kind="stable")
         points = [points[i] for i in order]
         values = [values[i] for i in order]
@@ -221,8 +237,8 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
                 break
             if not finished:
                 finished = True
-                points[0], values[0], converged = _newton_finish(
-                    f, spent, points[0], values[0], diam, state)
+                converged = _newton_finish(f, diam, state)
+                points[0], values[0] = f.point, f.value
                 state.record(values)
                 if converged:
                     break
@@ -235,7 +251,7 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
         f_r = f(reflected)
         if f_r < values[0]:
             expanded = centroid + 2.0 * (centroid - worst)
-            f_e = np.inf if spent() else f(expanded)
+            f_e = f(expanded)
             if f_e < f_r:
                 points[2], values[2] = _wrap(expanded), f_e
                 state.operations["expand"] += 1
@@ -245,7 +261,7 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
         elif f_r < values[1]:
             points[2], values[2] = _wrap(reflected), f_r
             state.operations["reflect"] += 1
-        elif not spent():
+        elif not f.spent():
             if f_r < values[2]:
                 contracted = centroid + 0.5 * (reflected - centroid)
             else:
@@ -256,23 +272,14 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
                 state.operations["contract"] += 1
             else:
                 for i in (1, 2):
-                    if spent():
-                        break
                     shrunk = best + 0.5 * (_chart([points[i]], points[0])[0] - best)
                     points[i] = _wrap(shrunk)
                     values[i] = f(points[i])
                 state.operations["shrink"] += 1
         state.record(values)
 
-    order = np.argsort(values, kind="stable")
-    best_idx = order[0]
-    return NelderMeadResult(
-        s_min=tuple(_wrap(points[best_idx])),
-        value=float(values[best_idx]),
-        converged=converged,
-        evaluations=evals,
-        state=state,
-    )
+    return NelderMeadResult(s_min=tuple(f.point), value=f.value, converged=converged,
+                            evaluations=f.count, state=state)
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +319,7 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
     FFT are computed once per search, not once per evaluation.  With
     ``best``, it records there the breakdown of its lowest value and, if
     ``best.thetas`` is a dict, a shallow copy of the thetas dict as that
-    evaluation left it.  Nelder-Mead never drops its best vertex, so that
+    evaluation left it.  A search reports its first lowest value, so that
     is the breakdown of the pair it reports, and a caller need not solve
     that pair again; a solve there may start from those records.  The
     copy is safe to keep: each theta is a fresh array of its Picard solve
@@ -357,8 +364,9 @@ def landscape(objective, n: int) -> LandscapeGrid:
 
     The diagonal cells i == j, where the two vortices coincide, are +inf
     with no call; every other cell is evaluated once, in row-major order,
-    and each value that is not finite counts as a failure.  ``min_index``
-    is the first lowest cell.  On :func:`energy_objective` below
+    through one :class:`_Evaluations`: a NaN is stored as +inf, each
+    value that is not finite counts as a failure, and ``min_index`` is
+    the first lowest cell.  On :func:`energy_objective` below
     lambda_lo, the cells of a row, each in canonical order, lie on two
     lines that meet at the diagonal, so the affine fit is singular and a
     solve starts from the cell before it, except where its branch's last
@@ -366,20 +374,16 @@ def landscape(objective, n: int) -> LandscapeGrid:
     """
     if n < 16:
         raise ConfigurationError(f"landscape resolution must be at least 16, got {n}")
+    f = _Evaluations(objective)
     energies = np.full((n, n), np.inf)
-    failures = 0
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            v = objective((TWO_PI * i / n, TWO_PI * j / n))
-            if not np.isfinite(v):
-                failures += 1
-            energies[i, j] = v
+            if i != j:
+                energies[i, j] = f((TWO_PI * i / n, TWO_PI * j / n))
 
     flat = int(np.argmin(energies))  # row-major; lowest index wins ties
     idx = (flat // n, flat % n)
-    return LandscapeGrid(n=n, energies=energies, failures=failures,
+    return LandscapeGrid(n=n, energies=energies, failures=f.failures,
                          min_index=idx, min_value=float(energies[idx]))
 
 
@@ -391,28 +395,21 @@ def grid_oracle(domain: ConformalDomain, field: ExternalField, n: int,
                 grid: GridSpec):
     """Exhaustive argmin over the landscape, refined once around the winner.
 
-    One :func:`energy_objective` serves the scan and the refinement.  The
-    refinement rescans a one-coarse-cell neighborhood with a step
-    ``_REFINE`` times finer.  Returns ``(s_min, value)``.
+    One :func:`energy_objective`, seen through one :class:`_Evaluations`,
+    serves the scan and the refinement, which rescans a one-coarse-cell
+    neighborhood with a step ``_REFINE`` times finer.  Returns
+    ``(s_min, value)``: the first lowest value of the scan and the
+    refinement together, and its pair.
     """
     if n < 32:
         raise ValueError("oracle resolution must be at least 32")
-    objective = energy_objective(domain, field, grid)
-    scan = landscape(objective, n)
-    i, j = scan.min_index
-    s_best = np.array([scan.angle(i), scan.angle(j)])
-    v_best = scan.min_value
-
+    f = _Evaluations(energy_objective(domain, field, grid))
+    scan = landscape(f, n)
+    center = np.array([scan.angle(i) for i in scan.min_index])
     step = TWO_PI / n / _REFINE
-    guard = step  # keep refined probes off the degenerate diagonal
-    s_ref = s_best.copy()
     for di in range(-_REFINE, _REFINE + 1):
         for dj in range(-_REFINE, _REFINE + 1):
-            s = _wrap(s_best + np.array([di * step, dj * step]))
-            if _torus_dist(s[0], s[1]) < guard:
-                continue
-            v = objective(s)
-            if v < v_best:
-                v_best = v
-                s_ref = s
-    return tuple(s_ref), float(v_best)
+            s = _wrap(center + np.array([di * step, dj * step]))
+            if _torus_dist(s[0], s[1]) >= step:   # off the degenerate diagonal
+                f(s)
+    return tuple(f.point), f.value

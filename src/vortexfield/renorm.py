@@ -36,14 +36,10 @@ Both orientations of M are states of the same vortex pair, so the energy
 reported is W = W_0 + min over sigma = +-1 of V(a; sigma h), V the
 minimum of G (:func:`vortexfield.micromag.min_over_orientations`).
 ``coupling_phase`` also returns L = int h . M dx = sum w Im q on
-request, and V(a; sigma h) <= G(0) = -sigma L picks the branch solved
-first.  The other branch is bounded below without a solve:
-
-    V(a; -sign(L) h) >= |L| - |h|^2 pi / (2 (lambda_lo - |h|)),   |h| < lambda_lo,
-
-from |sin(x + phi) - sin phi - x cos phi| <= x^2/2 at every node,
-<theta, A_h theta>_w >= lambda_lo ||theta||_w^2 with lambda_lo from
-``DiskPoissonSolver.lambda_min``, and ||cos phi||_w^2 <= sum w = pi.
+request, from which ``min_over_orientations`` picks the branch solved
+first and bounds the other below without a solve; the
+:mod:`vortexfield.micromag` docstring and ``micromag._loser_bound``
+derive that bound.
 ``coupling_phase`` and ``g_functional`` work in arrays made once per grid
 (:class:`EvaluationWork`); a returned phi holds until the next call on its grid.
 """

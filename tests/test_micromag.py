@@ -83,7 +83,8 @@ class TestPicardSolve:
         monkeypatch.setattr(DiskPoissonSolver, "apply", counted)
         thetas = {}
         branch = min_over_orientations(STRONG_PAIR, ExternalField(h), grid, thetas=thetas)
-        theta = thetas[branch.sigma][-1][1]
+        theta = branch.theta
+        assert theta is thetas[branch.sigma][-1][1]
         assert len(applies) == branch.branches_solved
         sigma_h = (branch.sigma * h[0], branch.sigma * h[1])
         assert branch.v == g_functional(STRONG_PAIR, theta, sigma_h)

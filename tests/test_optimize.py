@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from vortexfield.canonical import VortexConfig
 from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import ExternalField, total_energy
-from vortexfield.optimize import (BestEvaluation, SimplexState, _newton_finish,
+from vortexfield.optimize import (BestEvaluation, SimplexState, _Evaluations, _newton_finish,
                                   energy_objective, grid_oracle, landscape, nelder_mead)
 from vortexfield.poisson import GridSpec
 
@@ -40,6 +40,14 @@ PROBLEMS = {"quadratic": lambda: quadratic, "disk-weak": disk_weak,
             "flat": lambda: flat_valley}
 
 
+def assert_first_lowest(result, returned):
+    """``result`` reports the first lowest of the (pair, value) the objective returned."""
+    values = [v for _, v in returned]
+    first = int(np.argmin(values))  # argmin returns the first of ties
+    assert result.value == values[first]
+    assert result.s_min == tuple(np.mod(returned[first][0], TWO_PI))
+
+
 class TestNelderMead:
     def test_smooth_quadratic(self):
         result = nelder_mead(quadratic, (0.0, 0.0))
@@ -61,10 +69,7 @@ class TestNelderMead:
             returned.append((tuple(s), energy(s)))
             return returned[-1][1]
         result = nelder_mead(recorded, s0)
-        values = [v for _, v in returned]
-        first = int(np.argmin(values))  # argmin returns the first of ties
-        assert result.value == values[first]
-        assert result.s_min == tuple(np.mod(returned[first][0], TWO_PI))
+        assert_first_lowest(result, returned)
         history = result.state.best_history
         assert all(later <= earlier for earlier, later in zip(history, history[1:]))
         assert history[-1] == result.value
@@ -89,14 +94,15 @@ class TestNelderMead:
         def counted(s):
             calls.append(tuple(s))
             return objective(s)
+        f = _Evaluations(counted)
+        f((1.0, 1.0))   # the finish starts from the lowest point evaluated
+        calls.clear()
         state = SimplexState()
-        x = np.array([1.0, 1.0])
-        low, f_low, converged = _newton_finish(counted, lambda: False, x, objective(x),
-                                               0.1, state)
+        converged = _newton_finish(f, 0.1, state)
         assert len(calls) == 5 and not converged
         assert state.operations["newton"] == 0
-        assert np.allclose(low, (0.9, 1.0), rtol=0.0, atol=1e-15)
-        assert f_low == objective(calls[1])
+        assert np.allclose(f.point, (0.9, 1.0), rtol=0.0, atol=1e-15)
+        assert f.value == objective(calls[1])
 
     def test_disk_zero_field_finds_antipodal_pair(self):
         objective = energy_objective(ConformalDomain.disk(),
@@ -139,16 +145,17 @@ class TestNelderMead:
         assert full.state.operations["newton"] >= 1
         newton_steps = set()
         for max_evals in range(3, top):
-            calls = []
+            returned = []
 
-            def counted(s):
-                calls.append(1)
-                return energy(s)
-            result = nelder_mead(counted, (0.5, 2.5), max_evals=max_evals)
-            assert result.evaluations == len(calls)
+            def recorded(s):
+                returned.append((tuple(s), energy(s)))
+                return returned[-1][1]
+            result = nelder_mead(recorded, (0.5, 2.5), max_evals=max_evals)
+            assert result.evaluations == len(returned)
             assert result.evaluations <= max_evals
             if not result.converged:
                 assert result.evaluations == max_evals
+            assert_first_lowest(result, returned)
             newton_steps.add(result.state.operations["newton"])
         assert newton_steps == set(range(full.state.operations["newton"] + 1))
 
@@ -193,6 +200,29 @@ class TestNelderMead:
         assert result.evaluations == 3
         assert not result.converged
         assert result.value == float("inf")
+
+    def test_nan_everywhere_ranks_as_inf(self):
+        calls = []
+
+        def undefined(s):
+            calls.append(tuple(s))
+            return float("nan")
+        result = nelder_mead(undefined, (0.5, 2.5))
+        assert len(calls) == result.evaluations == 3
+        assert result.value == np.inf and not result.converged
+        assert result.state.best_history == [np.inf]
+
+    @pytest.mark.parametrize("s0", [(0.5, 2.5), (0.55, 1.9), (3.0, 0.5)])
+    def test_never_reports_nan(self, s0):
+        # the quadratic, undefined on the band s_1 < 0.6: each search
+        # evaluates one or two pairs there, the first two at the start
+        def partial(s):
+            return float("nan") if s[0] < 0.6 else quadratic(s)
+        result = nelder_mead(partial, s0)
+        assert not np.isnan(result.value)
+        assert not np.any(np.isnan(result.state.best_history))
+        assert result.converged
+        assert np.allclose(result.s_min, (1.0, 2.0), atol=1e-5)
 
     def test_operation_counts_are_recorded(self):
         objective = energy_objective(ConformalDomain.disk(),
@@ -296,6 +326,17 @@ class TestLandscape:
         assert scan.failures == 1 and scan.energies[3, 5] == np.inf
         assert np.count_nonzero(scan.energies == -1.0) > 1
         assert scan.min_index == (0, n // 2) and scan.min_value == -1.0
+
+    def test_a_nan_cell_ranks_as_inf(self):
+        # np.argmin would return the first NaN as the minimum
+        n = 16
+        undefined = (TWO_PI * 3 / n, TWO_PI * 5 / n)
+
+        def objective(s):
+            return np.nan if tuple(s) == undefined else np.cos(s[0] - s[1])
+        scan = landscape(objective, n)
+        assert scan.min_index == (0, n // 2) and scan.min_value == -1.0
+        assert scan.failures == 1 and scan.energies[3, 5] == np.inf
 
 
 class TestGridOracle:
