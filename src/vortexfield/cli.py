@@ -16,6 +16,11 @@ search, plots, output and ``--s --auto-min --samples --jitter --seed``;
 and ``--auto-min``, and the search options only with ``--auto-min``),
 and :meth:`RunConfig.validate` checks each value once.
 
+A search's answer is its own evaluation: ``minimize`` writes the kept
+breakdown of the pair it reports, and ``field --auto-min`` samples the
+theta solved there.  A search or scan with no finite energy writes
+nothing and exits 2 with its first solver failure's message.
+
 Outputs are flat files (JSON summaries, CSV tables, optional static
 SVG); every artifact embeds the resolved configuration it was made from
 (``verify_report.json`` only the two fields verify reads), so runs are
@@ -37,9 +42,11 @@ import numpy as np
 from .canonical import VortexConfig
 from .errors import ConfigurationError, ConvergenceError
 from .geom import TWO_PI, ConformalDomain
+# total_energy stays importable from here: the benchmark's span tracer
+# rebinds this copy (every evaluation calls it through optimize)
 from .micromag import (ExternalField, SampleSpec, magnetization_field,
                        require_picard_budget, total_energy)
-from .optimize import BestEvaluation, energy_objective, landscape, nelder_mead
+from .optimize import energy_objective, landscape, nelder_mead
 from .poisson import GridSpec
 from .renorm import require_w0_nodes
 from .svgplot import heatmap_svg, quiver_svg
@@ -132,27 +139,21 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _energy_at(config: RunConfig, s):
-    return total_energy(config.conformal_domain(), VortexConfig.pair(*s),
-                        config.external_field(), config.grid_spec(),
-                        w0_nodes=config.w0_nodes, tol=config.tol,
-                        max_iter=config.max_iter)
-
-
-def _objective(config: RunConfig, best: BestEvaluation | None = None):
+def _objective(config: RunConfig):
     return energy_objective(config.conformal_domain(), config.external_field(),
                             config.grid_spec(), config.w0_nodes,
-                            tol=config.tol, max_iter=config.max_iter, best=best)
+                            tol=config.tol, max_iter=config.max_iter)
 
 
-def _minimize_run(config: RunConfig, best: BestEvaluation | None = None):
-    result = nelder_mead(_objective(config, best), config.s0, max_evals=config.max_evals)
+def _no_finite_energy(best, where: str) -> ConvergenceError:
+    # best, the first evaluation, carries the solver's message unless it was degenerate
+    return ConvergenceError(best.diagnostics.get("error", f"no {where} has a finite energy"))
+
+
+def _minimize_run(config: RunConfig):
+    result = nelder_mead(_objective(config), config.s0, max_evals=config.max_evals)
     if not np.isfinite(result.value):
-        # no vertex of the starting simplex has an energy; solving at the
-        # start again raises the solver's reason (unless the start itself
-        # is the degenerate vertex)
-        _energy_at(config, result.s_min)
-        raise ConvergenceError("no vertex of the starting simplex has a finite energy")
+        raise _no_finite_energy(result.best, "vertex of the starting simplex")
     return result
 
 
@@ -163,10 +164,9 @@ def _report_budget(command: str, result, config: RunConfig) -> None:
 
 
 def cmd_minimize(config: RunConfig) -> int:
-    best = BestEvaluation()
-    result = _minimize_run(config, best)
+    result = _minimize_run(config)
     domain = config.conformal_domain()
-    breakdown = best.breakdown
+    breakdown = result.best
     positions = domain.forward(np.exp(1j * np.asarray(result.s_min)))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,6 +194,8 @@ def cmd_minimize(config: RunConfig) -> int:
 
 def cmd_landscape(config: RunConfig) -> int:
     scan = landscape(_objective(config), config.landscape_n)
+    if not np.isfinite(scan.min_value):
+        raise _no_finite_energy(scan.best, "landscape cell")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     n = scan.n
@@ -217,21 +219,20 @@ def cmd_landscape(config: RunConfig) -> int:
 
 
 def cmd_field(config: RunConfig) -> int:
-    best = BestEvaluation(thetas={})
+    solved = None
     if config.auto_min:
-        result = _minimize_run(config, best)
+        result = _minimize_run(config)
         if not result.converged:
             _report_budget("auto-min", result, config)
             return 2
-        s = result.s_min
+        s, solved = result.s_min, result.best
     else:
         s = config.s
     domain = config.conformal_domain()
-    # the search's thetas at s start the solves there
     field_out = magnetization_field(domain, VortexConfig.pair(*s),
                                     config.external_field(), config.grid_spec(),
                                     config.sample_spec(), tol=config.tol,
-                                    max_iter=config.max_iter, thetas=best.thetas)
+                                    max_iter=config.max_iter, solved=solved)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["x,y,mx,my"]

@@ -53,15 +53,15 @@ Newton stencil), the solve starts from the branch's latest theta.  The
 weights are not bounded, since convexity makes any finite start safe.
 Along the Nelder-Mead run of the ``field-oval-strong`` benchmark
 (h = (0, 3), 128 x 256) a solve takes 6.1 iterations, against 7.4 from
-the latest theta alone.  Thetas outlive their solve only in the dict
+the latest theta alone.  Thetas outlive their solve in the dict
 ``thetas``, one key per branch: ``thetas[sigma]`` is its record, the
 tuple of its last three or fewer (s, theta), oldest first, from which
 ``_start`` picks the fit, the latest theta or, when empty, 0.  Only
-``_start`` and ``_branch`` read that layout, and ``Orientation.theta``
-hands the winning theta on.  Each solve replaces the record and
-never changes it, so a shallow copy of the dict is a snapshot.  A search
-keeps one dict across calls, and ``magnetization_field`` passes a copy
-of the one it is given, or a fresh one.  For |h| >= lambda_lo, where a
+``_start`` and ``_branch`` read that layout; ``Orientation.theta``
+hands the winning theta on to the breakdown (``EnergyBreakdown.theta``),
+which ``magnetization_field`` samples with no further solve.  A search
+keeps one dict across calls, and a cold ``magnetization_field`` a
+fresh one.  For |h| >= lambda_lo, where a
 start can reach another fixed point, the dict is emptied first and each
 record holds one cold solve; there, and for every solve outside a
 search, theta_0 = 0.
@@ -456,8 +456,9 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     ``thetas`` carries a search's record of each branch from one call to
     the next, and for |h| < lambda_lo each solve starts from the affine
     fit through its branch's last three solves, or from its latest
-    (:func:`min_over_orientations`); without it every solve starts from
-    theta = 0.  W_0 on an oval comes
+    (:func:`min_over_orientations`); the breakdown's ``theta`` is then
+    the winning solve.  Without it every solve starts from theta = 0,
+    and ``theta`` is None.  W_0 on an oval comes
     from ``boundary``, a search's :class:`~vortexfield.renorm.W0Boundary`
     built once, bit for bit the value of ``w0_conformal``; one built for
     another domain or node count is refused.  Without it the call builds
@@ -480,7 +481,7 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
         return EnergyBreakdown(w0=w0, v_ext=0.0, diagnostics=diag)
     branch = min_over_orientations(config, field, grid, tol, max_iter, thetas=thetas)
     diag.update(branch.diagnostics())
-    return EnergyBreakdown(w0=w0, v_ext=branch.v, diagnostics=diag)
+    return EnergyBreakdown(w0=w0, v_ext=branch.v, diagnostics=diag, theta=branch.theta)
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +592,7 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
                         field: ExternalField, grid: GridSpec,
                         sample: SampleSpec = SampleSpec(),
                         tol: float = 1e-9, max_iter: int = 50,
-                        thetas: dict | None = None) -> MagnetizationField:
+                        solved: EnergyBreakdown | None = None) -> MagnetizationField:
     """Sample m = sigma e^{i theta} M (disk) or its conformal pushforward (oval).
 
     The configuration is put in canonical label order first, and sigma
@@ -600,22 +601,21 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     scores.  theta is bilinearly interpolated off-grid; the exponential
     keeps |m| = 1 exactly.  Sample points inside the vortex guard are
     skipped and counted; none lies outside the disk (:class:`SampleSpec`).
-    ``thetas`` is a dict of branch records, such as a search's at this
-    pair (``optimize.BestEvaluation.thetas``); the solves start from a
-    copy of it, as :func:`min_over_orientations` allows, and the
-    caller's dict is left as it is.  When a branch's latest solve there
-    is at this pair, the affine fit is that theta itself.  Without it
-    they start from 0, in a fresh dict that keeps the winning theta.
-    The sampled theta is the winning branch's, ``Orientation.theta``.
+    ``solved`` is a search's breakdown at this pair
+    (``optimize.NelderMeadResult.best``), whose theta, sigma and solve
+    are taken with no further solve; without it the winning branch is
+    solved from theta = 0.  At h = 0, theta = 0 needs no solve.
     """
     config = config.canonical_order()
-    solver, sigma = {}, 1
-    if field.is_zero:
-        theta = PolarField.zeros(grid)
-    else:
-        branch = min_over_orientations(config, field, grid, tol, max_iter,
-                                       thetas={} if thetas is None else dict(thetas))
-        theta, sigma, solver = branch.theta, branch.sigma, branch.diagnostics()
+    theta, solver = None, {}
+    if solved is not None:
+        theta = solved.theta
+        solver = {k: v for k, v in solved.diagnostics.items() if k not in ("grid", "w0_nodes")}
+    elif not field.is_zero:
+        branch = min_over_orientations(config, field, grid, tol, max_iter, thetas={})
+        theta, solver = branch.theta, branch.diagnostics()
+    theta = PolarField.zeros(grid) if theta is None else theta
+    sigma = solver.get("sigma", 1)
 
     pts = sample.disk_points()
     guard = max(SINGULARITY_GUARD, 1e-9)

@@ -36,8 +36,10 @@ Optimization, SIAM 2009):
   on its own test;
 - the budget: as in every search and scan here, one :class:`_Evaluations`
   counts the calls and past the budget returns +inf with no call, which
-  no step accepts; it also ranks NaN as +inf and keeps the answer, the
-  first lowest value returned and its pair.
+  no step accepts; it also ranks NaN as +inf and keeps the answer: the
+  first lowest value returned, its pair, and the object the objective
+  returned there, which for :func:`energy_objective` is that pair's
+  :class:`~vortexfield.renorm.EnergyBreakdown`, its theta included.
 """
 
 from __future__ import annotations
@@ -80,19 +82,20 @@ _FTOL = 1e-6
 class _Evaluations:
     """An objective as a search or scan sees it: one budget and one answer rule.
 
-    Each call wraps its pair to [0, 2 pi), calls the objective and counts
-    the call.  Past ``budget`` calls it returns +inf without calling the
-    objective, so no step accepts that value.  A NaN comes back as +inf,
-    and each value that is not finite counts among ``failures``.
-    ``value`` and ``point`` are the first lowest value returned and its
-    pair: only a strictly lower value replaces them, and the first pair
-    stands while every value is +inf.
+    Each call wraps its pair to [0, 2 pi), calls the objective, counts
+    the call and returns the ``float()`` of what the objective returned.
+    Past ``budget`` calls it returns +inf without calling the objective,
+    so no step accepts that value.  A NaN comes back as +inf, and each
+    value that is not finite counts among ``failures``.  ``value``,
+    ``point`` and ``best`` are the first lowest value, its pair and the
+    objective's own return there: only a strictly lower value replaces
+    them, and the first call stands while every value is +inf.
     """
 
     def __init__(self, objective, budget: float = float("inf")):
         self.objective, self.budget = objective, budget
         self.count = self.failures = 0
-        self.point, self.value = None, float("inf")
+        self.point, self.value, self.best = None, float("inf"), None
 
     def spent(self) -> bool:
         return self.count >= self.budget
@@ -102,13 +105,14 @@ class _Evaluations:
             return float("inf")
         self.count += 1
         s = _wrap(np.asarray(s, dtype=float))
-        v = float(self.objective(s))
+        returned = self.objective(s)
+        v = float(returned)
         if not math.isfinite(v):
             self.failures += 1
             if math.isnan(v):
                 v = float("inf")
         if self.point is None or v < self.value:
-            self.point, self.value = s, v
+            self.point, self.value, self.best = s, v, returned
         return v
 
 
@@ -175,11 +179,14 @@ def _newton_finish(f: _Evaluations, eta: float, state: SimplexState) -> bool:
 
 @dataclass
 class NelderMeadResult:
+    """The search's answer; ``best`` is the objective's own return at ``s_min``."""
+
     s_min: tuple
     value: float
     converged: bool
     evaluations: int
     state: SimplexState
+    best: object
 
 
 def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
@@ -206,10 +213,11 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
     The objective is seen through one :class:`_Evaluations` with a
     budget of ``max(3, max_evals)``, so an unconverged run makes exactly
     that many calls; ``s_min``, ``value`` and ``evaluations`` are its
-    answer and its count.  Only the loop test and the guard before a
-    contraction read the budget: a cut expansion or Newton step sees
-    +inf and is not taken, and a contraction that could only see +inf
-    is not counted as a shrink.
+    answer and its count, and ``best`` is what the objective returned at
+    ``s_min``, which the search never asks for again.  Only the loop
+    test and the guard before a contraction read the budget: a cut
+    expansion or Newton step sees +inf and is not taken, and a
+    contraction that could only see +inf is not counted as a shrink.
     """
     state = SimplexState()
     f = _Evaluations(objective, max(3, max_evals))
@@ -279,81 +287,64 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
         state.record(values)
 
     return NelderMeadResult(s_min=tuple(f.point), value=f.value, converged=converged,
-                            evaluations=f.count, state=state)
+                            evaluations=f.count, state=state, best=f.best)
 
 
 # ----------------------------------------------------------------------
 # exhaustive landscape and oracle
 # ----------------------------------------------------------------------
 
-@dataclass
-class BestEvaluation:
-    """The lowest value an objective has returned, first on ties, and its breakdown.
-
-    ``thetas``, when it is a dict, receives a shallow copy of the
-    objective's thetas dict as that evaluation left it: one record per
-    branch, the tuple of its last three or fewer (s, theta).  It is None
-    by default: the copy keeps up to six grid arrays alive that a caller
-    with no further solve at the pair does not need.
-    """
-
-    value: float = float("inf")
-    breakdown: EnergyBreakdown | None = None
-    thetas: dict | None = None
-
-
 def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSpec,
-                     w0_nodes: int = 2048, tol: float = 1e-9, max_iter: int = 50,
-                     best: BestEvaluation | None = None):
-    """Total-energy objective over angle pairs; +inf on degenerate pairs.
+                     w0_nodes: int = 2048, tol: float = 1e-9, max_iter: int = 50):
+    """Total-energy objective over angle pairs, returning each pair's breakdown.
 
-    ``tol`` and ``max_iter`` go to the Picard solve of every evaluation;
-    an evaluation that does not converge within them scores +inf.  The
-    objective keeps each orientation branch's record of its last three or
-    fewer (s, theta) and, for |h| < lambda_lo, starts the branch's next
-    solve from the affine fit through them, or from the latest
-    (:func:`vortexfield.micromag.min_over_orientations`); a new objective
-    starts from theta = 0, so equal searches give equal results.  On an
-    oval it builds one :class:`~vortexfield.renorm.W0Boundary` and
-    evaluates W_0 of every pair with it, so the boundary density and its
-    FFT are computed once per search, not once per evaluation.  With
-    ``best``, it records there the breakdown of its lowest value and, if
-    ``best.thetas`` is a dict, a shallow copy of the thetas dict as that
-    evaluation left it.  A search reports its first lowest value, so that
-    is the breakdown of the pair it reports, and a caller need not solve
-    that pair again; a solve there may start from those records.  The
-    copy is safe to keep: each theta is a fresh array of its Picard solve
-    that nothing writes to later, and each record a tuple that later
-    solves replace, never extend.
+    Each call returns the :class:`~vortexfield.renorm.EnergyBreakdown` it
+    computed, whose ``float()`` is W: +inf on degenerate pairs.  ``tol``
+    and ``max_iter`` go to the Picard solve of every evaluation; an
+    evaluation that does not converge within them returns an infinite
+    breakdown whose ``diagnostics["error"]`` is the solver's message.
+    The objective keeps each orientation branch's record of its last
+    three or fewer (s, theta) and, for |h| < lambda_lo, starts the
+    branch's next solve from the affine fit through them, or from the
+    latest (:func:`vortexfield.micromag.min_over_orientations`); a new
+    objective starts from theta = 0, so equal searches give equal
+    results.  Each breakdown carries its winning theta, so a search that
+    keeps the return of its reported pair (:class:`_Evaluations`) need
+    not solve that pair again.  On an oval it builds one
+    :class:`~vortexfield.renorm.W0Boundary` and evaluates W_0 of every
+    pair with it, so the boundary density and its FFT are computed once
+    per search, not once per evaluation.
     """
     thetas = {}
     boundary = None if domain.is_disk else W0Boundary(domain, w0_nodes)
 
-    def objective(s) -> float:
+    def objective(s) -> EnergyBreakdown:
         config = VortexConfig.pair(float(s[0]), float(s[1]))
         try:
-            breakdown = total_energy(domain, config, field, grid, w0_nodes=w0_nodes,
-                                     tol=tol, max_iter=max_iter, thetas=thetas,
-                                     boundary=boundary)
-        except ConvergenceError:
-            return float("inf")
-        if best is not None and breakdown.total < best.value:
-            best.value, best.breakdown = breakdown.total, breakdown
-            if best.thetas is not None:
-                best.thetas = dict(thetas)
-        return breakdown.total
+            return total_energy(domain, config, field, grid, w0_nodes=w0_nodes, tol=tol,
+                                max_iter=max_iter, thetas=thetas, boundary=boundary)
+        except ConvergenceError as exc:
+            return EnergyBreakdown(w0=float("inf"), v_ext=float("inf"),
+                                   diagnostics={"error": str(exc)})
     return objective
 
 
 @dataclass
 class LandscapeGrid:
-    """Energies on an n x n angle grid with the diagonal at +inf."""
+    """Energies on an n x n angle grid with the diagonal at +inf.
+
+    ``min_index``, ``min_value`` and ``best`` are the scan's answer: the
+    first lowest cell in row-major order, or the first cell evaluated
+    when every value is +inf, its value, and the objective's own return
+    there.
+    """
 
     n: int
     energies: np.ndarray
     failures: int
     min_index: tuple
     min_value: float
+    best: object
 
     def angle(self, i: int) -> float:
         return TWO_PI * i / self.n
@@ -365,8 +356,8 @@ def landscape(objective, n: int) -> LandscapeGrid:
     The diagonal cells i == j, where the two vortices coincide, are +inf
     with no call; every other cell is evaluated once, in row-major order,
     through one :class:`_Evaluations`: a NaN is stored as +inf, each
-    value that is not finite counts as a failure, and ``min_index`` is
-    the first lowest cell.  On :func:`energy_objective` below
+    value that is not finite counts as a failure, and the answer is the
+    first lowest value returned.  On :func:`energy_objective` below
     lambda_lo, the cells of a row, each in canonical order, lie on two
     lines that meet at the diagonal, so the affine fit is singular and a
     solve starts from the cell before it, except where its branch's last
@@ -381,10 +372,9 @@ def landscape(objective, n: int) -> LandscapeGrid:
             if i != j:
                 energies[i, j] = f((TWO_PI * i / n, TWO_PI * j / n))
 
-    flat = int(np.argmin(energies))  # row-major; lowest index wins ties
-    idx = (flat // n, flat % n)
+    idx = tuple(int(round(a * n / TWO_PI)) for a in f.point)
     return LandscapeGrid(n=n, energies=energies, failures=f.failures,
-                         min_index=idx, min_value=float(energies[idx]))
+                         min_index=idx, min_value=f.value, best=f.best)
 
 
 #: the oracle's refinement step is this many times finer than a landscape cell

@@ -58,15 +58,21 @@ from .poisson import GridSpec, PolarField, integrate_disk, solver_for
 
 @dataclass
 class EnergyBreakdown:
-    """Total renormalized energy split into its two summands."""
+    """Total renormalized energy split into its two summands; ``float()`` is the total.
+
+    ``theta``, not compared, is the winning solve if kept (``micromag.Orientation.theta``).
+    """
 
     w0: float
     v_ext: float
     diagnostics: dict = dataclass_field(default_factory=dict)
+    theta: PolarField | None = dataclass_field(default=None, compare=False)
 
     @property
     def total(self) -> float:
         return self.w0 + self.v_ext
+
+    __float__ = total.fget
 
 
 def w0_disk(config: VortexConfig) -> float:

@@ -70,6 +70,20 @@ class TestMinimizeCommand:
         assert "budget" not in err
         assert not (tmp_path / "summary.json").exists()
 
+    def test_failing_start_solves_each_vertex_once(self, tmp_path, monkeypatch):
+        # each failing vertex keeps its solver message, so none is solved again
+        from vortexfield import micromag
+        calls, real = [], micromag.picard_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(micromag, "picard_solve", counted)
+        code = run(["minimize", "--h", "0,1", "--grid", "16,32", "--max-iter", "2",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        assert len(calls) == 3
+
     def test_budget_is_not_exceeded(self, tmp_path, capsys):
         code = run(["minimize", "--h=-0.01,0", "--grid", "16,32", "--max-evals", "4",
                     "--out", str(tmp_path)])
@@ -164,15 +178,27 @@ class TestLandscapeCommand:
         assert (out1 / "landscape.csv").read_bytes() == (out2 / "landscape.csv").read_bytes()
 
     def test_max_iter_reaches_every_evaluation(self, tmp_path):
-        # h = (0, 1) needs more than two Picard steps at most of the 240 cells
+        # h = (0, 1) needs more than five Picard steps at most of the 240 cells;
+        # with two, no cell converges and the command fails
         failures = {}
-        for max_iter in ("2", "50"):
+        for max_iter in ("5", "50"):
             out = tmp_path / max_iter
             assert run(["landscape", "--h", "0,1", "--grid", "16,32", "--landscape-n", "16",
                         "--max-iter", max_iter, "--out", str(out)]) == 0
             summary = json.loads((out / "landscape_summary.json").read_text())
             failures[max_iter] = summary["failures"]
-        assert failures["2"] > 200 and failures["50"] == 0
+        assert 200 < failures["5"] < 240 and failures["50"] == 0
+
+    def test_a_scan_with_no_finite_cell_exits_2(self, tmp_path, capsys):
+        # one Picard step converges in no cell at h = (0, 1): the command names
+        # the first cell's solver failure and writes nothing
+        out = tmp_path / "l"
+        code = run(["landscape", "--h", "0,1", "--grid", "16,32", "--landscape-n", "16",
+                    "--max-iter", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: Picard iteration did not converge in 1 steps")
+        assert not out.exists()
 
     def test_svg_emission(self, tmp_path):
         run(["landscape", "--domain", "disk", "--h", "0,0",
@@ -256,20 +282,41 @@ class TestFieldCommand:
                             for name in ("field.csv", "field_summary.json")])
         assert written[0] == written[1]
 
+    def test_auto_min_solves_nothing_after_the_search(self, tmp_path, monkeypatch):
+        # the field samples the search's own solve at the pair it reports
+        from vortexfield import cli, micromag
+        calls, after_search = [], []
+        real_solve, real_search = micromag.picard_solve, cli.nelder_mead
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real_solve(*args, **kwargs)
+
+        def search(*args, **kwargs):
+            result = real_search(*args, **kwargs)
+            after_search.append(len(calls))
+            return result
+        monkeypatch.setattr(micromag, "picard_solve", counted)
+        monkeypatch.setattr(cli, "nelder_mead", search)
+        assert run(["field", "--auto-min", "--domain", "oval", "--c", "0.2", "--h", "0,1",
+                    "--grid", "16,32", "--out", str(tmp_path)]) == 0
+        assert len(calls) > 0 and after_search == [len(calls)]
+
     def test_auto_min_starts_from_the_search_thetas(self, tmp_path):
-        # the search has solved the minimizer, so its theta there is converged
-        # on the first Picard step; the field it samples is the cold one's
+        # the field is the search's own solve at the minimizer, which started
+        # from the affine fit through the search's thetas near it; it is the
+        # cold solve's field, which takes more Picard steps
         assert run(["field", "--auto-min", "--domain", "oval", "--c", "0.2", "--h=0,3",
                     "--grid", "32,64", "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "field_summary.json").read_text())
-        assert summary["solver"]["iterations"] <= 2
         cold = magnetization_field(ConformalDomain.oval(0.2), VortexConfig.pair(*summary["s"]),
                                    ExternalField((0.0, 3.0)), GridSpec(32, 64))
         rows = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1)
         expected = np.array([(p.x, p.y, p.mx, p.my) for p in cold.samples])
         assert rows.shape == expected.shape
         assert np.max(np.abs(rows - expected)) <= 1e-9
-        assert cold.solver["iterations"] > 2
+        assert summary["solver"]["iterations"] < cold.solver["iterations"]
+        assert summary["solver"]["sigma"] == cold.solver["sigma"]
 
     def test_strong_field_converges(self, tmp_path):
         # |h| = 8 is past the plain Picard contraction bound (about 5.8)

@@ -608,7 +608,7 @@ class TestWarmStart:
             return theta, report
         monkeypatch.setattr(micromag, "picard_solve", counted)
         objective = energy_objective(oval, field, WARM_GRID)
-        warm = [objective(s) for s in trace]
+        warm = [float(objective(s)) for s in trace]
         warm_iterations = sum(iterations)
         iterations.clear()
         cold = [total_energy(oval, VortexConfig.pair(*s), field, WARM_GRID).total
@@ -689,7 +689,7 @@ class TestWarmStart:
         oval, field = ConformalDomain.oval(0.2), ExternalField((0.0, 8.0))
         objective = energy_objective(oval, field, ORIENTATION_GRID)
         pairs = [(0.5, 2.5), (0.52, 2.49), (0.55, 2.45), (3.0, 6.0), (0.5, 2.5)]
-        warm = [objective(s) for s in pairs]
+        warm = [float(objective(s)) for s in pairs]
         cold = [total_energy(oval, VortexConfig.pair(*s), field, ORIENTATION_GRID).total
                 for s in pairs]
         assert warm == cold
@@ -744,23 +744,23 @@ class TestMagnetizationField:
             assert abs(s.mx**2 + s.my**2 - 1.0) < 1e-10
 
     @pytest.mark.parametrize("h, warm", [((0.0, 3.0), True), ((0.0, 8.0), False)])
-    def test_starts_from_a_copy_of_the_given_thetas(self, h, warm):
-        # below lambda_lo the thetas solved at the pair converge on the first
-        # step, also with a history whose latest pair is the one sampled; past
-        # it the copy is emptied and the solve runs cold
-        grid, domain = GridSpec(16, 32), ConformalDomain.oval(0.2)
-        field = ExternalField(h, h_max=8.0)
+    def test_samples_a_solved_breakdown_without_a_solve(self, h, warm, monkeypatch):
+        # a search's breakdown at the pair carries its winning theta and the
+        # solve's diagnostics: sampling it solves nothing and shows the state
+        # the cold solve finds; past lambda_lo every search solve is cold
+        from vortexfield import micromag
+        grid, domain, field = GridSpec(16, 32), ConformalDomain.oval(0.2), ExternalField(h)
         thetas = {}
         for s in [(0.45, 2.55), (0.55, 2.6), (0.5, 2.5)]:
-            min_over_orientations(VortexConfig.pair(*s), field, grid, thetas=thetas)
-        assert len(thetas[1]) == (3 if warm else 1)
-        given = dict(thetas)
-        out = magnetization_field(domain, STRONG_PAIR, field, grid, thetas=thetas)
+            solved = total_energy(domain, VortexConfig.pair(*s), field, grid, thetas=thetas)
         cold = magnetization_field(domain, STRONG_PAIR, field, grid)
-        assert thetas.keys() == given.keys()
-        assert all(thetas[key] is given[key] for key in given)
-        assert (out.solver["iterations"] == 1) == warm
+        monkeypatch.setattr(micromag, "picard_solve", None)
+        out = magnetization_field(domain, STRONG_PAIR, field, grid, solved=solved)
+        assert out.solver.keys() == cold.solver.keys()
+        assert out.solver["sigma"] == cold.solver["sigma"]
         assert (out.solver == cold.solver) != warm
+        got, expected = ([(p.x, p.y, p.mx, p.my) for p in o.samples] for o in (out, cold))
+        assert np.max(np.abs(np.subtract(got, expected))) <= (1e-8 if warm else 0.0)
 
     def test_boundary_tangency_for_any_field(self):
         # theta = 0 on the boundary, so m = M on the outermost ring, at

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from vortexfield.canonical import VortexConfig
 from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import ExternalField, total_energy
-from vortexfield.optimize import (BestEvaluation, SimplexState, _Evaluations, _newton_finish,
-                                  energy_objective, grid_oracle, landscape, nelder_mead)
+from vortexfield.optimize import (SimplexState, _Evaluations, _newton_finish, energy_objective,
+                                  grid_oracle, landscape, nelder_mead)
 from vortexfield.poisson import GridSpec
 
 TWO_PI = 2.0 * np.pi
@@ -41,11 +41,22 @@ PROBLEMS = {"quadratic": lambda: quadratic, "disk-weak": disk_weak,
 
 
 def assert_first_lowest(result, returned):
-    """``result`` reports the first lowest of the (pair, value) the objective returned."""
-    values = [v for _, v in returned]
+    """``result`` reports the first lowest of the (pair, return) of the objective."""
+    values = [float(v) for _, v in returned]
     first = int(np.argmin(values))  # argmin returns the first of ties
     assert result.value == values[first]
     assert result.s_min == tuple(np.mod(returned[first][0], TWO_PI))
+    assert result.best is returned[first][1]
+
+
+class Returned:
+    """An objective's return that is its own object, ranked by its float()."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __float__(self):
+        return self.value
 
 
 class TestNelderMead:
@@ -80,6 +91,23 @@ class TestNelderMead:
         assert result.converged
         gap = (result.s_min[1] - result.s_min[0]) % TWO_PI
         assert abs(gap - np.pi) < 1e-5
+
+    @pytest.mark.parametrize("values, kept", [
+        ([3.0, 1.0, 1.0, 2.0], 1),                    # a tie keeps the first call
+        ([2.0, np.nan, np.inf, 2.0, 5.0], 0),         # neither NaN nor +inf replaces 2
+        ([np.inf, np.nan, np.inf], 0),                # all +inf: the first call stands
+        ([np.nan, np.inf, -1.0], 2),
+    ])
+    def test_evaluations_keep_the_return_of_the_first_lowest_call(self, values, kept):
+        returned = [Returned(v) for v in values]
+        calls = iter(returned)
+        f = _Evaluations(lambda s: next(calls))
+        seen = [f((0.1 * k, 1.0)) for k in range(len(values))]
+        assert seen == [np.inf if np.isnan(v) else v for v in values]
+        assert f.best is returned[kept]
+        assert tuple(f.point) == (0.1 * kept, 1.0)
+        assert f.value == (np.inf if np.isnan(values[kept]) else values[kept])
+        assert f.failures == sum(1 for v in values if not np.isfinite(v))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("objective", [
@@ -244,7 +272,7 @@ class TestEnergyObjective:
         oval, grid, zero = ConformalDomain.oval(0.2), GridSpec(16, 32), ExternalField((0.0, 0.0))
         pairs = [(0.5, 2.5), (0.6, 2.4), (1.0, 4.0)]
         objective = energy_objective(oval, zero, grid, w0_nodes=256)
-        values = [objective(s) for s in pairs]
+        values = [float(objective(s)) for s in pairs]
         assert len(calls) == 1
         # a direct call builds its own, to the same bits
         assert values == [total_energy(oval, VortexConfig.pair(*s), zero, grid,
@@ -253,20 +281,31 @@ class TestEnergyObjective:
         energy_objective(ConformalDomain.disk(), zero, grid)(pairs[0])
         assert len(calls) == 1 + len(pairs)
 
-    def test_the_best_snapshot_keeps_its_history(self):
-        # each branch's record is a tuple, so later solves cannot extend the snapshot
-        best = BestEvaluation(thetas={})
-        objective = energy_objective(ConformalDomain.oval(0.2), ExternalField((0.0, 3.0)),
-                                     GridSpec(16, 32), best=best)
-        pairs = [(0.6, 2.4), (0.5, 2.5), (0.4, 2.6)]
-        for s in pairs:
-            objective(s)
-        snapshot = dict(best.thetas)
-        for s in [(0.7, 2.3), (0.8, 2.2)]:
-            assert objective(s) > best.value
-        assert best.thetas.keys() == snapshot.keys()
-        assert all(best.thetas[key] is value for key, value in snapshot.items())
-        assert [p for p, _ in best.thetas[1]] == pairs
+    def test_the_search_answer_is_its_own_evaluation(self, monkeypatch):
+        # best is the breakdown returned at s_min, with the theta solved there
+        from vortexfield import micromag
+        solves, real = [], micromag.picard_solve
+
+        def recorded(config, *args, **kwargs):
+            theta, report = real(config, *args, **kwargs)
+            solves.append((config.angles, theta))
+            return theta, report
+        monkeypatch.setattr(micromag, "picard_solve", recorded)
+        grid = GridSpec(16, 32)
+        result = nelder_mead(energy_objective(ConformalDomain.oval(0.2),
+                                              ExternalField((0.0, 3.0)), grid), (0.5, 2.5))
+        best = result.best
+        assert float(best) == best.total == result.value
+        pair = VortexConfig.pair(*result.s_min).canonical_order().angles
+        assert [angles for angles, theta in solves if theta is best.theta] == [pair]
+
+    def test_a_failed_solve_returns_its_message(self):
+        objective = energy_objective(ConformalDomain.disk(), ExternalField((0.0, 1.0)),
+                                     GridSpec(16, 32), max_iter=2)
+        failed = objective((0.5, 2.5))
+        assert float(failed) == np.inf and failed.theta is None
+        assert failed.diagnostics["error"].startswith(
+            "Picard iteration did not converge in 2 steps")
 
 
 def disk_scan(h, n):
@@ -326,6 +365,17 @@ class TestLandscape:
         assert scan.failures == 1 and scan.energies[3, 5] == np.inf
         assert np.count_nonzero(scan.energies == -1.0) > 1
         assert scan.min_index == (0, n // 2) and scan.min_value == -1.0
+
+    def test_a_scan_with_no_finite_value_keeps_its_first_cell(self):
+        n, returned = 16, []
+
+        def objective(s):
+            returned.append(Returned(np.inf))
+            return returned[-1]
+        scan = landscape(objective, n)
+        assert scan.failures == n * (n - 1)
+        assert scan.min_index == (0, 1) and scan.min_value == np.inf
+        assert scan.best is returned[0]
 
     def test_a_nan_cell_ranks_as_inf(self):
         # np.argmin would return the first NaN as the minimum
