@@ -9,7 +9,8 @@ Three evaluators of the vortex interaction energy live here:
   log|2 sin(x/2)| = -sum_{k>=1} cos(kx)/k (Kress, *Linear Integral
   Equations*, ch. 12).  The boundary data that do not depend on the
   pair, the log|Phi'| term and the density's coefficients, form a
-  :class:`W0Boundary`, which evaluates any number of pairs.
+  :class:`W0Boundary`, which evaluates any number of pairs and their
+  gradients (each kernel integral differentiated term by term).
 * ``punctured_energy``: the Dirichlet integral of grad phi* over the
   disk minus small exclusion disks around the vortices, by adaptive
   midpoint quadrature.  Its renormalized limit carries twice the energy
@@ -61,12 +62,17 @@ class EnergyBreakdown:
     """Total renormalized energy split into its two summands; ``float()`` is the total.
 
     ``theta``, not compared, is the winning solve if kept (``micromag.Orientation.theta``).
+    ``gradient``, not compared, is None or a callable of no arguments that
+    returns (dW/ds_1, dW/ds_2) at the evaluated pair, in the caller's
+    label order; ``optimize.energy_objective`` sets it on each finite
+    evaluation.
     """
 
     w0: float
     v_ext: float
     diagnostics: dict = dataclass_field(default_factory=dict)
     theta: PolarField | None = dataclass_field(default=None, compare=False)
+    gradient: object = dataclass_field(default=None, compare=False, repr=False)
 
     @property
     def total(self) -> float:
@@ -87,6 +93,13 @@ def w0_disk(config: VortexConfig) -> float:
     return float(-np.pi * np.log(2.0 * abs(np.sin(0.5 * (s1 - s2)))))
 
 
+def w0_disk_gradient(angles) -> np.ndarray:
+    """(dW_0/ds_1, dW_0/ds_2) of the closed form: -+(pi/2) cot((s_1 - s_2)/2)."""
+    s1, s2 = angles
+    slope = 0.5 * np.pi / np.tan(0.5 * (s1 - s2))
+    return np.array([-slope, slope])
+
+
 def _log_kernel_integrals(coeffs: np.ndarray, s) -> np.ndarray:
     """int_0^{2 pi} f(t) log|e^{it} - e^{is}| dt for each s, from ``coeffs`` = fhat_k / k.
 
@@ -98,6 +111,13 @@ def _log_kernel_integrals(coeffs: np.ndarray, s) -> np.ndarray:
     k = np.arange(1, coeffs.size + 1)
     phases = np.exp(1j * np.outer(np.asarray(s, dtype=float), k))
     return -TWO_PI * np.real(phases @ coeffs)
+
+
+def _log_kernel_slopes(coeffs: np.ndarray, s) -> np.ndarray:
+    """d/ds of :func:`_log_kernel_integrals`: 2 pi sum_k k Im(e^{iks} fhat_k / k), for each s."""
+    k = np.arange(1, coeffs.size + 1)
+    phases = np.exp(1j * np.outer(np.asarray(s, dtype=float), k))
+    return TWO_PI * np.imag(phases @ (k * coeffs))
 
 
 def require_w0_nodes(nodes: int) -> None:
@@ -146,6 +166,11 @@ class W0Boundary:
         correction = self.log_term
         correction += float(np.sum(_log_kernel_integrals(self.coeffs, config.angles)))
         return base + 0.5 * correction
+
+    def gradient(self, angles) -> np.ndarray:
+        """(dW_0/ds_1, dW_0/ds_2) of a distinct pair: the disk's closed form plus
+        half the slope of each log-kernel integral at its own angle."""
+        return w0_disk_gradient(angles) + 0.5 * _log_kernel_slopes(self.coeffs, angles)
 
 
 def w0_conformal(domain: ConformalDomain, config: VortexConfig, nodes: int = 2048) -> float:
@@ -230,9 +255,10 @@ class EvaluationWork:
     ``phase`` is the phi of the latest :func:`coupling_phase` on the grid;
     the others carry the iterates of :func:`vortexfield.micromag.picard_solve`,
     which leaves A_h theta of the theta it returns in ``x``.
-    The map (``map_out``, ``map_work``: ``d_f``, ``d_g`` and ``f``) and
-    :func:`g_functional` (``rhs``, ``scratch``) borrow from those, since
-    neither runs during a Picard solve.
+    The map (``map_out``, ``map_work``: ``d_f``, ``d_g`` and ``f``),
+    :func:`g_functional` and :func:`vortexfield.micromag.v_gradient`
+    (``rhs``, ``scratch``) borrow from those, since none runs during a
+    Picard solve.
     """
 
     def __init__(self, grid: GridSpec):

@@ -70,6 +70,29 @@ class TestMinimizeCommand:
         assert "budget" not in err
         assert not (tmp_path / "summary.json").exists()
 
+    def test_degenerate_start_names_the_solver_failure_of_another_vertex(self, tmp_path,
+                                                                         capsys):
+        # the start (1, 1) is degenerate and carries no message; the two other
+        # vertices fail in Picard, and the first of them names the failure
+        code = run(["minimize", "--s0", "1,1", "--h", "0,1", "--grid", "16,32",
+                    "--max-iter", "2", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: Picard iteration did not converge in 2 steps")
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_the_gradient_finish_shortens_the_search(self, tmp_path):
+        # the 16 x 32 disk-weak search from (0.5, 2.5) takes 36 evaluations
+        # with the gradient finish, against 53 with the central-difference
+        # value stencil it replaced, and ends at the same W
+        code = run(["minimize", "--h=-0.01,0", "--grid", "16,32", "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["converged"] is True
+        assert summary["evaluations"] <= 45
+        assert summary["optimizer"]["operations"]["newton"] >= 1
+        assert summary["total"] == pytest.approx(-2.2060333850644, rel=0.0, abs=1e-10)
+
     def test_failing_start_solves_each_vertex_once(self, tmp_path, monkeypatch):
         # each failing vertex keeps its solver message, so none is solved again
         from vortexfield import micromag

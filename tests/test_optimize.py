@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from vortexfield.canonical import VortexConfig
 from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import ExternalField, total_energy
-from vortexfield.optimize import (SimplexState, _Evaluations, _newton_finish, energy_objective,
+from vortexfield.optimize import (SimplexState, _Evaluations, _gradient_finish, energy_objective,
                                   grid_oracle, landscape, nelder_mead)
 from vortexfield.poisson import GridSpec
+from vortexfield.renorm import EnergyBreakdown
 
 TWO_PI = 2.0 * np.pi
 PI_LOG_2 = np.pi * np.log(2.0)
@@ -30,14 +31,42 @@ def flat_valley(s):
     return np.cos(s[0] - s[1])
 
 
+class WithGradient:
+    """An analytic objective's return: its value, and its exact gradient on request."""
+
+    def __init__(self, value, gradient):
+        self.value, self._gradient = float(value), gradient
+
+    def __float__(self):
+        return self.value
+
+    def gradient(self):
+        return self._gradient
+
+
+def quadratic_with_gradient(s):
+    return WithGradient(quadratic(s), (2.0 * (s[0] - 1.0), 2.0 * (s[1] - 2.0)))
+
+
+def coupled_cosines(s):
+    # periodic, with a non-diagonal Hessian; its minimum is 0 at (1, 2)
+    u, v, w = s[0] - 1.0, s[1] - 2.0, s[0] + s[1] - 3.0
+    value = (1.0 - np.cos(u)) + 2.0 * (1.0 - np.cos(v)) + 0.5 * (1.0 - np.cos(w))
+    return WithGradient(value, (np.sin(u) + 0.5 * np.sin(w), 2.0 * np.sin(v) + 0.5 * np.sin(w)))
+
+
+def flat_valley_with_gradient(s):
+    return WithGradient(flat_valley(s), (-np.sin(s[0] - s[1]), np.sin(s[0] - s[1])))
+
+
 def disk_weak():
     return energy_objective(ConformalDomain.disk(), ExternalField((-0.01, 0.0)),
                             GridSpec(16, 32))
 
 
 #: a fresh objective per call: the energy objective keeps warm starts
-PROBLEMS = {"quadratic": lambda: quadratic, "disk-weak": disk_weak,
-            "flat": lambda: flat_valley}
+PROBLEMS = {"quadratic": lambda: quadratic_with_gradient, "disk-weak": disk_weak,
+            "flat": lambda: flat_valley_with_gradient}
 
 
 def assert_first_lowest(result, returned):
@@ -61,13 +90,25 @@ class Returned:
 
 class TestNelderMead:
     def test_smooth_quadratic(self):
-        result = nelder_mead(quadratic, (0.0, 0.0))
+        # a plain float runs the simplex alone; the same quadratic with its
+        # gradient hands the end game to the gradient finish, which converges
+        plain = nelder_mead(quadratic, (0.0, 0.0))
+        assert plain.converged and plain.state.operations["newton"] == 0
+        result = nelder_mead(quadratic_with_gradient, (0.0, 0.0))
         assert result.converged
-        assert abs(result.s_min[0] - 1.0) < 1e-5
-        assert abs(result.s_min[1] - 2.0) < 1e-5
-        # the simplex alone converges here after 93 evaluations
         assert result.state.operations["newton"] >= 1
-        assert result.evaluations < 93
+        assert np.allclose(result.s_min, (1.0, 2.0), rtol=0.0, atol=1e-9)
+        assert result.evaluations < plain.evaluations
+
+    @pytest.mark.parametrize("objective", [quadratic_with_gradient, coupled_cosines])
+    @pytest.mark.parametrize("s0", [(0.0, 0.0), (2.5, 0.5), (5.0, 4.0)])
+    def test_objectives_with_a_gradient_converge_through_the_finish(self, objective, s0):
+        result = nelder_mead(objective, s0)
+        assert result.converged
+        assert result.state.operations["newton"] >= 1
+        assert torus_dist(result.s_min[0], 1.0) < 1e-6
+        assert torus_dist(result.s_min[1], 2.0) < 1e-6
+        assert result.value < 1e-12
 
     @settings(max_examples=12, deadline=None)
     @given(problem=st.sampled_from(["quadratic", "disk-weak"]),
@@ -109,14 +150,36 @@ class TestNelderMead:
         assert f.value == (np.inf if np.isnan(values[kept]) else values[kept])
         assert f.failures == sum(1 for v in values if not np.isfinite(v))
 
+    def test_an_all_infinite_run_keeps_the_first_solver_message(self):
+        # while no value is finite, a breakdown with a solver message replaces
+        # one without; a later message, or a later +inf, does not
+        returned = [EnergyBreakdown(np.inf, 0.0), EnergyBreakdown(np.inf, 0.0),
+                    EnergyBreakdown(np.inf, np.inf, {"error": "first"}),
+                    EnergyBreakdown(np.inf, np.inf, {"error": "second"}),
+                    EnergyBreakdown(np.inf, 0.0)]
+        calls = iter(returned)
+        f = _Evaluations(lambda s: next(calls))
+        for k in range(len(returned)):
+            f((0.1 * k, 1.0))
+        assert f.best is returned[2] and tuple(f.point) == (0.2, 1.0)
+        assert f.value == np.inf and f.failures == 5
+        finite = EnergyBreakdown(-1.0, 0.0)
+        f.objective = lambda s: finite
+        f((3.0, 1.0))
+        assert f.best is finite and f.value == -1.0
+
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("objective", [
-        # a positive-definite model whose step, 51 long, leaves its stencil
-        lambda s: s[0] + 0.01 * s[0] ** 2 + (s[1] - 1.0) ** 2,
+    @pytest.mark.parametrize("objective, calls_made, lowest", [
+        # a saddle: the first model is indefinite; of the stencil's two lowest
+        # points, tied, the first stands
+        (lambda s: WithGradient((s[1] - 1.0) ** 2 - (s[0] - 1.0) ** 2,
+                                (-2.0 * (s[0] - 1.0), 2.0 * (s[1] - 1.0))), 4, (1.1, 1.0)),
         # a stencil value that is not finite
-        lambda s: np.inf if s[1] > 1.05 else s[0] + (s[1] - 1.0) ** 2,
-    ])
-    def test_newton_finish_falls_back_with_its_lowest_stencil_point(self, objective):
+        (lambda s: (WithGradient(np.inf, None) if s[1] > 1.05 else
+                    WithGradient(s[0] + (s[1] - 1.0) ** 2, (1.0, 2.0 * (s[1] - 1.0)))),
+         4, (0.9, 1.0)),
+    ], ids=["indefinite-model", "infinite-stencil-value"])
+    def test_gradient_finish_hands_back_its_lowest_point(self, objective, calls_made, lowest):
         calls = []
 
         def counted(s):
@@ -126,11 +189,45 @@ class TestNelderMead:
         f((1.0, 1.0))   # the finish starts from the lowest point evaluated
         calls.clear()
         state = SimplexState()
-        converged = _newton_finish(f, 0.1, state)
-        assert len(calls) == 5 and not converged
+        assert not _gradient_finish(f, 0.1, state)
+        assert len(calls) == calls_made
         assert state.operations["newton"] == 0
-        assert np.allclose(f.point, (0.9, 1.0), rtol=0.0, atol=1e-15)
-        assert f.value == objective(calls[1])
+        assert np.allclose(f.point, lowest, rtol=0.0, atol=1e-15)
+        assert f.value == min(float(objective(s)) for s in calls)
+
+    def test_gradient_finish_hands_back_after_four_rejected_steps(self):
+        # the gradient is off by (1, 0), so the model is right but every step
+        # from the minimum at (1, 1) climbs: each rejection quarters the trust
+        # radius, which starts at the stencil scale, from the step just tried
+        def biased(s):
+            return WithGradient((s[0] - 1.0) ** 2 + (s[1] - 1.0) ** 2,
+                                (2.0 * (s[0] - 1.0) + 1.0, 2.0 * (s[1] - 1.0)))
+        calls = []
+
+        def counted(s):
+            calls.append(np.array(s))
+            return biased(s)
+        f = _Evaluations(counted)
+        f((1.0, 1.0))
+        state = SimplexState()
+        assert not _gradient_finish(f, 0.1, state)
+        steps = [float(np.max(np.abs(s - (1.0, 1.0)))) for s in calls[5:]]
+        assert len(calls) == 1 + 4 + 4
+        assert steps == pytest.approx([0.1, 0.025, 0.00625, 0.0015625], rel=1e-9)
+        assert tuple(f.point) == (1.0, 1.0) and f.value == 0.0
+        assert state.operations["newton"] == 0
+
+    def test_a_hand_back_resumes_the_simplex_at_the_lowest_point(self):
+        # the flat valley's first model is singular, so the simplex ends the search
+        returned = []
+
+        def recorded(s):
+            returned.append((tuple(s), flat_valley_with_gradient(s)))
+            return returned[-1][1]
+        result = nelder_mead(recorded, (0.5, 2.5))
+        assert result.converged and result.state.operations["newton"] == 0
+        assert_first_lowest(result, returned)
+        assert abs((result.s_min[1] - result.s_min[0]) % TWO_PI - np.pi) < 1e-5
 
     def test_disk_zero_field_finds_antipodal_pair(self):
         objective = energy_objective(ConformalDomain.disk(),
@@ -162,30 +259,42 @@ class TestNelderMead:
 
     @pytest.mark.parametrize("problem", ["quadratic", "disk-weak", "flat"])
     def test_budget_is_never_exceeded(self, problem):
-        # a step that ends in a shrink needs up to four evaluations and a
-        # Newton step six; the budget is checked before each one.  Every
-        # search below ends before ``top``, so the budgets cut each simplex
-        # step, each Newton step and, on the flat valley, the fallback
+        # each objective returns its gradient; the budgets cut each simplex
+        # step, the first model's stencil, each finish step and, on the flat
+        # valley, the hand-back.  A cut run makes exactly max_evals calls, the
+        # first calls of the full run, and counts no step past its budget;
+        # a run that converges is the full run
         energy = PROBLEMS[problem]()
-        top = 130 if problem == "flat" else 56
-        full = nelder_mead(energy, (0.5, 2.5))
-        assert full.converged and full.evaluations < top
-        assert full.state.operations["newton"] >= 1
-        newton_steps = set()
-        for max_evals in range(3, top):
-            returned = []
+        full_calls = []
+
+        def recorded_full(s):
+            full_calls.append(tuple(s))
+            return energy(s)
+        full = nelder_mead(recorded_full, (0.5, 2.5))
+        top = full.evaluations
+        assert full.converged and top < (130 if problem == "flat" else 45)
+        if problem != "flat":
+            assert full.state.operations["newton"] >= 2
+        # the full run's last step is the short one, which it never evaluates
+        kept = max(full.state.operations["newton"] - 1, 0)
+        cut_steps = set()
+        for max_evals in range(3, top + 1):
+            energy, returned = PROBLEMS[problem](), []
 
             def recorded(s):
                 returned.append((tuple(s), energy(s)))
                 return returned[-1][1]
             result = nelder_mead(recorded, (0.5, 2.5), max_evals=max_evals)
-            assert result.evaluations == len(returned)
-            assert result.evaluations <= max_evals
-            if not result.converged:
-                assert result.evaluations == max_evals
+            assert result.evaluations == len(returned) <= max_evals
+            assert [s for s, _ in returned] == full_calls[:len(returned)]
             assert_first_lowest(result, returned)
-            newton_steps.add(result.state.operations["newton"])
-        assert newton_steps == set(range(full.state.operations["newton"] + 1))
+            if result.converged:
+                assert result.evaluations == top
+                assert result.state.operations == full.state.operations
+            else:
+                assert result.evaluations == max_evals
+                cut_steps.add(result.state.operations["newton"])
+        assert cut_steps == set(range(max(kept, 1)))
 
     def test_torus_shift_invariance_of_value(self):
         objective = energy_objective(ConformalDomain.disk(),
