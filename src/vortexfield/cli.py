@@ -146,7 +146,8 @@ def _objective(config: RunConfig):
 
 
 def _no_finite_energy(best, where: str) -> ConvergenceError:
-    # best, the first evaluation, carries the solver's message unless it was degenerate
+    # with no finite value, best is the first return that carries a solver
+    # message, or the first return when none does (optimize._Evaluations)
     return ConvergenceError(best.diagnostics.get("error", f"no {where} has a finite energy"))
 
 

@@ -668,31 +668,49 @@ class TestWarmStart:
         assert results == {"line": True, "triangle": False}
 
     def test_search_takes_fewer_iterations_per_solve(self, monkeypatch):
-        # the 32 x 64 oval search at h = (0, 3) makes 70 solves along one
-        # path: 7.31 Picard iterations per solve from the affine fit, 8.09
-        # from the latest theta alone
-        from vortexfield import micromag
-        real = micromag.picard_solve
+        # the 32 x 64 oval search at h = (0, 3).  The simplex alone (a
+        # plain-float objective, 111 solves): 5.31 Picard iterations per
+        # solve from the affine fit, 7.15 from the latest theta alone.  With
+        # the gradient finish (70 solves along one path): 512 iterations in
+        # all from the fit, 566 from the latest theta; the 63 solves before
+        # the hand-off take 7.62 per solve and the finish's 7 take 4.57.
+        # Those 63 take 480 iterations, so the per-solve bound of 7.0 is
+        # asserted on the simplex alone, where the saved solves still count
+        from vortexfield import micromag, optimize
+        real, finish = micromag.picard_solve, optimize._gradient_finish
 
-        def search():
-            iterations = []
+        def search(plain):
+            iterations, handoff = [], []
 
             def counted(*args, **kwargs):
                 theta, report = real(*args, **kwargs)
                 iterations.append(report.iterations)
                 return theta, report
+
+            def marked(*args, **kwargs):
+                handoff.append(len(iterations))
+                return finish(*args, **kwargs)
             monkeypatch.setattr(micromag, "picard_solve", counted)
-            result = nelder_mead(energy_objective(ConformalDomain.oval(0.2),
-                                                  ExternalField((0.0, 3.0)), WARM_GRID),
+            monkeypatch.setattr(optimize, "_gradient_finish", marked)
+            objective = energy_objective(ConformalDomain.oval(0.2), ExternalField((0.0, 3.0)),
+                                         WARM_GRID)
+            result = nelder_mead((lambda s: float(objective(s))) if plain else objective,
                                  (0.5, 2.5))
             assert result.converged
-            return result, iterations
-        result, fit = search()
+            return result, iterations, handoff
+        _, simplex_fit, none = search(plain=True)
+        result, fit, (handoff,) = search(plain=False)
+        assert none == [] and result.state.operations["newton"] >= 1
+        assert sum(simplex_fit) / len(simplex_fit) < 7.0
+        # the finish's solves cost less than the simplex's, and the whole
+        # search less than the simplex alone
+        assert sum(fit[handoff:]) / len(fit[handoff:]) < sum(fit[:handoff]) / handoff
+        assert sum(fit) < sum(simplex_fit)
         monkeypatch.setattr(micromag, "_start",
                             lambda record, s, grid: record[-1][1] if record else None)
-        latest_result, latest = search()
-        assert latest_result.evaluations == result.evaluations and len(latest) == len(fit)
-        assert sum(fit) / len(fit) < 7.5
+        simplex_latest, latest = search(plain=True)[1], search(plain=False)[1]
+        assert len(simplex_latest) == len(simplex_fit) and len(latest) == len(fit)
+        assert sum(simplex_latest) / len(simplex_latest) > 7.0
         assert sum(fit) < 0.95 * sum(latest)
 
     def test_a_field_past_lambda_min_always_starts_cold(self):
