@@ -6,7 +6,7 @@ constant in-plane external field, by evaluating and minimizing the
 renormalized vortex interaction energy.
 """
 
-from .canonical import VortexConfig, canonical_map_disk, grad_phistar
+from .canonical import VortexConfig, canonical_map_disk
 from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      SingularityError)
 from .geom import ConformalDomain
@@ -29,7 +29,7 @@ __all__ = [
     "SampleSpec", "SimplexState",
     "SingularityError", "VectorFieldSample", "VortexConfig",
     "canonical_map_disk", "energy_objective", "g_functional",
-    "grad_phistar", "grid_oracle", "integrate_disk",
+    "grid_oracle", "integrate_disk",
     "landscape", "magnetization_field", "minimize_g_descent", "nelder_mead",
     "picard_solve", "punctured_energy",
     "singular_quadrature_1d", "solve_dirichlet", "solver_for",

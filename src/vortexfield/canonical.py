@@ -8,15 +8,7 @@ else.  The canonical harmonic map on the disk is
 
 a unit-modulus field tangent to the boundary away from the vortices.  On
 a conformal image Omega = Phi(B_1) it is pushed forward by the phase of
-Phi', at disk points (``pushforward_disk``).  The multivalued harmonic
-lifting phi* of M is never materialized; ``grad_phistar`` evaluates its
-single-valued analytic gradient
-
-    grad phi*(x) = (x - a_1)^perp / |x - a_1|^2 + (x - a_2)^perp / |x - a_2|^2
-
-term by term (v^perp rotates v by +90 degrees).  It serves as the
-reference for the closed form of |grad phi*|^2 that
-``renorm.punctured_energy`` integrates.
+Phi', at disk points (``pushforward_disk``).
 
 A pair is degenerate when its angular separation on the circle is below
 ``DEGENERACY_GUARD``; :attr:`VortexConfig.is_degenerate` is the one test
@@ -130,22 +122,3 @@ def pushforward_disk(domain: ConformalDomain, config: VortexConfig, z) -> np.nda
     m = canonical_map_disk(config, z)
     dphi = domain.dforward(z)
     return m * dphi / np.abs(dphi)
-
-
-def grad_phistar(config: VortexConfig, x):
-    """Gradient of the harmonic lifting, sum_j (x - a_j)^perp / |x - a_j|^2.
-
-    The sum runs over the two vortices; the lifting itself is multivalued
-    and never formed.  Returns a pair (gx, gy) of real arrays.
-    """
-    x = np.asarray(x, dtype=complex)
-    _guard_singularities(*(np.abs(x - a) for a in config.positions))
-    gx = np.zeros(x.shape, dtype=float)
-    gy = np.zeros(x.shape, dtype=float)
-    for a in config.positions:
-        vx = x.real - a.real
-        vy = x.imag - a.imag
-        r2 = vx * vx + vy * vy
-        gx -= vy / r2
-        gy += vx / r2
-    return gx, gy

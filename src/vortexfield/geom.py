@@ -7,8 +7,8 @@ The oval family is the one-parameter conformal map
 with explicit inverse Psi(w) = (-1 + sqrt(1 + 4 c w^2)) / (2 c w).  For
 c < 1/2 the derivative Phi'(z) = (1 + c z^2) / (1 - c z^2)^2 never
 vanishes on the closed disk, so Phi is a conformal diffeomorphism onto
-its image.  All boundary quantities (speed, curvature) are evaluated
-analytically from Phi' and Phi''.
+its image.  The boundary's turning density kappa |gamma'|
+(``curvature_speed``) is evaluated analytically from Phi' and Phi''.
 
 The disk is c = 0 and runs the same formulas, which are exact there:
 every c z^2 term is a signed zero, so Phi(z) = z (a -0.0 part may come
@@ -93,29 +93,6 @@ class ConformalDomain:
     def boundary_point(self, t):
         return self.forward(np.exp(1j * np.asarray(t, dtype=float)))
 
-    def boundary_velocity(self, t):
-        """gamma'(t) = i e^{it} Phi'(e^{it})."""
-        z = np.exp(1j * np.asarray(t, dtype=float))
-        return 1j * z * self.dforward(z)
-
-    def boundary_speed(self, t):
-        return np.abs(self.boundary_velocity(t))
-
-    def boundary_curvature(self, t):
-        """Signed curvature of the boundary at parameter t.
-
-        Computed from the analytic derivatives of the parametrization:
-        kappa = Im(conj(gamma') gamma'') / |gamma'|^3.  Positive for a
-        counterclockwise convex arc; identically 1 on the disk.
-        """
-        z = np.exp(1j * np.asarray(t, dtype=float))
-        g1 = 1j * z * self.dforward(z)
-        speed = np.abs(g1)
-        if np.any(speed < 1e-14):
-            raise DomainError("degenerate boundary parametrization (|gamma'| ~ 0)")
-        g2 = -z * z * self.d2forward(z) - z * self.dforward(z)
-        return np.imag(np.conj(g1) * g2) / speed**3
-
     def curvature_speed(self, t):
         """kappa(t) |gamma'(t)|, the total-turning density.
 
@@ -125,8 +102,3 @@ class ConformalDomain:
         """
         z = np.exp(1j * np.asarray(t, dtype=float))
         return 1.0 + np.real(z * self.d2forward(z) / self.dforward(z))
-
-    def outward_normal(self, t):
-        """Unit outward normal at gamma(t), as a complex number."""
-        v = self.boundary_velocity(t)
-        return -1j * v / np.abs(v)

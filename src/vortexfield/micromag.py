@@ -60,8 +60,8 @@ tuple of its last three or fewer (s, theta), oldest first, from which
 ``_start`` and ``_branch`` read that layout; ``Orientation.theta``
 hands the winning theta on to the breakdown (``EnergyBreakdown.theta``),
 which ``magnetization_field`` samples with no further solve.  A search
-keeps one dict across calls, and a cold ``magnetization_field`` a
-fresh one.  For |h| >= lambda_lo, where a
+keeps one dict across calls, and a cold ``magnetization_field`` hands
+``total_energy`` a fresh one.  For |h| >= lambda_lo, where a
 start can reach another fixed point, the dict is emptied first and each
 record holds one cold solve; there, and for every solve outside a
 search, theta_0 = 0.
@@ -129,8 +129,9 @@ Since theta* is a stationary point of the discrete G, the envelope
 theorem makes dV/ds_j the partial derivative of G at fixed theta*;
 ``v_gradient`` forms it from A_h theta* and the derivative of phi, a
 Poisson kernel at a_j, so it builds no map and starts no solve.
-W_0's part is closed-form on the disk and the derivative of the
-log-kernel integrals on an oval (``renorm.W0Boundary.gradient``).
+W_0's part is closed-form on the disk and, on an oval, the derivative
+of the log-kernel integrals of the domain's shared boundary data
+(``renorm.w0_boundary``), which ``total_energy``'s W_0 reads too.
 
 The oval experiments reuse the disk solve unchanged: theta is always
 computed on the unit disk against the disk canonical map, and only the
@@ -149,8 +150,8 @@ from .canonical import SINGULARITY_GUARD, VortexConfig, canonical_map_disk, push
 from .errors import ConvergenceError
 from .geom import TWO_PI, ConformalDomain
 from .poisson import GridSpec, PolarField, solver_for
-from .renorm import (EnergyBreakdown, W0Boundary, coupling_phase, evaluation_work,
-                     g_functional, w0_conformal, w0_disk, w0_disk_gradient)
+from .renorm import (EnergyBreakdown, coupling_phase, evaluation_work, g_functional,
+                     w0_boundary, w0_conformal, w0_disk, w0_disk_gradient)
 
 
 @dataclass(frozen=True)
@@ -451,8 +452,7 @@ def min_over_orientations(config: VortexConfig, field: ExternalField, grid: Grid
 
 def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalField,
                  grid: GridSpec, w0_nodes: int = 2048, tol: float = 1e-9,
-                 max_iter: int = 50, thetas: dict | None = None,
-                 boundary: W0Boundary | None = None) -> EnergyBreakdown:
+                 max_iter: int = 50, thetas: dict | None = None) -> EnergyBreakdown:
     """W(a; h) = W_0(a) + min over sigma = +-1 of V(a; sigma h), on the disk or an oval.
 
     The two vortices are identical particles, so the configuration is
@@ -467,25 +467,15 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     fit through its branch's last three solves, or from its latest
     (:func:`min_over_orientations`); the breakdown's ``theta`` is then
     the winning solve.  Without it every solve starts from theta = 0,
-    and ``theta`` is None.  W_0 on an oval comes
-    from ``boundary``, a search's :class:`~vortexfield.renorm.W0Boundary`
-    built once, bit for bit the value of ``w0_conformal``; one built for
-    another domain or node count is refused.  Without it the call builds
-    its own.
+    and ``theta`` is None.  W_0 on an oval is ``w0_conformal`` at
+    ``w0_nodes``, from the boundary data shared by every call on that
+    domain (``renorm.w0_boundary``).
     """
-    if boundary is not None and (boundary.domain != domain or boundary.nodes != w0_nodes):
-        raise ValueError(f"W0 boundary of {boundary.domain} at {boundary.nodes} nodes "
-                         f"does not match {domain} at {w0_nodes} nodes")
     config = config.canonical_order()
     diag = {"grid": (grid.n_r, grid.n_t), "w0_nodes": w0_nodes}
     if config.is_degenerate:
         return EnergyBreakdown(w0=float("inf"), v_ext=0.0, diagnostics=diag)
-    if domain.is_disk:
-        w0 = w0_disk(config)
-    elif boundary is None:
-        w0 = w0_conformal(domain, config, nodes=w0_nodes)
-    else:
-        w0 = boundary.w0(config)
+    w0 = w0_disk(config) if domain.is_disk else w0_conformal(domain, config, nodes=w0_nodes)
     if field.is_zero:
         return EnergyBreakdown(w0=w0, v_ext=0.0, diagnostics=diag)
     branch = min_over_orientations(config, field, grid, tol, max_iter, thetas=thetas)
@@ -523,15 +513,19 @@ def v_gradient(angles, theta: PolarField) -> np.ndarray:
     return np.array(slopes)
 
 
-def energy_gradient(angles, theta: PolarField | None,
-                    boundary: W0Boundary | None = None) -> np.ndarray:
+def energy_gradient(domain: ConformalDomain, angles, theta: PolarField | None,
+                    w0_nodes: int = 2048) -> np.ndarray:
     """(dW/ds_1, dW/ds_2) of a distinct solved pair, in the label order of ``angles``.
 
-    W_0's part is the disk's closed form, plus ``boundary``'s log-kernel
-    slopes on an oval; V's part is :func:`v_gradient` of the winning
-    ``theta``, which is None only at h = 0, where V = 0.
+    W_0's part is the disk's closed form, and on an oval the gradient of
+    the boundary data at ``w0_nodes`` that :func:`total_energy`'s W_0
+    reads (``renorm.w0_boundary``); V's part is :func:`v_gradient` of the
+    winning ``theta``, which is None only at h = 0, where V = 0.
     """
-    w0 = w0_disk_gradient(angles) if boundary is None else boundary.gradient(angles)
+    if domain.is_disk:
+        w0 = w0_disk_gradient(angles)
+    else:
+        w0 = w0_boundary(domain, w0_nodes).gradient(angles)
     return w0 if theta is None else w0 + v_gradient(angles, theta)
 
 
@@ -647,25 +641,23 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     """Sample m = sigma e^{i theta} M (disk) or its conformal pushforward (oval).
 
     The configuration is put in canonical label order first, and sigma
-    and theta are the winning branch of :func:`min_over_orientations`,
-    as in :func:`total_energy`, so the state sampled is the one it
-    scores.  theta is bilinearly interpolated off-grid; the exponential
-    keeps |m| = 1 exactly.  Sample points inside the vortex guard are
-    skipped and counted; none lies outside the disk (:class:`SampleSpec`).
+    and theta are the winning branch of a :func:`total_energy`
+    breakdown, so the state sampled is the one it scores.  theta is
+    bilinearly interpolated off-grid; the exponential keeps |m| = 1
+    exactly.  Sample points inside the vortex guard are skipped and
+    counted; none lies outside the disk (:class:`SampleSpec`).
     ``solved`` is a search's breakdown at this pair
     (``optimize.NelderMeadResult.best``), whose theta, sigma and solve
-    are taken with no further solve; without it the winning branch is
-    solved from theta = 0.  At h = 0, theta = 0 needs no solve.
+    are taken with no further solve; without it the breakdown is that of
+    ``total_energy`` with a fresh record dict, whose solves start from
+    theta = 0.  At h = 0, theta = 0 needs no solve.
     """
     config = config.canonical_order()
-    theta, solver = None, {}
-    if solved is not None:
-        theta = solved.theta
-        solver = {k: v for k, v in solved.diagnostics.items() if k not in ("grid", "w0_nodes")}
-    elif not field.is_zero:
-        branch = min_over_orientations(config, field, grid, tol, max_iter, thetas={})
-        theta, solver = branch.theta, branch.diagnostics()
-    theta = PolarField.zeros(grid) if theta is None else theta
+    if solved is None:
+        solved = total_energy(domain, config, field, grid, tol=tol, max_iter=max_iter,
+                              thetas={})
+    solver = {k: v for k, v in solved.diagnostics.items() if k not in ("grid", "w0_nodes")}
+    theta = PolarField.zeros(grid) if solved.theta is None else solved.theta
     sigma = solver.get("sigma", 1)
 
     pts = sample.disk_points()

@@ -66,7 +66,7 @@ from .errors import ConfigurationError, ConvergenceError
 from .geom import TWO_PI, ConformalDomain
 from .micromag import ExternalField, energy_gradient, total_energy
 from .poisson import GridSpec
-from .renorm import EnergyBreakdown, W0Boundary
+from .renorm import EnergyBreakdown
 
 
 def _wrap(s: np.ndarray) -> np.ndarray:
@@ -372,25 +372,21 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
     not solve that pair again, and each finite one its ``gradient``, the
     exact dW/ds at the pair in the order it was asked for
     (:func:`vortexfield.micromag.energy_gradient`), which reads that
-    theta and starts no solve.  On an oval it builds one
-    :class:`~vortexfield.renorm.W0Boundary` and evaluates W_0 of every
-    pair with it, so the boundary density and its FFT are computed once
-    per search, not once per evaluation.
+    theta and starts no solve.
     """
     thetas = {}
-    boundary = None if domain.is_disk else W0Boundary(domain, w0_nodes)
 
     def objective(s) -> EnergyBreakdown:
         config = VortexConfig.pair(float(s[0]), float(s[1]))
         try:
             breakdown = total_energy(domain, config, field, grid, w0_nodes=w0_nodes, tol=tol,
-                                     max_iter=max_iter, thetas=thetas, boundary=boundary)
+                                     max_iter=max_iter, thetas=thetas)
         except ConvergenceError as exc:
             return EnergyBreakdown(w0=float("inf"), v_ext=float("inf"),
                                    diagnostics={"error": str(exc)})
         if math.isfinite(breakdown.total):
-            breakdown.gradient = partial(energy_gradient, config.angles, breakdown.theta,
-                                         boundary)
+            breakdown.gradient = partial(energy_gradient, domain, config.angles,
+                                         breakdown.theta, w0_nodes)
         return breakdown
     return objective
 

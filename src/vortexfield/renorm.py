@@ -10,7 +10,9 @@ Three evaluators of the vortex interaction energy live here:
   Equations*, ch. 12).  The boundary data that do not depend on the
   pair, the log|Phi'| term and the density's coefficients, form a
   :class:`W0Boundary`, which evaluates any number of pairs and their
-  gradients (each kernel integral differentiated term by term).
+  gradients (each kernel integral differentiated term by term).  There
+  is one per (domain, nodes) in the process, from :func:`w0_boundary`,
+  as there is one Poisson factor per grid (``poisson.solver_for``).
 * ``punctured_energy``: the Dirichlet integral of grad phi* over the
   disk minus small exclusion disks around the vortices, by adaptive
   midpoint quadrature.  Its renormalized limit carries twice the energy
@@ -140,15 +142,12 @@ class W0Boundary:
     smooth log|Phi'| term by the periodic trapezoid rule (``log_term``),
     and the density's Fourier coefficients fhat_k / k, k = 1 ... nodes/2,
     with the Nyquist mode halved (``coeffs``), against which
-    :meth:`w0` integrates the log kernels exactly.  A search builds one
-    per domain (``optimize.energy_objective``) and hands it to every
-    ``total_energy`` call, which checks ``domain`` and ``nodes`` against
-    its own; a direct ``total_energy`` call builds its own.
+    :meth:`w0` integrates the log kernels exactly.  The energy path reads
+    the one of each (domain, nodes) that :func:`w0_boundary` keeps.
     """
 
     def __init__(self, domain: ConformalDomain, nodes: int):
         require_w0_nodes(nodes)
-        self.domain, self.nodes = domain, nodes
         t = TWO_PI * np.arange(nodes) / nodes
         dt = TWO_PI / nodes
         z = np.exp(1j * t)
@@ -173,6 +172,15 @@ class W0Boundary:
         return w0_disk_gradient(angles) + 0.5 * _log_kernel_slopes(self.coeffs, angles)
 
 
+@lru_cache(maxsize=16)
+def w0_boundary(domain: ConformalDomain, nodes: int) -> W0Boundary:
+    """The process's shared :class:`W0Boundary` of the domain at ``nodes`` points.
+
+    Every caller gets the same object, so none may write into its arrays.
+    """
+    return W0Boundary(domain, nodes)
+
+
 def w0_conformal(domain: ConformalDomain, config: VortexConfig, nodes: int = 2048) -> float:
     """Unperturbed renormalized energy on a conformal image of the disk.
 
@@ -181,10 +189,11 @@ def w0_conformal(domain: ConformalDomain, config: VortexConfig, nodes: int = 204
     the periodic trapezoid rule, the two log kernels exactly against the
     density's trigonometric interpolant.  On the disk the density is 1
     and log|Phi'| is 0, so both corrections vanish and the quadrature
-    reproduces the closed form exactly.  A caller that evaluates many
-    pairs on one domain builds one :class:`W0Boundary` instead.
+    reproduces the closed form exactly.  The boundary data are built on
+    the first call for each (domain, nodes) and shared from then on
+    (:func:`w0_boundary`).
     """
-    return W0Boundary(domain, nodes).w0(config)
+    return w0_boundary(domain, nodes).w0(config)
 
 
 def _grad_phistar_sq(x: np.ndarray, a1: complex, a2: complex,

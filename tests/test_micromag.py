@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vortexfield.canonical import VortexConfig, canonical_map_disk
-from vortexfield.errors import ConvergenceError
+from vortexfield.errors import ConfigurationError, ConvergenceError
 from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import (ExternalField, SampleSpec,
                                   interpolate_field, magnetization_field,
@@ -19,7 +19,7 @@ from vortexfield.poisson import (DiskPoissonSolver, GridSpec, PolarField, solve_
                                  solver_for)
 from vortexfield.micromag import _picard_rhs
 from vortexfield.optimize import energy_objective, nelder_mead
-from vortexfield.renorm import W0Boundary, coupling_phase, g_functional
+from vortexfield.renorm import coupling_phase, g_functional
 
 TWO_PI = 2.0 * np.pi
 ANTIPODAL = VortexConfig.pair(0.0, np.pi)
@@ -399,22 +399,6 @@ class TestTotalEnergy:
         eb = total_energy(ConformalDomain.oval(0.2), ANTIPODAL,
                           ExternalField((0.0, 0.01)), grid)
         assert eb.total == eb.w0 + eb.v_ext
-
-    def test_a_given_boundary_gives_the_same_w0_bitwise(self):
-        oval, field, grid = ConformalDomain.oval(0.2), ExternalField((0.0, 0.3)), GridSpec(16, 32)
-        boundary = W0Boundary(oval, 256)
-        for s in [(0.5, 2.5), (1.0, 4.5), (3.0, 3.0)]:
-            config = VortexConfig.pair(*s)
-            own = total_energy(oval, config, field, grid, w0_nodes=256)
-            shared = total_energy(oval, config, field, grid, w0_nodes=256, boundary=boundary)
-            assert (shared.w0, shared.v_ext) == (own.w0, own.v_ext)
-
-    def test_a_boundary_of_another_domain_or_node_count_is_refused(self):
-        oval = ConformalDomain.oval(0.2)
-        for boundary in (W0Boundary(ConformalDomain.oval(0.3), 256), W0Boundary(oval, 512)):
-            with pytest.raises(ValueError, match="does not match"):
-                total_energy(oval, STRONG_PAIR, ExternalField((0.0, 0.3)), GridSpec(16, 32),
-                             w0_nodes=256, boundary=boundary)
 
 
 ORIENTATION_GRID = GridSpec(16, 32)
@@ -865,6 +849,20 @@ class TestMagnetizationField:
         assert (out.solver == cold.solver) != warm
         got, expected = ([(p.x, p.y, p.mx, p.my) for p in o.samples] for o in (out, cold))
         assert np.max(np.abs(np.subtract(got, expected))) <= (1e-8 if warm else 0.0)
+
+    @pytest.mark.parametrize("h", [(0.0, 0.0), (0.0, 3.0), (0.0, 8.0)])
+    def test_samples_the_breakdown_of_a_cold_total_energy(self, h):
+        # without a solved breakdown the field samples the one total_energy
+        # gives with a fresh record dict, to the bit
+        grid, domain, field = GridSpec(16, 32), ConformalDomain.oval(0.2), ExternalField(h)
+        cold = magnetization_field(domain, STRONG_PAIR, field, grid)
+        solved = total_energy(domain, STRONG_PAIR, field, grid, thetas={})
+        sampled = magnetization_field(domain, STRONG_PAIR, field, grid, solved=solved)
+        assert cold.solver == sampled.solver
+        assert (cold.samples, cold.skipped) == (sampled.samples, sampled.skipped)
+        assert bool(cold.solver) != field.is_zero
+        with pytest.raises(ConfigurationError):
+            magnetization_field(domain, VortexConfig.pair(1.0, 1.0), field, grid)
 
     def test_boundary_tangency_for_any_field(self):
         # theta = 0 on the boundary, so m = M on the outermost ring, at

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from vortexfield.canonical import VortexConfig
 from vortexfield.geom import ConformalDomain
-from vortexfield.micromag import ExternalField, total_energy
+from vortexfield.micromag import ExternalField, energy_gradient, total_energy
 from vortexfield.optimize import (SimplexState, _Evaluations, _gradient_finish, energy_objective,
                                   grid_oracle, landscape, nelder_mead)
 from vortexfield.poisson import GridSpec
-from vortexfield.renorm import EnergyBreakdown
+from vortexfield.renorm import EnergyBreakdown, W0Boundary, w0_boundary, w0_conformal
 
 TWO_PI = 2.0 * np.pi
 PI_LOG_2 = np.pi * np.log(2.0)
@@ -372,23 +372,40 @@ class TestNelderMead:
 
 class TestEnergyObjective:
     def test_builds_one_w0_boundary_per_oval_search(self, monkeypatch):
+        # one boundary per (domain, nodes) in the process: a search, direct
+        # energies, w0_conformal and the gradients all read it, and at h = 0
+        # a gradient is W_0's alone
         calls, real = [], ConformalDomain.curvature_speed
 
         def counted(self, t):
             calls.append(self)
             return real(self, t)
+        w0_boundary.cache_clear()
         monkeypatch.setattr(ConformalDomain, "curvature_speed", counted)
-        oval, grid, zero = ConformalDomain.oval(0.2), GridSpec(16, 32), ExternalField((0.0, 0.0))
-        pairs = [(0.5, 2.5), (0.6, 2.4), (1.0, 4.0)]
+        oval, other = ConformalDomain.oval(0.2), ConformalDomain.oval(0.3)
+        disk, grid, zero = ConformalDomain.disk(), GridSpec(16, 32), ExternalField((0.0, 0.0))
+        configs = [VortexConfig.pair(*s) for s in [(0.5, 2.5), (2.4, 0.6), (1.0, 4.0)]]
         objective = energy_objective(oval, zero, grid, w0_nodes=256)
-        values = [float(objective(s)) for s in pairs]
-        assert len(calls) == 1
-        # a direct call builds its own, to the same bits
-        assert values == [total_energy(oval, VortexConfig.pair(*s), zero, grid,
-                                       w0_nodes=256).total for s in pairs]
-        assert len(calls) == 1 + len(pairs)
-        energy_objective(ConformalDomain.disk(), zero, grid)(pairs[0])
-        assert len(calls) == 1 + len(pairs)
+        found = []   # (domain, nodes, config, W_0, W_0's gradient or None)
+        for config in configs:
+            searched = objective(config.angles)
+            found += [
+                (oval, 256, config, searched.w0, searched.gradient()),
+                (oval, 256, config, total_energy(oval, config, zero, grid, w0_nodes=256).w0,
+                 energy_gradient(oval, config.angles, None, 256)),
+                (oval, 256, config, w0_conformal(oval, config, 256), None),
+                (oval, 512, config, total_energy(oval, config, zero, grid, w0_nodes=512).w0,
+                 energy_gradient(oval, config.angles, None, 512)),
+                (other, 256, config, total_energy(other, config, zero, grid, w0_nodes=256).w0,
+                 None)]
+        energy_objective(disk, zero, grid)(configs[0].angles).gradient()
+        total_energy(disk, configs[0], zero, grid)
+        assert calls == [oval, oval, other]
+        for domain, nodes, config, w0, gradient in found:
+            fresh = W0Boundary(domain, nodes)
+            assert w0 == fresh.w0(config.canonical_order())
+            if gradient is not None:
+                assert np.array_equal(gradient, fresh.gradient(config.angles))
 
     def test_the_search_answer_is_its_own_evaluation(self, monkeypatch):
         # best is the breakdown returned at s_min, with the theta solved there
@@ -513,13 +530,14 @@ class TestGridOracle:
         assert oracle_value <= nm.value + 1e-6
 
     def test_builds_one_objective(self, monkeypatch):
-        # the scan and the refinement share one objective, so W_0's boundary
-        # is built once per call
+        # the scan and the refinement share one objective, and W_0's boundary
+        # is built once per (domain, nodes)
         calls, real = [], ConformalDomain.curvature_speed
 
         def counted(self, t):
             calls.append(self)
             return real(self, t)
+        w0_boundary.cache_clear()
         monkeypatch.setattr(ConformalDomain, "curvature_speed", counted)
         s_min, value = grid_oracle(ConformalDomain.oval(0.2), ExternalField((0.0, 3.0)), 32,
                                    GridSpec(16, 32))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from oracles import grad_phistar
 
 from vortexfield import renorm, verify
-from vortexfield.canonical import VortexConfig, canonical_map_disk, grad_phistar
+from vortexfield.canonical import VortexConfig, canonical_map_disk
 from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import ExternalField, picard_solve
 from vortexfield.poisson import GridSpec, PolarField, integrate_disk, solver_for
