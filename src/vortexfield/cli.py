@@ -17,9 +17,15 @@ and ``--auto-min``, and the search options only with ``--auto-min``),
 and :meth:`RunConfig.validate` checks each value once.
 
 A search's answer is its own evaluation: ``minimize`` writes the kept
-breakdown of the pair it reports, and ``field --auto-min`` samples the
-theta solved there.  A search or scan with no finite energy writes
-nothing and exits 2 with its first solver failure's message.
+breakdown of the pair it reports, with ``gradient``, the exact dW/ds at
+``s_min`` from that breakdown's theta (one operator apply, no solve),
+and ``field --auto-min`` samples the theta solved there.
+``field_summary.json`` reports the ``w0``, ``v_ext`` and ``total`` of
+the state it samples, in both modes.  Each ``solver`` block is
+``total_energy``'s diagnostics, the winning solve and the branch choice
+alone; the grid and ``w0_nodes`` are in ``config``.  A search or scan
+with no finite energy writes nothing and exits 2 with its first solver
+failure's message.
 
 Outputs are flat files (JSON summaries, CSV tables, optional static
 SVG); every artifact embeds the resolved configuration it was made from
@@ -181,6 +187,7 @@ def cmd_minimize(config: RunConfig) -> int:
         "w0": breakdown.w0,
         "v_ext": breakdown.v_ext,
         "total": breakdown.total,
+        "gradient": breakdown.gradient().tolist(),
         "solver": breakdown.diagnostics,
         "optimizer": {
             "operations": result.state.operations,
@@ -247,6 +254,9 @@ def cmd_field(config: RunConfig) -> int:
         "samples": len(field_out.samples),
         "skipped": field_out.skipped,
         "vortex_positions": [[v.real, v.imag] for v in field_out.vortex_positions],
+        "w0": field_out.energy.w0,
+        "v_ext": field_out.energy.v_ext,
+        "total": field_out.energy.total,
     }
     if field_out.solver:
         summary["solver"] = field_out.solver

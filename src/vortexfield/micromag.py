@@ -57,14 +57,14 @@ that end in the gradient finish, a solve takes 7.2 iterations, against
 ``thetas``, one key per branch: ``thetas[sigma]`` is its record, the
 tuple of its last three or fewer (s, theta), oldest first, from which
 ``_start`` picks the fit, the latest theta or, when empty, 0.  Only
-``_start`` and ``_branch`` read that layout; ``Orientation.theta``
-hands the winning theta on to the breakdown (``EnergyBreakdown.theta``),
-which ``magnetization_field`` samples with no further solve.  A search
-keeps one dict across calls, and a cold ``magnetization_field`` hands
-``total_energy`` a fresh one.  For |h| >= lambda_lo, where a
-start can reach another fixed point, the dict is emptied first and each
-record holds one cold solve; there, and for every solve outside a
-search, theta_0 = 0.
+``_start`` and ``_branch`` read that layout; ``total_energy`` hands the
+winning theta on in its breakdown (``EnergyBreakdown.theta``), which
+``magnetization_field`` samples with no further solve.  A search keeps
+one dict across calls, and a cold ``magnetization_field`` hands
+``total_energy`` a fresh one.  For |h| >= lambda_lo, where a start can
+reach another fixed point, the dict is emptied first and each record
+holds one cold solve; there, and for every solve outside a search,
+theta_0 = 0.
 
 An independent cross-check, ``minimize_g_descent``, minimizes the same
 discrete energy by preconditioned gradient descent with Nesterov
@@ -140,7 +140,7 @@ displayed magnetization is pushed forward through the conformal map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -321,32 +321,6 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
 _PRUNE_MARGIN = 1e-9
 
 
-@dataclass
-class Orientation:
-    """The winning branch sigma of min over sigma of V(a; sigma h), and its solve.
-
-    ``theta`` is the winning solve's theta when the call kept a record
-    dict, which holds it anyway, and None without one, so that a call
-    that solves both branches holds one theta at a time.
-    ``loser_bound`` is the lower bound on the other branch's V, None
-    when |h| >= lambda_lo.
-    """
-
-    sigma: int
-    v: float
-    report: FixedPointReport
-    theta: PolarField | None
-    branches_solved: int
-    loser_bound: float | None
-
-    def diagnostics(self) -> dict:
-        """The winning solve and the branch choice, as artifacts report them."""
-        report = self.report
-        return {"iterations": report.iterations, "residual": report.residual,
-                "final_change": report.changes[-1], "sigma": self.sigma,
-                "branches_solved": self.branches_solved, "loser_bound": self.loser_bound}
-
-
 def _loser_bound(moment: float, h_norm: float, lam: float) -> float | None:
     """|L| - |h|^2 pi / (2 (lambda_lo - |h|)) <= V(a; -sign(L) h), or None
     when |h| >= lambda_lo (module docstring), or when |h|^2 underflows
@@ -391,7 +365,9 @@ def _branch(config: VortexConfig, h: tuple, sigma: int, coupling: tuple, grid: G
             tol: float, max_iter: int, thetas: dict | None) -> tuple:
     """(V(a; sigma h), report, theta) from one Picard solve, or :class:`ConvergenceError`.
 
-    ``coupling`` is the (a, phi) of h; the branch's is (sigma a, phi).
+    One orientation branch of :func:`total_energy`, for a pair in
+    canonical order.  ``coupling`` is the (a, phi) of h; the branch's is
+    (sigma a, phi).
     When there is a dict, the solve starts from :func:`_start` of the
     branch's record ``thetas[sigma]`` and replaces that record with its
     last two solves and this one; otherwise it starts from 0 and the
@@ -415,23 +391,45 @@ def _branch(config: VortexConfig, h: tuple, sigma: int, coupling: tuple, grid: G
     return v, report, theta if thetas is not None else None
 
 
-def min_over_orientations(config: VortexConfig, field: ExternalField, grid: GridSpec,
-                          tol: float = 1e-9, max_iter: int = 50,
-                          thetas: dict | None = None) -> Orientation:
-    """min over sigma = +-1 of V(a; sigma h), for a pair in canonical order.
+def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalField,
+                 grid: GridSpec, w0_nodes: int = 2048, tol: float = 1e-9,
+                 max_iter: int = 50, thetas: dict | None = None) -> EnergyBreakdown:
+    """W(a; h) = W_0(a) + min over sigma = +-1 of V(a; sigma h), on the disk or an oval.
+
+    The two vortices are identical particles, so the configuration is
+    put in canonical (sorted) label order first, and sigma is relative
+    to the M of that order; the minimum over sigma makes W independent
+    of the label order and of the angle origin.  theta is always solved
+    on the unit disk against the disk canonical map, also for conformal
+    domains.  W_0 on an oval is ``w0_conformal`` at ``w0_nodes``, from
+    the boundary data shared by every call on that domain
+    (``renorm.w0_boundary``).
 
     The favoured branch sigma* = sign L (+1 at L = 0) is solved first;
     the other only when its lower bound does not clear the solved V by
-    the rounding margin (module docstring).  The coupling is built once:
+    ``_PRUNE_MARGIN`` (module docstring).  The coupling is built once:
     its phi stays in the grid's work array, and each branch's
-    ``g_functional`` rewrites it with the same bits.  Each branch solve
-    starts from ``_start`` of its record ``thetas[sigma]``, the last
-    three or fewer (s, theta) of that branch, and joins it (module
-    docstring).  For |h| >= lambda_lo the dict is emptied first, so
-    every solve starts from 0 and each record holds only its one cold
-    solve.  Without ``thetas`` no theta outlives its branch, and the
-    result's ``theta`` is None.
+    ``g_functional`` rewrites it with the same bits.  ``thetas`` carries
+    a search's record of each branch from one call to the next: each
+    branch solve starts from ``_start`` of its record ``thetas[sigma]``,
+    the last three or fewer (s, theta) of that branch, and joins it
+    (module docstring).  For |h| >= lambda_lo the dict is emptied first,
+    so every solve starts from 0 and each record holds only its one cold
+    solve.  The breakdown's ``theta`` is the winning solve; without
+    ``thetas`` no theta outlives its branch, every solve starts from
+    theta = 0, and ``theta`` is None.
+
+    The diagnostics are the winning solve's ``iterations``, ``residual``
+    and ``final_change``, its ``sigma``, ``branches_solved`` and
+    ``loser_bound`` (None when |h| >= lambda_lo); they are empty for a
+    degenerate pair and at h = 0, where nothing is solved.
     """
+    config = config.canonical_order()
+    if config.is_degenerate:
+        return EnergyBreakdown(w0=float("inf"), v_ext=0.0)
+    w0 = w0_disk(config) if domain.is_disk else w0_conformal(domain, config, nodes=w0_nodes)
+    if field.is_zero:
+        return EnergyBreakdown(w0=w0, v_ext=0.0)
     amplitude, phi, moment = coupling_phase(config, grid, field.h, moment=True)
     favoured = 1 if moment >= 0.0 else -1
     lam = solver_for(grid).lambda_min()
@@ -447,40 +445,10 @@ def min_over_orientations(config: VortexConfig, field: ExternalField, grid: Grid
         if bound is not None and bound - margin > v:
             break
     v, sigma, report, theta = min(branches, key=lambda b: b[0])   # a tie keeps sigma*
-    return Orientation(sigma, v, report, theta, len(branches), bound)
-
-
-def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalField,
-                 grid: GridSpec, w0_nodes: int = 2048, tol: float = 1e-9,
-                 max_iter: int = 50, thetas: dict | None = None) -> EnergyBreakdown:
-    """W(a; h) = W_0(a) + min over sigma = +-1 of V(a; sigma h), on the disk or an oval.
-
-    The two vortices are identical particles, so the configuration is
-    put in canonical (sorted) label order first, and sigma is relative
-    to the M of that order; the minimum over sigma makes W independent
-    of the label order and of the angle origin.  theta is always solved
-    on the unit disk against the disk canonical map, also for conformal
-    domains.  The diagnostics carry the winning solve, its ``sigma``,
-    ``branches_solved`` and ``loser_bound`` (:func:`min_over_orientations`).
-    ``thetas`` carries a search's record of each branch from one call to
-    the next, and for |h| < lambda_lo each solve starts from the affine
-    fit through its branch's last three solves, or from its latest
-    (:func:`min_over_orientations`); the breakdown's ``theta`` is then
-    the winning solve.  Without it every solve starts from theta = 0,
-    and ``theta`` is None.  W_0 on an oval is ``w0_conformal`` at
-    ``w0_nodes``, from the boundary data shared by every call on that
-    domain (``renorm.w0_boundary``).
-    """
-    config = config.canonical_order()
-    diag = {"grid": (grid.n_r, grid.n_t), "w0_nodes": w0_nodes}
-    if config.is_degenerate:
-        return EnergyBreakdown(w0=float("inf"), v_ext=0.0, diagnostics=diag)
-    w0 = w0_disk(config) if domain.is_disk else w0_conformal(domain, config, nodes=w0_nodes)
-    if field.is_zero:
-        return EnergyBreakdown(w0=w0, v_ext=0.0, diagnostics=diag)
-    branch = min_over_orientations(config, field, grid, tol, max_iter, thetas=thetas)
-    diag.update(branch.diagnostics())
-    return EnergyBreakdown(w0=w0, v_ext=branch.v, diagnostics=diag, theta=branch.theta)
+    diagnostics = {"iterations": report.iterations, "residual": report.residual,
+                   "final_change": report.changes[-1], "sigma": sigma,
+                   "branches_solved": len(branches), "loser_bound": bound}
+    return EnergyBreakdown(w0=w0, v_ext=v, diagnostics=diagnostics, theta=theta)
 
 
 def v_gradient(angles, theta: PolarField) -> np.ndarray:
@@ -593,15 +561,19 @@ class VectorFieldSample:
 class MagnetizationField:
     """Sampled magnetization plus bookkeeping for skipped points.
 
-    ``solver`` holds the winning branch's solve and the branch choice, as
-    in :func:`total_energy`'s diagnostics; it is empty at h = 0, where
-    theta = 0 needs no solve.
+    ``energy`` is the :func:`total_energy` breakdown of the state sampled,
+    and ``solver`` its diagnostics: the winning branch's solve and the
+    branch choice, empty at h = 0, where theta = 0 needs no solve.
     """
 
     samples: list
     skipped: int
     vortex_positions: tuple
-    solver: dict = dataclass_field(default_factory=dict)
+    energy: EnergyBreakdown
+
+    @property
+    def solver(self) -> dict:
+        return self.energy.diagnostics
 
 
 def interpolate_field(theta: PolarField, points: np.ndarray) -> np.ndarray:
@@ -656,9 +628,8 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     if solved is None:
         solved = total_energy(domain, config, field, grid, tol=tol, max_iter=max_iter,
                               thetas={})
-    solver = {k: v for k, v in solved.diagnostics.items() if k not in ("grid", "w0_nodes")}
     theta = PolarField.zeros(grid) if solved.theta is None else solved.theta
-    sigma = solver.get("sigma", 1)
+    sigma = solved.diagnostics.get("sigma", 1)
 
     pts = sample.disk_points()
     guard = max(SINGULARITY_GUARD, 1e-9)
@@ -674,7 +645,7 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     ]
     vortices = tuple(complex(v) for v in np.asarray(domain.forward(config.positions)))
     return MagnetizationField(samples=samples, skipped=skipped,
-                              vortex_positions=vortices, solver=solver)
+                              vortex_positions=vortices, energy=solved)
 
 
 # ----------------------------------------------------------------------

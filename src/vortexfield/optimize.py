@@ -365,7 +365,7 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
     The objective keeps each orientation branch's record of its last
     three or fewer (s, theta) and, for |h| < lambda_lo, starts the
     branch's next solve from the affine fit through them, or from the
-    latest (:func:`vortexfield.micromag.min_over_orientations`); a new
+    latest (:func:`vortexfield.micromag.total_energy`); a new
     objective starts from theta = 0, so equal searches give equal
     results.  Each breakdown carries its winning theta, so a search that
     keeps the return of its reported pair (:class:`_Evaluations`) need

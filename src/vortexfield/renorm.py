@@ -37,12 +37,11 @@ phi bitwise and differ in the sign of a.
 
 Both orientations of M are states of the same vortex pair, so the energy
 reported is W = W_0 + min over sigma = +-1 of V(a; sigma h), V the
-minimum of G (:func:`vortexfield.micromag.min_over_orientations`).
+minimum of G (:func:`vortexfield.micromag.total_energy`).
 ``coupling_phase`` also returns L = int h . M dx = sum w Im q on
-request, from which ``min_over_orientations`` picks the branch solved
-first and bounds the other below without a solve; the
-:mod:`vortexfield.micromag` docstring and ``micromag._loser_bound``
-derive that bound.
+request, from which ``total_energy`` picks the branch solved first and
+bounds the other below without a solve; the :mod:`vortexfield.micromag`
+docstring and ``micromag._loser_bound`` derive that bound.
 ``coupling_phase`` and ``g_functional`` work in arrays made once per grid
 (:class:`EvaluationWork`); a returned phi holds until the next call on its grid.
 """
@@ -63,7 +62,9 @@ from .poisson import GridSpec, PolarField, integrate_disk, solver_for
 class EnergyBreakdown:
     """Total renormalized energy split into its two summands; ``float()`` is the total.
 
-    ``theta``, not compared, is the winning solve if kept (``micromag.Orientation.theta``).
+    ``theta``, not compared, is the winning solve if kept (``micromag.total_energy``).
+    ``diagnostics`` is that solve and the branch choice, or a failed
+    evaluation's ``error`` (``optimize.energy_objective``).
     ``gradient``, not compared, is None or a callable of no arguments that
     returns (dW/ds_1, dW/ds_2) at the evaluated pair, in the caller's
     label order; ``optimize.energy_objective`` sets it on each finite

@@ -11,7 +11,8 @@ from vortexfield import verify
 from vortexfield.canonical import VortexConfig
 from vortexfield.cli import build_parser, main
 from vortexfield.geom import ConformalDomain
-from vortexfield.micromag import ExternalField, magnetization_field, minimize_g_descent
+from vortexfield.micromag import (ExternalField, magnetization_field, minimize_g_descent,
+                                  total_energy)
 from vortexfield.poisson import GridSpec
 
 TWO_PI = 2.0 * np.pi
@@ -84,7 +85,8 @@ class TestMinimizeCommand:
     def test_the_gradient_finish_shortens_the_search(self, tmp_path):
         # the 16 x 32 disk-weak search from (0.5, 2.5) takes 36 evaluations
         # with the gradient finish, against 53 with the central-difference
-        # value stencil it replaced, and ends at the same W
+        # value stencil it replaced, and ends at the same W; the reported
+        # exact dW/ds of the kept evaluation is about 5e-8 there
         code = run(["minimize", "--h=-0.01,0", "--grid", "16,32", "--out", str(tmp_path)])
         assert code == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -92,6 +94,8 @@ class TestMinimizeCommand:
         assert summary["evaluations"] <= 45
         assert summary["optimizer"]["operations"]["newton"] >= 1
         assert summary["total"] == pytest.approx(-2.2060333850644, rel=0.0, abs=1e-10)
+        assert len(summary["gradient"]) == 2
+        assert max(abs(g) for g in summary["gradient"]) < 1e-5
 
     def test_failing_start_solves_each_vertex_once(self, tmp_path, monkeypatch):
         # each failing vertex keeps its solver message, so none is solved again
@@ -146,6 +150,16 @@ class TestMinimizeCommand:
                     ExternalField((-0.01, 0.0)), GridSpec(16, 32))
         assert summary["total"] == pytest.approx(cold.total, rel=1e-12, abs=0.0)
         assert summary["w0"] == cold.w0
+
+    def test_solver_block_is_the_solve_alone(self, tmp_path):
+        # the same keys as field's solver block; the grid and the node count
+        # are in the config
+        assert run(["minimize", "--h", "0,1", "--grid", "16,32", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert set(summary["solver"]) == {"iterations", "residual", "final_change", "sigma",
+                                          "branches_solved", "loser_bound"}
+        assert summary["config"]["grid"] == [16, 32]
+        assert summary["config"]["w0_nodes"] == 2048
 
     def test_invalid_grid_exits_1(self, tmp_path):
         assert run(["minimize", "--grid", "3,7", "--out", str(tmp_path)]) == 1
@@ -265,6 +279,27 @@ class TestFieldCommand:
         assert solver["iterations"] >= 1
         assert solver["final_change"] < summary["config"]["tol"]
         assert solver["residual"] < 1e-6
+
+    @pytest.mark.parametrize("domain,h", [("disk", (0.0, 0.0)), ("oval", (0.0, 3.0))])
+    def test_summary_reports_the_energy_of_the_sampled_state(self, tmp_path, domain, h):
+        assert run(["field", "--domain", domain, f"--h={h[0]},{h[1]}", "--s", "0.5,2.5",
+                    "--grid", "16,32", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "field_summary.json").read_text())
+        conformal = ConformalDomain.disk() if domain == "disk" else ConformalDomain.oval(0.2)
+        cold = total_energy(conformal, VortexConfig.pair(0.5, 2.5), ExternalField(h),
+                            GridSpec(16, 32))
+        assert (summary["w0"], summary["v_ext"], summary["total"]) == (
+            cold.w0, cold.v_ext, cold.total)
+
+    def test_auto_min_reports_the_total_that_minimize_reports(self, tmp_path):
+        options = ["--domain", "oval", "--c", "0.2", "--h", "0,1", "--grid", "16,32"]
+        assert run(["minimize", *options, "--out", str(tmp_path / "m")]) == 0
+        assert run(["field", "--auto-min", *options, "--out", str(tmp_path / "f")]) == 0
+        minimized = json.loads((tmp_path / "m" / "summary.json").read_text())
+        sampled = json.loads((tmp_path / "f" / "field_summary.json").read_text())
+        assert sampled["s"] == minimized["s_min"]
+        for key in ("w0", "v_ext", "total"):
+            assert sampled[key] == minimized[key]
 
     def test_boundary_tangency_rows(self, tmp_path):
         # the outermost sample ring sits at r = 1 - 1e-9; arrows there are

@@ -12,8 +12,7 @@ from vortexfield.canonical import VortexConfig, canonical_map_disk
 from vortexfield.errors import ConfigurationError, ConvergenceError
 from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import (ExternalField, SampleSpec,
-                                  interpolate_field, magnetization_field,
-                                  min_over_orientations, minimize_g_descent,
+                                  interpolate_field, magnetization_field, minimize_g_descent,
                                   picard_solve, require_picard_budget, total_energy)
 from vortexfield.poisson import (DiskPoissonSolver, GridSpec, PolarField, solve_dirichlet,
                                  solver_for)
@@ -82,15 +81,15 @@ class TestPicardSolve:
             return real(self, u, out=out)
         monkeypatch.setattr(DiskPoissonSolver, "apply", counted)
         thetas = {}
-        branch = min_over_orientations(STRONG_PAIR, ExternalField(h), grid, thetas=thetas)
-        theta = branch.theta
-        assert theta is thetas[branch.sigma][-1][1]
-        assert len(applies) == branch.branches_solved
-        sigma_h = (branch.sigma * h[0], branch.sigma * h[1])
-        assert branch.v == g_functional(STRONG_PAIR, theta, sigma_h)
+        eb = total_energy(domain, STRONG_PAIR, ExternalField(h), grid, thetas=thetas)
+        theta, diag = eb.theta, eb.diagnostics
+        assert theta is thetas[diag["sigma"]][-1][1]
+        assert len(applies) == diag["branches_solved"]
+        sigma_h = (diag["sigma"] * h[0], diag["sigma"] * h[1])
+        assert eb.v_ext == g_functional(STRONG_PAIR, theta, sigma_h)
         lhs = real(solver_for(grid), theta) - _picard_rhs(
             theta.values, coupling_phase(STRONG_PAIR, grid, sigma_h))
-        assert branch.report.residual == float(np.max(np.abs(lhs)))
+        assert diag["residual"] == float(np.max(np.abs(lhs)))
 
     def test_returned_theta_survives_a_later_solve(self):
         # the iterates live in per-grid work arrays; the returned theta does not
@@ -404,6 +403,11 @@ class TestTotalEnergy:
 ORIENTATION_GRID = GridSpec(16, 32)
 
 
+def _solve_keys(diagnostics):
+    """The winning solve's trajectory as total_energy reports it."""
+    return diagnostics["iterations"], diagnostics["residual"], diagnostics["final_change"]
+
+
 def _torus_dist(a, b):
     d = abs(a - b) % TWO_PI
     return min(d, TWO_PI - d)
@@ -459,19 +463,19 @@ class TestOrientations:
         # |h| = 8 >= lambda_lo: both branches are solved from theta = 0, whatever
         # the dict held before, and each record holds only its cold solve at
         # its field sigma h, with nothing to predict from
-        h, thetas = (0.0, 8.0), {}
+        h, thetas, disk = (0.0, 8.0), {}, ConformalDomain.disk()
         for s in [(0.45, 2.55), (0.55, 2.45), (0.5, 2.6)]:
-            min_over_orientations(VortexConfig.pair(*s), ExternalField((0.0, 3.0)),
-                                  ORIENTATION_GRID, thetas=thetas)
+            total_energy(disk, VortexConfig.pair(*s), ExternalField((0.0, 3.0)),
+                         ORIENTATION_GRID, thetas=thetas)
         assert len(thetas[1]) == 3
         for s in [(0.45, 2.55), (0.55, 2.45)]:
-            min_over_orientations(VortexConfig.pair(*s), ExternalField(h), ORIENTATION_GRID,
-                                  thetas=thetas)
+            total_energy(disk, VortexConfig.pair(*s), ExternalField(h), ORIENTATION_GRID,
+                         thetas=thetas)
             assert set(thetas) == {1, -1}
             assert [p for p, _ in thetas[1]] == [p for p, _ in thetas[-1]] == [s]
-        branch = min_over_orientations(STRONG_PAIR, ExternalField(h), ORIENTATION_GRID,
-                                       thetas=thetas)
-        assert branch.branches_solved == 2 and set(thetas) == {1, -1}
+        diag = total_energy(disk, STRONG_PAIR, ExternalField(h), ORIENTATION_GRID,
+                            thetas=thetas).diagnostics
+        assert diag["branches_solved"] == 2 and set(thetas) == {1, -1}
         for sigma, record in thetas.items():
             cold, report = picard_solve(STRONG_PAIR,
                                         ExternalField((sigma * h[0], sigma * h[1])),
@@ -479,8 +483,9 @@ class TestOrientations:
             ((pair, theta),) = record
             assert pair == STRONG_PAIR.angles
             assert np.array_equal(theta.values, cold.values)
-            if sigma == branch.sigma:
-                assert branch.report == report
+            if sigma == diag["sigma"]:
+                assert _solve_keys(diag) == (report.iterations, report.residual,
+                                             report.changes[-1])
 
     def test_a_field_past_lambda_min_solves_both_branches(self):
         # |h| = 8 is above the smallest eigenvalue of -lap_h (about 5.78),
@@ -632,20 +637,22 @@ class TestWarmStart:
         # system singular: the solve starts from the latest theta, bit for bit
         # the solve from a record of that one theta
         field, x, eta = ExternalField((0.0, 3.0)), np.array([0.5, 2.5]), 0.05
+        disk = ConformalDomain.disk()
         target = VortexConfig.pair(*(x + eta * np.array([0.0, 1.0])))
         results = {}
         for name, offsets in [("line", [(1.0, 0.0), (-1.0, 0.0), (0.0, 0.0)]),
                               ("triangle", [(1.0, 0.0), (-1.0, -1.0), (0.0, 0.0)])]:
             thetas = {}
             for d in offsets:
-                min_over_orientations(VortexConfig.pair(*(x + eta * np.array(d))), field,
-                                      WARM_GRID, thetas=thetas)
+                total_energy(disk, VortexConfig.pair(*(x + eta * np.array(d))), field,
+                             WARM_GRID, thetas=thetas)
             assert len(thetas[1]) == 3
             solved = list(thetas)
             latest = {sigma: thetas[sigma][-1:] for sigma in solved}
-            with_history = min_over_orientations(target, field, WARM_GRID, thetas=thetas)
-            latest_only = min_over_orientations(target, field, WARM_GRID, thetas=latest)
-            results[name] = (with_history.report == latest_only.report
+            with_history = total_energy(disk, target, field, WARM_GRID, thetas=thetas)
+            latest_only = total_energy(disk, target, field, WARM_GRID, thetas=latest)
+            results[name] = (_solve_keys(with_history.diagnostics)
+                             == _solve_keys(latest_only.diagnostics)
                              and all(np.array_equal(thetas[sigma][-1][1].values,
                                                     latest[sigma][-1][1].values)
                                      for sigma in solved))
