@@ -16,16 +16,18 @@ search, plots, output and ``--s --auto-min --samples --jitter --seed``;
 and ``--auto-min``, and the search options only with ``--auto-min``),
 and :meth:`RunConfig.validate` checks each value once.
 
-A search's answer is its own evaluation: ``minimize`` writes the kept
-breakdown of the pair it reports, with ``gradient``, the exact dW/ds at
-``s_min`` from that breakdown's theta (one operator apply, no solve),
-and ``field --auto-min`` samples the theta solved there.
-``field_summary.json`` reports the ``w0``, ``v_ext`` and ``total`` of
-the state it samples, in both modes.  Each ``solver`` block is
-``total_energy``'s diagnostics, the winning solve and the branch choice
-alone; the grid and ``w0_nodes`` are in ``config``.  A search or scan
-with no finite energy writes nothing and exits 2 with its first solver
-failure's message.
+``minimize``, ``landscape`` and ``field`` take every W from the run's
+one objective (:func:`_objective`).  A search's answer is its own
+evaluation: ``minimize`` writes the kept breakdown of the pair it
+reports and ``failures``, its count of evaluations that were not
+finite; ``field --auto-min`` samples the theta solved there, and
+``field --s`` the objective's breakdown at its pair.  Both summaries
+write the breakdown through :func:`_energy_keys`: ``w0``, ``v_ext``,
+``total``, ``gradient`` (the exact dW/ds, one operator apply, no solve)
+and, when something was solved, ``solver``, the winning solve and the
+branch choice alone; the grid and ``w0_nodes`` are in ``config``.  A
+search, scan or pair with no finite energy writes nothing and exits 2
+with its first solver failure's message.
 
 Outputs are flat files (JSON summaries, CSV tables, optional static
 SVG); every artifact embeds the resolved configuration it was made from
@@ -146,9 +148,19 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _objective(config: RunConfig):
+    """The run's W over angle pairs: the only route from a RunConfig to an energy."""
     return energy_objective(config.conformal_domain(), config.external_field(),
                             config.grid_spec(), config.w0_nodes,
                             tol=config.tol, max_iter=config.max_iter)
+
+
+def _energy_keys(breakdown) -> dict:
+    """The keys of an evaluation in both summaries (module docstring)."""
+    keys = {"w0": breakdown.w0, "v_ext": breakdown.v_ext, "total": breakdown.total,
+            "gradient": breakdown.gradient().tolist()}
+    if breakdown.diagnostics:
+        keys["solver"] = breakdown.diagnostics
+    return keys
 
 
 def _no_finite_energy(best, where: str) -> ConvergenceError:
@@ -173,7 +185,6 @@ def _report_budget(command: str, result, config: RunConfig) -> None:
 def cmd_minimize(config: RunConfig) -> int:
     result = _minimize_run(config)
     domain = config.conformal_domain()
-    breakdown = result.best
     positions = domain.forward(np.exp(1j * np.asarray(result.s_min)))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -182,13 +193,10 @@ def cmd_minimize(config: RunConfig) -> int:
         "config": asdict(config),
         "converged": result.converged,
         "evaluations": result.evaluations,
+        "failures": result.failures,
         "s_min": list(result.s_min),
         "vortex_positions": [[float(p.real), float(p.imag)] for p in positions],
-        "w0": breakdown.w0,
-        "v_ext": breakdown.v_ext,
-        "total": breakdown.total,
-        "gradient": breakdown.gradient().tolist(),
-        "solver": breakdown.diagnostics,
+        **_energy_keys(result.best),
         "optimizer": {
             "operations": result.state.operations,
             "best_history": result.state.best_history,
@@ -227,7 +235,6 @@ def cmd_landscape(config: RunConfig) -> int:
 
 
 def cmd_field(config: RunConfig) -> int:
-    solved = None
     if config.auto_min:
         result = _minimize_run(config)
         if not result.converged:
@@ -235,32 +242,28 @@ def cmd_field(config: RunConfig) -> int:
             return 2
         s, solved = result.s_min, result.best
     else:
-        s = config.s
+        s, solved = config.s, _objective(config)(config.s)
+        if not np.isfinite(solved.total):
+            raise _no_finite_energy(solved, "pair")
     domain = config.conformal_domain()
     field_out = magnetization_field(domain, VortexConfig.pair(*s),
                                     config.external_field(), config.grid_spec(),
-                                    config.sample_spec(), tol=config.tol,
-                                    max_iter=config.max_iter, solved=solved)
+                                    config.sample_spec(), solved=solved)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["x,y,mx,my"]
     for smp in field_out.samples:
         lines.append(f"{smp.x!r},{smp.y!r},{smp.mx!r},{smp.my!r}")
     (out / "field.csv").write_text("\n".join(lines) + "\n")
-    summary = {
+    _write_json(out / "field_summary.json", {
         "command": "field",
         "config": asdict(config),
         "s": list(s),
         "samples": len(field_out.samples),
         "skipped": field_out.skipped,
         "vortex_positions": [[v.real, v.imag] for v in field_out.vortex_positions],
-        "w0": field_out.energy.w0,
-        "v_ext": field_out.energy.v_ext,
-        "total": field_out.energy.total,
-    }
-    if field_out.solver:
-        summary["solver"] = field_out.solver
-    _write_json(out / "field_summary.json", summary)
+        **_energy_keys(solved),
+    })
     if config.svg:
         boundary = domain.boundary_point(np.linspace(0.0, TWO_PI, 257))
         (out / "field.svg").write_text(

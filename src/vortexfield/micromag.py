@@ -561,19 +561,15 @@ class VectorFieldSample:
 class MagnetizationField:
     """Sampled magnetization plus bookkeeping for skipped points.
 
-    ``energy`` is the :func:`total_energy` breakdown of the state sampled,
-    and ``solver`` its diagnostics: the winning branch's solve and the
-    branch choice, empty at h = 0, where theta = 0 needs no solve.
+    ``energy`` is the :func:`total_energy` breakdown of the state sampled;
+    its diagnostics are the winning branch's solve and the branch choice,
+    empty at h = 0, where theta = 0 needs no solve.
     """
 
     samples: list
     skipped: int
     vortex_positions: tuple
     energy: EnergyBreakdown
-
-    @property
-    def solver(self) -> dict:
-        return self.energy.diagnostics
 
 
 def interpolate_field(theta: PolarField, points: np.ndarray) -> np.ndarray:
@@ -608,7 +604,6 @@ def interpolate_field(theta: PolarField, points: np.ndarray) -> np.ndarray:
 def magnetization_field(domain: ConformalDomain, config: VortexConfig,
                         field: ExternalField, grid: GridSpec,
                         sample: SampleSpec = SampleSpec(),
-                        tol: float = 1e-9, max_iter: int = 50,
                         solved: EnergyBreakdown | None = None) -> MagnetizationField:
     """Sample m = sigma e^{i theta} M (disk) or its conformal pushforward (oval).
 
@@ -618,16 +613,16 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     bilinearly interpolated off-grid; the exponential keeps |m| = 1
     exactly.  Sample points inside the vortex guard are skipped and
     counted; none lies outside the disk (:class:`SampleSpec`).
-    ``solved`` is a search's breakdown at this pair
-    (``optimize.NelderMeadResult.best``), whose theta, sigma and solve
-    are taken with no further solve; without it the breakdown is that of
-    ``total_energy`` with a fresh record dict, whose solves start from
-    theta = 0.  At h = 0, theta = 0 needs no solve.
+    ``solved`` is an objective's breakdown at this pair
+    (``optimize.energy_objective``; the ``field`` command passes one in
+    both modes), whose theta, sigma and solve are taken with no further
+    solve.  Without it the breakdown is ``total_energy``'s with a fresh
+    record dict and that function's default settings, so its solves
+    start from theta = 0.  At h = 0, theta = 0 needs no solve.
     """
     config = config.canonical_order()
     if solved is None:
-        solved = total_energy(domain, config, field, grid, tol=tol, max_iter=max_iter,
-                              thetas={})
+        solved = total_energy(domain, config, field, grid, thetas={})
     theta = PolarField.zeros(grid) if solved.theta is None else solved.theta
     sigma = solved.diagnostics.get("sigma", 1)
 

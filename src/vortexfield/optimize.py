@@ -236,12 +236,17 @@ def _gradient_finish(f: _Evaluations, eta: float, state: SimplexState) -> bool:
 
 @dataclass
 class NelderMeadResult:
-    """The search's answer; ``best`` is the objective's own return at ``s_min``."""
+    """The search's answer; ``best`` is the objective's own return at ``s_min``.
+
+    ``failures`` counts the ``evaluations`` whose value was not finite:
+    degenerate pairs and solves that did not converge (:class:`_Evaluations`).
+    """
 
     s_min: tuple
     value: float
     converged: bool
     evaluations: int
+    failures: int
     state: SimplexState
     best: object
 
@@ -346,7 +351,8 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
         state.record(values)
 
     return NelderMeadResult(s_min=tuple(f.point), value=f.value, converged=converged,
-                            evaluations=f.count, state=state, best=f.best)
+                            evaluations=f.count, failures=f.failures, state=state,
+                            best=f.best)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .geom import TWO_PI, ConformalDomain
 from .micromag import ExternalField, minimize_g_descent, picard_solve
 from .poisson import (GridSpec, LOG_SIN_INTEGRAL, LOG_SIN_SQUARED_INTEGRAL,
                       singular_quadrature_1d)
-from .renorm import W0Boundary, punctured_energy, w0_disk
+from .renorm import punctured_energy, w0_conformal, w0_disk
 
 
 @dataclass
@@ -49,14 +49,14 @@ def check_logsin() -> CheckResult:
 def check_disk_reduction() -> CheckResult:
     n_configs, nodes = 20, 1024
     rng = np.random.default_rng(2024)
-    boundary = W0Boundary(ConformalDomain.disk(), nodes)
+    disk = ConformalDomain.disk()
     worst = 0.0
     for _ in range(n_configs):
         s1, s2 = rng.uniform(0.0, TWO_PI, size=2)
         if min(abs(s1 - s2), TWO_PI - abs(s1 - s2)) < 0.2:
             s2 = (s1 + np.pi) % TWO_PI
         config = VortexConfig.pair(s1, s2)
-        worst = max(worst, abs(boundary.w0(config) - w0_disk(config)))
+        worst = max(worst, abs(w0_conformal(disk, config, nodes) - w0_disk(config)))
     return CheckResult(
         passed=bool(worst < 1e-6),
         measured={"max_error": worst, "configs": n_configs, "nodes": nodes},
@@ -66,7 +66,7 @@ def check_disk_reduction() -> CheckResult:
 
 def subtracted_trapezoid_w0(domain: ConformalDomain, config: VortexConfig,
                             nodes: int = 65536) -> float:
-    """W_0 by the trapezoid rule, a reference independent of :class:`W0Boundary`.
+    """W_0 by the trapezoid rule, a reference independent of :func:`w0_conformal`.
 
     Near each vortex s the density f is replaced by f - f(s) - f'(s) sin(t - s):
     both subtracted terms have zero integral against the log kernel, and
@@ -95,11 +95,10 @@ def check_oval_w0() -> CheckResult:
     """
     c, nodes, reference_nodes = 0.2, 256, 1024
     domain = ConformalDomain.oval(c)
-    boundary = W0Boundary(domain, nodes)
     worst = 0.0
     for pair in ((0.3, 2.1), (1.0, 4.5)):
         config = VortexConfig.pair(*pair)
-        worst = max(worst, abs(boundary.w0(config)
+        worst = max(worst, abs(w0_conformal(domain, config, nodes)
                                - subtracted_trapezoid_w0(domain, config, reference_nodes)))
     return CheckResult(
         passed=bool(worst < 1e-6),

@@ -14,6 +14,7 @@ from vortexfield.geom import ConformalDomain
 from vortexfield.micromag import (ExternalField, magnetization_field, minimize_g_descent,
                                   total_energy)
 from vortexfield.poisson import GridSpec
+from vortexfield.renorm import w0_conformal
 
 TWO_PI = 2.0 * np.pi
 
@@ -34,6 +35,7 @@ class TestMinimizeCommand:
         assert summary["converged"] is True
         assert summary["config"]["domain"] == "disk"
         assert summary["total"] == summary["w0"] + summary["v_ext"]
+        assert "solver" not in summary   # h = 0: theta = 0 without a solve
 
     def test_budget_exhaustion_exits_2(self, tmp_path):
         code = run(["minimize", "--domain", "disk", "--h", "0,0",
@@ -96,6 +98,15 @@ class TestMinimizeCommand:
         assert summary["total"] == pytest.approx(-2.2060333850644, rel=0.0, abs=1e-10)
         assert len(summary["gradient"]) == 2
         assert max(abs(g) for g in summary["gradient"]) < 1e-5
+        assert summary["failures"] == 0
+
+    def test_failed_evaluations_are_counted(self, tmp_path):
+        # at h = (0, 30) the cold Picard solve does not converge at about half
+        # of the pairs the search asks for; it still converges, and reports
+        # how many of its evaluations returned +inf
+        assert run(["minimize", "--h=0,30", "--grid", "8,16", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert 0 < summary["failures"] < summary["evaluations"]
 
     def test_failing_start_solves_each_vertex_once(self, tmp_path, monkeypatch):
         # each failing vertex keeps its solver message, so none is solved again
@@ -298,8 +309,27 @@ class TestFieldCommand:
         minimized = json.loads((tmp_path / "m" / "summary.json").read_text())
         sampled = json.loads((tmp_path / "f" / "field_summary.json").read_text())
         assert sampled["s"] == minimized["s_min"]
-        for key in ("w0", "v_ext", "total"):
+        for key in ("w0", "v_ext", "total", "gradient", "solver"):
             assert sampled[key] == minimized[key]
+
+    def test_pair_is_scored_with_the_run_w0_nodes(self, tmp_path):
+        # --s scores its pair through the run's objective, so its W0 is the
+        # one at the node count the config records
+        assert run(["field", "--s", "0.3,2.0", "--domain", "oval", "--c", "0.45",
+                    "--h", "0,1", "--grid", "16,32", "--w0-nodes", "64",
+                    "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "field_summary.json").read_text())
+        assert summary["config"]["w0_nodes"] == 64
+        assert summary["w0"] == w0_conformal(ConformalDomain.oval(0.45),
+                                             VortexConfig.pair(0.3, 2.0), 64)
+
+    def test_failing_pair_names_the_solver_failure(self, tmp_path, capsys):
+        code = run(["field", "--s", "0.5,2.5", "--h", "0,1", "--grid", "16,32",
+                    "--max-iter", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "solver failure: Picard iteration did not converge in 2 steps")
+        assert not (tmp_path / "field.csv").exists()
 
     def test_boundary_tangency_rows(self, tmp_path):
         # the outermost sample ring sits at r = 1 - 1e-9; arrows there are
@@ -373,8 +403,8 @@ class TestFieldCommand:
         expected = np.array([(p.x, p.y, p.mx, p.my) for p in cold.samples])
         assert rows.shape == expected.shape
         assert np.max(np.abs(rows - expected)) <= 1e-9
-        assert summary["solver"]["iterations"] < cold.solver["iterations"]
-        assert summary["solver"]["sigma"] == cold.solver["sigma"]
+        assert summary["solver"]["iterations"] < cold.energy.diagnostics["iterations"]
+        assert summary["solver"]["sigma"] == cold.energy.diagnostics["sigma"]
 
     def test_strong_field_converges(self, tmp_path):
         # |h| = 8 is past the plain Picard contraction bound (about 5.8)

@@ -851,9 +851,9 @@ class TestMagnetizationField:
         cold = magnetization_field(domain, STRONG_PAIR, field, grid)
         monkeypatch.setattr(micromag, "picard_solve", None)
         out = magnetization_field(domain, STRONG_PAIR, field, grid, solved=solved)
-        assert out.solver.keys() == cold.solver.keys()
-        assert out.solver["sigma"] == cold.solver["sigma"]
-        assert (out.solver == cold.solver) != warm
+        assert out.energy.diagnostics.keys() == cold.energy.diagnostics.keys()
+        assert out.energy.diagnostics["sigma"] == cold.energy.diagnostics["sigma"]
+        assert (out.energy.diagnostics == cold.energy.diagnostics) != warm
         got, expected = ([(p.x, p.y, p.mx, p.my) for p in o.samples] for o in (out, cold))
         assert np.max(np.abs(np.subtract(got, expected))) <= (1e-8 if warm else 0.0)
 
@@ -865,9 +865,9 @@ class TestMagnetizationField:
         cold = magnetization_field(domain, STRONG_PAIR, field, grid)
         solved = total_energy(domain, STRONG_PAIR, field, grid, thetas={})
         sampled = magnetization_field(domain, STRONG_PAIR, field, grid, solved=solved)
-        assert cold.solver == sampled.solver
+        assert cold.energy.diagnostics == sampled.energy.diagnostics
         assert (cold.samples, cold.skipped) == (sampled.samples, sampled.skipped)
-        assert bool(cold.solver) != field.is_zero
+        assert bool(cold.energy.diagnostics) != field.is_zero
         with pytest.raises(ConfigurationError):
             magnetization_field(domain, VortexConfig.pair(1.0, 1.0), field, grid)
 
