@@ -19,8 +19,10 @@ and :meth:`RunConfig.validate` checks each value once.
 ``minimize``, ``landscape`` and ``field`` take every W from the run's
 one objective (:func:`_objective`).  A search's answer is its own
 evaluation: ``minimize`` writes the kept breakdown of the pair it
-reports and ``failures``, its count of evaluations that were not
-finite; ``field --auto-min`` samples the theta solved there, and
+reports, ``failures``, its count of evaluations that were not
+finite, and ``bounded``, its count of evaluations that stopped on a
+certified lower bound above the value the search compared them with;
+``field --auto-min`` samples the theta solved there, and
 ``field --s`` the objective's breakdown at its pair.  Both summaries
 write the breakdown through :func:`_energy_keys`: ``w0``, ``v_ext``,
 ``total``, ``gradient`` (the exact dW/ds, one operator apply, no solve)
@@ -194,6 +196,7 @@ def cmd_minimize(config: RunConfig) -> int:
         "converged": result.converged,
         "evaluations": result.evaluations,
         "failures": result.failures,
+        "bounded": result.bounded,
         "s_min": list(result.s_min),
         "vortex_positions": [[float(p.real), float(p.imag)] for p in positions],
         **_energy_keys(result.best),

@@ -26,7 +26,7 @@ The iterates live in the grid's ``renorm.EvaluationWork``, made once
 per grid; the theta a solve returns is a fresh copy, so no later solve
 overwrites it.  The residual's A_h theta stays in that work, and
 ``g_functional`` reads it for the kinetic term: one operator apply per
-solve.
+solve run to convergence, and one per bound check (below).
 
 A solve may start from any theta_0 instead of 0.  Below the smallest
 eigenvalue lambda_lo of A_h (``DiskPoissonSolver.lambda_min``) that
@@ -52,8 +52,9 @@ or three pairs on a line (a singular system), the solve starts from the
 branch's latest theta.  The weights are not bounded, since convexity
 makes any finite start safe.  Along the search of the
 ``field-oval-strong`` benchmark (h = (0, 3), 128 x 256), 61 evaluations
-that end in the gradient finish, a solve takes 7.2 iterations, against
-8.0 from the latest theta alone.  Thetas outlive their solve in the dict
+that end in the gradient finish, a solve run to convergence takes 7.0
+iterations, against 7.9 from the latest theta alone (46 of its 68
+solves; the other 22 are cut short by a bound, below).  Thetas outlive their solve in the dict
 ``thetas``, one key per branch: ``thetas[sigma]`` is its record, the
 tuple of its last three or fewer (s, theta), oldest first, from which
 ``_start`` picks the fit, the latest theta or, when empty, 0.  Only
@@ -123,6 +124,42 @@ branches are solved there as well.  A skipped branch would
 have lost, so W is bitwise the minimum of both branches solved; ties go
 to the favoured branch.
 
+A search asks of most pairs only whether W beats a value it already
+holds, so a branch solve may stop once V is certainly at least a
+threshold t (``picard_solve``'s ``above``).  Below lambda_lo, G is
+strongly convex with modulus lambda_lo - |h| in the w-norm, so at any
+theta
+
+    V >= G(theta) - ||grad G(theta)||_w^2 / (2 (lambda_lo - |h|))
+
+(Boyd & Vandenberghe, Convex Optimization, 2004, sec. 9.1.2), with the
+gradient grad G = A_h theta - a cos(theta + phi).  At a solve output
+g_k = A_h^{-1} a cos(x_k + phi), |cos(x_k + phi) - cos(g_k + phi)| <=
+|g_k - x_k| at every node, so
+
+    ||grad G(g_k)||_w <= |a| ||g_k - x_k||_w + ||A_h g_k - a cos(x_k + phi)||_w,
+
+the second term being the solve's rounding.  A check applies A_h to g_k
+once, for that term and for the kinetic term of G(g_k), which
+``renorm.g_value`` forms with the operations of ``g_functional``; the
+branch's ``g_functional`` then reads the same A_h g_k, so the G it
+reports is the G checked, bit for bit.  The solve stops when G(g_k)
+less the squared bound over 2 (lambda_lo - |h|) and the margin
+``_PRUNE_MARGIN`` (1 + pi |h|) reaches t, and the branch reports that
+certified lower bound in place of V.  A check is made only when the
+cheap first term could decide, that is while the latest G checked
+(+inf before the first) less the first term's square over
+2 (lambda_lo - |h|) reaches t, and none after a G(g_k) < t, since then
+V <= G(g_k) < t and the value is needed exactly.  ``total_energy``
+runs its second branch against the first one's value, which cuts a
+losing orientation in every call, and a search's threshold less W_0
+reaches the first branch unless W_0 - |L| is already below it.  No
+tunable constant enters, and nothing is cut for |h| >= lambda_lo.  On
+the ``field-oval-strong`` search, 22 of its 68 solves are cut, 21 of
+them after one iteration: 15 pairs the search rejects and 7 losing
+orientations, which takes it from 490 to 344 Picard iterations for the
+same 61 evaluations.
+
 The solve also gives W its exact gradient in the pair
 (``energy_gradient``), which ``optimize``'s gradient finish reads.
 Since theta* is a stationary point of the discrete G, the envelope
@@ -150,7 +187,7 @@ from .canonical import SINGULARITY_GUARD, VortexConfig, canonical_map_disk, push
 from .errors import ConvergenceError
 from .geom import TWO_PI, ConformalDomain
 from .poisson import GridSpec, PolarField, solver_for
-from .renorm import (EnergyBreakdown, coupling_phase, evaluation_work, g_functional,
+from .renorm import (EnergyBreakdown, coupling_phase, evaluation_work, g_functional, g_value,
                      w0_boundary, w0_conformal, w0_disk, w0_disk_gradient)
 
 
@@ -190,12 +227,20 @@ class ExternalField:
 
 @dataclass
 class FixedPointReport:
-    """Trajectory of one Picard solve."""
+    """Trajectory of one Picard solve.
+
+    ``gap`` is None for a solve that ran to convergence or out of
+    iterations.  A solve that stopped on its threshold (``picard_solve``'s
+    ``above``) is not converged, and ``gap`` is how far V may lie below
+    G at the theta it returned: G(theta) - ``gap`` is a certified lower
+    bound on V that is at least the threshold.
+    """
 
     iterations: int
     changes: tuple
     residual: float
     converged: bool
+    gap: float | None = None
 
 
 def _picard_rhs(theta_vals: np.ndarray, coupling: tuple, out=None) -> np.ndarray:
@@ -210,6 +255,16 @@ def _picard_rhs(theta_vals: np.ndarray, coupling: tuple, out=None) -> np.ndarray
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     # einsum sums in one fixed order, with no BLAS thread pool involved
     return float(np.einsum("ij,ij->", a, b))
+
+
+def _norm_w(u: np.ndarray, weights: np.ndarray) -> float:
+    """||u||_w = (sum w u^2)^(1/2), ``weights`` the grid's (n_r,) radial weights."""
+    return float(np.sqrt(weights @ np.einsum("ij,ij->i", u, u)))
+
+
+#: a certified bound is lowered by this much times 1 + |L| + pi |h| (or
+#: 1 + pi |h| inside a solve), far above the rounding of V, L and G
+_PRUNE_MARGIN = 1e-9
 
 
 #: an Anderson least-squares problem whose Gram determinant is below this
@@ -227,7 +282,7 @@ def require_picard_budget(tol: float, max_iter: int) -> None:
 
 def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
                  tol: float = 1e-9, max_iter: int = 50, coupling: tuple = None,
-                 start: PolarField = None):
+                 start: PolarField = None, above: float | None = None):
     """Solve theta = (-lap)^{-1}[h . (i e^{i theta} M)] from theta_0 = ``start``.
 
     Picard iteration with Anderson(2) extrapolation (module docstring).
@@ -248,6 +303,16 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     it may live in that work's ``g[0]``.  The grid's
     ``EvaluationWork.x`` holds A_h theta of the returned theta until
     the next Picard solve on the grid.
+
+    With a finite ``above`` and |a| < lambda_lo, the solve may stop before
+    it converges, once V >= ``above`` is certain (module docstring): at a
+    solve output g_k it forms G(g_k) with ``renorm.g_value`` and the
+    gradient bound, and when G(g_k) less the bound and ``_PRUNE_MARGIN``
+    reaches ``above`` it returns g_k, with ``report.converged`` False and
+    that gap in ``report.gap``.  It checks only while the latest G
+    checked (+inf at first), less the bound's cheap first term, reaches
+    ``above``, and not again once a G falls below it.  Each check is one
+    operator apply, whose A_h g_k stays in ``EvaluationWork.x``.
     """
     require_picard_budget(tol, max_iter)
     if start is not None:
@@ -272,6 +337,15 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     accelerated = False
     changes = []
     converged = False
+    gap = None
+    amplitude = abs(coupling[0])
+    lam = solver.lambda_min()
+    checking = above is not None and np.isfinite(above) and amplitude < lam
+    if checking:
+        weights = grid.cell_weights()[:, 0]
+        two_mu = 2.0 * (lam - amplitude)   # mu: the strong-convexity modulus of G
+        margin = _PRUNE_MARGIN * (1.0 + np.pi * amplitude)
+        checked = np.inf
     for k in range(max_iter):
         _picard_rhs(x, coupling, out=rhs.values)
         theta = solver.solve(rhs, out=work.g[k % 2])
@@ -282,6 +356,19 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
         if change < tol:
             converged = True
             break
+        if checking:
+            # |grad G(g_k)|_w <= |a| |g_k - x_k|_w + |A_h g_k - a cos(x_k + phi)|_w
+            first = amplitude * _norm_w(f, weights)
+            if checked - first * first / two_mu - margin >= above:
+                # x is spent: f holds g_k - x_k and rhs a cos(x_k + phi)
+                a_theta = solver.apply(theta, out=work.x)
+                second = _norm_w(np.subtract(a_theta, rhs.values, out=scratch), weights)
+                checked = g_value(theta, a_theta, coupling)
+                bound_gap = (first + second) ** 2 / two_mu + margin
+                if checked - bound_gap >= above:
+                    gap = bound_gap
+                    break
+                checking = checked >= above
         if accelerated and change > changes[-2]:
             pairs = 0   # the extrapolation made things worse: drop the history
         elif k > 0:
@@ -302,8 +389,10 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
                 accelerated = True
             else:
                 pairs = 0
-    # A_h theta stays in work.x, where g_functional's kinetic term reads it
-    a_theta = solver.apply(theta, out=work.x)
+    # A_h theta stays in work.x, where g_functional's kinetic term reads it;
+    # a stop on the bound has just put it there
+    if gap is None:
+        a_theta = solver.apply(theta, out=work.x)
     lhs = np.subtract(a_theta, _picard_rhs(theta.values, coupling, out=rhs.values),
                       out=scratch)
     residual = float(np.max(np.abs(lhs, out=lhs)))
@@ -311,14 +400,9 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     theta = PolarField(grid, theta.values.copy())
     report = FixedPointReport(
         iterations=len(changes), changes=tuple(changes),
-        residual=residual, converged=converged,
+        residual=residual, converged=converged, gap=gap,
     )
     return theta, report
-
-
-#: the losing branch is skipped only when its bound exceeds the solved V
-#: by this much times 1 + |L| + pi |h|, far above the rounding of V and L
-_PRUNE_MARGIN = 1e-9
 
 
 def _loser_bound(moment: float, h_norm: float, lam: float) -> float | None:
@@ -362,8 +446,8 @@ def _start(record: tuple, s: tuple, grid: GridSpec) -> PolarField | None:
 
 
 def _branch(config: VortexConfig, h: tuple, sigma: int, coupling: tuple, grid: GridSpec,
-            tol: float, max_iter: int, thetas: dict | None) -> tuple:
-    """(V(a; sigma h), report, theta) from one Picard solve, or :class:`ConvergenceError`.
+            tol: float, max_iter: int, thetas: dict | None, above: float | None) -> tuple:
+    """(V(a; sigma h) or a bound on it, report, theta) from one Picard solve.
 
     One orientation branch of :func:`total_energy`, for a pair in
     canonical order.  ``coupling`` is the (a, phi) of h; the branch's is
@@ -371,29 +455,36 @@ def _branch(config: VortexConfig, h: tuple, sigma: int, coupling: tuple, grid: G
     When there is a dict, the solve starts from :func:`_start` of the
     branch's record ``thetas[sigma]`` and replaces that record with its
     last two solves and this one; otherwise it starts from 0 and the
-    theta returned is None.
+    theta returned is None.  A solve that stopped on ``above``
+    (:func:`picard_solve`) gives G of its theta less ``report.gap``,
+    a certified lower bound on V that is at least ``above``, with no
+    theta, and leaves the record as it was.  A solve that does neither
+    raises :class:`ConvergenceError`.
     """
     amplitude, phi = coupling
     record = () if thetas is None else thetas.get(sigma, ())
     theta, report = picard_solve(config, None, grid, tol=tol, max_iter=max_iter,
                                  coupling=(sigma * amplitude, phi),
-                                 start=_start(record, config.angles, grid))
-    if not report.converged:
+                                 start=_start(record, config.angles, grid), above=above)
+    if not report.converged and report.gap is None:
         raise ConvergenceError(
             f"Picard iteration did not converge in {report.iterations} steps "
             f"(last change {report.changes[-1]:.3e})"
         )
-    if thetas is not None:
-        thetas[sigma] = record[-2:] + ((config.angles, theta),)
-    # picard_solve left A_h theta in work.x
+    # picard_solve left A_h theta in work.x; G is bitwise the one its check formed
     v = g_functional(config, theta, (sigma * h[0], sigma * h[1]),
                      a_theta=evaluation_work(grid).x)
+    if report.gap is not None:
+        return v - report.gap, report, None
+    if thetas is not None:
+        thetas[sigma] = record[-2:] + ((config.angles, theta),)
     return v, report, theta if thetas is not None else None
 
 
 def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalField,
                  grid: GridSpec, w0_nodes: int = 2048, tol: float = 1e-9,
-                 max_iter: int = 50, thetas: dict | None = None) -> EnergyBreakdown:
+                 max_iter: int = 50, thetas: dict | None = None,
+                 above: float | None = None) -> EnergyBreakdown:
     """W(a; h) = W_0(a) + min over sigma = +-1 of V(a; sigma h), on the disk or an oval.
 
     The two vortices are identical particles, so the configuration is
@@ -419,10 +510,21 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     ``thetas`` no theta outlives its branch, every solve starts from
     theta = 0, and ``theta`` is None.
 
+    A branch solve may stop on a threshold, below lambda_lo only
+    (:func:`picard_solve`).  The other branch always runs against the
+    favoured one's value, so a losing orientation is cut and W stays
+    exact.  With ``above``, the favoured branch runs against
+    ``above`` - W_0, unless W_0 - |L| < ``above`` (V <= G(0) = -|L|: the
+    pair wins), and the other against the lower of the two.  When the
+    lowest value is a cut branch's bound, the breakdown is ``bounded``:
+    its ``v_ext`` is a certified lower bound on V, its total is above
+    ``above`` and it has no theta.
+
     The diagnostics are the winning solve's ``iterations``, ``residual``
-    and ``final_change``, its ``sigma``, ``branches_solved`` and
-    ``loser_bound`` (None when |h| >= lambda_lo); they are empty for a
-    degenerate pair and at h = 0, where nothing is solved.
+    and ``final_change``, its ``sigma``, ``branches_solved``, the count
+    of solves run to convergence, and ``loser_bound`` (None when
+    |h| >= lambda_lo); they are empty for a degenerate pair and at
+    h = 0, where nothing is solved.
     """
     config = config.canonical_order()
     if config.is_degenerate:
@@ -437,18 +539,26 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     if thetas is not None and field.norm >= lam:
         thetas.clear()   # G need not be convex here: start from 0
     margin = _PRUNE_MARGIN * (1.0 + abs(moment) + np.pi * field.norm)
+    # V above this puts W above `above` beyond the rounding of W_0 + V
+    limit = np.inf if above is None else above - w0 + margin
     branches = []
     for sigma in (favoured, -favoured):
+        if branches:
+            threshold = min(limit, branches[0][0])
+        else:
+            threshold = limit if -abs(moment) >= limit else None
         v, report, theta = _branch(config, field.h, sigma, (amplitude, phi), grid, tol,
-                                   max_iter, thetas)
+                                   max_iter, thetas, threshold)
         branches.append((v, sigma, report, theta))
         if bound is not None and bound - margin > v:
             break
     v, sigma, report, theta = min(branches, key=lambda b: b[0])   # a tie keeps sigma*
     diagnostics = {"iterations": report.iterations, "residual": report.residual,
                    "final_change": report.changes[-1], "sigma": sigma,
-                   "branches_solved": len(branches), "loser_bound": bound}
-    return EnergyBreakdown(w0=w0, v_ext=v, diagnostics=diagnostics, theta=theta)
+                   "branches_solved": sum(b[2].converged for b in branches),
+                   "loser_bound": bound}
+    return EnergyBreakdown(w0=w0, v_ext=v, diagnostics=diagnostics, theta=theta,
+                           bounded=report.gap is not None)
 
 
 def v_gradient(angles, theta: PolarField) -> np.ndarray:

@@ -68,7 +68,9 @@ class EnergyBreakdown:
     ``gradient``, not compared, is None or a callable of no arguments that
     returns (dW/ds_1, dW/ds_2) at the evaluated pair, in the caller's
     label order; ``optimize.energy_objective`` sets it on each finite
-    evaluation.
+    evaluation that is not bounded.  ``bounded`` marks an evaluation cut
+    short by a threshold: ``v_ext`` is then a certified lower bound on V,
+    not V, and there is no theta.
     """
 
     w0: float
@@ -76,6 +78,7 @@ class EnergyBreakdown:
     diagnostics: dict = dataclass_field(default_factory=dict)
     theta: PolarField | None = dataclass_field(default=None, compare=False)
     gradient: object = dataclass_field(default=None, compare=False, repr=False)
+    bounded: bool = False
 
     @property
     def total(self) -> float:
@@ -329,15 +332,24 @@ def g_functional(config: VortexConfig, theta: PolarField, h,
     """
     if not theta.dirichlet:
         raise ValueError("g_functional requires a Dirichlet-tagged theta")
-    grid = theta.grid
-    work = evaluation_work(grid)
-    integrand = work.rhs.values
     if a_theta is None:
-        a_theta = solver_for(grid).apply(theta, out=work.scratch)
+        a_theta = solver_for(theta.grid).apply(theta, out=evaluation_work(theta.grid).scratch)
+    return g_value(theta, a_theta, coupling_phase(config, theta.grid, h))
+
+
+def g_value(theta: PolarField, a_theta: np.ndarray, coupling: tuple) -> float:
+    """G at theta from A_h theta and the coupling (a, phi) of ``coupling_phase``.
+
+    The operations of :func:`g_functional`, which calls it, so a caller
+    that holds the coupling gets the same value bit for bit with no map;
+    the integrands are formed in the grid's ``EvaluationWork.rhs``.
+    """
+    work = evaluation_work(theta.grid)
+    integrand = work.rhs.values
     np.multiply(0.5, theta.values, out=integrand)
     integrand *= a_theta
     kinetic = integrate_disk(work.rhs, out=integrand)
-    amplitude, phi = coupling_phase(config, grid, h)
+    amplitude, phi = coupling
     np.add(theta.values, phi, out=integrand)
     np.sin(integrand, out=integrand)
     integrand *= amplitude

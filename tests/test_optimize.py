@@ -425,6 +425,46 @@ class TestEnergyObjective:
         pair = VortexConfig.pair(*result.s_min).canonical_order().angles
         assert [angles for angles, theta in solves if theta is best.theta] == [pair]
 
+    @pytest.mark.parametrize("domain,h,grid", [
+        (ConformalDomain.oval(0.2), (0.0, 3.0), GridSpec(32, 64)),
+        (ConformalDomain.disk(), (-0.01, 0.0), GridSpec(16, 32))])
+    def test_bounded_evaluations_leave_the_search_unchanged(self, domain, h, grid):
+        # a bounded evaluation lies above the value its step compares it
+        # with, so every step goes as with exact values; a plain wrapper
+        # hides the threshold, and the records of the warm starts differ
+        # only by the solves that were cut
+        results = []
+        for hidden in (True, False):
+            objective = energy_objective(domain, ExternalField(h), grid)
+            search = (lambda s: objective(s)) if hidden else objective
+            results.append(nelder_mead(search, (0.5, 2.5)))
+        plain, bounded = results
+        assert plain.bounded == 0 < bounded.bounded
+        assert bounded.state.operations == plain.state.operations
+        assert bounded.evaluations == plain.evaluations
+        assert max(map(torus_dist, bounded.s_min, plain.s_min)) < 1e-10
+        assert bounded.value == pytest.approx(plain.value, rel=0.0, abs=1e-12)
+        assert bounded.converged and not bounded.best.bounded
+
+    def test_no_evaluation_is_bounded_past_lambda_min(self):
+        result = nelder_mead(energy_objective(ConformalDomain.oval(0.2),
+                                              ExternalField((0.0, 8.0)), GridSpec(16, 32)),
+                             (0.5, 2.5))
+        assert result.evaluations > 3 and result.bounded == 0
+
+    def test_only_an_objective_that_takes_a_threshold_receives_one(self):
+        seen = []
+
+        def takes(s, above=None):
+            seen.append(above)
+            return quadratic(s)
+        takes.takes_above = True
+        for objective in (takes, lambda s: takes(s)):
+            f = _Evaluations(objective)
+            f((0.0, 0.0), above=1.5)
+            f((0.0, 0.0))
+        assert seen == [1.5, None, None, None]
+
     def test_a_failed_solve_returns_its_message(self):
         objective = energy_objective(ConformalDomain.disk(), ExternalField((0.0, 1.0)),
                                      GridSpec(16, 32), max_iter=2)
