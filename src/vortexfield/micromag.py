@@ -53,14 +53,15 @@ branch's latest theta.  The weights are not bounded, since convexity
 makes any finite start safe.  Along the search of the
 ``field-oval-strong`` benchmark (h = (0, 3), 128 x 256), 61 evaluations
 that end in the gradient finish, a solve run to convergence takes 7.0
-iterations, against 7.9 from the latest theta alone (46 of its 68
-solves; the other 22 are cut short by a bound, below).  Thetas outlive their solve in the dict
-``thetas``, one key per branch: ``thetas[sigma]`` is its record, the
-tuple of its last three or fewer (s, theta), oldest first, from which
-``_start`` picks the fit, the latest theta or, when empty, 0.  Only
-``_start`` and ``_branch`` read that layout; ``total_energy`` hands the
-winning theta on in its breakdown (``EnergyBreakdown.theta``), which
-``magnetization_field`` samples with no further solve.  A search keeps
+iterations, against 7.9 from the latest theta alone, not counting the
+solves cut short by a bound (below).  Thetas outlive their solve in the
+dict ``thetas``, one key per branch: ``thetas[sigma]`` is its record,
+the tuple of its last three or fewer (s, theta), oldest first, from
+which ``_start`` picks the fit, the latest theta or, when empty, 0.
+Only ``_start`` and ``total_energy`` read that layout, and
+``total_energy`` hands the winning theta on in its breakdown
+(``EnergyBreakdown.theta``), which ``magnetization_field`` samples with
+no further solve.  A search keeps
 one dict across calls, and a cold ``magnetization_field`` hands
 ``total_energy`` a fresh one.  For |h| >= lambda_lo, where a start can
 reach another fixed point, the dict is emptied first and each record
@@ -105,37 +106,38 @@ which does not depend on the angle origin or the label order.  Branch
 sigma is the sorted-label M times sigma, solved as the field sigma h;
 ``coupling_phase`` gives h and -h one phase, so flipping the branch
 negates the amplitude a and nothing else.  L = int h . M dx = sum w Im q
-costs one weighted sum of the q the map builds anyway, and
-V(a; sigma h) <= G_sigma(0) = -sigma L, so the branch sigma* = sign L is
-solved first.  The other branch is skipped when the lower bound B in
+costs one weighted sum of the q the map builds anyway.
 
-    V(a; -sigma* h) >= B = |L| - |h|^2 pi / (2 (lambda_lo - |h|)),   |h| < lambda_lo,
-
-exceeds the solved V* by a rounding margin.  The bound holds for
-G_{-sigma*} at every theta, from three facts:
-|sin(x + phi) - sin phi - x cos phi| <= x^2/2 at every node;
-<theta, A_h theta>_w >= lambda_lo ||theta||_w^2
-(``DiskPoissonSolver.lambda_min``); and ||cos phi||_w^2 <= sum w = pi.
-With Cauchy-Schwarz they give G_{-sigma*}(theta) >= |L|
-- |h| ||theta||_w ||cos phi||_w + (1/2)(lambda_lo - |h|) ||theta||_w^2,
-whose minimum over ||theta||_w is B.  When |h|^2 underflows, the
-subnormal sums of L and V round by more than the margin, so both
-branches are solved there as well.  A skipped branch would
-have lost, so W is bitwise the minimum of both branches solved; ties go
-to the favoured branch.
-
-A search asks of most pairs only whether W beats a value it already
-holds, so a branch solve may stop once V is certainly at least a
-threshold t (``picard_solve``'s ``above``).  Below lambda_lo, G is
-strongly convex with modulus lambda_lo - |h| in the w-norm, so at any
-theta
+One inequality gives ``total_energy``'s loop its three shortcuts.  Below
+lambda_lo, G is strongly convex with modulus lambda_lo - |h| in the
+w-norm (above), so at any theta
 
     V >= G(theta) - ||grad G(theta)||_w^2 / (2 (lambda_lo - |h|))
 
 (Boyd & Vandenberghe, Convex Optimization, 2004, sec. 9.1.2), with the
-gradient grad G = A_h theta - a cos(theta + phi).  At a solve output
-g_k = A_h^{-1} a cos(x_k + phi), |cos(x_k + phi) - cos(g_k + phi)| <=
-|g_k - x_k| at every node, so
+gradient grad G = A_h theta - a cos(theta + phi).  At theta = 0 it
+needs no solve.  There G_sigma(0) = -sigma sum w a sin phi = -sigma L,
+that is -|L| for sigma* = sign L (+1 at L = 0) and +|L| for -sigma*,
+and ||grad G(0)||_w = |h| ||cos phi||_w <= |h| sqrt(pi), since
+sum w = pi.  So
+
+    V(a; -sigma* h) >= B = |L| - |h|^2 pi / (2 (lambda_lo - |h|)),
+
+the loser bound, and V(a; sigma* h) <= G_{sigma*}(0) = -|L|.  The loop
+solves sigma* first, and skips the other branch when B exceeds the
+solved V* by a rounding margin; a skipped branch would have lost, so W
+is bitwise the minimum of both branches solved, and ties go to the
+favoured branch.  A search asks of most pairs only whether W beats a
+value it already holds, so a branch solve may stop once V is certainly
+at least a threshold t (``picard_solve``'s ``above``).  The favoured
+branch gets a search's threshold less W_0 unless W_0 - |L| is below it:
+then the pair may win, and V is needed exactly.  The other branch runs
+against the lower of that and the favoured V, which cuts a losing
+orientation in every call.
+
+Inside a solve the inequality is read at a solve output
+g_k = A_h^{-1} a cos(x_k + phi).  There |cos(x_k + phi) - cos(g_k + phi)|
+<= |g_k - x_k| at every node, so
 
     ||grad G(g_k)||_w <= |a| ||g_k - x_k||_w + ||A_h g_k - a cos(x_k + phi)||_w,
 
@@ -150,15 +152,8 @@ certified lower bound in place of V.  A check is made only when the
 cheap first term could decide, that is while the latest G checked
 (+inf before the first) less the first term's square over
 2 (lambda_lo - |h|) reaches t, and none after a G(g_k) < t, since then
-V <= G(g_k) < t and the value is needed exactly.  ``total_energy``
-runs its second branch against the first one's value, which cuts a
-losing orientation in every call, and a search's threshold less W_0
-reaches the first branch unless W_0 - |L| is already below it.  No
-tunable constant enters, and nothing is cut for |h| >= lambda_lo.  On
-the ``field-oval-strong`` search, 22 of its 68 solves are cut, 21 of
-them after one iteration: 15 pairs the search rejects and 7 losing
-orientations, which takes it from 490 to 344 Picard iterations for the
-same 61 evaluations.
+V <= G(g_k) < t and the value is needed exactly.  No tunable constant
+enters, and nothing is skipped or cut for |h| >= lambda_lo.
 
 The solve also gives W its exact gradient in the pair
 (``energy_gradient``), which ``optimize``'s gradient finish reads.
@@ -405,15 +400,6 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     return theta, report
 
 
-def _loser_bound(moment: float, h_norm: float, lam: float) -> float | None:
-    """|L| - |h|^2 pi / (2 (lambda_lo - |h|)) <= V(a; -sign(L) h), or None
-    when |h| >= lambda_lo (module docstring), or when |h|^2 underflows
-    and the rounding of the subnormal sums exceeds the bound's margin."""
-    if h_norm >= lam or h_norm * h_norm < np.finfo(float).tiny:
-        return None
-    return abs(moment) - h_norm * h_norm * np.pi / (2.0 * (lam - h_norm))
-
-
 def _start(record: tuple, s: tuple, grid: GridSpec) -> PolarField | None:
     """A branch's start at s from its record, its last three or fewer (s_i, theta_i).
 
@@ -445,42 +431,6 @@ def _start(record: tuple, s: tuple, grid: GridSpec) -> PolarField | None:
     return start
 
 
-def _branch(config: VortexConfig, h: tuple, sigma: int, coupling: tuple, grid: GridSpec,
-            tol: float, max_iter: int, thetas: dict | None, above: float | None) -> tuple:
-    """(V(a; sigma h) or a bound on it, report, theta) from one Picard solve.
-
-    One orientation branch of :func:`total_energy`, for a pair in
-    canonical order.  ``coupling`` is the (a, phi) of h; the branch's is
-    (sigma a, phi).
-    When there is a dict, the solve starts from :func:`_start` of the
-    branch's record ``thetas[sigma]`` and replaces that record with its
-    last two solves and this one; otherwise it starts from 0 and the
-    theta returned is None.  A solve that stopped on ``above``
-    (:func:`picard_solve`) gives G of its theta less ``report.gap``,
-    a certified lower bound on V that is at least ``above``, with no
-    theta, and leaves the record as it was.  A solve that does neither
-    raises :class:`ConvergenceError`.
-    """
-    amplitude, phi = coupling
-    record = () if thetas is None else thetas.get(sigma, ())
-    theta, report = picard_solve(config, None, grid, tol=tol, max_iter=max_iter,
-                                 coupling=(sigma * amplitude, phi),
-                                 start=_start(record, config.angles, grid), above=above)
-    if not report.converged and report.gap is None:
-        raise ConvergenceError(
-            f"Picard iteration did not converge in {report.iterations} steps "
-            f"(last change {report.changes[-1]:.3e})"
-        )
-    # picard_solve left A_h theta in work.x; G is bitwise the one its check formed
-    v = g_functional(config, theta, (sigma * h[0], sigma * h[1]),
-                     a_theta=evaluation_work(grid).x)
-    if report.gap is not None:
-        return v - report.gap, report, None
-    if thetas is not None:
-        thetas[sigma] = record[-2:] + ((config.angles, theta),)
-    return v, report, theta if thetas is not None else None
-
-
 def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalField,
                  grid: GridSpec, w0_nodes: int = 2048, tol: float = 1e-9,
                  max_iter: int = 50, thetas: dict | None = None,
@@ -496,29 +446,29 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     the boundary data shared by every call on that domain
     (``renorm.w0_boundary``).
 
-    The favoured branch sigma* = sign L (+1 at L = 0) is solved first;
-    the other only when its lower bound does not clear the solved V by
-    ``_PRUNE_MARGIN`` (module docstring).  The coupling is built once:
-    its phi stays in the grid's work array, and each branch's
-    ``g_functional`` rewrites it with the same bits.  ``thetas`` carries
-    a search's record of each branch from one call to the next: each
-    branch solve starts from ``_start`` of its record ``thetas[sigma]``,
-    the last three or fewer (s, theta) of that branch, and joins it
-    (module docstring).  For |h| >= lambda_lo the dict is emptied first,
-    so every solve starts from 0 and each record holds only its one cold
-    solve.  The breakdown's ``theta`` is the winning solve; without
-    ``thetas`` no theta outlives its branch, every solve starts from
-    theta = 0, and ``theta`` is None.
+    One loop solves the branches, sigma* = sign L (+1 at L = 0) first,
+    and takes its three shortcuts from the module docstring's one bound.
+    Each solve starts from ``_start`` of its branch's record
+    ``thetas[sigma]`` and joins it (module docstring); for
+    |h| >= lambda_lo the dict is emptied first, so each record holds one
+    cold solve.  Without ``thetas`` every solve starts from theta = 0
+    and no theta outlives its branch.  The coupling is built once: its
+    phi stays in the grid's work array, and each branch's
+    ``g_functional`` rewrites it with the same bits.  A solve that
+    neither converges nor stops on its threshold raises
+    :class:`ConvergenceError`.
 
-    A branch solve may stop on a threshold, below lambda_lo only
-    (:func:`picard_solve`).  The other branch always runs against the
-    favoured one's value, so a losing orientation is cut and W stays
-    exact.  With ``above``, the favoured branch runs against
-    ``above`` - W_0, unless W_0 - |L| < ``above`` (V <= G(0) = -|L|: the
-    pair wins), and the other against the lower of the two.  When the
-    lowest value is a cut branch's bound, the breakdown is ``bounded``:
-    its ``v_ext`` is a certified lower bound on V, its total is above
-    ``above`` and it has no theta.
+    A solve stopped on its threshold (:func:`picard_solve`, below
+    lambda_lo only) gives G of its theta less ``report.gap``, a
+    certified lower bound on V, with no theta, and leaves its record as
+    it was.  The other branch always runs against the favoured one's
+    value, so a losing orientation is cut or skipped and W stays exact.
+    With ``above``, the favoured branch runs against ``above`` - W_0
+    unless W_0 - |L| < ``above``, and the other against the lower of the
+    two.  When the lowest value is a cut branch's bound the breakdown is
+    ``bounded``: its ``v_ext`` is a certified lower bound on V, its
+    total is above ``above`` and it has no theta.  Otherwise ``theta``
+    is the winning solve, None without ``thetas``.
 
     The diagnostics are the winning solve's ``iterations``, ``residual``
     and ``final_change``, its ``sigma``, ``branches_solved``, the count
@@ -534,11 +484,17 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
         return EnergyBreakdown(w0=w0, v_ext=0.0)
     amplitude, phi, moment = coupling_phase(config, grid, field.h, moment=True)
     favoured = 1 if moment >= 0.0 else -1
+    h_norm = field.norm
     lam = solver_for(grid).lambda_min()
-    bound = _loser_bound(moment, field.norm, lam)
-    if thetas is not None and field.norm >= lam:
+    # the bound at theta = 0 on V(a; -sigma* h); none past lambda_lo, nor when
+    # |h|^2 underflows and the subnormal sums of L and V round past the margin
+    if h_norm >= lam or h_norm * h_norm < np.finfo(float).tiny:
+        bound = None
+    else:
+        bound = abs(moment) - h_norm * h_norm * np.pi / (2.0 * (lam - h_norm))
+    if thetas is not None and h_norm >= lam:
         thetas.clear()   # G need not be convex here: start from 0
-    margin = _PRUNE_MARGIN * (1.0 + abs(moment) + np.pi * field.norm)
+    margin = _PRUNE_MARGIN * (1.0 + abs(moment) + np.pi * h_norm)
     # V above this puts W above `above` beyond the rounding of W_0 + V
     limit = np.inf if above is None else above - w0 + margin
     branches = []
@@ -546,9 +502,27 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
         if branches:
             threshold = min(limit, branches[0][0])
         else:
+            # V <= G(0) = -|L|: below `limit` the pair may win and needs V exactly
             threshold = limit if -abs(moment) >= limit else None
-        v, report, theta = _branch(config, field.h, sigma, (amplitude, phi), grid, tol,
-                                   max_iter, thetas, threshold)
+        record = () if thetas is None else thetas.get(sigma, ())
+        theta, report = picard_solve(config, None, grid, tol=tol, max_iter=max_iter,
+                                     coupling=(sigma * amplitude, phi),
+                                     start=_start(record, config.angles, grid),
+                                     above=threshold)
+        if not report.converged and report.gap is None:
+            raise ConvergenceError(
+                f"Picard iteration did not converge in {report.iterations} steps "
+                f"(last change {report.changes[-1]:.3e})"
+            )
+        # picard_solve left A_h theta in work.x; G is bitwise the one its check formed
+        v = g_functional(config, theta, (sigma * field.h[0], sigma * field.h[1]),
+                         a_theta=evaluation_work(grid).x)
+        if report.gap is not None:
+            v, theta = v - report.gap, None
+        elif thetas is None:
+            theta = None
+        else:
+            thetas[sigma] = record[-2:] + ((config.angles, theta),)
         branches.append((v, sigma, report, theta))
         if bound is not None and bound - margin > v:
             break

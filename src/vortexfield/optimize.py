@@ -55,9 +55,7 @@ return a ``bounded`` breakdown, a certified lower bound at least
 the evaluation count and the answer, is that of the exact W; only Picard
 iterations are saved (:mod:`vortexfield.micromag`).  The starting
 vertices, a shrink's and the finish's model points need their values
-and pass none.  On the ``field-oval-strong`` search 15 of 61
-evaluations are bounded, and on the 16 x 32 disk search at
-h = (-0.01, 0) 10 of 36.
+and pass none.
 
 On the 24 ``minimize-disk-weak`` benchmark starts of seeds 0-2
 (128 x 256) a search takes 35.0 evaluations, against 64.8 with the

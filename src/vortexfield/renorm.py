@@ -41,7 +41,7 @@ minimum of G (:func:`vortexfield.micromag.total_energy`).
 ``coupling_phase`` also returns L = int h . M dx = sum w Im q on
 request, from which ``total_energy`` picks the branch solved first and
 bounds the other below without a solve; the :mod:`vortexfield.micromag`
-docstring and ``micromag._loser_bound`` derive that bound.
+docstring derives that bound.
 ``coupling_phase`` and ``g_functional`` work in arrays made once per grid
 (:class:`EvaluationWork`); a returned phi holds until the next call on its grid.
 """

@@ -6,9 +6,7 @@ from oracles import grad_phistar, outward_normal
 
 from vortexfield.canonical import VortexConfig, canonical_map_disk, pushforward_disk
 from vortexfield.errors import ConfigurationError, SingularityError
-from vortexfield.geom import ConformalDomain
-
-TWO_PI = 2.0 * np.pi
+from vortexfield.geom import TWO_PI, ConformalDomain
 
 
 class TestVortexConfig:

@@ -10,13 +10,11 @@ import pytest
 from vortexfield import verify
 from vortexfield.canonical import VortexConfig
 from vortexfield.cli import build_parser, main
-from vortexfield.geom import ConformalDomain
+from vortexfield.geom import TWO_PI, ConformalDomain
 from vortexfield.micromag import (ExternalField, magnetization_field, minimize_g_descent,
                                   total_energy)
 from vortexfield.poisson import GridSpec
 from vortexfield.renorm import w0_conformal
-
-TWO_PI = 2.0 * np.pi
 
 
 def run(args):

@@ -5,9 +5,7 @@ import pytest
 from oracles import boundary_curvature, boundary_speed, outward_normal
 
 from vortexfield.errors import DomainError
-from vortexfield.geom import ConformalDomain
-
-TWO_PI = 2.0 * np.pi
+from vortexfield.geom import TWO_PI, ConformalDomain
 
 
 class TestForwardMap:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from vortexfield.canonical import VortexConfig, canonical_map_disk
 from vortexfield.errors import ConfigurationError, ConvergenceError
-from vortexfield.geom import ConformalDomain
+from vortexfield.geom import TWO_PI, ConformalDomain
 from vortexfield.micromag import (ExternalField, SampleSpec,
                                   interpolate_field, magnetization_field, minimize_g_descent,
                                   picard_solve, require_picard_budget, total_energy)
@@ -20,7 +20,6 @@ from vortexfield.micromag import _picard_rhs
 from vortexfield.optimize import energy_objective, nelder_mead
 from vortexfield.renorm import coupling_phase, evaluation_work, g_functional
 
-TWO_PI = 2.0 * np.pi
 ANTIPODAL = VortexConfig.pair(0.0, np.pi)
 STRONG_PAIR = VortexConfig.pair(0.5, 2.5)
 ROTATION_GRID = GridSpec(32, 64)
@@ -470,6 +469,35 @@ class TestOrientations:
             assert diag["loser_bound"] is not None
         else:
             assert diag["loser_bound"] is None and diag["branches_solved"] == 2
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(s=_pair_strategy(), c=st.sampled_from([None, 0.2, 0.45]),
+           fraction=st.floats(1e-6, 0.95), angle=st.floats(0.0, TWO_PI))
+    @example(s=(0.5, 2.5), c=0.2, fraction=0.52, angle=np.pi / 2)
+    @example(s=(2.0, 5.1), c=0.45, fraction=0.95, angle=1.0)
+    @example(s=(0.5, 2.5), c=None, fraction=0.002, angle=np.pi)
+    def test_both_shortcuts_at_zero_read_one_bound(self, s, c, fraction, angle):
+        # V >= G(0) - ||grad G(0)||_w^2 / (2 (lambda_lo - |h|)), grad G(0) = -a cos phi:
+        # the loser bound takes sum w = pi for ||cos phi||_w^2, so it lies below the
+        # bound with the exact norm, which lies below the converged V of -sigma*;
+        # and the favoured V lies below G(0) = -|L|
+        domain = ConformalDomain.disk() if c is None else ConformalDomain.oval(c)
+        grid = ORIENTATION_GRID
+        lam = solver_for(grid).lambda_min()
+        h = _polar_field(fraction * lam, angle)
+        norm = np.hypot(*h)
+        config = VortexConfig.pair(*s).canonical_order()
+        _, phi, moment = coupling_phase(config, grid, h, moment=True)
+        cos_norm2 = grid.cell_weights()[:, 0] @ np.sum(np.cos(phi) ** 2, axis=1)
+        exact_norm = abs(moment) - norm * norm * cos_norm2 / (2.0 * (lam - norm))
+        favoured = 1 if moment >= 0.0 else -1
+        bound = total_energy(domain, config, ExternalField(h), grid).diagnostics["loser_bound"]
+        v = dict(zip((1, -1), _branch_values(config, h, grid)))
+        rounding = 1e-12 * (1.0 + abs(moment) + np.pi * norm)
+        assert bound is not None
+        assert bound <= exact_norm + rounding
+        assert exact_norm <= v[-favoured] + rounding
+        assert v[favoured] <= -abs(moment) + rounding
 
     def test_both_solved_thetas_are_left_in_the_dict(self):
         # |h| = 8 >= lambda_lo: both branches are solved from theta = 0, whatever

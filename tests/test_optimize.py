@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexfield.canonical import VortexConfig
-from vortexfield.geom import ConformalDomain
+from vortexfield.geom import TWO_PI, ConformalDomain
 from vortexfield.micromag import ExternalField, energy_gradient, total_energy
 from vortexfield.optimize import (SimplexState, _Evaluations, _gradient_finish, energy_objective,
                                   grid_oracle, landscape, nelder_mead)
 from vortexfield.poisson import GridSpec
 from vortexfield.renorm import EnergyBreakdown, W0Boundary, w0_boundary, w0_conformal
 
-TWO_PI = 2.0 * np.pi
 PI_LOG_2 = np.pi * np.log(2.0)
 
 

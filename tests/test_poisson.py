@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from vortexfield.canonical import VortexConfig
+from vortexfield.geom import TWO_PI
 from vortexfield.poisson import (GridSpec, LOG_SIN_INTEGRAL,
                                  LOG_SIN_SQUARED_INTEGRAL, PolarField,
                                  graded_log_quadrature, integrate_disk,
                                  singular_quadrature_1d, solve_dirichlet,
                                  solver_for)
 from vortexfield.renorm import g_functional
-
-TWO_PI = 2.0 * np.pi
 
 
 def _complex_sweep(solver, values):

@@ -8,13 +8,12 @@ from oracles import grad_phistar
 
 from vortexfield import renorm, verify
 from vortexfield.canonical import VortexConfig, canonical_map_disk
-from vortexfield.geom import ConformalDomain
+from vortexfield.geom import TWO_PI, ConformalDomain
 from vortexfield.micromag import ExternalField, picard_solve
 from vortexfield.poisson import GridSpec, PolarField, integrate_disk, solver_for
 from vortexfield.renorm import (g_functional, punctured_energy, w0_conformal,
                                 w0_disk)
 
-TWO_PI = 2.0 * np.pi
 PI_LOG_2 = np.pi * np.log(2.0)
 
 
