@@ -91,7 +91,8 @@ def canonical_map_disk(config: VortexConfig, x, out=None, work=None) -> np.ndarr
         Evaluation points in the closed disk, away from the vortices.
     out, work : arrays of the shape of ``x``, optional
         ``out`` (complex, not ``x`` itself) receives M, and ``work``
-        (complex, real, real) receives x - a_2, |x - a_1| and |x - a_2|.
+        (complex, real, real) receives x - a_2, the modulus of the
+        product (x - a_1)(x - a_2) and, near a vortex only, the distances.
 
     Returns
     -------
@@ -101,15 +102,19 @@ def canonical_map_disk(config: VortexConfig, x, out=None, work=None) -> np.ndarr
         raise ConfigurationError("coincident vortex angles are degenerate")
     x = np.asarray(x, dtype=complex)
     a1, a2 = config.positions
-    d2_out, r_out, r2_out = (None, None, None) if work is None else work
+    d2_out, r_out, dist_out = (None, None, None) if work is None else work
     m, d2 = np.subtract(x, a1, out=out), np.subtract(x, a2, out=d2_out)
-    r, r2 = np.abs(m, out=r_out), np.abs(d2, out=r2_out)
-    _guard_singularities(r, r2)
-    # in place, with one complex constant |a1 - a2| / (a1 - a2) and a real
-    # reciprocal: no complex division per point
+    # in place, with one complex constant |a1 - a2| / (a1 - a2), one modulus
+    # and a real reciprocal: no complex division per point
     m *= d2
     m *= abs(a1 - a2) / (a1 - a2)
-    r *= r2
+    r = np.abs(m, out=r_out)
+    # |x - a_j| <= 2 in the closed disk, so a distance below the guard puts
+    # the product's modulus below twice the guard (16 ulp cover the rounding);
+    # only then is each distance formed and checked
+    if r.min(initial=np.inf) < 2.0 * SINGULARITY_GUARD * (1.0 + 16.0 * np.finfo(float).eps):
+        for a in (a1, a2):
+            _guard_singularities(np.abs(np.subtract(x, a, out=d2_out), out=dist_out))
     m *= np.divide(1.0, r, out=r_out)
     return m
 

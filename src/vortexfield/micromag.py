@@ -247,9 +247,9 @@ def _picard_rhs(theta_vals: np.ndarray, coupling: tuple, out=None) -> np.ndarray
     return rhs
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    # einsum sums in one fixed order, with no BLAS thread pool involved
-    return float(np.einsum("ij,ij->", a, b))
+def _max_abs(u: np.ndarray) -> float:
+    """max |u|, from the extremes of u, with no array written."""
+    return max(float(u.max()), -float(u.min()))
 
 
 def _norm_w(u: np.ndarray, weights: np.ndarray) -> float:
@@ -281,7 +281,12 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     """Solve theta = (-lap)^{-1}[h . (i e^{i theta} M)] from theta_0 = ``start``.
 
     Picard iteration with Anderson(2) extrapolation (module docstring).
-    ``report.changes[k]`` is max|g(x_k) - x_k| for the k-th iterate x_k;
+    The least-squares problem reads two stacked ``einsum``s over the two
+    residual differences per iteration: the newest difference against
+    both, and both against the residual; the older difference's own
+    product carries over from the iteration that formed it.
+    ``report.changes[k]`` is max|g(x_k) - x_k| for the k-th iterate x_k,
+    read from the extremes of g(x_k) - x_k with no |.| array written;
     the loop stops when it falls below ``tol`` and returns that last
     solve output g(x_k).  Non-convergence within ``max_iter`` is reported
     through ``report.converged``, never silently.  ``coupling`` is the
@@ -329,6 +334,7 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     else:
         np.copyto(x, start.values)
     pairs = 0
+    gram = [0.0, 0.0]   # <d_f[i], d_f[i]> of each difference slot
     accelerated = False
     changes = []
     converged = False
@@ -346,7 +352,7 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
         theta = solver.solve(rhs, out=work.g[k % 2])
         g, f = theta.values, work.f[k % 2]
         np.subtract(g, x, out=f)
-        change = float(np.max(np.abs(f, out=scratch)))
+        change = _max_abs(f)
         changes.append(change)
         if change < tol:
             converged = True
@@ -367,17 +373,25 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
         if accelerated and change > changes[-2]:
             pairs = 0   # the extrapolation made things worse: drop the history
         elif k > 0:
-            np.subtract(f, f_prev, out=d_f[k % 2])
-            np.subtract(g, g_prev, out=d_g[k % 2])
+            new = k % 2
+            np.subtract(f, f_prev, out=d_f[new])
+            np.subtract(g, g_prev, out=d_g[new])
             pairs = min(pairs + 1, 2)
+            if pairs == 1:
+                gram[new] = float(np.einsum("ij,ij->", d_f[new], d_f[new]))
+            else:
+                # the older difference's own product carries over
+                products = np.einsum("kij,ij->k", d_f, d_f[new])
+                gram[new], off_diagonal = float(products[new]), float(products[1 - new])
         f_prev, g_prev = f, g
         x, accelerated = g, False
         if pairs == 2:
-            a, b, c = _dot(d_f[0], d_f[0]), _dot(d_f[0], d_f[1]), _dot(d_f[1], d_f[1])
-            det = a * c - b * b
+            a, c = gram
+            det = a * c - off_diagonal * off_diagonal
             if det > _SINGULAR_GRAM * a * c:
-                p, q = _dot(d_f[0], f), _dot(d_f[1], f)
-                gamma0, gamma1 = (c * p - b * q) / det, (a * q - b * p) / det
+                p, q = np.einsum("kij,ij->k", d_f, f).tolist()
+                gamma0 = (c * p - off_diagonal * q) / det
+                gamma1 = (a * q - off_diagonal * p) / det
                 # x = g - gamma0 d_g[0] - gamma1 d_g[1]
                 x = np.subtract(g, np.multiply(gamma0, d_g[0], out=scratch), out=work.x)
                 x -= np.multiply(gamma1, d_g[1], out=scratch)
@@ -390,7 +404,7 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
         a_theta = solver.apply(theta, out=work.x)
     lhs = np.subtract(a_theta, _picard_rhs(theta.values, coupling, out=rhs.values),
                       out=scratch)
-    residual = float(np.max(np.abs(lhs, out=lhs)))
+    residual = _max_abs(lhs)
     # a fresh theta, which later solves on this grid cannot overwrite
     theta = PolarField(grid, theta.values.copy())
     report = FixedPointReport(
@@ -764,7 +778,7 @@ def minimize_g_descent(config: VortexConfig, field: ExternalField, grid: GridSpe
     while True:
         solver.apply(y, out=grad)
         grad -= _picard_rhs(y.values, coupling, out=tmp)
-        residual = float(np.max(np.abs(grad, out=tmp)))
+        residual = _max_abs(grad)
         if not np.isfinite(residual):
             raise ConvergenceError("descent gradient is not finite")
         if residual < 1e-8 or iterations >= 400_000:

@@ -9,15 +9,27 @@ with conservative second-order finite differences on the cell-centered
 radial grid r_i = (i - 1/2) dr.  The inner flux coefficient r_{i-1/2}
 vanishes identically at the pole for i = 1, which encodes the natural
 regularity condition there for every mode; the Dirichlet condition at
-r = 1 enters through the ghost-value reflection u_{n+1} = -u_n.  The
-Thomas sweeps run in place over the rows of ``rfft(values, axis=1)``,
-one radius per row and all wavenumbers along it, seen as float64: each
-complex coefficient is a (re, im) pair and every factor is real, so a
-row step is a few real ``out=`` operations on contiguous memory.  The
-factor arrays 1/dp and cp are stored repeated to that (n_r, 2 n_modes)
-layout.  The result is bitwise that of the same sweep in complex
-arithmetic, since numpy divides a complex number by a real one by
-multiplying with the reciprocal.  The cached solver of a grid owns the
+r = 1 enters through the ghost-value reflection u_{n+1} = -u_n.
+
+``solve`` eliminates from both ends at once, a two-ended ("twisted")
+factorization (Parlett & Dhillon, Linear Algebra Appl. 267, 1997): pair
+row j holds the spectra of radius j and of radius n_r - 1 - j side by
+side, contiguous float64 with each complex coefficient a (re, im) pair,
+and each step moves both ends one radius towards the middle in one
+call.  The two rffts write the top radii and the bottom ones, read in
+reverse, into the two halves of the pair rows, and the two irffts read
+them back in the same order, so no ``out`` has a negative stride.  The
+whole spectrum is scaled once by the reciprocal pivots, so a forward
+step is two real ``out=`` operations with the factors multiplied in,
+and so is a back-substitution step.  For even n_r the last pair row
+holds the two middle radii, which meet in one 2 x 2 solve per mode:
+1 / det of that system is folded into their pivots and forward factors,
+and each half less its factor times the other half is the solution.
+For odd n_r the middle radius is the twist row: it sits in both halves
+of the last pair row and is solved from the pair row before it.  A
+solve is about 2 n_r row calls, where a one-ended Thomas sweep took
+5 n_r.  Every factor is real, so the result is bitwise that of the same
+sweep in complex arithmetic.  The cached solver of a grid owns the
 spectra its ``solve``, ``apply`` and ``precondition`` work in, and each
 writes its result into a caller's ``out`` when given, so none allocates
 grid arrays.
@@ -173,29 +185,53 @@ class DiskPoissonSolver:
         D = diag[:, None] + (m**2)[None, :] / (r**2)[:, None]
         D[-1, :] += r_plus[-1] / (r[-1] * dr * dr)  # ghost u_{n+1} = -u_n
 
-        # Thomas factorization, shared by every solve on this grid
-        cp = np.zeros_like(D)
-        dp = np.empty_like(D)
-        dp[0] = D[0]
-        cp[0] = self._up[0] / dp[0]
-        for i in range(1, n_r):
-            dp[i] = D[i] - self._low[i] * cp[i - 1]
-            if i < n_r - 1:
-                cp[i] = self._up[i] / dp[i]
-        # factor rows in the float64 layout of the rfft rows: (re, im) per mode
-        self._inv_dp = list(np.repeat(1.0 / dp, 2, axis=1))
-        self._cp = list(np.repeat(cp, 2, axis=1))
+        # two-ended (twisted) factorization, shared by every solve on this grid:
+        # pair row j holds radius j, eliminated downward with the pivots dp, and
+        # radius n_r - 1 - j, eliminated upward with the pivots dq
+        n_pairs = n_r - n_r // 2
+        top, bottom = np.arange(n_pairs), n_r - 1 - np.arange(n_pairs)
+        dp, cp, dq, cq = (np.empty((n_pairs, D.shape[1])) for _ in range(4))
+        for j, (i, k) in enumerate(zip(top, bottom)):
+            dp[j] = D[i] - self._low[i] * cp[j - 1] if j else D[i]
+            cp[j] = self._up[i] / dp[j]
+            dq[j] = D[k] - self._up[k] * cq[j - 1] if j else D[k]
+            cq[j] = self._low[k] / dq[j]
+        pivots = np.stack([1.0 / dp, 1.0 / dq], axis=1)
+        steps = np.stack([self._low[top, None] / dp, self._up[bottom, None] / dq], axis=1)
+        back = np.stack([cp, cq], axis=1)
+        if n_r % 2:
+            # the twist row n_pairs - 1 sits in both halves of the last pair row
+            # and is solved from the pair row before it
+            twist = n_pairs - 1
+            gamma = D[twist] - self._low[twist] * cp[-2] - self._up[twist] * cq[-2]
+            pivots[-1] = 1.0 / gamma
+            back[-1] = np.stack([self._low[twist] / gamma, self._up[twist] / gamma])
+            steps = steps[1:-1]
+        else:
+            # the last pair row holds the neighbours n_r/2 - 1 and n_r/2, which
+            # meet in one 2 x 2 solve; 1 / det scales their whole elimination
+            inv_det = 1.0 / (1.0 - cp[-1] * cq[-1])
+            pivots[-1] *= inv_det
+            steps[-1] *= inv_det
+            steps = steps[1:]
+        # factor rows in the float64 layout of the pair rows: (re, im) per mode
+        self._pivots = np.repeat(pivots, 2, axis=-1).reshape(2 * n_pairs, -1)
+        self._steps = list(np.repeat(steps, 2, axis=-1).reshape(len(steps), -1))
+        self._back = list(np.repeat(back, 2, axis=-1).reshape(n_pairs, -1))
         self._D = D
         # |low| + |up| per radius; the last row has no upper neighbour, as in apply
         self._off = np.abs(self._low)
         self._off[:-1] += np.abs(self._up[:-1])
         #: the smallest entry of D, so M^{-1} < 2 / diag_min in the quadrature inner product
         self.diag_min = float(np.min(D))
-        # spectra every solve and apply on this grid writes into, C-ordered
-        # so each row's (re, im) pairs are contiguous float64
-        self._spectra = np.empty((3,) + D.shape, dtype=complex)
-        self._rows = list(self._spectra[0].view(np.float64))
-        self._row_tmp = np.empty(2 * D.shape[1])
+        # spectra every solve and apply on this grid writes into, C-ordered so
+        # each row's (re, im) pairs are contiguous float64; solve sees the first
+        # as n_pairs pair rows, one more radius than n_r when n_r is odd
+        self._spectra = np.empty((3, 2 * n_pairs, D.shape[1]), dtype=complex)
+        self._grid_spectra = self._spectra[:, :n_r]
+        self._pairs = self._spectra[0].reshape(n_pairs, 2, -1)
+        self._pair_rows = list(self._spectra[0].view(np.float64).reshape(n_pairs, -1))
+        self._row_tmp = np.empty(4 * D.shape[1])
         self._lambda_min = None
 
     def solve(self, f: PolarField, out: PolarField | None = None) -> PolarField:
@@ -204,24 +240,41 @@ class DiskPoissonSolver:
             raise ValueError("right-hand side lives on a different grid")
         if out is not None and (out.grid != self.grid or not out.dirichlet):
             raise ValueError("out must be a Dirichlet field on the solver's grid")
-        fh = np.fft.rfft(f.values, axis=1, out=self._spectra[0])
-        y, low, inv_dp, cp, tmp = self._rows, self._low, self._inv_dp, self._cp, self._row_tmp
-        np.multiply(y[0], inv_dp[0], out=y[0])
-        for i in range(1, len(y)):
-            np.multiply(y[i - 1], low[i], out=tmp)
-            np.subtract(y[i], tmp, out=y[i])
-            np.multiply(y[i], inv_dp[i], out=y[i])
-        for i in range(len(y) - 2, -1, -1):
-            np.multiply(cp[i], y[i + 1], out=tmp)
-            np.subtract(y[i], tmp, out=y[i])
-        vals = np.fft.irfft(fh, n=self.grid.n_t, axis=1, out=None if out is None else out.values)
+        n_r, n_t = self.grid.n_r, self.grid.n_t
+        pairs, y, tmp = self._pairs, self._pair_rows, self._row_tmp
+        n_pairs, half = len(y), tmp.size // 2
+        np.fft.rfft(f.values[:n_pairs], axis=1, out=pairs[:, 0])
+        np.fft.rfft(f.values[::-1][:n_pairs], axis=1, out=pairs[:, 1])
+        spectrum = self._spectra[0].view(np.float64)
+        np.multiply(spectrum, self._pivots, out=spectrum)
+        for j, step in enumerate(self._steps, start=1):
+            np.multiply(step, y[j - 1], out=tmp)
+            np.subtract(y[j], tmp, out=y[j])
+        last = y[-1]
+        if n_r % 2:
+            # the twist row, from the pair row before it, into both halves
+            np.multiply(self._back[-1], y[-2], out=tmp)
+            np.subtract(last[:half], tmp[:half], out=last[:half])
+            np.subtract(last[:half], tmp[half:], out=last[:half])
+            np.copyto(last[half:], last[:half])
+        else:
+            # the meet: each half less its factor times the other half
+            np.multiply(self._back[-1].reshape(2, -1), last.reshape(2, -1)[::-1],
+                        out=tmp.reshape(2, -1))
+            np.subtract(last, tmp, out=last)
+        for j in range(n_pairs - 2, -1, -1):
+            np.multiply(self._back[j], y[j + 1], out=tmp)
+            np.subtract(y[j], tmp, out=y[j])
+        vals = np.empty((n_r, n_t)) if out is None else out.values
+        np.fft.irfft(pairs[:, 0], n=n_t, axis=1, out=vals[:n_pairs])
+        np.fft.irfft(pairs[n_r - n_pairs - 1::-1, 1], n=n_t, axis=1, out=vals[n_pairs:])
         return PolarField(self.grid, vals) if out is None else out
 
     def apply(self, u: PolarField, out: np.ndarray | None = None) -> np.ndarray:
         """Apply the discrete operator -lap_h to a Dirichlet field, into ``out`` if given."""
         if u.grid != self.grid:
             raise ValueError("field lives on a different grid")
-        uh, lap, tmp = self._spectra
+        uh, lap, tmp = self._grid_spectra
         np.fft.rfft(u.values, axis=1, out=uh)
         np.multiply(self._D, uh, out=lap)
         np.multiply(self._low[1:, None], uh[:-1], out=tmp[1:])
@@ -243,7 +296,7 @@ class DiskPoissonSolver:
         if u.grid != self.grid:
             raise ValueError("field lives on a different grid")
         # D^{-1} (u - O D^{-1} u), from the factors apply multiplies by
-        uh, scaled, tmp = self._spectra
+        uh, scaled, tmp = self._grid_spectra
         np.fft.rfft(u.values, axis=1, out=uh)
         np.divide(uh, self._D, out=scaled)
         np.multiply(self._low[1:, None], scaled[:-1], out=tmp[1:])

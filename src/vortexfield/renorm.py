@@ -55,7 +55,7 @@ import numpy as np
 
 from .canonical import VortexConfig, canonical_map_disk
 from .geom import TWO_PI, ConformalDomain
-from .poisson import GridSpec, PolarField, integrate_disk, solver_for
+from .poisson import GridSpec, PolarField, solver_for
 
 
 @dataclass
@@ -268,7 +268,8 @@ class EvaluationWork:
     ``phase`` is the phi of the latest :func:`coupling_phase` on the grid;
     the others carry the iterates of :func:`vortexfield.micromag.picard_solve`,
     which leaves A_h theta of the theta it returns in ``x``.
-    The map (``map_out``, ``map_work``: ``d_f``, ``d_g`` and ``f``),
+    The map (``map_out``, ``map_work``: ``d_f``, ``d_g`` and ``f``), the
+    contiguous parts of q that :func:`coupling_phase` copies into ``f``,
     :func:`g_functional` and :func:`vortexfield.micromag.v_gradient`
     (``rhs``, ``scratch``) borrow from those, since none runs during a
     Picard solve.
@@ -311,10 +312,14 @@ def coupling_phase(config: VortexConfig, grid: GridSpec, h, moment: bool = False
     sign = -1.0 if h[0] < 0.0 or (h[0] == 0.0 and h[1] < 0.0) else 1.0
     q *= 1j * complex(sign * h[0], -sign * h[1])
     amplitude = sign * float(np.hypot(h[0], h[1]))
-    phi = np.arctan2(q.imag, q.real, out=work.phase)
+    # arctan2 runs faster on contiguous copies than on the strided parts of q
+    imag, real = work.f
+    np.copyto(imag, q.imag)
+    np.copyto(real, q.real)
+    phi = np.arctan2(imag, real, out=work.phase)
     if not moment:
         return amplitude, phi
-    return amplitude, phi, sign * float(grid.cell_weights()[:, 0] @ q.imag.sum(axis=1))
+    return amplitude, phi, sign * float(grid.cell_weights()[:, 0] @ imag.sum(axis=1))
 
 
 def g_functional(config: VortexConfig, theta: PolarField, h,
@@ -341,16 +346,15 @@ def g_value(theta: PolarField, a_theta: np.ndarray, coupling: tuple) -> float:
     """G at theta from A_h theta and the coupling (a, phi) of ``coupling_phase``.
 
     The operations of :func:`g_functional`, which calls it, so a caller
-    that holds the coupling gets the same value bit for bit with no map;
-    the integrands are formed in the grid's ``EvaluationWork.rhs``.
+    that holds the coupling gets the same value bit for bit with no map.
+    Both integrals are weighted row sums, sum_i w_i sum_j: the kinetic
+    one of theta A_h theta in one ``einsum``, the coupling one of
+    sin(theta + phi), formed in the grid's ``EvaluationWork.rhs``, scaled
+    by the amplitude after the sum.
     """
-    work = evaluation_work(theta.grid)
-    integrand = work.rhs.values
-    np.multiply(0.5, theta.values, out=integrand)
-    integrand *= a_theta
-    kinetic = integrate_disk(work.rhs, out=integrand)
+    weights = theta.grid.cell_weights()[:, 0]
+    kinetic = 0.5 * float(weights @ np.einsum("ij,ij->i", theta.values, a_theta))
     amplitude, phi = coupling
-    np.add(theta.values, phi, out=integrand)
+    integrand = np.add(theta.values, phi, out=evaluation_work(theta.grid).rhs.values)
     np.sin(integrand, out=integrand)
-    integrand *= amplitude
-    return kinetic - integrate_disk(work.rhs, out=integrand)
+    return kinetic - amplitude * float(weights @ integrand.sum(axis=1))

@@ -1,11 +1,13 @@
 """Solver and quadrature tests: manufactured solutions, invariants, log-sine."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from vortexfield.canonical import VortexConfig
 from vortexfield.geom import TWO_PI
-from vortexfield.poisson import (GridSpec, LOG_SIN_INTEGRAL,
+from vortexfield.poisson import (DiskPoissonSolver, GridSpec, LOG_SIN_INTEGRAL,
                                  LOG_SIN_SQUARED_INTEGRAL, PolarField,
                                  graded_log_quadrature, integrate_disk,
                                  singular_quadrature_1d, solve_dirichlet,
@@ -14,18 +16,53 @@ from vortexfield.renorm import g_functional
 
 
 def _complex_sweep(solver, values):
-    """The complex Thomas sweep ``solve`` ran before its real in-place form."""
-    low, cp = solver._low, np.array(solver._cp)[:, ::2]
-    dp = solver._D.copy()
-    dp[1:] -= low[1:, None] * cp[:-1]   # the factorization's own recurrence
+    """The two-ended sweep of ``solve`` in complex arithmetic, one radius at a time.
+
+    Radius j is eliminated downward and radius n_r - 1 - j upward; for
+    even n_r the two middle radii meet in a 2 x 2 solve, for odd n_r the
+    middle radius is solved from both neighbours.  The factors are formed
+    here from D and the off-diagonals, by the recurrences of the solver.
+    """
+    D, low, up = solver._D, solver._low, solver._up
+    n_r = len(D)
+    half = n_r // 2
     fh = np.fft.rfft(values, axis=1)
-    y = np.empty_like(fh)
-    y[0] = fh[0] / dp[0]
-    for i in range(1, len(y)):
-        y[i] = (fh[i] - low[i] * y[i - 1]) / dp[i]
-    for i in range(len(y) - 2, -1, -1):
-        y[i] = y[i] - cp[i] * y[i + 1]
-    return np.fft.irfft(y, n=values.shape[1], axis=1)
+    u = np.empty_like(fh)
+    dp, cp, dq, cq = (np.empty_like(D) for _ in range(4))
+    for j in range(n_r - half):
+        i, k = j, n_r - 1 - j
+        dp[i] = D[i] - low[i] * cp[i - 1] if j else D[i]
+        cp[i] = up[i] / dp[i]
+        dq[k] = D[k] - up[k] * cq[k + 1] if j else D[k]
+        cq[k] = low[k] / dq[k]
+    if n_r % 2:
+        top, bottom = range(half), range(n_r - 1, half, -1)   # the twist row: half
+        gamma = D[half] - low[half] * cp[half - 1] - up[half] * cq[half + 1]
+    else:
+        top, bottom = range(half), range(n_r - 1, half - 1, -1)
+        inv_det = 1.0 / (1.0 - cp[half - 1] * cq[half])
+    for rows, piv, step, near in ((top, dp, low, -1), (bottom, dq, up, 1)):
+        for i in rows:
+            scale = 1.0 / piv[i]
+            factor = step[i] / piv[i]
+            if n_r % 2 == 0 and i in (half - 1, half):
+                scale, factor = scale * inv_det, factor * inv_det
+            u[i] = fh[i] * scale
+            if i != rows[0]:
+                u[i] = u[i] - factor * u[i + near]
+    if n_r % 2:
+        u[half] = fh[half] * (1.0 / gamma)
+        u[half] = u[half] - (low[half] / gamma) * u[half - 1]
+        u[half] = u[half] - (up[half] / gamma) * u[half + 1]
+    else:
+        y, z = u[half - 1].copy(), u[half].copy()
+        u[half - 1] = y - cp[half - 1] * z
+        u[half] = z - cq[half] * y
+    for i in reversed(top[:-1] if n_r % 2 == 0 else top):
+        u[i] = u[i] - cp[i] * u[i + 1]
+    for i in reversed(bottom[:-1] if n_r % 2 == 0 else bottom):
+        u[i] = u[i] - cq[i] * u[i - 1]
+    return np.fft.irfft(u, n=values.shape[1], axis=1)
 
 
 def _power_iteration(solver):
@@ -173,11 +210,12 @@ class TestSolveDirichlet:
         u = solver.solve(PolarField(grid, f, dirichlet=False))
         assert np.max(np.abs(solver.apply(u) - f)) < 1e-10
 
-    @pytest.mark.parametrize("n_r,n_t", [(8, 16), (16, 32), (64, 128), (128, 256)])
+    @pytest.mark.parametrize("n_r,n_t", [(8, 16), (16, 32), (64, 128), (128, 256),
+                                         (5, 8), (33, 64)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_real_sweep_equals_complex_sweep(self, n_r, n_t, seed):
-        # numpy divides a complex number by a real one by multiplying with
-        # the reciprocal, so the real in-place sweep is bitwise the same
+        # every factor is real, and numpy multiplies a complex number by a
+        # real one part by part, so the real pair-row sweep is bitwise the same
         grid = GridSpec(n_r, n_t)
         f = np.random.default_rng(seed).standard_normal((n_r, n_t))
         u = solver_for(grid).solve(PolarField(grid, f, dirichlet=False))
@@ -189,6 +227,38 @@ class TestSolveDirichlet:
         applied = np.empty((n_r, n_t))
         assert solver_for(grid).apply(u, out=applied) is applied
         assert np.array_equal(applied, solver_for(grid).apply(u))
+
+    @pytest.mark.parametrize("n_r,n_t", [(8, 16), (16, 32), (64, 128), (128, 256),
+                                         (5, 8), (33, 64)])
+    def test_solve_matches_a_dense_solve_per_mode(self, n_r, n_t):
+        # each angular mode's tridiagonal system, solved by LAPACK
+        grid = GridSpec(n_r, n_t)
+        solver = solver_for(grid)
+        f = np.random.default_rng(7).standard_normal((n_r, n_t))
+        fh = np.fft.rfft(f, axis=1)
+        uh = np.stack([np.linalg.solve(t, fh[:, m])
+                       for m, (t, _) in enumerate(_modewise_matrices(solver))], axis=1)
+        reference = np.fft.irfft(uh, n=n_t, axis=1)
+        u = solver.solve(PolarField(grid, f, dirichlet=False)).values
+        assert np.max(np.abs(u - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("n_r,n_t", [(8, 16), (5, 8)])
+    def test_interleaved_calls_share_the_spectra_safely(self, n_r, n_t):
+        # solve, apply and precondition all work in the solver's _spectra; in
+        # any order each gives bitwise what it gives on a fresh solver
+        grid = GridSpec(n_r, n_t)
+        rng = np.random.default_rng(11)
+        fields = [PolarField(grid, rng.standard_normal((n_r, n_t))) for _ in range(3)]
+        calls = {
+            "solve": lambda s, u: s.solve(u).values,
+            "apply": lambda s, u: s.apply(u),
+            "precondition": lambda s, u: s.precondition(u),
+        }
+        shared = DiskPoissonSolver(grid)
+        for order in itertools.product(calls, repeat=3):
+            for name, u in zip(order, fields):
+                expected = calls[name](DiskPoissonSolver(grid), u)
+                assert np.array_equal(calls[name](shared, u), expected), order
 
     def test_operator_inverts_solve_on_the_default_grid(self):
         # at 128 x 256 the operator norm is about 1e9, so the residual is
