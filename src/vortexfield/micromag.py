@@ -24,7 +24,8 @@ computed once per solve (``renorm.coupling_phase``) or handed in by the
 caller that already has it.
 The iterates live in the grid's ``renorm.EvaluationWork``, made once
 per grid; the theta a solve returns is a fresh copy, so no later solve
-overwrites it.  The residual's A_h theta stays in that work, and
+overwrites it, or the work's own, which ``total_energy`` copies only if
+it wins.  The residual's A_h theta stays in that work, and
 ``g_functional`` reads it for the kinetic term: one operator apply per
 solve run to convergence, and one per bound check (below).
 
@@ -61,12 +62,11 @@ which ``_start`` picks the fit, the latest theta or, when empty, 0.
 Only ``_start`` and ``total_energy`` read that layout, and
 ``total_energy`` hands the winning theta on in its breakdown
 (``EnergyBreakdown.theta``), which ``magnetization_field`` samples with
-no further solve.  A search keeps
-one dict across calls, and a cold ``magnetization_field`` hands
-``total_energy`` a fresh one.  For |h| >= lambda_lo, where a start can
-reach another fixed point, the dict is emptied first and each record
-holds one cold solve; there, and for every solve outside a search,
-theta_0 = 0.
+no further solve.  A search keeps one dict across calls; a call given
+none keeps its winning theta alone.  For |h| >= lambda_lo, where a
+start can reach another fixed point, the dict is emptied first and
+each record holds one cold solve; there, and for every solve outside a
+search, theta_0 = 0.
 
 An independent cross-check, ``minimize_g_descent``, minimizes the same
 discrete energy by preconditioned gradient descent with Nesterov
@@ -156,11 +156,11 @@ V <= G(g_k) < t and the value is needed exactly.  No tunable constant
 enters, and nothing is skipped or cut for |h| >= lambda_lo.
 
 The solve also gives W its exact gradient in the pair
-(``energy_gradient``), which ``optimize``'s gradient finish reads.
-Since theta* is a stationary point of the discrete G, the envelope
-theorem makes dV/ds_j the partial derivative of G at fixed theta*;
-``v_gradient`` forms it from A_h theta* and the derivative of phi, a
-Poisson kernel at a_j, so it builds no map and starts no solve.
+(``energy_gradient``), carried by each finite, unbounded breakdown of
+``total_energy`` for ``optimize``'s gradient finish.  Since theta* is a
+stationary point of the discrete G, the envelope theorem makes dV/ds_j
+the partial derivative of G at fixed theta*, formed from A_h theta* and
+the derivative of phi, a Poisson kernel at a_j: no map, and no solve.
 W_0's part is closed-form on the disk and, on an oval, the derivative
 of the log-kernel integrals of the domain's shared boundary data
 (``renorm.w0_boundary``), which ``total_energy``'s W_0 reads too.
@@ -173,6 +173,7 @@ displayed magnetization is pushed forward through the conformal map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -277,7 +278,7 @@ def require_picard_budget(tol: float, max_iter: int) -> None:
 
 def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
                  tol: float = 1e-9, max_iter: int = 50, coupling: tuple = None,
-                 start: PolarField = None, above: float | None = None):
+                 start: PolarField = None, above: float | None = None, copy: bool = True):
     """Solve theta = (-lap)^{-1}[h . (i e^{i theta} M)] from theta_0 = ``start``.
 
     Picard iteration with Anderson(2) extrapolation (module docstring).
@@ -302,7 +303,8 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     copied into the grid's ``EvaluationWork`` before the first solve, so
     it may live in that work's ``g[0]``.  The grid's
     ``EvaluationWork.x`` holds A_h theta of the returned theta until
-    the next Picard solve on the grid.
+    the next Picard solve on the grid; with ``copy`` False, so does the
+    theta returned, which is then that work's ``g`` slot.
 
     With a finite ``above`` and |a| < lambda_lo, the solve may stop before
     it converges, once V >= ``above`` is certain (module docstring): at a
@@ -405,8 +407,8 @@ def picard_solve(config: VortexConfig, field: ExternalField, grid: GridSpec,
     lhs = np.subtract(a_theta, _picard_rhs(theta.values, coupling, out=rhs.values),
                       out=scratch)
     residual = _max_abs(lhs)
-    # a fresh theta, which later solves on this grid cannot overwrite
-    theta = PolarField(grid, theta.values.copy())
+    if copy:   # a fresh theta, which later solves on this grid cannot overwrite
+        theta = PolarField(grid, theta.values.copy())
     report = FixedPointReport(
         iterations=len(changes), changes=tuple(changes),
         residual=residual, converged=converged, gap=gap,
@@ -465,11 +467,12 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     Each solve starts from ``_start`` of its branch's record
     ``thetas[sigma]`` and joins it (module docstring); for
     |h| >= lambda_lo the dict is emptied first, so each record holds one
-    cold solve.  Without ``thetas`` every solve starts from theta = 0
-    and no theta outlives its branch.  The coupling is built once: its
-    phi stays in the grid's work array, and each branch's
-    ``g_functional`` rewrites it with the same bits.  A solve that
-    neither converges nor stops on its threshold raises
+    cold solve.  Without ``thetas`` every solve starts from theta = 0,
+    and the second branch's theta stays in the work, copied out only if
+    it wins, after the first's is freed: one theta at a time.  The
+    coupling is built once: its phi stays in the grid's work array, and
+    each branch's ``g_functional`` rewrites it with the same bits.  A
+    solve that neither converges nor stops on its threshold raises
     :class:`ConvergenceError`.
 
     A solve stopped on its threshold (:func:`picard_solve`, below
@@ -482,20 +485,23 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     two.  When the lowest value is a cut branch's bound the breakdown is
     ``bounded``: its ``v_ext`` is a certified lower bound on V, its
     total is above ``above`` and it has no theta.  Otherwise ``theta``
-    is the winning solve, None without ``thetas``.
+    is the winning solve (None at h = 0), and ``gradient`` reads it in
+    :func:`energy_gradient` at the angles in the order given.
 
     The diagnostics are the winning solve's ``iterations``, ``residual``
     and ``final_change``, its ``sigma``, ``branches_solved``, the count
     of solves run to convergence, and ``loser_bound`` (None when
-    |h| >= lambda_lo); they are empty for a degenerate pair and at
-    h = 0, where nothing is solved.
+    |h| >= lambda_lo); they are empty for a degenerate pair, which has
+    no gradient either, and at h = 0, where nothing is solved.
     """
+    angles = config.angles
     config = config.canonical_order()
     if config.is_degenerate:
         return EnergyBreakdown(w0=float("inf"), v_ext=0.0)
     w0 = w0_disk(config) if domain.is_disk else w0_conformal(domain, config, nodes=w0_nodes)
     if field.is_zero:
-        return EnergyBreakdown(w0=w0, v_ext=0.0)
+        return EnergyBreakdown(w0=w0, v_ext=0.0,
+                               gradient=partial(energy_gradient, domain, angles, None, w0_nodes))
     amplitude, phi, moment = coupling_phase(config, grid, field.h, moment=True)
     favoured = 1 if moment >= 0.0 else -1
     h_norm = field.norm
@@ -518,11 +524,11 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
         else:
             # V <= G(0) = -|L|: below `limit` the pair may win and needs V exactly
             threshold = limit if -abs(moment) >= limit else None
-        record = () if thetas is None else thetas.get(sigma, ())
+        record = thetas.get(sigma, ()) if thetas else ()
         theta, report = picard_solve(config, None, grid, tol=tol, max_iter=max_iter,
                                      coupling=(sigma * amplitude, phi),
                                      start=_start(record, config.angles, grid),
-                                     above=threshold)
+                                     above=threshold, copy=thetas is not None or not branches)
         if not report.converged and report.gap is None:
             raise ConvergenceError(
                 f"Picard iteration did not converge in {report.iterations} steps "
@@ -533,10 +539,13 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
                          a_theta=evaluation_work(grid).x)
         if report.gap is not None:
             v, theta = v - report.gap, None
-        elif thetas is None:
-            theta = None
-        else:
+        elif thetas is not None:
             thetas[sigma] = record[-2:] + ((config.angles, theta),)
+        elif branches and v < branches[0][0]:   # the work's theta wins: free the other first
+            branches[0] = branches[0][:3] + (None,)
+            theta = PolarField(grid, theta.values.copy())
+        elif branches:
+            theta = None   # the work's theta loses (a tie keeps sigma*)
         branches.append((v, sigma, report, theta))
         if bound is not None and bound - margin > v:
             break
@@ -545,16 +554,23 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
                    "final_change": report.changes[-1], "sigma": sigma,
                    "branches_solved": sum(b[2].converged for b in branches),
                    "loser_bound": bound}
+    bounded = report.gap is not None
+    gradient = None if bounded else partial(energy_gradient, domain, angles, theta, w0_nodes)
     return EnergyBreakdown(w0=w0, v_ext=v, diagnostics=diagnostics, theta=theta,
-                           bounded=report.gap is not None)
+                           gradient=gradient, bounded=bounded)
 
 
-def v_gradient(angles, theta: PolarField) -> np.ndarray:
-    """(dV/ds_1, dV/ds_2) at a solved pair, from its winning theta alone.
+def energy_gradient(domain: ConformalDomain, angles, theta: PolarField | None,
+                    w0_nodes: int = 2048) -> np.ndarray:
+    """(dW/ds_1, dW/ds_2) of a distinct solved pair, in the label order of ``angles``.
 
-    theta is a stationary point of the discrete G, so by the envelope
-    theorem (Danskin, The Theory of Max-Min, 1967) dV/ds_j is the partial
-    derivative of G at fixed theta, -sum w a cos(theta + phi) dphi/ds_j.
+    W_0's part is the disk's closed form, and on an oval the gradient of
+    the boundary data at ``w0_nodes`` that :func:`total_energy`'s W_0
+    reads (``renorm.w0_boundary``).  V's part reads the winning theta
+    alone, None only at h = 0, where V = 0.  theta is a stationary point
+    of the discrete G, so by the envelope theorem (Danskin, The Theory
+    of Max-Min, 1967) dV/ds_j is the partial derivative of G at fixed
+    theta, -sum w a cos(theta + phi) dphi/ds_j.
     At the fixed point a cos(theta + phi) = A_h theta to the Picard
     tolerance, from one operator apply.  With a_j = e^{i s_j} and
     Re(a_1 / (a_1 - a_2)) = 1/2 on the circle, phi = arg(i conj(h) M) gives
@@ -564,6 +580,12 @@ def v_gradient(angles, theta: PolarField) -> np.ndarray:
     come in either label order.  No map is built and no solve is started;
     the grid-sized terms are formed in the grid's ``EvaluationWork``.
     """
+    if domain.is_disk:
+        w0 = w0_disk_gradient(angles)
+    else:
+        w0 = w0_boundary(domain, w0_nodes).gradient(angles)
+    if theta is None:
+        return w0
     grid = theta.grid
     work = evaluation_work(grid)
     r = grid.r[:, None]
@@ -576,23 +598,7 @@ def v_gradient(angles, theta: PolarField) -> np.ndarray:
         np.multiply(-2.0 * r, np.cos(grid.t - s), out=term)
         term += 1.0 + r * r
         slopes.append(-float(np.sum(np.divide(weighted, term, out=term))))
-    return np.array(slopes)
-
-
-def energy_gradient(domain: ConformalDomain, angles, theta: PolarField | None,
-                    w0_nodes: int = 2048) -> np.ndarray:
-    """(dW/ds_1, dW/ds_2) of a distinct solved pair, in the label order of ``angles``.
-
-    W_0's part is the disk's closed form, and on an oval the gradient of
-    the boundary data at ``w0_nodes`` that :func:`total_energy`'s W_0
-    reads (``renorm.w0_boundary``); V's part is :func:`v_gradient` of the
-    winning ``theta``, which is None only at h = 0, where V = 0.
-    """
-    if domain.is_disk:
-        w0 = w0_disk_gradient(angles)
-    else:
-        w0 = w0_boundary(domain, w0_nodes).gradient(angles)
-    return w0 if theta is None else w0 + v_gradient(angles, theta)
+    return w0 + np.array(slopes)
 
 
 # ----------------------------------------------------------------------
@@ -714,13 +720,13 @@ def magnetization_field(domain: ConformalDomain, config: VortexConfig,
     ``solved`` is an objective's breakdown at this pair
     (``optimize.energy_objective``; the ``field`` command passes one in
     both modes), whose theta, sigma and solve are taken with no further
-    solve.  Without it the breakdown is ``total_energy``'s with a fresh
-    record dict and that function's default settings, so its solves
-    start from theta = 0.  At h = 0, theta = 0 needs no solve.
+    solve.  Without it the breakdown is a plain ``total_energy`` call's,
+    with that function's default settings, so its solves start from
+    theta = 0.  At h = 0, theta = 0 needs no solve.
     """
     config = config.canonical_order()
     if solved is None:
-        solved = total_energy(domain, config, field, grid, thetas={})
+        solved = total_energy(domain, config, field, grid)
     theta = PolarField.zeros(grid) if solved.theta is None else solved.theta
     sigma = solved.diagnostics.get("sigma", 1)
 

@@ -14,7 +14,8 @@ contraction after another (Lagarias, Reeds, Wright & Wright, SIAM J.
 Optim. 9, 1998).  So once per search, when the three vertex values
 agree to ``_HANDOFF`` while the simplex is still wider than ``_XTOL``,
 and the objective's return carries a gradient (a ``gradient()`` method
-or callable attribute, which :func:`energy_objective` provides), the
+or callable attribute, which every finite breakdown of
+:func:`vortexfield.micromag.total_energy` that is not bounded has), the
 search hands its end game to quasi-Newton steps on exact gradients in a
 trust region (Nocedal & Wright, Numerical Optimization, 2006, ch. 4 and
 6).  A plain-float objective runs the simplex alone.
@@ -69,14 +70,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
 
 import numpy as np
 
 from .canonical import VortexConfig
 from .errors import ConfigurationError, ConvergenceError
 from .geom import TWO_PI, ConformalDomain
-from .micromag import ExternalField, energy_gradient, total_energy
+from .micromag import ExternalField, total_energy
 from .poisson import GridSpec
 from .renorm import EnergyBreakdown
 
@@ -392,40 +392,28 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
                      w0_nodes: int = 2048, tol: float = 1e-9, max_iter: int = 50):
     """Total-energy objective over angle pairs, returning each pair's breakdown.
 
-    Each call returns the :class:`~vortexfield.renorm.EnergyBreakdown` it
-    computed, whose ``float()`` is W: +inf on degenerate pairs.  ``tol``
-    and ``max_iter`` go to the Picard solve of every evaluation; an
-    evaluation that does not converge within them returns an infinite
-    breakdown whose ``diagnostics["error"]`` is the solver's message.
-    The objective keeps each orientation branch's record of its last
-    three or fewer (s, theta) and, for |h| < lambda_lo, starts the
-    branch's next solve from the affine fit through them, or from the
-    latest (:func:`vortexfield.micromag.total_energy`); a new
+    Each call returns the :func:`vortexfield.micromag.total_energy`
+    breakdown of its pair, whose ``float()`` is W (+inf on a degenerate
+    pair), with its winning theta and exact dW/ds.  The objective has
+    three jobs.  It keeps one record dict across calls, so each branch's
+    solve starts from its last solves for |h| < lambda_lo; a new
     objective starts from theta = 0, so equal searches give equal
-    results.  Each breakdown carries its winning theta, so a search that
-    keeps the return of its reported pair (:class:`_Evaluations`) need
-    not solve that pair again, and each finite one its ``gradient``, the
-    exact dW/ds at the pair in the order it was asked for
-    (:func:`vortexfield.micromag.energy_gradient`), which reads that
-    theta and starts no solve.  The objective takes ``above``
-    (``takes_above``): it may then return a ``bounded`` breakdown, whose
-    total is a certified lower bound on W at least ``above``, with no
-    theta and no gradient (:func:`vortexfield.micromag.total_energy`).
+    results.  It hands on ``above`` (``takes_above``), so it may return
+    a ``bounded`` breakdown, a certified lower bound on W at least
+    ``above``.  And a solve that does not converge within ``tol`` and
+    ``max_iter`` gives an infinite breakdown whose
+    ``diagnostics["error"]`` is the solver's message.
     """
     thetas = {}
 
     def objective(s, above: float | None = None) -> EnergyBreakdown:
-        config = VortexConfig.pair(float(s[0]), float(s[1]))
         try:
-            breakdown = total_energy(domain, config, field, grid, w0_nodes=w0_nodes, tol=tol,
-                                     max_iter=max_iter, thetas=thetas, above=above)
+            return total_energy(domain, VortexConfig.pair(float(s[0]), float(s[1])), field,
+                                grid, w0_nodes=w0_nodes, tol=tol, max_iter=max_iter,
+                                thetas=thetas, above=above)
         except ConvergenceError as exc:
             return EnergyBreakdown(w0=float("inf"), v_ext=float("inf"),
                                    diagnostics={"error": str(exc)})
-        if math.isfinite(breakdown.total) and not breakdown.bounded:
-            breakdown.gradient = partial(energy_gradient, domain, config.angles,
-                                         breakdown.theta, w0_nodes)
-        return breakdown
     objective.takes_above = True
     return objective
 

@@ -67,7 +67,7 @@ class EnergyBreakdown:
     evaluation's ``error`` (``optimize.energy_objective``).
     ``gradient``, not compared, is None or a callable of no arguments that
     returns (dW/ds_1, dW/ds_2) at the evaluated pair, in the caller's
-    label order; ``optimize.energy_objective`` sets it on each finite
+    label order; ``micromag.total_energy`` sets it on each finite
     evaluation that is not bounded.  ``bounded`` marks an evaluation cut
     short by a threshold: ``v_ext`` is then a certified lower bound on V,
     not V, and there is no theta.
@@ -270,7 +270,7 @@ class EvaluationWork:
     which leaves A_h theta of the theta it returns in ``x``.
     The map (``map_out``, ``map_work``: ``d_f``, ``d_g`` and ``f``), the
     contiguous parts of q that :func:`coupling_phase` copies into ``f``,
-    :func:`g_functional` and :func:`vortexfield.micromag.v_gradient`
+    :func:`g_functional` and :func:`vortexfield.micromag.energy_gradient`
     (``rhs``, ``scratch``) borrow from those, since none runs during a
     Picard solve.
     """

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from vortexfield.canonical import VortexConfig, canonical_map_disk
 from vortexfield.errors import ConfigurationError, ConvergenceError
 from vortexfield.geom import TWO_PI, ConformalDomain
-from vortexfield.micromag import (ExternalField, SampleSpec,
+from vortexfield.micromag import (ExternalField, SampleSpec, energy_gradient,
                                   interpolate_field, magnetization_field, minimize_g_descent,
                                   picard_solve, require_picard_budget, total_energy)
 from vortexfield.poisson import (DiskPoissonSolver, GridSpec, PolarField, solve_dirichlet,
@@ -896,8 +896,42 @@ class TestEnergyGradient:
                                      GRADIENT_GRID, max_iter=2)
         assert objective((0.5, 2.5)).gradient is None
         assert objective((1.0, 1.0)).gradient is None
-        assert total_energy(ConformalDomain.disk(), STRONG_PAIR, ExternalField((0.0, 1.0)),
-                            GRADIENT_GRID).gradient is None
+        # a plain call's gradient is the objective's at the same pair, to the bit
+        plain = total_energy(ConformalDomain.disk(), STRONG_PAIR, ExternalField((0.0, 1.0)),
+                             GRADIENT_GRID)
+        searched = energy_objective(ConformalDomain.disk(), ExternalField((0.0, 1.0)),
+                                    GRADIENT_GRID)(STRONG_PAIR.angles)
+        assert np.array_equal(plain.gradient(), searched.gradient())
+
+    @pytest.mark.parametrize("c", [None, 0.2])
+    @pytest.mark.parametrize("h", [(0.0, 1.0), (0.0, 0.0)])
+    def test_every_exact_breakdown_carries_its_theta_and_gradient(self, c, h):
+        # a call given no record dict solves from theta = 0 as a fresh
+        # dict's call does and keeps its winning theta; its gradient reads
+        # that theta at the angles in the order given. A bounded,
+        # degenerate or failed evaluation carries neither
+        domain = ConformalDomain.disk() if c is None else ConformalDomain.oval(c)
+        field, grid = ExternalField(h), GridSpec(16, 32)
+        plain = total_energy(domain, STRONG_PAIR, field, grid)
+        fresh = total_energy(domain, STRONG_PAIR, field, grid, thetas={})
+        assert plain == fresh
+        if field.is_zero:
+            assert plain.theta is None and fresh.theta is None
+        else:
+            assert np.array_equal(plain.theta.values, fresh.theta.values)
+        gradient = plain.gradient()
+        assert np.array_equal(gradient, energy_gradient(domain, STRONG_PAIR.angles,
+                                                        plain.theta, 2048))
+        swapped = total_energy(domain, VortexConfig.pair(2.5, 0.5), field, grid)
+        assert np.array_equal(swapped.gradient(), gradient[::-1])
+        empty = [total_energy(domain, VortexConfig.pair(1.0, 1.0), field, grid)]
+        if not field.is_zero:
+            bounded = total_energy(domain, STRONG_PAIR, field, grid, above=plain.total - 1.0)
+            assert bounded.bounded and bounded.total >= plain.total - 1.0
+            failed = energy_objective(domain, field, grid, max_iter=1)(STRONG_PAIR.angles)
+            assert "error" in failed.diagnostics
+            empty += [bounded, failed]
+        assert all(b.theta is None and b.gradient is None for b in empty)
 
 
 class TestInterpolation:
