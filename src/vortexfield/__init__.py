@@ -15,8 +15,8 @@ from .micromag import (ExternalField, FixedPointReport, MagnetizationField,
                        minimize_g_descent, picard_solve, total_energy)
 from .optimize import (LandscapeGrid, NelderMeadResult, SimplexState,
                        energy_objective, grid_oracle, landscape, nelder_mead)
-from .poisson import (GridSpec, PolarField, integrate_disk,
-                      singular_quadrature_1d, solve_dirichlet, solver_for)
+from .poisson import (GridSpec, PolarField, singular_quadrature_1d, solve_dirichlet,
+                      solver_for)
 from .renorm import (EnergyBreakdown, g_functional, punctured_energy,
                      w0_conformal, w0_disk)
 
@@ -29,7 +29,7 @@ __all__ = [
     "SampleSpec", "SimplexState",
     "SingularityError", "VectorFieldSample", "VortexConfig",
     "canonical_map_disk", "energy_objective", "g_functional",
-    "grid_oracle", "integrate_disk",
+    "grid_oracle",
     "landscape", "magnetization_field", "minimize_g_descent", "nelder_mead",
     "picard_solve", "punctured_energy",
     "singular_quadrature_1d", "solve_dirichlet", "solver_for",

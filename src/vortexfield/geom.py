@@ -13,8 +13,7 @@ its image.  The boundary's turning density kappa |gamma'|
 The disk is c = 0 and runs the same formulas, which are exact there:
 every c z^2 term is a signed zero, so Phi(z) = z (a -0.0 part may come
 back as +0.0), Phi' = 1, Phi'' = 0 and the turning density is 1, each
-to the last bit.  ``is_disk`` only selects the closed-form W0 of the
-disk.
+to the last bit.
 """
 
 from __future__ import annotations
@@ -56,10 +55,6 @@ class ConformalDomain:
     @staticmethod
     def oval(c: float = 0.2) -> "ConformalDomain":
         return ConformalDomain(c)
-
-    @property
-    def is_disk(self) -> bool:
-        return self.c == 0.0
 
     # ------------------------------------------------------------------
     # forward map and its derivatives

@@ -64,9 +64,9 @@ Only ``_start`` and ``total_energy`` read that layout, and
 (``EnergyBreakdown.theta``), which ``magnetization_field`` samples with
 no further solve.  A search keeps one dict across calls; a call given
 none keeps its winning theta alone.  For |h| >= lambda_lo, where a
-start can reach another fixed point, the dict is emptied first and
-each record holds one cold solve; there, and for every solve outside a
-search, theta_0 = 0.
+start can reach another fixed point, the dict is neither read, written
+nor cleared, and the call runs as one given none; there, and for every
+solve outside a search, theta_0 = 0.
 
 An independent cross-check, ``minimize_g_descent``, minimizes the same
 discrete energy by preconditioned gradient descent with Nesterov
@@ -161,9 +161,10 @@ The solve also gives W its exact gradient in the pair
 stationary point of the discrete G, the envelope theorem makes dV/ds_j
 the partial derivative of G at fixed theta*, formed from A_h theta* and
 the derivative of phi, a Poisson kernel at a_j: no map, and no solve.
-W_0's part is closed-form on the disk and, on an oval, the derivative
-of the log-kernel integrals of the domain's shared boundary data
-(``renorm.w0_boundary``), which ``total_energy``'s W_0 reads too.
+W_0's part is the disk's closed form plus the derivative of the
+log-kernel integrals of the domain's shared boundary data
+(``renorm.w0_boundary``), which ``total_energy``'s W_0 reads too; the
+disk's data hold no terms, so there both are the closed forms.
 
 The oval experiments reuse the disk solve unchanged: theta is always
 computed on the unit disk against the disk canonical map, and only the
@@ -184,7 +185,7 @@ from .errors import ConvergenceError
 from .geom import TWO_PI, ConformalDomain
 from .poisson import GridSpec, PolarField, solver_for
 from .renorm import (EnergyBreakdown, coupling_phase, evaluation_work, g_functional, g_value,
-                     w0_boundary, w0_conformal, w0_disk, w0_disk_gradient)
+                     w0_boundary, w0_conformal)
 
 
 @dataclass(frozen=True)
@@ -458,22 +459,22 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     to the M of that order; the minimum over sigma makes W independent
     of the label order and of the angle origin.  theta is always solved
     on the unit disk against the disk canonical map, also for conformal
-    domains.  W_0 on an oval is ``w0_conformal`` at ``w0_nodes``, from
-    the boundary data shared by every call on that domain
-    (``renorm.w0_boundary``).
+    domains.  W_0 is ``w0_conformal`` at ``w0_nodes`` on every domain,
+    from the boundary data shared by every call on that domain
+    (``renorm.w0_boundary``); on the disk it is the closed form.
 
     One loop solves the branches, sigma* = sign L (+1 at L = 0) first,
     and takes its three shortcuts from the module docstring's one bound.
     Each solve starts from ``_start`` of its branch's record
     ``thetas[sigma]`` and joins it (module docstring); for
-    |h| >= lambda_lo the dict is emptied first, so each record holds one
-    cold solve.  Without ``thetas`` every solve starts from theta = 0,
-    and the second branch's theta stays in the work, copied out only if
-    it wins, after the first's is freed: one theta at a time.  The
-    coupling is built once: its phi stays in the grid's work array, and
-    each branch's ``g_functional`` rewrites it with the same bits.  A
-    solve that neither converges nor stops on its threshold raises
-    :class:`ConvergenceError`.
+    |h| >= lambda_lo the dict is neither read, written nor cleared, and
+    the call runs as one without it.  Without ``thetas`` every solve
+    starts from theta = 0, and the second branch's theta stays in the
+    work, copied out only if it wins, after the first's is freed: one
+    theta at a time.  The coupling is built once: its phi stays in the
+    grid's work array, and each branch's ``g_functional`` rewrites it
+    with the same bits.  A solve that neither converges nor stops on its
+    threshold raises :class:`ConvergenceError`.
 
     A solve stopped on its threshold (:func:`picard_solve`, below
     lambda_lo only) gives G of its theta less ``report.gap``, a
@@ -498,7 +499,7 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     config = config.canonical_order()
     if config.is_degenerate:
         return EnergyBreakdown(w0=float("inf"), v_ext=0.0)
-    w0 = w0_disk(config) if domain.is_disk else w0_conformal(domain, config, nodes=w0_nodes)
+    w0 = w0_conformal(domain, config, nodes=w0_nodes)
     if field.is_zero:
         return EnergyBreakdown(w0=w0, v_ext=0.0,
                                gradient=partial(energy_gradient, domain, angles, None, w0_nodes))
@@ -508,12 +509,12 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     lam = solver_for(grid).lambda_min()
     # the bound at theta = 0 on V(a; -sigma* h); none past lambda_lo, nor when
     # |h|^2 underflows and the subnormal sums of L and V round past the margin
-    if h_norm >= lam or h_norm * h_norm < np.finfo(float).tiny:
+    if h_norm >= lam:
+        bound, thetas = None, None   # G need not be convex: solve from 0, record nothing
+    elif h_norm * h_norm < np.finfo(float).tiny:
         bound = None
     else:
         bound = abs(moment) - h_norm * h_norm * np.pi / (2.0 * (lam - h_norm))
-    if thetas is not None and h_norm >= lam:
-        thetas.clear()   # G need not be convex here: start from 0
     margin = _PRUNE_MARGIN * (1.0 + abs(moment) + np.pi * h_norm)
     # V above this puts W above `above` beyond the rounding of W_0 + V
     limit = np.inf if above is None else above - w0 + margin
@@ -564,13 +565,14 @@ def energy_gradient(domain: ConformalDomain, angles, theta: PolarField | None,
                     w0_nodes: int = 2048) -> np.ndarray:
     """(dW/ds_1, dW/ds_2) of a distinct solved pair, in the label order of ``angles``.
 
-    W_0's part is the disk's closed form, and on an oval the gradient of
-    the boundary data at ``w0_nodes`` that :func:`total_energy`'s W_0
-    reads (``renorm.w0_boundary``).  V's part reads the winning theta
-    alone, None only at h = 0, where V = 0.  theta is a stationary point
-    of the discrete G, so by the envelope theorem (Danskin, The Theory
-    of Max-Min, 1967) dV/ds_j is the partial derivative of G at fixed
-    theta, -sum w a cos(theta + phi) dphi/ds_j.
+    W_0's part is the gradient of the boundary data at ``w0_nodes`` that
+    :func:`total_energy`'s W_0 reads (``renorm.w0_boundary``): the disk's
+    closed form, plus on an oval the slopes of its log-kernel integrals.
+    V's part reads the winning theta alone, None only at h = 0, where
+    V = 0.  theta is a stationary point of the discrete G, so by the
+    envelope theorem (Danskin, The Theory of Max-Min, 1967) dV/ds_j is
+    the partial derivative of G at fixed theta,
+    -sum w a cos(theta + phi) dphi/ds_j.
     At the fixed point a cos(theta + phi) = A_h theta to the Picard
     tolerance, from one operator apply.  With a_j = e^{i s_j} and
     Re(a_1 / (a_1 - a_2)) = 1/2 on the circle, phi = arg(i conj(h) M) gives
@@ -580,10 +582,7 @@ def energy_gradient(domain: ConformalDomain, angles, theta: PolarField | None,
     come in either label order.  No map is built and no solve is started;
     the grid-sized terms are formed in the grid's ``EvaluationWork``.
     """
-    if domain.is_disk:
-        w0 = w0_disk_gradient(angles)
-    else:
-        w0 = w0_boundary(domain, w0_nodes).gradient(angles)
+    w0 = w0_boundary(domain, w0_nodes).gradient(angles)
     if theta is None:
         return w0
     grid = theta.grid

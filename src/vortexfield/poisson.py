@@ -366,15 +366,6 @@ def solve_dirichlet(f: PolarField) -> PolarField:
     return solver_for(f.grid).solve(f)
 
 
-def integrate_disk(g: PolarField, out: np.ndarray | None = None) -> float:
-    """Integral over the unit disk: midpoint in r, trapezoid in t.
-
-    The weighted samples are formed in ``out`` when it is given, which
-    may be ``g.values`` itself.
-    """
-    return float(np.sum(np.multiply(g.values, g.grid.cell_weights(), out=out)))
-
-
 # ----------------------------------------------------------------------
 # tanh-sinh quadrature for endpoint log singularities
 # ----------------------------------------------------------------------

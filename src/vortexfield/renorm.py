@@ -13,6 +13,9 @@ Three evaluators of the vortex interaction energy live here:
   gradients (each kernel integral differentiated term by term).  There
   is one per (domain, nodes) in the process, from :func:`w0_boundary`,
   as there is one Poisson factor per grid (``poisson.solver_for``).
+  The disk's density is the constant 1, which keeps no coefficients, so
+  on the disk this is the closed form, and it serves the energy path
+  on every domain.
 * ``punctured_energy``: the Dirichlet integral of grad phi* over the
   disk minus small exclusion disks around the vortices, by adaptive
   midpoint quadrature.  Its renormalized limit carries twice the energy
@@ -99,13 +102,6 @@ def w0_disk(config: VortexConfig) -> float:
     return float(-np.pi * np.log(2.0 * abs(np.sin(0.5 * (s1 - s2)))))
 
 
-def w0_disk_gradient(angles) -> np.ndarray:
-    """(dW_0/ds_1, dW_0/ds_2) of the closed form: -+(pi/2) cot((s_1 - s_2)/2)."""
-    s1, s2 = angles
-    slope = 0.5 * np.pi / np.tan(0.5 * (s1 - s2))
-    return np.array([-slope, slope])
-
-
 def _log_kernel_integrals(coeffs: np.ndarray, s) -> np.ndarray:
     """int_0^{2 pi} f(t) log|e^{it} - e^{is}| dt for each s, from ``coeffs`` = fhat_k / k.
 
@@ -146,8 +142,12 @@ class W0Boundary:
     smooth log|Phi'| term by the periodic trapezoid rule (``log_term``),
     and the density's Fourier coefficients fhat_k / k, k = 1 ... nodes/2,
     with the Nyquist mode halved (``coeffs``), against which
-    :meth:`w0` integrates the log kernels exactly.  The energy path reads
-    the one of each (domain, nodes) that :func:`w0_boundary` keeps.
+    :meth:`w0` integrates the log kernels exactly.  A constant density,
+    the disk's, has every coefficient exactly 0 and keeps none, so its
+    kernel sums run over no terms and :meth:`w0` and :meth:`gradient`
+    return the closed form's bits (a W_0 of -0.0, at the one separation
+    where 2 |sin| rounds to 1, reads +0.0).  The energy path reads the
+    one of each (domain, nodes) that :func:`w0_boundary` keeps.
     """
 
     def __init__(self, domain: ConformalDomain, nodes: int):
@@ -159,7 +159,9 @@ class W0Boundary:
         self.log_term = float(np.sum(f * np.log(np.abs(domain.dforward(z)))) * dt)
         fhat = np.fft.rfft(f)[1:] / nodes
         fhat[-1] *= 0.5
-        self.coeffs = fhat / np.arange(1, nodes // 2 + 1)
+        coeffs = fhat / np.arange(1, nodes // 2 + 1)
+        # a constant density (the disk) has none: its kernel sums run over no terms
+        self.coeffs = coeffs if np.any(coeffs) else coeffs[:0]
 
     def w0(self, config: VortexConfig) -> float:
         """W_0 of the pair; +inf for a degenerate one."""
@@ -171,9 +173,12 @@ class W0Boundary:
         return base + 0.5 * correction
 
     def gradient(self, angles) -> np.ndarray:
-        """(dW_0/ds_1, dW_0/ds_2) of a distinct pair: the disk's closed form plus
-        half the slope of each log-kernel integral at its own angle."""
-        return w0_disk_gradient(angles) + 0.5 * _log_kernel_slopes(self.coeffs, angles)
+        """(dW_0/ds_1, dW_0/ds_2) of a distinct pair: the disk's closed form
+        -+(pi/2) cot((s_1 - s_2)/2) plus half the slope of each log-kernel
+        integral at its own angle."""
+        s1, s2 = angles
+        slope = 0.5 * np.pi / np.tan(0.5 * (s1 - s2))
+        return np.array([-slope, slope]) + 0.5 * _log_kernel_slopes(self.coeffs, angles)
 
 
 @lru_cache(maxsize=16)

@@ -9,6 +9,9 @@
   canonical map, term by term.  ``renorm._grad_phistar_sq`` is its
   squared modulus in closed form, and ``renorm.punctured_energy``
   integrates that.
+* ``integrate_disk``, the integral of a grid field over the disk with
+  the grid's cell weights, which the package forms as weighted row sums
+  where it needs one (``renorm.g_value``).
 """
 
 import numpy as np
@@ -60,3 +63,8 @@ def grad_phistar(config, x):
         gx -= vy / r2
         gy += vx / r2
     return gx, gy
+
+
+def integrate_disk(g):
+    """Integral of the ``PolarField`` g over the unit disk: midpoint in r, trapezoid in t."""
+    return float(np.sum(g.values * g.grid.cell_weights()))

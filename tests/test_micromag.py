@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import integrate_disk
 
 from vortexfield.canonical import VortexConfig, canonical_map_disk
 from vortexfield.errors import ConfigurationError, ConvergenceError
@@ -92,7 +93,10 @@ class TestPicardSolve:
         thetas = {}
         eb = total_energy(domain, STRONG_PAIR, ExternalField(h), grid, thetas=thetas)
         theta, diag = eb.theta, eb.diagnostics
-        assert theta is thetas[diag["sigma"]][-1][1]
+        if np.hypot(*h) < solver_for(grid).lambda_min():
+            assert theta is thetas[diag["sigma"]][-1][1]
+        else:
+            assert thetas == {}   # past lambda_lo no record is kept
         assert len(applies) == diag["branches_solved"] + len(checks)
         assert len(checks) == (1 if h == (0.0, 3.0) else 0)
         sigma_h = (diag["sigma"] * h[0], diag["sigma"] * h[1])
@@ -267,7 +271,6 @@ class TestVExternal:
         h = (0.0, 0.01)
         v = _v_ext(ANTIPODAL, h, grid)
         m = canonical_map_disk(ANTIPODAL, grid.nodes_complex())
-        from vortexfield.poisson import integrate_disk
         zero_candidate = -integrate_disk(PolarField(
             grid, h[0] * m.real + h[1] * m.imag, dirichlet=False))
         assert v <= zero_candidate
@@ -395,7 +398,22 @@ class TestTotalEnergy:
         # weak-field disk case prunes the second)
         grid, field = GridSpec(128, 256), ExternalField(h)
         eb = total_energy(domain, STRONG_PAIR, field, grid)
-        assert eb.diagnostics["branches_solved"] == (1 if domain.is_disk else 2)
+        assert eb.diagnostics["branches_solved"] == (1 if domain.c == 0.0 else 2)
+        tracemalloc.start()
+        try:
+            total_energy(domain, STRONG_PAIR, field, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * grid.n_r * grid.n_t * 8
+
+    def test_a_second_orientation_win_allocates_under_two_grid_arrays(self):
+        # at h = (5e-324, 0) both branches are solved and -sigma* wins: the
+        # first theta is freed before the second is copied out of the work
+        domain, grid = ConformalDomain.disk(), GridSpec(128, 256)
+        field = ExternalField((5e-324, 0.0))
+        eb = total_energy(domain, STRONG_PAIR, field, grid)
+        assert eb.diagnostics["sigma"] == -1 and eb.diagnostics["branches_solved"] == 2
         tracemalloc.start()
         try:
             total_energy(domain, STRONG_PAIR, field, grid)
@@ -499,33 +517,50 @@ class TestOrientations:
         assert exact_norm <= v[-favoured] + rounding
         assert v[favoured] <= -abs(moment) + rounding
 
-    def test_both_solved_thetas_are_left_in_the_dict(self):
-        # |h| = 8 >= lambda_lo: both branches are solved from theta = 0, whatever
-        # the dict held before, and each record holds only its cold solve at
-        # its field sigma h, with nothing to predict from
+    def test_a_field_past_lambda_min_leaves_the_dict_as_it_was(self):
+        # |h| = 8 >= lambda_lo: both branches are solved from theta = 0, and the
+        # dict is neither read, written nor cleared, so the records a weak
+        # field filled stay as they were; each breakdown's theta is the cold
+        # solve of its sigma h, bit for bit
         h, thetas, disk = (0.0, 8.0), {}, ConformalDomain.disk()
         for s in [(0.45, 2.55), (0.55, 2.45), (0.5, 2.6)]:
             total_energy(disk, VortexConfig.pair(*s), ExternalField((0.0, 3.0)),
                          ORIENTATION_GRID, thetas=thetas)
         assert len(thetas[1]) == 3
-        for s in [(0.45, 2.55), (0.55, 2.45)]:
-            total_energy(disk, VortexConfig.pair(*s), ExternalField(h), ORIENTATION_GRID,
-                         thetas=thetas)
-            assert set(thetas) == {1, -1}
-            assert [p for p, _ in thetas[1]] == [p for p, _ in thetas[-1]] == [s]
-        diag = total_energy(disk, STRONG_PAIR, ExternalField(h), ORIENTATION_GRID,
-                            thetas=thetas).diagnostics
-        assert diag["branches_solved"] == 2 and set(thetas) == {1, -1}
-        for sigma, record in thetas.items():
-            cold, report = picard_solve(STRONG_PAIR,
-                                        ExternalField((sigma * h[0], sigma * h[1])),
+        records = dict(thetas)
+        values = {sigma: [theta.values.copy() for _, theta in record]
+                  for sigma, record in thetas.items()}
+        for s in [(0.45, 2.55), (0.55, 2.45), (0.5, 2.5)]:
+            config = VortexConfig.pair(*s)
+            eb = total_energy(disk, config, ExternalField(h), ORIENTATION_GRID, thetas=thetas)
+            diag = eb.diagnostics
+            assert diag["branches_solved"] == 2
+            assert thetas.keys() == records.keys()
+            assert all(thetas[sigma] is records[sigma] for sigma in records)
+            assert all(np.array_equal(theta.values, old)
+                       for sigma, record in thetas.items()
+                       for (_, theta), old in zip(record, values[sigma]))
+            sigma = diag["sigma"]
+            cold, report = picard_solve(config, ExternalField((sigma * h[0], sigma * h[1])),
                                         ORIENTATION_GRID)
-            ((pair, theta),) = record
-            assert pair == STRONG_PAIR.angles
-            assert np.array_equal(theta.values, cold.values)
-            if sigma == diag["sigma"]:
-                assert _solve_keys(diag) == (report.iterations, report.residual,
-                                             report.changes[-1])
+            assert np.array_equal(eb.theta.values, cold.values)
+            assert _solve_keys(diag) == (report.iterations, report.residual,
+                                         report.changes[-1])
+
+    @pytest.mark.parametrize("c", [None, 0.2])
+    def test_the_second_solved_orientation_can_win(self, c):
+        # with h = (5e-324, 0), |h|^2 underflows: L sums to 0, so sigma* = +1,
+        # no loser bound holds, and -sigma* wins by rounding.  A plain call
+        # copies the work's theta out for the winner; it is a fresh dict's
+        domain = ConformalDomain.disk() if c is None else ConformalDomain.oval(c)
+        field = ExternalField((5e-324, 0.0))
+        plain = total_energy(domain, STRONG_PAIR, field, ORIENTATION_GRID)
+        fresh = total_energy(domain, STRONG_PAIR, field, ORIENTATION_GRID, thetas={})
+        assert plain.diagnostics["sigma"] == -1
+        assert plain.diagnostics["branches_solved"] == 2
+        assert plain == fresh
+        assert np.array_equal(plain.theta.values, fresh.theta.values)
+        assert np.array_equal(plain.gradient(), fresh.gradient())
 
     def test_a_field_past_lambda_min_solves_both_branches(self):
         # |h| = 8 is above the smallest eigenvalue of -lap_h (about 5.78),

@@ -372,8 +372,8 @@ class TestNelderMead:
 class TestEnergyObjective:
     def test_builds_one_w0_boundary_per_oval_search(self, monkeypatch):
         # one boundary per (domain, nodes) in the process: a search, direct
-        # energies, w0_conformal and the gradients all read it, and at h = 0
-        # a gradient is W_0's alone
+        # energies, w0_conformal and the gradients all read it, the disk's
+        # too, and at h = 0 a gradient is W_0's alone
         calls, real = [], ConformalDomain.curvature_speed
 
         def counted(self, t):
@@ -399,7 +399,7 @@ class TestEnergyObjective:
                  None)]
         energy_objective(disk, zero, grid)(configs[0].angles).gradient()
         total_energy(disk, configs[0], zero, grid)
-        assert calls == [oval, oval, other]
+        assert calls == [oval, oval, other, disk]
         for domain, nodes, config, w0, gradient in found:
             fresh = W0Boundary(domain, nodes)
             assert w0 == fresh.w0(config.canonical_order())

@@ -4,12 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import integrate_disk
 
 from vortexfield.canonical import VortexConfig
 from vortexfield.geom import TWO_PI
 from vortexfield.poisson import (DiskPoissonSolver, GridSpec, LOG_SIN_INTEGRAL,
                                  LOG_SIN_SQUARED_INTEGRAL, PolarField,
-                                 graded_log_quadrature, integrate_disk,
+                                 graded_log_quadrature,
                                  singular_quadrature_1d, solve_dirichlet,
                                  solver_for)
 from vortexfield.renorm import g_functional

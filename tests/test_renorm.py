@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import grad_phistar
+from oracles import grad_phistar, integrate_disk
 
 from vortexfield import renorm, verify
 from vortexfield.canonical import VortexConfig, canonical_map_disk
 from vortexfield.geom import TWO_PI, ConformalDomain
 from vortexfield.micromag import ExternalField, picard_solve
-from vortexfield.poisson import GridSpec, PolarField, integrate_disk, solver_for
+from vortexfield.poisson import GridSpec, PolarField, solver_for
 from vortexfield.renorm import (g_functional, punctured_energy, w0_conformal,
                                 w0_disk)
 
 PI_LOG_2 = np.pi * np.log(2.0)
+
+
+def _bits(x):
+    """The bytes of a float or float array, so that -0.0 and 0.0 differ."""
+    return np.asarray(x).tobytes()
 
 
 class TestW0Disk:
@@ -130,6 +135,33 @@ class TestW0Conformal:
         assert boundary.w0(VortexConfig.pair(1.0, 1.0)) == np.inf
         with pytest.raises(ValueError):
             renorm.W0Boundary(dom, 100)
+
+    def test_the_disk_keeps_no_coefficients(self):
+        # its density is exactly 1, so every coefficient is exactly 0
+        disk = ConformalDomain.disk()
+        for nodes in 2 ** np.arange(6, 17):
+            boundary = renorm.W0Boundary(disk, int(nodes))
+            assert boundary.coeffs.size == 0 and boundary.log_term == 0.0
+
+    @pytest.mark.parametrize("nodes", [64, 2048])
+    def test_the_disk_reads_its_closed_form_bitwise(self, nodes):
+        disk = ConformalDomain.disk()
+        boundary = renorm.W0Boundary(disk, nodes)
+        rng = np.random.default_rng(nodes)
+        for s1, s2 in rng.uniform(0.0, TWO_PI, size=(200, 2)):
+            cfg = VortexConfig.pair(s1, s2)
+            assert _bits(w0_conformal(disk, cfg, nodes)) == _bits(w0_disk(cfg))
+            slope = 0.5 * np.pi / np.tan(0.5 * (s1 - s2))
+            assert _bits(boundary.gradient((s1, s2))) == _bits(np.array([-slope, slope]))
+
+    @pytest.mark.parametrize("c", [0.2, 0.45])
+    def test_oval_coefficients_follow_the_rfft_rule(self, c):
+        # fhat_k / k for k = 1 ... nodes/2, the Nyquist entry halved
+        dom, nodes = ConformalDomain.oval(c), 1024
+        fhat = np.fft.rfft(dom.curvature_speed(TWO_PI * np.arange(nodes) / nodes))[1:] / nodes
+        fhat[-1] *= 0.5
+        expected = fhat / np.arange(1, nodes // 2 + 1)
+        assert _bits(renorm.W0Boundary(dom, nodes).coeffs) == _bits(expected)
 
     @pytest.mark.parametrize("c", [0.1, 0.45])
     def test_matches_subtracted_trapezoid_reference(self, c):
