@@ -24,7 +24,10 @@ Three evaluators of the vortex interaction energy live here:
   integrand is |2x - a_1 - a_2|^2 / (|x - a_1| |x - a_2|)^2, from the
   two distances the exclusion test needs anyway, and each sub-cell
   centre is its parent's scaled and turned by one scalar per level: no
-  cell costs a transcendental.
+  cell costs a transcendental.  It takes one radius or a ladder of
+  radii; the grid level, which does not depend on the radius, is
+  integrated once per call and read by each radius's masks and
+  refinement, bitwise as in a call of its own.
 
 The functional g_functional(theta) = int (1/2)|grad theta|^2
 - h . (e^{i theta} M) is the external-field correction being minimized
@@ -51,6 +54,7 @@ docstring derives that bound.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
@@ -145,8 +149,7 @@ class W0Boundary:
     :meth:`w0` integrates the log kernels exactly.  A constant density,
     the disk's, has every coefficient exactly 0 and keeps none, so its
     kernel sums run over no terms and :meth:`w0` and :meth:`gradient`
-    return the closed form's bits (a W_0 of -0.0, at the one separation
-    where 2 |sin| rounds to 1, reads +0.0).  The energy path reads the
+    return the closed form's bits.  The energy path reads the
     one of each (domain, nodes) that :func:`w0_boundary` keeps.
     """
 
@@ -170,7 +173,8 @@ class W0Boundary:
             return base
         correction = self.log_term
         correction += float(np.sum(_log_kernel_integrals(self.coeffs, config.angles)))
-        return base + 0.5 * correction
+        # a zero correction leaves the closed form's bits, a W_0 of -0.0 included
+        return base + 0.5 * correction if correction else base
 
     def gradient(self, angles) -> np.ndarray:
         """(dW_0/ds_1, dW_0/ds_2) of a distinct pair: the disk's closed form
@@ -224,7 +228,8 @@ _CHILD_DR = np.array([-0.25, -0.25, 0.25, 0.25])[:, None]
 _CHILD_DT = np.array([-0.25, 0.25, -0.25, 0.25])[:, None]
 
 
-def punctured_energy(config: VortexConfig, rho: float, grid: GridSpec) -> float:
+def punctured_energy(config: VortexConfig, rho: float | Sequence[float],
+                     grid: GridSpec) -> float | list[float]:
     """Dirichlet integral of grad phi* over the disk minus vortex disks.
 
     Midpoint quadrature on the polar grid, with cells within 4 rho of a
@@ -232,6 +237,14 @@ def punctured_energy(config: VortexConfig, rho: float, grid: GridSpec) -> float:
     below rho / 8; a (sub)cell contributes iff its center lies outside
     both exclusion disks B_rho(a_j).  Requires 2 rho to be smaller than
     the vortex separation so the exclusion disks stay disjoint.
+
+    ``rho`` is one radius, which returns a float, or a sequence of radii,
+    which returns a list of floats in the same order; every radius is
+    checked before any grid work.  The grid level does not depend on
+    rho: each node's distance to the nearer vortex and its density
+    |grad phi*|^2 r are computed once and read by every radius, whose
+    masks and refinement follow, so each value is bitwise the
+    one-radius call's.  Nothing outlives the call.
 
     No transcendental is evaluated per cell.  All cells of one level share
     dr and dt, halved per level, so the diameter is sqrt(dr^2 + (r dt)^2)
@@ -242,29 +255,48 @@ def punctured_energy(config: VortexConfig, rho: float, grid: GridSpec) -> float:
     ``_grad_phistar_sq``, from the two vortex distances of the exclusion
     test.
     """
+    single = np.ndim(rho) == 0
+    radii = [float(rho)] if single else [float(v) for v in rho]
     a1, a2 = config.positions
-    if not (0.0 < rho < 0.5 * abs(a1 - a2)):
-        raise ValueError("rho must be positive and below half the vortex separation")
+    for radius in radii:
+        if not (0.0 < radius < 0.5 * abs(a1 - a2)):
+            raise ValueError("rho must be positive and below half the vortex separation")
 
     x, r = grid.nodes_complex(), grid.r[:, None]
-    dr, dt = grid.dr, grid.dt
+    d, weighted = _distance_and_density(x, r, a1, a2)
+    energies = [_refined_sum(x, r, d, weighted, radius, a1, a2, grid.dr, grid.dt)
+                for radius in radii]
+    return energies[0] if single else energies
+
+
+def _distance_and_density(x: np.ndarray, r: np.ndarray, a1: complex, a2: complex) -> tuple:
+    """Each cell's distance to the nearer vortex and its |grad phi*|^2 r."""
+    d1, d2 = np.abs(x - a1), np.abs(x - a2)
+    density = _grad_phistar_sq(x, a1, a2, d1, d2)
+    density *= r
+    return np.minimum(d1, d2), density
+
+
+def _refined_sum(x: np.ndarray, r: np.ndarray, d: np.ndarray, weighted: np.ndarray,
+                 rho: float, a1: complex, a2: complex, dr: float, dt: float) -> float:
+    """The quadrature at one radius from a level's cells, ``d`` and ``weighted``
+    those of :func:`_distance_and_density`, refining the cells near a vortex."""
     total = 0.0
-    while x.size:
-        d1, d2 = np.abs(x - a1), np.abs(x - a2)
-        d = np.minimum(d1, d2)
+    while True:
         half_diam = np.sqrt((0.5 * dr) ** 2 + (r * (0.5 * dt)) ** 2)
         # cells far from every vortex integrate at base resolution
         leaf = (d > 4.0 * rho + half_diam) | (half_diam < rho / 16.0)
         keep = leaf & (d > rho)
-        density = _grad_phistar_sq(x, a1, a2, d1, d2)
-        total += float(np.sum(density * r, where=keep)) * dr * dt
+        total += float(np.sum(weighted, where=keep)) * dr * dt
         split = ~leaf
         xs, rs = x[split], np.broadcast_to(r, x.shape)[split]
+        if not xs.size:
+            return total
         r = rs + _CHILD_DR * dr
         x = (xs * np.exp(1j * dt * _CHILD_DT) * (r / rs)).reshape(-1, 1)
         r = r.reshape(-1, 1)
         dr, dt = 0.5 * dr, 0.5 * dt
-    return total
+        d, weighted = _distance_and_density(x, r, a1, a2)
 
 
 class EvaluationWork:

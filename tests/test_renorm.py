@@ -1,5 +1,7 @@
 """Renormalized-energy tests: closed form, boundary quadrature, punctured limit."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -9,7 +11,7 @@ from oracles import grad_phistar, integrate_disk
 from vortexfield import renorm, verify
 from vortexfield.canonical import VortexConfig, canonical_map_disk
 from vortexfield.geom import TWO_PI, ConformalDomain
-from vortexfield.micromag import ExternalField, picard_solve
+from vortexfield.micromag import ExternalField, picard_solve, total_energy
 from vortexfield.poisson import GridSpec, PolarField, solver_for
 from vortexfield.renorm import (g_functional, punctured_energy, w0_conformal,
                                 w0_disk)
@@ -154,6 +156,16 @@ class TestW0Conformal:
             slope = 0.5 * np.pi / np.tan(0.5 * (s1 - s2))
             assert _bits(boundary.gradient((s1, s2))) == _bits(np.array([-slope, slope]))
 
+    def test_the_disk_keeps_a_negative_zero(self):
+        # 2 |sin((s1 - s2)/2)| rounds to exactly 1 here, so the closed form
+        # is -pi * 0.0 = -0.0, and a zero correction must leave its sign
+        disk = ConformalDomain.disk()
+        cfg = VortexConfig.pair(0.0, 1.0471975511965979)
+        assert math.copysign(1.0, w0_disk(cfg)) == -1.0
+        assert math.copysign(1.0, w0_conformal(disk, cfg)) == -1.0
+        energy = total_energy(disk, cfg, ExternalField((0.0, 0.0)), GridSpec(16, 32))
+        assert math.copysign(1.0, energy.w0) == -1.0
+
     @pytest.mark.parametrize("c", [0.2, 0.45])
     def test_oval_coefficients_follow_the_rfft_rule(self, c):
         # fhat_k / k for k = 1 ... nodes/2, the Nyquist entry halved
@@ -254,6 +266,43 @@ class TestPuncturedEnergy:
             punctured_energy(cfg, 1.5, grid)  # exclusion disks overlap
         with pytest.raises(ValueError):
             punctured_energy(cfg, 0.0, grid)
+
+    # verify's ladder, then a generic pair in both label orders with the
+    # radii out of order, so the result must follow the given order
+    @pytest.mark.parametrize("pair,grid,rhos", [
+        ((0.0, np.pi), GridSpec(128, 256), (0.1, 0.05, 0.025)),
+        ((0.5, 2.8), GridSpec(32, 64), [0.05, 0.1, 0.025, 0.05]),
+        ((2.8, 0.5), GridSpec(32, 64), [0.05, 0.1, 0.025, 0.05]),
+    ])
+    def test_a_ladder_equals_its_one_radius_calls_bitwise(self, pair, grid, rhos):
+        cfg = VortexConfig.pair(*pair)
+        ladder = punctured_energy(cfg, rhos, grid)
+        assert _bits(ladder) == _bits([punctured_energy(cfg, rho, grid) for rho in rhos])
+
+    def test_a_float_radius_returns_a_float_and_a_sequence_a_list(self):
+        grid = GridSpec(16, 32)
+        cfg = VortexConfig.pair(0.0, np.pi)
+        one = punctured_energy(cfg, 0.1, grid)
+        assert type(one) is float
+        assert type(punctured_energy(cfg, np.float64(0.1), grid)) is float
+        ladder = punctured_energy(cfg, (0.1,), grid)
+        assert type(ladder) is list and [type(v) for v in ladder] == [float]
+        assert _bits(ladder[0]) == _bits(one)
+
+    @pytest.mark.parametrize("bad", [0.0, "half"])
+    def test_an_invalid_radius_raises_before_any_grid_work(self, bad, monkeypatch):
+        grid = GridSpec(16, 32)
+        cfg = VortexConfig.pair(0.5, 2.8)
+        a1, a2 = cfg.positions
+        if bad == "half":
+            bad = 0.5 * abs(a1 - a2)
+
+        def grid_work(*args):
+            raise AssertionError("a density was computed before every radius was checked")
+
+        monkeypatch.setattr(renorm, "_grad_phistar_sq", grid_work)
+        with pytest.raises(ValueError):
+            punctured_energy(cfg, (0.1, 0.05, bad, 0.025), grid)
 
     @pytest.mark.parametrize("rho,tol", [(0.1, 0.04), (0.05, 0.012), (0.025, 0.008)])
     def test_gap_matches_continuum_reference(self, rho, tol):
