@@ -20,15 +20,18 @@ and :meth:`RunConfig.validate` checks each value once.
 one objective (:func:`_objective`).  A search's answer is its own
 evaluation: ``minimize`` writes the kept breakdown of the pair it
 reports, ``failures``, its count of evaluations that were not
-finite, and ``bounded``, its count of evaluations that stopped on a
-certified lower bound above the value the search compared them with;
+finite, ``nearest_failure`` when a solve failed (its ``s``, ``error``
+and torus max-norm ``distance`` from ``s_min``), and ``bounded``, its
+count of evaluations that stopped on a certified lower bound above the
+value the search compared them with;
 ``field --auto-min`` samples the theta solved there, and
 ``field --s`` the objective's breakdown at its pair.  Both summaries
 write the breakdown through :func:`_energy_keys`: ``w0``, ``v_ext``,
 ``total``, ``gradient`` (the exact dW/ds, one operator apply, no solve)
 and, when something was solved, ``solver``, the winning solve and the
-branch choice alone; the grid and ``w0_nodes`` are in ``config``.  A
-search, scan or pair with no finite energy writes nothing and exits 2
+branch choice alone; the grid and ``w0_nodes``, the trapezoid rule of
+W_0's one domain constant (``renorm.w0_constant``), are in ``config``.
+A search, scan or pair with no finite energy writes nothing and exits 2
 with its first solver failure's message.
 
 Outputs are flat files (JSON summaries, CSV tables, optional static
@@ -197,6 +200,7 @@ def cmd_minimize(config: RunConfig) -> int:
         "evaluations": result.evaluations,
         "failures": result.failures,
         "bounded": result.bounded,
+        **({"nearest_failure": result.nearest_failure} if result.nearest_failure else {}),
         "s_min": list(result.s_min),
         "vortex_positions": [[float(p.real), float(p.imag)] for p in positions],
         **_energy_keys(result.best),
@@ -321,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     problem.add_argument("--max-iter", type=int,
                          help="fixed-point iteration budget")
     problem.add_argument("--w0-nodes", type=int,
-                         help="boundary quadrature nodes (power of two)")
+                         help="trapezoid nodes of W0's domain constant (power of two)")
     search = group()
     search.add_argument("--s0", type=_pair, metavar="S1,S2",
                         help="initial angle pair for the simplex search")

@@ -161,10 +161,9 @@ The solve also gives W its exact gradient in the pair
 stationary point of the discrete G, the envelope theorem makes dV/ds_j
 the partial derivative of G at fixed theta*, formed from A_h theta* and
 the derivative of phi, a Poisson kernel at a_j: no map, and no solve.
-W_0's part is the disk's closed form plus the derivative of the
-log-kernel integrals of the domain's shared boundary data
-(``renorm.w0_boundary``), which ``total_energy``'s W_0 reads too; the
-disk's data hold no terms, so there both are the closed forms.
+W_0's part is closed form too (``renorm.w0_gradient``): the disk's
+-+(pi/2) cot((s_1 - s_2)/2) plus (pi/2) Im(z Phi''/Phi') at each vortex
+z = e^{i s_j}, and on the disk the cotangent alone.
 
 The oval experiments reuse the disk solve unchanged: theta is always
 computed on the unit disk against the disk canonical map, and only the
@@ -185,7 +184,7 @@ from .errors import ConvergenceError
 from .geom import TWO_PI, ConformalDomain
 from .poisson import GridSpec, PolarField, solver_for
 from .renorm import (EnergyBreakdown, coupling_phase, evaluation_work, g_functional, g_value,
-                     w0_boundary, w0_conformal)
+                     w0_conformal, w0_gradient)
 
 
 @dataclass(frozen=True)
@@ -459,9 +458,9 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     to the M of that order; the minimum over sigma makes W independent
     of the label order and of the angle origin.  theta is always solved
     on the unit disk against the disk canonical map, also for conformal
-    domains.  W_0 is ``w0_conformal`` at ``w0_nodes`` on every domain,
-    from the boundary data shared by every call on that domain
-    (``renorm.w0_boundary``); on the disk it is the closed form.
+    domains.  W_0 is the closed form ``w0_conformal`` on every domain;
+    ``w0_nodes`` sets the trapezoid rule of its domain constant, one per
+    (domain, nodes) in the process (``renorm.w0_constant``).
 
     One loop solves the branches, sigma* = sign L (+1 at L = 0) first,
     and takes its three shortcuts from the module docstring's one bound.
@@ -502,7 +501,7 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
     w0 = w0_conformal(domain, config, nodes=w0_nodes)
     if field.is_zero:
         return EnergyBreakdown(w0=w0, v_ext=0.0,
-                               gradient=partial(energy_gradient, domain, angles, None, w0_nodes))
+                               gradient=partial(energy_gradient, domain, angles, None))
     amplitude, phi, moment = coupling_phase(config, grid, field.h, moment=True)
     favoured = 1 if moment >= 0.0 else -1
     h_norm = field.norm
@@ -556,18 +555,17 @@ def total_energy(domain: ConformalDomain, config: VortexConfig, field: ExternalF
                    "branches_solved": sum(b[2].converged for b in branches),
                    "loser_bound": bound}
     bounded = report.gap is not None
-    gradient = None if bounded else partial(energy_gradient, domain, angles, theta, w0_nodes)
+    gradient = None if bounded else partial(energy_gradient, domain, angles, theta)
     return EnergyBreakdown(w0=w0, v_ext=v, diagnostics=diagnostics, theta=theta,
                            gradient=gradient, bounded=bounded)
 
 
-def energy_gradient(domain: ConformalDomain, angles, theta: PolarField | None,
-                    w0_nodes: int = 2048) -> np.ndarray:
+def energy_gradient(domain: ConformalDomain, angles, theta: PolarField | None) -> np.ndarray:
     """(dW/ds_1, dW/ds_2) of a distinct solved pair, in the label order of ``angles``.
 
-    W_0's part is the gradient of the boundary data at ``w0_nodes`` that
-    :func:`total_energy`'s W_0 reads (``renorm.w0_boundary``): the disk's
-    closed form, plus on an oval the slopes of its log-kernel integrals.
+    W_0's part is the closed form ``renorm.w0_gradient``, which reads no
+    node count: the disk's -+(pi/2) cot((s_1 - s_2)/2) plus
+    (pi/2) Im(z Phi''/Phi') at each vortex z = e^{i s_j}.
     V's part reads the winning theta alone, None only at h = 0, where
     V = 0.  theta is a stationary point of the discrete G, so by the
     envelope theorem (Danskin, The Theory of Max-Min, 1967) dV/ds_j is
@@ -582,7 +580,7 @@ def energy_gradient(domain: ConformalDomain, angles, theta: PolarField | None,
     come in either label order.  No map is built and no solve is started;
     the grid-sized terms are formed in the grid's ``EvaluationWork``.
     """
-    w0 = w0_boundary(domain, w0_nodes).gradient(angles)
+    w0 = w0_gradient(domain, angles)
     if theta is None:
         return w0
     grid = theta.grid

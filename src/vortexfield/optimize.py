@@ -130,13 +130,15 @@ class _Evaluations:
     does.  While every value is +inf the first call stands, unless a
     later return is a breakdown with a solver message and the kept one
     has none: the first such return replaces it, so that a run with no
-    finite value can name its solver failure.
+    finite value can name its solver failure.  ``failed`` keeps the pair
+    and message of each such return in call order; a degenerate pair has none.
     """
 
     def __init__(self, objective, budget: float = float("inf")):
         self.objective, self.budget = objective, budget
         self.count = self.failures = self.bounded = 0
         self.point, self.value, self.best = None, float("inf"), None
+        self.failed = []
         self.takes_above = getattr(objective, "takes_above", False)
 
     def spent(self) -> bool:
@@ -162,10 +164,20 @@ class _Evaluations:
             self.failures += 1
             if math.isnan(v):
                 v = float("inf")
+            if _error(returned):
+                self.failed.append((s, returned.diagnostics["error"]))
         if (self.point is None or v < self.value
                 or (self.value == math.inf and _error(returned) and not _error(self.best))):
             self.point, self.value, self.best = s, v, returned
         return v, returned
+
+    def nearest_failure(self) -> dict | None:
+        """The first failure nearest the answer in the torus max-norm, or None."""
+        if not self.failed:
+            return None
+        distance, s, error = min(((_torus_dist(s, self.point), s, error)
+                                  for s, error in self.failed), key=lambda f: f[0])
+        return {"s": s.tolist(), "distance": distance, "error": error}
 
 
 def _error(returned) -> bool:
@@ -265,6 +277,8 @@ class NelderMeadResult:
     ``failures`` counts the ``evaluations`` whose value was not finite:
     degenerate pairs and solves that did not converge, and ``bounded``
     those that returned a certified lower bound (:class:`_Evaluations`).
+    ``nearest_failure`` is ``_Evaluations.nearest_failure()``: ``{"s", "distance", "error"}``,
+    or None when no solve failed.
     """
 
     s_min: tuple
@@ -275,6 +289,7 @@ class NelderMeadResult:
     bounded: int
     state: SimplexState
     best: object
+    nearest_failure: dict | None
 
 
 def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
@@ -381,7 +396,7 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
 
     return NelderMeadResult(s_min=tuple(f.point), value=f.value, converged=converged,
                             evaluations=f.count, failures=f.failures, bounded=f.bounded,
-                            state=state, best=f.best)
+                            state=state, best=f.best, nearest_failure=f.nearest_failure())
 
 
 # ----------------------------------------------------------------------

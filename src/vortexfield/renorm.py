@@ -3,19 +3,18 @@
 Three evaluators of the vortex interaction energy live here:
 
 * ``w0_disk``: the closed form -pi log|a_1 - a_2| on the unit disk.
-* ``w0_conformal``: the boundary-integral formula on a conformal image,
-  with the log kernel integrated exactly against the trigonometric
-  interpolant of the density through the Fourier series
-  log|2 sin(x/2)| = -sum_{k>=1} cos(kx)/k (Kress, *Linear Integral
-  Equations*, ch. 12).  The boundary data that do not depend on the
-  pair, the log|Phi'| term and the density's coefficients, form a
-  :class:`W0Boundary`, which evaluates any number of pairs and their
-  gradients (each kernel integral differentiated term by term).  There
-  is one per (domain, nodes) in the process, from :func:`w0_boundary`,
-  as there is one Poisson factor per grid (``poisson.solver_for``).
-  The disk's density is the constant 1, which keeps no coefficients, so
-  on the disk this is the closed form, and it serves the energy path
-  on every domain.
+* ``w0_conformal``: the paper's boundary formula on a conformal image
+  Phi(B_1), Phi(0) = 0 and Phi'(0) = 1, summed in closed form:
+
+      W_0(a) = -pi log|a_1 - a_2| - (pi/2) (log|Phi'(a_1)| + log|Phi'(a_2)|) + C_Phi.
+
+  On the circle the turning density is kappa |Phi'| = 1 + d_r u, with
+  u = log|Phi'| harmonic and u(0) = 0: the 1 integrates each log kernel
+  to 0, the Neumann function of the disk gives
+  int d_r u log|e^{it} - a| dt = -pi u(a), and what is left is the
+  domain constant C_Phi (``w0_constant``).  The gradient
+  (``w0_gradient``) needs Phi'' at the vortices.  On the disk both are
+  ``w0_disk``'s closed forms, bit for bit.
 * ``punctured_energy``: the Dirichlet integral of grad phi* over the
   disk minus small exclusion disks around the vortices, by adaptive
   midpoint quadrature.  Its renormalized limit carries twice the energy
@@ -106,107 +105,58 @@ def w0_disk(config: VortexConfig) -> float:
     return float(-np.pi * np.log(2.0 * abs(np.sin(0.5 * (s1 - s2)))))
 
 
-def _log_kernel_integrals(coeffs: np.ndarray, s) -> np.ndarray:
-    """int_0^{2 pi} f(t) log|e^{it} - e^{is}| dt for each s, from ``coeffs`` = fhat_k / k.
-
-    With f(t) = sum_k fhat_k e^{ikt} sampled at N nodes, the integral is
-    -pi sum_{k != 0} fhat_k e^{iks} / |k| = -2 pi Re sum_{k=1}^{N/2} e^{iks} fhat_k / k,
-    the Nyquist mode, shared by k = +-N/2, counted once with half weight
-    (:class:`W0Boundary` halves it in ``coeffs``).
-    """
-    k = np.arange(1, coeffs.size + 1)
-    phases = np.exp(1j * np.outer(np.asarray(s, dtype=float), k))
-    return -TWO_PI * np.real(phases @ coeffs)
-
-
-def _log_kernel_slopes(coeffs: np.ndarray, s) -> np.ndarray:
-    """d/ds of :func:`_log_kernel_integrals`: 2 pi sum_k k Im(e^{iks} fhat_k / k), for each s."""
-    k = np.arange(1, coeffs.size + 1)
-    phases = np.exp(1j * np.outer(np.asarray(s, dtype=float), k))
-    return TWO_PI * np.imag(phases @ (k * coeffs))
-
-
 def require_w0_nodes(nodes: int) -> None:
     """Reject a boundary node count that is not a power of two of at least 64."""
     if nodes < 64 or (nodes & (nodes - 1)) != 0:
         raise ValueError(f"w0 nodes must be a power of two, at least 64, got {nodes}")
 
 
-class W0Boundary:
-    """The boundary data of W_0 on one domain, sampled at ``nodes`` points.
-
-    W_0 on a conformal image of the disk is
-
-        -pi log|a_1 - a_2|
-        + (1/2) int_{|z|=1} kappa(Phi(z)) |Phi'(z)|
-              (log|z - a_1| + log|z - a_2| + log|Phi'(z)|) dH^1,
-
-    and only the two log kernels depend on the pair.  The density
-    f = kappa |Phi'| is sampled at ``nodes`` equispaced points once: the
-    smooth log|Phi'| term by the periodic trapezoid rule (``log_term``),
-    and the density's Fourier coefficients fhat_k / k, k = 1 ... nodes/2,
-    with the Nyquist mode halved (``coeffs``), against which
-    :meth:`w0` integrates the log kernels exactly.  A constant density,
-    the disk's, has every coefficient exactly 0 and keeps none, so its
-    kernel sums run over no terms and :meth:`w0` and :meth:`gradient`
-    return the closed form's bits.  The energy path reads the
-    one of each (domain, nodes) that :func:`w0_boundary` keeps.
-    """
-
-    def __init__(self, domain: ConformalDomain, nodes: int):
-        require_w0_nodes(nodes)
-        t = TWO_PI * np.arange(nodes) / nodes
-        dt = TWO_PI / nodes
-        z = np.exp(1j * t)
-        f = domain.curvature_speed(t)
-        self.log_term = float(np.sum(f * np.log(np.abs(domain.dforward(z)))) * dt)
-        fhat = np.fft.rfft(f)[1:] / nodes
-        fhat[-1] *= 0.5
-        coeffs = fhat / np.arange(1, nodes // 2 + 1)
-        # a constant density (the disk) has none: its kernel sums run over no terms
-        self.coeffs = coeffs if np.any(coeffs) else coeffs[:0]
-
-    def w0(self, config: VortexConfig) -> float:
-        """W_0 of the pair; +inf for a degenerate one."""
-        base = w0_disk(config)
-        if not np.isfinite(base):
-            return base
-        correction = self.log_term
-        correction += float(np.sum(_log_kernel_integrals(self.coeffs, config.angles)))
-        # a zero correction leaves the closed form's bits, a W_0 of -0.0 included
-        return base + 0.5 * correction if correction else base
-
-    def gradient(self, angles) -> np.ndarray:
-        """(dW_0/ds_1, dW_0/ds_2) of a distinct pair: the disk's closed form
-        -+(pi/2) cot((s_1 - s_2)/2) plus half the slope of each log-kernel
-        integral at its own angle."""
-        s1, s2 = angles
-        slope = 0.5 * np.pi / np.tan(0.5 * (s1 - s2))
-        return np.array([-slope, slope]) + 0.5 * _log_kernel_slopes(self.coeffs, angles)
-
-
 @lru_cache(maxsize=16)
-def w0_boundary(domain: ConformalDomain, nodes: int) -> W0Boundary:
-    """The process's shared :class:`W0Boundary` of the domain at ``nodes`` points.
+def w0_constant(domain: ConformalDomain, nodes: int) -> float:
+    """C_Phi = (1/2) int kappa |Phi'| log|Phi'| dt, the trapezoid rule at ``nodes`` points.
 
-    Every caller gets the same object, so none may write into its arrays.
+    By Green's identity it is (1/2) int_B |grad log|Phi'||^2 dA =
+    (pi/2) sum_k k |beta_k|^2, log Phi' = sum_k beta_k z^k; on the disk
+    it is exactly 0.  One per (domain, nodes) in the process.
     """
-    return W0Boundary(domain, nodes)
+    require_w0_nodes(nodes)
+    t = TWO_PI * np.arange(nodes) / nodes
+    f = domain.curvature_speed(t)
+    return 0.5 * float(np.sum(f * np.log(np.abs(domain.dforward(np.exp(1j * t)))))
+                       * (TWO_PI / nodes))
+
+
+def _log_speeds(domain: ConformalDomain, angles) -> np.ndarray:
+    """log|Phi'(e^{i s_j})| at each angle s_j, the log of the boundary's speed there."""
+    return np.log(np.abs(domain.dforward(np.exp(1j * np.asarray(angles, dtype=float)))))
 
 
 def w0_conformal(domain: ConformalDomain, config: VortexConfig, nodes: int = 2048) -> float:
-    """Unperturbed renormalized energy on a conformal image of the disk.
-
-    The boundary formula of :class:`W0Boundary`, with the density
-    sampled at ``nodes`` equispaced points: the smooth log|Phi'| term by
-    the periodic trapezoid rule, the two log kernels exactly against the
-    density's trigonometric interpolant.  On the disk the density is 1
-    and log|Phi'| is 0, so both corrections vanish and the quadrature
-    reproduces the closed form exactly.  The boundary data are built on
-    the first call for each (domain, nodes) and shared from then on
-    (:func:`w0_boundary`).
+    """W_0 in closed form (module docstring): ``w0_disk`` less
+    (pi/2) sum_j log|Phi'(a_j)|, plus :func:`w0_constant` at ``nodes``,
+    which is validated first; +inf for a degenerate pair.  A zero
+    correction, the disk's, leaves ``w0_disk``'s bits, -0.0 included.
     """
-    return w0_boundary(domain, nodes).w0(config)
+    constant = w0_constant(domain, nodes)
+    base = w0_disk(config)
+    if not np.isfinite(base):
+        return base
+    correction = constant - 0.5 * np.pi * float(np.sum(_log_speeds(domain, config.angles)))
+    return base + correction if correction else base
+
+
+def w0_gradient(domain: ConformalDomain, angles) -> np.ndarray:
+    """(dW_0/ds_1, dW_0/ds_2) of a distinct pair, in the order of ``angles``.
+
+    The disk's -+(pi/2) cot((s_1 - s_2)/2) plus (pi/2) Im(z Phi''(z) / Phi'(z))
+    at z = e^{i s_j}, the slope of -(pi/2) log|Phi'(e^{is})|; C_Phi has
+    none, so no node count enters.  On the disk it is the cotangent's bits.
+    """
+    s1, s2 = angles
+    slope = 0.5 * np.pi / np.tan(0.5 * (s1 - s2))
+    z = np.exp(1j * np.asarray(angles, dtype=float))
+    return (np.array([-slope, slope])
+            + 0.5 * np.pi * np.imag(z * domain.d2forward(z) / domain.dforward(z)))
 
 
 def _grad_phistar_sq(x: np.ndarray, a1: complex, a2: complex,

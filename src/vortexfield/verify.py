@@ -1,11 +1,11 @@
 """Cross-validation suite behind the ``verify`` CLI command.
 
 Each check pits one computational path against an independent one:
-closed forms against quadrature, the conformal boundary integral against
-the disk closed form and, on an oval, against a subtracted trapezoid
-rule, the punctured-domain limit against the known renormalized value,
-and the Picard fixed point against a descent-method minimizer.  Checks
-are cheap enough to run in CI.
+closed forms against quadrature, the closed form of W_0 on a conformal
+image against the disk's and, on an oval, against its boundary formula
+by a subtracted trapezoid rule, the punctured-domain limit against the
+known renormalized value, and the Picard fixed point against a
+descent-method minimizer.  Checks are cheap enough to run in CI.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def check_disk_reduction() -> CheckResult:
     return CheckResult(
         passed=bool(worst < 1e-6),
         measured={"max_error": worst, "configs": n_configs, "nodes": nodes},
-        detail=f"conformal quadrature reduces to the disk closed form, worst {worst:.2e}",
+        detail=f"conformal closed form reduces to the disk closed form, worst {worst:.2e}",
     )
 
 
@@ -68,10 +68,12 @@ def subtracted_trapezoid_w0(domain: ConformalDomain, config: VortexConfig,
                             nodes: int = 65536) -> float:
     """W_0 by the trapezoid rule, a reference independent of :func:`w0_conformal`.
 
-    Near each vortex s the density f is replaced by f - f(s) - f'(s) sin(t - s):
-    both subtracted terms have zero integral against the log kernel, and
-    what is left vanishes to second order at t = s, so the integrand is
-    C^1 there and the periodic trapezoid rule applies.
+    It integrates the boundary formula that :func:`w0_conformal` sums in
+    closed form.  Near each vortex s the density f is replaced by
+    f - f(s) - f'(s) sin(t - s): both subtracted terms have zero integral
+    against the log kernel, and what is left vanishes to second order at
+    t = s, so the integrand is C^1 there and the periodic trapezoid rule
+    applies.
     """
     t = TWO_PI * np.arange(nodes) / nodes
     f = domain.curvature_speed(t)
@@ -87,11 +89,11 @@ def subtracted_trapezoid_w0(domain: ConformalDomain, config: VortexConfig,
 
 
 def check_oval_w0() -> CheckResult:
-    """W_0 on the c = 0.2 oval against the subtracted trapezoid rule.
+    """The closed form of W_0 on the c = 0.2 oval against the subtracted trapezoid rule.
 
-    On the disk the log-kernel term of W_0 is exactly 0, so
-    :func:`check_disk_reduction` cannot see it; on this oval it is -0.32
-    and +1.24 at the two pairs.
+    On the disk its boundary-speed term, the boundary formula's log-kernel
+    term, is exactly 0, so :func:`check_disk_reduction` cannot see it; on
+    this oval it is -0.32 and +1.24 at the two pairs.
     """
     c, nodes, reference_nodes = 0.2, 256, 1024
     domain = ConformalDomain.oval(c)

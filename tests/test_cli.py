@@ -96,7 +96,7 @@ class TestMinimizeCommand:
         assert summary["total"] == pytest.approx(-2.2060333850644, rel=0.0, abs=1e-10)
         assert len(summary["gradient"]) == 2
         assert max(abs(g) for g in summary["gradient"]) < 1e-5
-        assert summary["failures"] == 0
+        assert summary["failures"] == 0 and "nearest_failure" not in summary
 
     def test_failed_evaluations_are_counted(self, tmp_path):
         # at h = (0, 30) the cold Picard solve does not converge at about half
@@ -105,6 +105,20 @@ class TestMinimizeCommand:
         assert run(["minimize", "--h=0,30", "--grid", "8,16", "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert 0 < summary["failures"] < summary["evaluations"]
+
+    def test_the_nearest_failure_is_named(self, tmp_path):
+        # disk, 16 x 32, h = (0, 20), the default start: 15 of 97 evaluations
+        # fail, one of them 0.0053 from the answer, and the search still
+        # reports converged; the summary names that failure
+        assert run(["minimize", "--h=0,20", "--grid", "16,32", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["converged"] is True and summary["failures"] > 0
+        nearest = summary["nearest_failure"]
+        assert set(nearest) == {"s", "distance", "error"}
+        assert nearest["error"].startswith("Picard iteration did not converge in 50 steps")
+        gaps = np.abs(np.subtract(nearest["s"], summary["s_min"])) % TWO_PI
+        assert nearest["distance"] == float(np.max(np.minimum(gaps, TWO_PI - gaps)))
+        assert 0.0 < nearest["distance"] < 0.1
 
     def test_failing_start_solves_each_vertex_once(self, tmp_path, monkeypatch):
         # each failing vertex keeps its solver message, so none is solved again

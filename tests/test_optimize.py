@@ -11,7 +11,7 @@ from vortexfield.micromag import ExternalField, energy_gradient, total_energy
 from vortexfield.optimize import (SimplexState, _Evaluations, _gradient_finish, energy_objective,
                                   grid_oracle, landscape, nelder_mead)
 from vortexfield.poisson import GridSpec
-from vortexfield.renorm import EnergyBreakdown, W0Boundary, w0_boundary, w0_conformal
+from vortexfield.renorm import EnergyBreakdown, w0_constant, w0_conformal, w0_gradient
 
 PI_LOG_2 = np.pi * np.log(2.0)
 
@@ -166,6 +166,29 @@ class TestNelderMead:
         f.objective = lambda s: finite
         f((3.0, 1.0))
         assert f.best is finite and f.value == -1.0
+
+    def test_failures_with_a_solver_message_are_kept_and_the_nearest_named(self):
+        # a degenerate pair's +inf carries no message and is not kept; the
+        # nearest failure to the answer, in the torus max-norm, lies across
+        # the seam, and of two failures there the first is named
+        pairs = [(1.3, 2.0), (6.2, 2.0), (0.0, 0.0), (6.2, 2.0), (0.1, 2.0)]
+        returned = [EnergyBreakdown(np.inf, np.inf, {"error": "far"}),
+                    EnergyBreakdown(np.inf, np.inf, {"error": "seam"}),
+                    EnergyBreakdown(np.inf, 0.0),
+                    EnergyBreakdown(np.inf, np.inf, {"error": "again"}),
+                    EnergyBreakdown(-1.0, 0.0)]
+        calls = iter(returned)
+        f = _Evaluations(lambda s: next(calls))
+        assert f.nearest_failure() is None
+        for s in pairs:
+            f(s)
+        assert f.failures == 4
+        assert [(tuple(s), error) for s, error in f.failed] == [
+            ((1.3, 2.0), "far"), ((6.2, 2.0), "seam"), ((6.2, 2.0), "again")]
+        nearest = f.nearest_failure()
+        assert nearest["error"] == "seam" and nearest["s"] == [6.2, 2.0]
+        assert nearest["distance"] == pytest.approx(0.1 + TWO_PI - 6.2, abs=1e-15)
+        assert f.failed[1][0].tolist() == nearest["s"]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("objective, calls_made, lowest", [
@@ -371,15 +394,15 @@ class TestNelderMead:
 
 class TestEnergyObjective:
     def test_builds_one_w0_boundary_per_oval_search(self, monkeypatch):
-        # one boundary per (domain, nodes) in the process: a search, direct
-        # energies, w0_conformal and the gradients all read it, the disk's
-        # too, and at h = 0 a gradient is W_0's alone
+        # one W_0 constant per (domain, nodes) in the process: a search,
+        # direct energies and w0_conformal all read it, the disk's too; the
+        # gradients read none, and at h = 0 a gradient is W_0's alone
         calls, real = [], ConformalDomain.curvature_speed
 
         def counted(self, t):
             calls.append(self)
             return real(self, t)
-        w0_boundary.cache_clear()
+        w0_constant.cache_clear()
         monkeypatch.setattr(ConformalDomain, "curvature_speed", counted)
         oval, other = ConformalDomain.oval(0.2), ConformalDomain.oval(0.3)
         disk, grid, zero = ConformalDomain.disk(), GridSpec(16, 32), ExternalField((0.0, 0.0))
@@ -391,20 +414,21 @@ class TestEnergyObjective:
             found += [
                 (oval, 256, config, searched.w0, searched.gradient()),
                 (oval, 256, config, total_energy(oval, config, zero, grid, w0_nodes=256).w0,
-                 energy_gradient(oval, config.angles, None, 256)),
+                 energy_gradient(oval, config.angles, None)),
                 (oval, 256, config, w0_conformal(oval, config, 256), None),
                 (oval, 512, config, total_energy(oval, config, zero, grid, w0_nodes=512).w0,
-                 energy_gradient(oval, config.angles, None, 512)),
+                 energy_gradient(oval, config.angles, None)),
                 (other, 256, config, total_energy(other, config, zero, grid, w0_nodes=256).w0,
                  None)]
         energy_objective(disk, zero, grid)(configs[0].angles).gradient()
         total_energy(disk, configs[0], zero, grid)
         assert calls == [oval, oval, other, disk]
+        monkeypatch.undo()
+        w0_constant.cache_clear()   # each value again from a fresh constant
         for domain, nodes, config, w0, gradient in found:
-            fresh = W0Boundary(domain, nodes)
-            assert w0 == fresh.w0(config.canonical_order())
+            assert w0 == w0_conformal(domain, config.canonical_order(), nodes)
             if gradient is not None:
-                assert np.array_equal(gradient, fresh.gradient(config.angles))
+                assert np.array_equal(gradient, w0_gradient(domain, config.angles))
 
     def test_the_search_answer_is_its_own_evaluation(self, monkeypatch):
         # best is the breakdown returned at s_min, with the theta solved there
@@ -569,14 +593,14 @@ class TestGridOracle:
         assert oracle_value <= nm.value + 1e-6
 
     def test_builds_one_objective(self, monkeypatch):
-        # the scan and the refinement share one objective, and W_0's boundary
-        # is built once per (domain, nodes)
+        # the scan and the refinement share one objective, and W_0's domain
+        # constant is built once per (domain, nodes)
         calls, real = [], ConformalDomain.curvature_speed
 
         def counted(self, t):
             calls.append(self)
             return real(self, t)
-        w0_boundary.cache_clear()
+        w0_constant.cache_clear()
         monkeypatch.setattr(ConformalDomain, "curvature_speed", counted)
         s_min, value = grid_oracle(ConformalDomain.oval(0.2), ExternalField((0.0, 3.0)), 32,
                                    GridSpec(16, 32))

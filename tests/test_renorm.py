@@ -1,12 +1,13 @@
-"""Renormalized-energy tests: closed form, boundary quadrature, punctured limit."""
+"""Renormalized-energy tests: closed forms, the boundary formula, punctured limit."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import grad_phistar, integrate_disk
+from oracles import boundary_formula_w0, grad_phistar, integrate_disk
 
 from vortexfield import renorm, verify
 from vortexfield.canonical import VortexConfig, canonical_map_disk
@@ -38,6 +39,20 @@ class TestW0Disk:
             w0_disk(VortexConfig.pair(0.0, delta)), abs=1e-14)
 
 
+def separated_pairs(rng, count, gap=0.05):
+    """``count`` random angle pairs whose torus distance is at least ``gap``."""
+    pairs = []
+    while len(pairs) < count:
+        s1, s2 = rng.uniform(0.0, TWO_PI, 2)
+        sep = abs(s1 - s2) % TWO_PI
+        if min(sep, TWO_PI - sep) >= gap:
+            pairs.append((s1, s2))
+    return pairs
+
+
+OVAL_CS = [round(0.05 * k, 2) for k in range(10)] + [0.49]
+
+
 class TestW0Conformal:
     def test_disk_kind_recovers_closed_form(self):
         disk = ConformalDomain.disk()
@@ -52,18 +67,18 @@ class TestW0Conformal:
                 w0_disk(cfg), abs=1e-6)
 
     def test_disk_takes_the_quadrature_path(self, monkeypatch):
-        # the verify check compares the boundary quadrature with the closed
-        # form, so a broken log-kernel term must make it fail on the disk
+        # the verify check compares the conformal closed form with the
+        # disk's, so a broken boundary-speed term must make it fail on the disk
         assert verify.check_disk_reduction().passed
-        monkeypatch.setattr(renorm, "_log_kernel_integrals", lambda f, s: 1e-3)
+        monkeypatch.setattr(renorm, "_log_speeds", lambda domain, s: np.full(2, 1e-3))
         assert not verify.check_disk_reduction().passed
 
     def test_oval_check_sees_the_log_kernel_sign(self, monkeypatch):
-        # on the disk the log-kernel term is exactly 0 whatever its sign;
+        # on the disk the boundary-speed term is exactly 0 whatever its sign;
         # on the oval a sign flip moves W0 by at least 0.64
         assert verify.check_oval_w0().passed
-        real = renorm._log_kernel_integrals
-        monkeypatch.setattr(renorm, "_log_kernel_integrals", lambda f, s: -real(f, s))
+        real = renorm._log_speeds
+        monkeypatch.setattr(renorm, "_log_speeds", lambda domain, s: -real(domain, s))
         assert verify.check_disk_reduction().passed
         assert not verify.check_oval_w0().passed
 
@@ -74,6 +89,8 @@ class TestW0Conformal:
             w0_conformal(disk, cfg, 100)
         with pytest.raises(ValueError):
             w0_conformal(disk, cfg, 32)
+        with pytest.raises(ValueError):
+            w0_conformal(disk, VortexConfig.pair(1.0, 1.0), 100)
 
     def test_self_convergence_under_node_doubling(self):
         dom = ConformalDomain.oval(0.2)
@@ -100,61 +117,27 @@ class TestW0Conformal:
         dom = ConformalDomain.oval(0.2)
         assert w0_conformal(dom, VortexConfig.pair(1.0, 1.0), 1024) == np.inf
 
-    @staticmethod
-    def _one_pass_w0(dom, cfg, nodes):
-        # the boundary formula with every boundary quantity formed per call
-        base = w0_disk(cfg)
-        if not np.isfinite(base):
-            return base
-        t = TWO_PI * np.arange(nodes) / nodes
-        dt = TWO_PI / nodes
-        f = dom.curvature_speed(t)
-        correction = float(np.sum(f * np.log(np.abs(dom.dforward(np.exp(1j * t))))) * dt)
-        k = np.arange(1, nodes // 2 + 1)
-        fhat = np.fft.rfft(f)[1:] / nodes
-        fhat[-1] *= 0.5
-        phases = np.exp(1j * np.outer(np.asarray(cfg.angles, dtype=float), k))
-        correction += float(np.sum(-TWO_PI * np.real(phases @ (fhat / k))))
-        return base + 0.5 * correction
-
     @pytest.mark.parametrize("nodes", [256, 1024, 2048])
-    @pytest.mark.parametrize("c", [0.0, 0.1, 0.2, 0.45])
+    @pytest.mark.parametrize("c", OVAL_CS)
     def test_equals_the_one_pass_formula_bitwise(self, c, nodes):
+        # the closed form sums what the boundary formula integrates: they
+        # agree to rounding, not bit for bit, at every node count
         dom = ConformalDomain.oval(c)
         rng = np.random.default_rng(nodes + int(100 * c))
-        for s1, s2 in rng.uniform(0.0, TWO_PI, size=(30, 2)):
+        for s1, s2 in separated_pairs(rng, 30):
             cfg = VortexConfig.pair(s1, s2)
-            assert w0_conformal(dom, cfg, nodes) == self._one_pass_w0(dom, cfg, nodes)
-
-    @pytest.mark.parametrize("c", [0.0, 0.2])
-    def test_one_boundary_serves_many_pairs(self, c):
-        dom = ConformalDomain.oval(c)
-        boundary = renorm.W0Boundary(dom, 1024)
-        rng = np.random.default_rng(7)
-        for s1, s2 in rng.uniform(0.0, TWO_PI, size=(20, 2)):
-            cfg = VortexConfig.pair(s1, s2)
-            assert boundary.w0(cfg) == w0_conformal(dom, cfg, 1024)
-        assert boundary.w0(VortexConfig.pair(1.0, 1.0)) == np.inf
-        with pytest.raises(ValueError):
-            renorm.W0Boundary(dom, 100)
-
-    def test_the_disk_keeps_no_coefficients(self):
-        # its density is exactly 1, so every coefficient is exactly 0
-        disk = ConformalDomain.disk()
-        for nodes in 2 ** np.arange(6, 17):
-            boundary = renorm.W0Boundary(disk, int(nodes))
-            assert boundary.coeffs.size == 0 and boundary.log_term == 0.0
+            assert abs(w0_conformal(dom, cfg, nodes)
+                       - boundary_formula_w0(dom, cfg, nodes)) <= 1e-13
 
     @pytest.mark.parametrize("nodes", [64, 2048])
     def test_the_disk_reads_its_closed_form_bitwise(self, nodes):
         disk = ConformalDomain.disk()
-        boundary = renorm.W0Boundary(disk, nodes)
         rng = np.random.default_rng(nodes)
         for s1, s2 in rng.uniform(0.0, TWO_PI, size=(200, 2)):
             cfg = VortexConfig.pair(s1, s2)
             assert _bits(w0_conformal(disk, cfg, nodes)) == _bits(w0_disk(cfg))
             slope = 0.5 * np.pi / np.tan(0.5 * (s1 - s2))
-            assert _bits(boundary.gradient((s1, s2))) == _bits(np.array([-slope, slope]))
+            assert _bits(renorm.w0_gradient(disk, (s1, s2))) == _bits(np.array([-slope, slope]))
 
     def test_the_disk_keeps_a_negative_zero(self):
         # 2 |sin((s1 - s2)/2)| rounds to exactly 1 here, so the closed form
@@ -166,15 +149,6 @@ class TestW0Conformal:
         energy = total_energy(disk, cfg, ExternalField((0.0, 0.0)), GridSpec(16, 32))
         assert math.copysign(1.0, energy.w0) == -1.0
 
-    @pytest.mark.parametrize("c", [0.2, 0.45])
-    def test_oval_coefficients_follow_the_rfft_rule(self, c):
-        # fhat_k / k for k = 1 ... nodes/2, the Nyquist entry halved
-        dom, nodes = ConformalDomain.oval(c), 1024
-        fhat = np.fft.rfft(dom.curvature_speed(TWO_PI * np.arange(nodes) / nodes))[1:] / nodes
-        fhat[-1] *= 0.5
-        expected = fhat / np.arange(1, nodes // 2 + 1)
-        assert _bits(renorm.W0Boundary(dom, nodes).coeffs) == _bits(expected)
-
     @pytest.mark.parametrize("c", [0.1, 0.45])
     def test_matches_subtracted_trapezoid_reference(self, c):
         dom = ConformalDomain.oval(c)
@@ -185,8 +159,7 @@ class TestW0Conformal:
 
     @pytest.mark.parametrize("c", [0.1, 0.2, 0.45])
     def test_256_nodes_match_2048(self, c):
-        # the log kernels are integrated exactly against the density's
-        # trigonometric interpolant, which has converged at 256 nodes
+        # the trapezoid sum of the domain constant has converged at 256 nodes
         dom = ConformalDomain.oval(c)
         for pair in [(0.0, np.pi), (0.3, 2.1), (1.0, 4.5)]:
             cfg = VortexConfig.pair(*pair)
@@ -198,6 +171,70 @@ class TestW0Conformal:
         at_tips = w0_conformal(dom, VortexConfig.pair(0.0, np.pi), 2048)
         at_waist = w0_conformal(dom, VortexConfig.pair(np.pi / 2, 3 * np.pi / 2), 2048)
         assert at_tips < at_waist
+
+
+@dataclass(frozen=True)
+class QuadraticDomain(ConformalDomain):
+    """Phi(z) = z + b z^2, a normalized conformal map outside the oval family.
+
+    Phi' = 1 + 2 b z has no zero in the closed disk for b < 1/2, and the
+    map is not even in z, so it lacks the ovals' symmetries.
+    """
+
+    b: float = 0.1
+
+    def forward(self, z):
+        z = np.asarray(z, dtype=complex)
+        return z + self.b * z * z
+
+    def dforward(self, z):
+        return 1.0 + 2.0 * self.b * np.asarray(z, dtype=complex)
+
+    def d2forward(self, z):
+        return np.full(np.shape(z), 2.0 * self.b, dtype=complex)
+
+
+def oval_constant(c):
+    """C(c) = pi [4 log((1 + c^2)/(1 - c^2)) - log(1 - c^2)], the ovals' C_Phi summed by hand."""
+    return np.pi * (4.0 * np.log((1.0 + c * c) / (1.0 - c * c)) - np.log(1.0 - c * c))
+
+
+class TestW0ClosedForm:
+    """W_0 = -pi log|a_1 - a_2| - (pi/2) sum_j log|Phi'(a_j)| + C_Phi on every normalized map."""
+
+    @pytest.mark.parametrize("c", [0.0, 0.2, 0.45, 0.49])
+    def test_gradient_matches_central_differences(self, c):
+        dom, step = ConformalDomain.oval(c), 1e-6
+        rng = np.random.default_rng(int(1000 * c) + 1)
+        for s in separated_pairs(rng, 10, gap=0.3):
+            gradient = renorm.w0_gradient(dom, s)
+            for j in range(2):
+                up, down = list(s), list(s)
+                up[j] += step
+                down[j] -= step
+                slope = (w0_conformal(dom, VortexConfig.pair(*up))
+                         - w0_conformal(dom, VortexConfig.pair(*down))) / (2.0 * step)
+                assert gradient[j] == pytest.approx(slope, abs=1e-7)
+
+    @pytest.mark.parametrize("c", OVAL_CS)
+    def test_the_oval_constant_is_summed_by_hand(self, c):
+        # log Phi' = log(1 + c z^2) - 2 log(1 - c z^2) = sum_m beta_{2m} z^{2m}
+        m = np.arange(1, 400)
+        beta = c ** m * (2.0 + (-1.0) ** (m + 1)) / m
+        series = 0.5 * np.pi * float(np.sum(2 * m * beta * beta))
+        constant = renorm.w0_constant(ConformalDomain.oval(c), 2048)
+        assert constant == pytest.approx(oval_constant(c), abs=2e-14)
+        assert series == pytest.approx(oval_constant(c), abs=2e-14)
+
+    @pytest.mark.parametrize("b", [0.1, 0.3])
+    def test_a_map_outside_the_oval_family(self, b):
+        dom = QuadraticDomain(b=b)
+        assert renorm.w0_constant(dom, 2048) == pytest.approx(
+            -0.5 * np.pi * np.log(1.0 - 4.0 * b * b), abs=1e-14)
+        rng = np.random.default_rng(int(100 * b))
+        for s1, s2 in separated_pairs(rng, 40):
+            cfg = VortexConfig.pair(s1, s2)
+            assert abs(w0_conformal(dom, cfg) - boundary_formula_w0(dom, cfg, 2048)) <= 1e-13
 
 
 def punctured_reference(config, rho, grid):
