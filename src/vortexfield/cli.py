@@ -19,20 +19,21 @@ and :meth:`RunConfig.validate` checks each value once.
 ``minimize``, ``landscape`` and ``field`` take every W from the run's
 one objective (:func:`_objective`).  A search's answer is its own
 evaluation: ``minimize`` writes the kept breakdown of the pair it
-reports, ``failures``, its count of evaluations that were not
-finite, ``nearest_failure`` when a solve failed (its ``s``, ``error``
-and torus max-norm ``distance`` from ``s_min``), and ``bounded``, its
-count of evaluations that stopped on a certified lower bound above the
-value the search compared them with;
-``field --auto-min`` samples the theta solved there, and
-``field --s`` the objective's breakdown at its pair.  Both summaries
-write the breakdown through :func:`_energy_keys`: ``w0``, ``v_ext``,
-``total``, ``gradient`` (the exact dW/ds, one operator apply, no solve)
-and, when something was solved, ``solver``, the winning solve and the
-branch choice alone; the grid and ``w0_nodes``, the trapezoid rule of
-W_0's one domain constant (``renorm.w0_constant``), are in ``config``.
-A search, scan or pair with no finite energy writes nothing and exits 2
-with its first solver failure's message.
+reports, ``failures``, its count of evaluations that were not finite,
+``nearest_failure`` when a solve failed (its ``s``, ``error`` and torus
+max-norm ``distance`` from ``s_min``), and ``bounded``, its count of
+evaluations that stopped on a certified lower bound above the value the
+search compared them with; ``field --auto-min`` samples the theta
+solved there, and ``field --s`` the objective's breakdown at its pair.
+Both summaries write the breakdown through :func:`_energy_keys`:
+``w0``, ``v_ext``, ``total``, ``gradient`` (the exact dW/ds, one
+operator apply, no solve) and, when something was solved, ``solver``,
+the winning solve and the branch choice alone; the grid and
+``w0_nodes``, the trapezoid rule of W_0's one domain constant
+(``renorm.w0_constant``), are in ``config``.  A search, scan or pair
+with no finite energy writes nothing and exits 2 with its first solver
+failure's message; an unconverged search exits 2, after ``minimize``
+writes its summary, naming its spent budget or the failure by its answer.
 
 Outputs are flat files (JSON summaries, CSV tables, optional static
 SVG); every artifact embeds the resolved configuration it was made from
@@ -53,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .canonical import VortexConfig
-from .errors import ConfigurationError, ConvergenceError
+from .errors import ConvergenceError
 from .geom import TWO_PI, ConformalDomain
 # total_energy stays importable from here: the benchmark's span tracer
 # rebinds this copy (every evaluation calls it through optimize)
@@ -112,6 +113,8 @@ class RunConfig:
         require_picard_budget(self.tol, self.max_iter)
         if self.max_evals < 3:
             raise ValueError(f"max_evals must be at least 3, got {self.max_evals}")
+        if self.landscape_n < 16:
+            raise ValueError(f"landscape resolution must be at least 16, got {self.landscape_n}")
         require_w0_nodes(self.w0_nodes)
         if self.s is not None and VortexConfig.pair(*self.s).is_degenerate:
             raise ValueError("vortex angles coincide (degenerate configuration)")
@@ -168,23 +171,29 @@ def _energy_keys(breakdown) -> dict:
     return keys
 
 
-def _no_finite_energy(best, where: str) -> ConvergenceError:
-    # with no finite value, best is the first return that carries a solver
-    # message, or the first return when none does (optimize._Evaluations)
-    return ConvergenceError(best.diagnostics.get("error", f"no {where} has a finite energy"))
+def _no_finite_energy(error: str | None, where: str) -> ConvergenceError:
+    """The failure of a run with no finite W: its solver message, if one failed."""
+    return ConvergenceError(error or f"no {where} has a finite energy")
 
 
 def _minimize_run(config: RunConfig):
     result = nelder_mead(_objective(config), config.s0, max_evals=config.max_evals)
     if not np.isfinite(result.value):
-        raise _no_finite_energy(result.best, "vertex of the starting simplex")
+        # the failure nearest the first vertex is the start's first solver failure
+        raise _no_finite_energy((result.nearest_failure or {}).get("error"),
+                                "vertex of the starting simplex")
     return result
 
 
-def _report_budget(command: str, result, config: RunConfig) -> None:
-    print(f"{command} did not converge within the evaluation budget "
-          f"({result.evaluations} evaluations used, budget {config.max_evals})",
-          file=sys.stderr)
+def _report_unconverged(command: str, result, config: RunConfig) -> None:
+    if result.evaluations < config.max_evals:   # it stopped next to a failure
+        nearest = result.nearest_failure
+        print(f"{command} did not converge: a failed evaluation lies {nearest['distance']:.2g} "
+              f"from its answer ({nearest['error']})", file=sys.stderr)
+    else:
+        print(f"{command} did not converge within the evaluation budget "
+              f"({result.evaluations} evaluations used, budget {config.max_evals})",
+              file=sys.stderr)
 
 
 def cmd_minimize(config: RunConfig) -> int:
@@ -210,7 +219,7 @@ def cmd_minimize(config: RunConfig) -> int:
         },
     })
     if not result.converged:
-        _report_budget("minimize", result, config)
+        _report_unconverged("minimize", result, config)
         return 2
     return 0
 
@@ -218,7 +227,7 @@ def cmd_minimize(config: RunConfig) -> int:
 def cmd_landscape(config: RunConfig) -> int:
     scan = landscape(_objective(config), config.landscape_n)
     if not np.isfinite(scan.min_value):
-        raise _no_finite_energy(scan.best, "landscape cell")
+        raise _no_finite_energy(scan.best.diagnostics.get("error"), "landscape cell")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     n = scan.n
@@ -245,13 +254,13 @@ def cmd_field(config: RunConfig) -> int:
     if config.auto_min:
         result = _minimize_run(config)
         if not result.converged:
-            _report_budget("auto-min", result, config)
+            _report_unconverged("auto-min", result, config)
             return 2
         s, solved = result.s_min, result.best
     else:
         s, solved = config.s, _objective(config)(config.s)
         if not np.isfinite(solved.total):
-            raise _no_finite_energy(solved, "pair")
+            raise _no_finite_energy(solved.diagnostics.get("error"), "pair")
     domain = config.conformal_domain()
     field_out = magnetization_field(domain, VortexConfig.pair(*s),
                                     config.external_field(), config.grid_spec(),
@@ -424,9 +433,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return COMMANDS[args.command](config)
-    except ConfigurationError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 1
     except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2

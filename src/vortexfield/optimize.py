@@ -31,7 +31,7 @@ trust region (Nocedal & Wright, Numerical Optimization, 2006, ch. 4 and
   positive definite, and the radius doubles; a rejected step sets the
   radius to a quarter of its own length;
 - the stop rule: an unclipped |p|_inf < ``_XTOL`` at the current point's
-  gradient ends the search, converged, with no further evaluation;
+  gradient ends the search with no further evaluation;
 - the hand-back: a first H that is not positive definite (``_definite``),
   a value that is not finite, or the ``_REJECTIONS``-th rejected step
   returns the search to the simplex, with its best vertex replaced by
@@ -39,10 +39,10 @@ trust region (Nocedal & Wright, Numerical Optimization, 2006, ch. 4 and
   values within ``_FTOL`` on a simplex narrower than ``_XTOL``;
 - the budget: as in every search and scan here, one :class:`_Evaluations`
   counts the calls and past the budget returns +inf with no call, which
-  hands the finish back and ends the search; it also ranks NaN as +inf
-  and keeps the answer: the first lowest value returned, its pair, and
-  the object the objective returned there, which for
-  :func:`energy_objective` is that pair's
+  hands the finish back and ends the search; it also ranks NaN as +inf,
+  lists each solver failure, and keeps the answer by one rule: the first
+  lowest value returned, its pair, and the object the objective returned
+  there, which for :func:`energy_objective` is that pair's
   :class:`~vortexfield.renorm.EnergyBreakdown`, its theta and gradient
   included.
 
@@ -127,11 +127,10 @@ class _Evaluations:
     lowest value, its pair and the objective's own return there: only a
     strictly lower value replaces them.  The searches here pass an
     ``above`` no lower than the value held, so a bounded return never
-    does.  While every value is +inf the first call stands, unless a
-    later return is a breakdown with a solver message and the kept one
-    has none: the first such return replaces it, so that a run with no
-    finite value can name its solver failure.  ``failed`` keeps the pair
-    and message of each such return in call order; a degenerate pair has none.
+    does, and while every value is +inf the first call stands.
+    ``failed`` keeps the pair and message of each breakdown returned
+    with a solver message, in call order (a degenerate pair has none),
+    for :meth:`nearest_failure`.
     """
 
     def __init__(self, objective, budget: float = float("inf")):
@@ -164,10 +163,9 @@ class _Evaluations:
             self.failures += 1
             if math.isnan(v):
                 v = float("inf")
-            if _error(returned):
+            if isinstance(returned, EnergyBreakdown) and "error" in returned.diagnostics:
                 self.failed.append((s, returned.diagnostics["error"]))
-        if (self.point is None or v < self.value
-                or (self.value == math.inf and _error(returned) and not _error(self.best))):
+        if self.point is None or v < self.value:
             self.point, self.value, self.best = s, v, returned
         return v, returned
 
@@ -178,11 +176,6 @@ class _Evaluations:
         distance, s, error = min(((_torus_dist(s, self.point), s, error)
                                   for s, error in self.failed), key=lambda f: f[0])
         return {"s": s.tolist(), "distance": distance, "error": error}
-
-
-def _error(returned) -> bool:
-    """Whether an objective's return is a breakdown that carries a solver message."""
-    return isinstance(returned, EnergyBreakdown) and "error" in returned.diagnostics
 
 
 @dataclass
@@ -216,26 +209,26 @@ def _gradient(returned) -> np.ndarray:
     return np.asarray(returned.gradient(), dtype=float)
 
 
-def _gradient_finish(f: _Evaluations, eta: float, state: SimplexState) -> bool:
+def _gradient_finish(f: _Evaluations, eta: float, state: SimplexState) -> float | None:
     """Quasi-Newton steps on exact gradients, from the lowest point f has seen.
 
-    Returns whether a step shorter than ``_XTOL`` was computed at the
-    current point; ``f`` keeps the lowest point evaluated.  The model,
-    trust rule, acceptance, stop rule and hand-back are those of the
-    module docstring; each step kept, and the final short step, counts
-    as one ``"newton"`` operation.
+    Returns the trust radius of a step shorter than ``_XTOL`` at the
+    current point, or None on a hand-back; ``f`` keeps the lowest point
+    evaluated.  The model, trust rule, acceptance, stop rule and
+    hand-back are those of the module docstring; each step kept, and the
+    final short step, counts as one ``"newton"`` operation.
     """
     x = f.point
     columns = []
     for e in np.eye(2):
         (v_p, r_p), (v_m, r_m) = f.evaluate(x + eta * e), f.evaluate(x - eta * e)
         if not (math.isfinite(v_p) and math.isfinite(v_m)):
-            return False
+            return None
         columns.append((_gradient(r_p) - _gradient(r_m)) / (2.0 * eta))
     hess = np.array(columns)
     hess = 0.5 * (hess + hess.T)
     if not _definite(hess):
-        return False
+        return None
     x, g = f.point, _gradient(f.best)
     radius, rejected = eta, 0
     while True:
@@ -243,14 +236,14 @@ def _gradient_finish(f: _Evaluations, eta: float, state: SimplexState) -> bool:
         step = float(np.max(np.abs(p)))
         if step < _XTOL:
             state.operations["newton"] += 1
-            return True
+            return radius
         if step > radius:
             p *= radius / step
             step = radius
         low = f.value
         value, returned = f.evaluate(x + p, above=low)
         if not math.isfinite(value):
-            return False
+            return None
         if value < low:
             g_new = _gradient(returned)
             y = g_new - g
@@ -267,7 +260,7 @@ def _gradient_finish(f: _Evaluations, eta: float, state: SimplexState) -> bool:
             rejected += 1
             radius = 0.25 * step
             if rejected == _REJECTIONS:
-                return False
+                return None
 
 
 @dataclass
@@ -278,7 +271,7 @@ class NelderMeadResult:
     degenerate pairs and solves that did not converge, and ``bounded``
     those that returned a certified lower bound (:class:`_Evaluations`).
     ``nearest_failure`` is ``_Evaluations.nearest_failure()``: ``{"s", "distance", "error"}``,
-    or None when no solve failed.
+    or None when no solve failed; one near ``s_min`` unsets ``converged``.
     """
 
     s_min: tuple
@@ -310,16 +303,18 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
     positive definite, a value that is not finite, or a fourth rejected
     step hands the search back to the simplex, whose best vertex becomes
     the lowest point seen.  ``converged`` is True when either the
-    simplex diameter fell below ``_XTOL`` with its finite values within
+    simplex diameter fell below ``_XTOL`` with its values within
     ``_FTOL``, or the finish computed a step shorter than ``_XTOL`` at
-    the current point's gradient.
+    the current point's gradient, and no failure with a solver message
+    lies within that stop's reach of the answer in the torus max-norm:
+    ``_XTOL``, or the finish's final trust radius.
 
     A reflection, an expansion, a contraction and a finish step pass
     the value they are compared with as ``above`` (module docstring);
     ``bounded`` counts the evaluations that returned a bound there.
     The objective is seen through one :class:`_Evaluations` with a
-    budget of ``max(3, max_evals)``, so an unconverged run makes exactly
-    that many calls; ``s_min``, ``value`` and ``evaluations`` are its
+    budget of ``max(3, max_evals)``, so a run the budget ends makes
+    exactly that many calls; ``s_min``, ``value`` and ``evaluations`` are its
     answer and its count, and ``best`` is what the objective returned at
     ``s_min``, which the search never asks for again.  Only the loop
     test and the guard before a contraction read the budget: a cut
@@ -337,26 +332,25 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
     values = [f(p) for p in points]
     state.record(values)
 
-    converged = finished = False
+    reach, finished = None, False
     # the lowest value never rises, so only an all-+inf start has nothing to rank
     while f.value < np.inf and not f.spent():
         order = np.argsort(values, kind="stable")
         points = [points[i] for i in order]
         values = [values[i] for i in order]
 
-        finite = [v for v in values if np.isfinite(v)]
         diam = max(_torus_dist(points[0], points[1]),
                    _torus_dist(points[0], points[2]))
-        spread = finite[-1] - finite[0] if len(finite) == 3 else np.inf
+        spread = values[2] - values[0]   # the best vertex holds f.value, finite here
         if spread < _FTOL and diam < _XTOL:
-            converged = True
+            reach = _XTOL
             break
         if spread < _HANDOFF and not finished and callable(getattr(f.best, "gradient", None)):
             finished = True
-            converged = _gradient_finish(f, diam, state)
+            reach = _gradient_finish(f, diam, state)
             points[0], values[0] = f.point, f.value
             state.record(values)
-            if converged:
+            if reach is not None:
                 break
             continue
 
@@ -387,16 +381,17 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
                 points[2], values[2] = _wrap(contracted), f_c
                 state.operations["contract"] += 1
             else:
-                for i in (1, 2):
-                    shrunk = best + 0.5 * (_chart([points[i]], points[0])[0] - best)
-                    points[i] = _wrap(shrunk)
+                for i, p in ((1, mid), (2, worst)):
+                    points[i] = _wrap(best + 0.5 * (p - best))
                     values[i] = f(points[i])
                 state.operations["shrink"] += 1
         state.record(values)
 
+    nearest = f.nearest_failure()
+    converged = reach is not None and (nearest is None or nearest["distance"] > reach)
     return NelderMeadResult(s_min=tuple(f.point), value=f.value, converged=converged,
                             evaluations=f.count, failures=f.failures, bounded=f.bounded,
-                            state=state, best=f.best, nearest_failure=f.nearest_failure())
+                            state=state, best=f.best, nearest_failure=nearest)
 
 
 # ----------------------------------------------------------------------

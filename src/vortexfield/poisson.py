@@ -52,8 +52,9 @@ with no LAPACK call.
 
 The same module carries the disk quadrature rule (midpoint in r,
 periodic trapezoid in t) and a 65-node tanh-sinh rule, in closed form,
-used to self-test the singular-integration layer against the two
-log-sine integrals.  It has no separate gradient energy: the discrete
+whose one use is the two log-sine integrals, checked against their
+closed forms by ``verify``'s ``logsin_integrals`` check and acceptance
+criterion 5.  It has no separate gradient energy: the discrete
 Dirichlet energy of u is (1/2) <u, A_h u> in that quadrature, with
 A_h = ``DiskPoissonSolver.apply``.
 """
@@ -219,9 +220,6 @@ class DiskPoissonSolver:
         self._steps = list(np.repeat(steps, 2, axis=-1).reshape(len(steps), -1))
         self._back = list(np.repeat(back, 2, axis=-1).reshape(n_pairs, -1))
         self._D = D
-        # |low| + |up| per radius; the last row has no upper neighbour, as in apply
-        self._off = np.abs(self._low)
-        self._off[:-1] += np.abs(self._up[:-1])
         #: the smallest entry of D, so M^{-1} < 2 / diag_min in the quadrature inner product
         self.diag_min = float(np.min(D))
         # spectra every solve and apply on this grid writes into, C-ordered so
@@ -312,7 +310,9 @@ class DiskPoissonSolver:
         The largest row sum D + |low| + |up| over every radius and mode;
         the last row has no upper neighbour, as in ``apply``.
         """
-        return float(np.max(self._D + self._off[:, None]))
+        off = np.abs(self._low)
+        off[:-1] += np.abs(self._up[:-1])
+        return float(np.max(self._D + off[:, None]))
 
     def lambda_min(self) -> float:
         """A lower bound on the smallest eigenvalue of -lap_h, computed once per solver.

@@ -139,8 +139,6 @@ def w0_conformal(domain: ConformalDomain, config: VortexConfig, nodes: int = 204
     """
     constant = w0_constant(domain, nodes)
     base = w0_disk(config)
-    if not np.isfinite(base):
-        return base
     correction = constant - 0.5 * np.pi * float(np.sum(_log_speeds(domain, config.angles)))
     return base + correction if correction else base
 

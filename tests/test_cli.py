@@ -9,7 +9,7 @@ import pytest
 
 from vortexfield import verify
 from vortexfield.canonical import VortexConfig
-from vortexfield.cli import build_parser, main
+from vortexfield.cli import RunConfig, _objective, build_parser, main
 from vortexfield.geom import TWO_PI, ConformalDomain
 from vortexfield.micromag import (ExternalField, magnetization_field, minimize_g_descent,
                                   total_energy)
@@ -73,14 +73,18 @@ class TestMinimizeCommand:
 
     def test_degenerate_start_names_the_solver_failure_of_another_vertex(self, tmp_path,
                                                                          capsys):
-        # the start (1, 1) is degenerate and carries no message; the two other
-        # vertices fail in Picard, and the first of them names the failure
-        code = run(["minimize", "--s0", "1,1", "--h", "0,1", "--grid", "16,32",
-                    "--max-iter", "2", "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("solver failure: Picard iteration did not converge in 2 steps")
-        assert not (tmp_path / "summary.json").exists()
+        # the start (1, 1) is degenerate and carries no message, and it stays
+        # the answer; the two other vertices lie 0.25 from it and fail in
+        # Picard, and the first of them, (1.25, 1), names the failure
+        for max_iter in (1, 2):
+            code = run(["minimize", "--s0", "1,1", "--h", "0,1", "--grid", "16,32",
+                        "--max-iter", str(max_iter), "--out", str(tmp_path)])
+            assert code == 2
+            config = RunConfig(h=(0.0, 1.0), grid=(16, 32), max_iter=max_iter)
+            first = _objective(config)((1.25, 1.0)).diagnostics["error"]
+            assert first.startswith(f"Picard iteration did not converge in {max_iter} steps")
+            assert capsys.readouterr().err == f"solver failure: {first}\n"
+            assert not (tmp_path / "summary.json").exists()
 
     def test_the_gradient_finish_shortens_the_search(self, tmp_path):
         # the 16 x 32 disk-weak search from (0.5, 2.5) takes 36 evaluations
@@ -100,20 +104,26 @@ class TestMinimizeCommand:
 
     def test_failed_evaluations_are_counted(self, tmp_path):
         # at h = (0, 30) the cold Picard solve does not converge at about half
-        # of the pairs the search asks for; it still converges, and reports
-        # how many of its evaluations returned +inf
-        assert run(["minimize", "--h=0,30", "--grid", "8,16", "--out", str(tmp_path)]) == 0
+        # of the pairs the search asks for; the simplex stops on its own test
+        # 4.7e-8 from a failure, so it reports unconverged, with how many of
+        # its evaluations returned +inf
+        assert run(["minimize", "--h=0,30", "--grid", "8,16", "--out", str(tmp_path)]) == 2
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert 0 < summary["failures"] < summary["evaluations"]
 
-    def test_the_nearest_failure_is_named(self, tmp_path):
+    def test_the_nearest_failure_is_named(self, tmp_path, capsys):
         # disk, 16 x 32, h = (0, 20), the default start: 15 of 97 evaluations
-        # fail, one of them 0.0053 from the answer, and the search still
-        # reports converged; the summary names that failure
-        assert run(["minimize", "--h=0,20", "--grid", "16,32", "--out", str(tmp_path)]) == 0
+        # fail, one of them 0.0053 from the answer, inside the gradient
+        # finish's final trust radius of 0.0076; the search reports
+        # unconverged and names that failure, not the evaluation budget
+        assert run(["minimize", "--h=0,20", "--grid", "16,32", "--out", str(tmp_path)]) == 2
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["converged"] is True and summary["failures"] > 0
+        assert summary["converged"] is False and summary["failures"] > 0
+        assert summary["evaluations"] < summary["config"]["max_evals"]
         nearest = summary["nearest_failure"]
+        assert capsys.readouterr().err == (
+            f"minimize did not converge: a failed evaluation lies {nearest['distance']:.2g} "
+            f"from its answer ({nearest['error']})\n")
         assert set(nearest) == {"s", "distance", "error"}
         assert nearest["error"].startswith("Picard iteration did not converge in 50 steps")
         gaps = np.abs(np.subtract(nearest["s"], summary["s_min"])) % TWO_PI
@@ -370,6 +380,17 @@ class TestFieldCommand:
         err = capsys.readouterr().err
         assert err.startswith("solver failure: Picard iteration did not converge in 2 steps")
         assert "budget" not in err
+        assert not (tmp_path / "field.csv").exists()
+
+    def test_auto_min_on_a_walled_off_answer_writes_nothing(self, tmp_path, capsys):
+        # the search of minimize --h=0,20 --grid 16,32 stops 0.0053 from a
+        # failed evaluation: field samples nothing there
+        code = run(["field", "--auto-min", "--h=0,20", "--grid", "16,32",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("auto-min did not converge: a failed evaluation lies 0.0053 "
+                              "from its answer (Picard iteration did not converge in 50 steps")
         assert not (tmp_path / "field.csv").exists()
 
     def test_auto_min_byte_identical_reruns_in_one_process(self, tmp_path):

@@ -150,22 +150,44 @@ class TestNelderMead:
         assert f.failures == sum(1 for v in values if not np.isfinite(v))
 
     def test_an_all_infinite_run_keeps_the_first_solver_message(self):
-        # while no value is finite, a breakdown with a solver message replaces
-        # one without; a later message, or a later +inf, does not
-        returned = [EnergyBreakdown(np.inf, 0.0), EnergyBreakdown(np.inf, 0.0),
+        # while no value is finite the first call stands, though it carries no
+        # message; the failure nearest it is the first solver failure: of two
+        # at 0.25, as the two other vertices of a degenerate start, the first
+        pairs = [(1.0, 1.0), (1.25, 1.0), (1.0, 1.25), (1.0, 1.0)]
+        returned = [EnergyBreakdown(np.inf, 0.0),
                     EnergyBreakdown(np.inf, np.inf, {"error": "first"}),
                     EnergyBreakdown(np.inf, np.inf, {"error": "second"}),
                     EnergyBreakdown(np.inf, 0.0)]
         calls = iter(returned)
         f = _Evaluations(lambda s: next(calls))
-        for k in range(len(returned)):
-            f((0.1 * k, 1.0))
-        assert f.best is returned[2] and tuple(f.point) == (0.2, 1.0)
-        assert f.value == np.inf and f.failures == 5
+        for s in pairs:
+            f(s)
+        assert f.best is returned[0] and tuple(f.point) == (1.0, 1.0)
+        assert f.value == np.inf and f.failures == 4
+        assert f.nearest_failure() == {"s": [1.25, 1.0], "distance": 0.25, "error": "first"}
         finite = EnergyBreakdown(-1.0, 0.0)
         f.objective = lambda s: finite
         f((3.0, 1.0))
         assert f.best is finite and f.value == -1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.lists(st.sampled_from([-1.0, 0.0, 0.5, np.inf, np.nan,
+                                           "degenerate", "failed"]), min_size=1, max_size=12))
+    def test_the_answer_is_the_first_lowest_value_returned(self, kinds):
+        returned = [EnergyBreakdown(np.inf, np.inf, {"error": f"failure {k}"}) if kind == "failed"
+                    else EnergyBreakdown(np.inf, 0.0) if kind == "degenerate"
+                    else Returned(kind) for k, kind in enumerate(kinds)]
+        calls = iter(returned)
+        f = _Evaluations(lambda s: next(calls))
+        for k in range(len(returned)):
+            f((0.1 * k, 1.0))
+        values = [np.inf if np.isnan(float(r)) else float(r) for r in returned]
+        first = int(np.argmin(values))   # the first of ties, the first call when all are +inf
+        assert f.best is returned[first] and f.value == values[first]
+        assert tuple(f.point) == (0.1 * first, 1.0)
+        assert f.failures == sum(1 for v in values if not np.isfinite(v))
+        assert [(tuple(s), error) for s, error in f.failed] == [
+            ((0.1 * k, 1.0), f"failure {k}") for k, kind in enumerate(kinds) if kind == "failed"]
 
     def test_failures_with_a_solver_message_are_kept_and_the_nearest_named(self):
         # a degenerate pair's +inf carries no message and is not kept; the
