@@ -13,8 +13,8 @@ from .geom import ConformalDomain
 from .micromag import (ExternalField, FixedPointReport, MagnetizationField,
                        SampleSpec, VectorFieldSample, magnetization_field,
                        minimize_g_descent, picard_solve, total_energy)
-from .optimize import (LandscapeGrid, NelderMeadResult, SimplexState,
-                       energy_objective, grid_oracle, landscape, nelder_mead)
+from .optimize import (LandscapeGrid, NelderMeadResult, energy_objective, grid_oracle,
+                       landscape, nelder_mead)
 from .poisson import (GridSpec, PolarField, singular_quadrature_1d, solve_dirichlet,
                       solver_for)
 from .renorm import (EnergyBreakdown, g_functional, punctured_energy,
@@ -26,8 +26,7 @@ __all__ = [
     "ConfigurationError", "ConformalDomain", "ConvergenceError", "DomainError",
     "EnergyBreakdown", "ExternalField", "FixedPointReport", "GridSpec",
     "LandscapeGrid", "MagnetizationField", "NelderMeadResult", "PolarField",
-    "SampleSpec", "SimplexState",
-    "SingularityError", "VectorFieldSample", "VortexConfig",
+    "SampleSpec", "SingularityError", "VectorFieldSample", "VortexConfig",
     "canonical_map_disk", "energy_objective", "g_functional",
     "grid_oracle",
     "landscape", "magnetization_field", "minimize_g_descent", "nelder_mead",

@@ -30,10 +30,13 @@ Both summaries write the breakdown through :func:`_energy_keys`:
 operator apply, no solve) and, when something was solved, ``solver``,
 the winning solve and the branch choice alone; the grid and
 ``w0_nodes``, the trapezoid rule of W_0's one domain constant
-(``renorm.w0_constant``), are in ``config``.  A search, scan or pair
-with no finite energy writes nothing and exits 2 with its first solver
-failure's message; an unconverged search exits 2, after ``minimize``
-writes its summary, naming its spent budget or the failure by its answer.
+(``renorm.w0_constant``), are in ``config``.  A solve that fails raises
+``ConvergenceError``: a search or scan records it
+(``optimize._Evaluations``) and, with no finite energy, writes nothing
+and exits 2 with the message of the failure at its answer; ``field
+--s`` writes nothing and exits 2 with it.  An unconverged search exits
+2, after ``minimize`` writes its summary, naming the failure by its
+answer if it stopped on its own test, its spent budget if not.
 
 Outputs are flat files (JSON summaries, CSV tables, optional static
 SVG); every artifact embeds the resolved configuration it was made from
@@ -60,7 +63,7 @@ from .geom import TWO_PI, ConformalDomain
 # rebinds this copy (every evaluation calls it through optimize)
 from .micromag import (ExternalField, SampleSpec, magnetization_field,
                        require_picard_budget, total_energy)
-from .optimize import energy_objective, landscape, nelder_mead
+from .optimize import energy_objective, landscape, nelder_mead, require_evaluation_budget
 from .poisson import GridSpec
 from .renorm import require_w0_nodes
 from .svgplot import heatmap_svg, quiver_svg
@@ -111,8 +114,7 @@ class RunConfig:
         self.grid_spec()
         self.sample_spec()
         require_picard_budget(self.tol, self.max_iter)
-        if self.max_evals < 3:
-            raise ValueError(f"max_evals must be at least 3, got {self.max_evals}")
+        require_evaluation_budget(self.max_evals)
         if self.landscape_n < 16:
             raise ValueError(f"landscape resolution must be at least 16, got {self.landscape_n}")
         require_w0_nodes(self.w0_nodes)
@@ -171,22 +173,20 @@ def _energy_keys(breakdown) -> dict:
     return keys
 
 
-def _no_finite_energy(error: str | None, where: str) -> ConvergenceError:
-    """The failure of a run with no finite W: its solver message, if one failed."""
-    return ConvergenceError(error or f"no {where} has a finite energy")
+def _no_finite_energy(nearest: dict | None, where: str) -> ConvergenceError:
+    """The failure of a search or scan with no finite W: the failed solve nearest its start."""
+    return ConvergenceError(nearest["error"] if nearest else f"no {where} has a finite energy")
 
 
 def _minimize_run(config: RunConfig):
     result = nelder_mead(_objective(config), config.s0, max_evals=config.max_evals)
     if not np.isfinite(result.value):
-        # the failure nearest the first vertex is the start's first solver failure
-        raise _no_finite_energy((result.nearest_failure or {}).get("error"),
-                                "vertex of the starting simplex")
+        raise _no_finite_energy(result.nearest_failure, "vertex of the starting simplex")
     return result
 
 
 def _report_unconverged(command: str, result, config: RunConfig) -> None:
-    if result.evaluations < config.max_evals:   # it stopped next to a failure
+    if result.stopped:   # it stopped on its own test, next to a failure
         nearest = result.nearest_failure
         print(f"{command} did not converge: a failed evaluation lies {nearest['distance']:.2g} "
               f"from its answer ({nearest['error']})", file=sys.stderr)
@@ -214,8 +214,8 @@ def cmd_minimize(config: RunConfig) -> int:
         "vortex_positions": [[float(p.real), float(p.imag)] for p in positions],
         **_energy_keys(result.best),
         "optimizer": {
-            "operations": result.state.operations,
-            "best_history": result.state.best_history,
+            "operations": result.operations,
+            "best_history": result.best_history,
         },
     })
     if not result.converged:
@@ -227,7 +227,7 @@ def cmd_minimize(config: RunConfig) -> int:
 def cmd_landscape(config: RunConfig) -> int:
     scan = landscape(_objective(config), config.landscape_n)
     if not np.isfinite(scan.min_value):
-        raise _no_finite_energy(scan.best.diagnostics.get("error"), "landscape cell")
+        raise _no_finite_energy(scan.nearest_failure, "landscape cell")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     n = scan.n
@@ -259,8 +259,6 @@ def cmd_field(config: RunConfig) -> int:
         s, solved = result.s_min, result.best
     else:
         s, solved = config.s, _objective(config)(config.s)
-        if not np.isfinite(solved.total):
-            raise _no_finite_energy(solved.diagnostics.get("error"), "pair")
     domain = config.conformal_domain()
     field_out = magnetization_field(domain, VortexConfig.pair(*s),
                                     config.external_field(), config.grid_spec(),

@@ -37,11 +37,13 @@ trust region (Nocedal & Wright, Numerical Optimization, 2006, ch. 4 and
   returns the search to the simplex, with its best vertex replaced by
   the lowest point seen; the simplex then ends on its own test, three
   values within ``_FTOL`` on a simplex narrower than ``_XTOL``;
-- the budget: as in every search and scan here, one :class:`_Evaluations`
+- the record: as in every search and scan here, one :class:`_Evaluations`
   counts the calls and past the budget returns +inf with no call, which
-  hands the finish back and ends the search; it also ranks NaN as +inf,
-  lists each solver failure, and keeps the answer by one rule: the first
-  lowest value returned, its pair, and the object the objective returned
+  hands the finish back; the search ends on its stop test, tried before
+  the budget, or on a spent budget.  The record also ranks NaN as +inf,
+  turns each ``ConvergenceError`` the objective raises into a listed
+  failure at +inf, and keeps the answer by one rule: the first lowest
+  value returned, its pair, and the object the objective returned
   there, which for :func:`energy_objective` is that pair's
   :class:`~vortexfield.renorm.EnergyBreakdown`, its theta and gradient
   included.
@@ -69,7 +71,7 @@ at 1e-5 takes 43.4 there and 66 on the oval, against 61.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,25 +114,26 @@ _DEFINITE = 1e-8
 
 
 class _Evaluations:
-    """An objective as a search or scan sees it: one budget and one answer rule.
+    """An objective as a search or scan sees it: one record of its calls.
 
     Each call wraps its pair to [0, 2 pi), calls the objective, counts
     the call and returns the ``float()`` of what the objective returned.
     Past ``budget`` calls it returns +inf without calling the objective,
     so no step accepts that value.  A NaN comes back as +inf, and each
-    value that is not finite counts among ``failures``.  A call may pass
-    ``above``, the value its caller compares with; only an objective
-    whose ``takes_above`` attribute is true receives it, and may then
-    return a ``bounded`` breakdown, whose value is a certified lower
-    bound at least ``above`` (:func:`energy_objective`), and which
-    ``bounded`` counts.  ``value``, ``point`` and ``best`` are the first
-    lowest value, its pair and the objective's own return there: only a
-    strictly lower value replaces them.  The searches here pass an
-    ``above`` no lower than the value held, so a bounded return never
-    does, and while every value is +inf the first call stands.
-    ``failed`` keeps the pair and message of each breakdown returned
-    with a solver message, in call order (a degenerate pair has none),
-    for :meth:`nearest_failure`.
+    value that is not finite counts among ``failures``.  So does a call
+    whose objective raised ``ConvergenceError``: it returns +inf, and
+    ``failed`` keeps its pair and message, in call order, for
+    :meth:`nearest_failure` (a degenerate pair's +inf is no such
+    failure).  A call may pass ``above``, the value its caller compares
+    with; only an objective whose ``takes_above`` attribute is true
+    receives it, and may then return a ``bounded`` breakdown, whose
+    value is a certified lower bound at least ``above``
+    (:func:`energy_objective`), and which ``bounded`` counts.
+    ``value``, ``point`` and ``best`` are the first lowest value, its
+    pair and the objective's own return there (None for a failure):
+    only a strictly lower value replaces them.  The searches here pass
+    an ``above`` no lower than the value held, so a bounded return
+    never does, and while every value is +inf the first call stands.
     """
 
     def __init__(self, objective, budget: float = float("inf")):
@@ -147,24 +150,24 @@ class _Evaluations:
         return self.evaluate(s, above)[0]
 
     def evaluate(self, s, above: float | None = None) -> tuple:
-        """(value, the objective's return) at s; (+inf, None) past the budget."""
+        """(value, the objective's return) at s; (+inf, None) past the budget or on a failure."""
         if self.spent():
             return float("inf"), None
         self.count += 1
         s = _wrap(np.asarray(s, dtype=float))
-        if above is not None and self.takes_above:
-            returned = self.objective(s, above=above)
-        else:
-            returned = self.objective(s)
-        v = float(returned)
+        passed = {"above": above} if above is not None and self.takes_above else {}
+        try:
+            returned = self.objective(s, **passed)
+            v = float(returned)
+        except ConvergenceError as exc:
+            self.failed.append((s, str(exc)))
+            returned, v = None, float("inf")
         if getattr(returned, "bounded", False):
             self.bounded += 1
         if not math.isfinite(v):
             self.failures += 1
             if math.isnan(v):
                 v = float("inf")
-            if isinstance(returned, EnergyBreakdown) and "error" in returned.diagnostics:
-                self.failed.append((s, returned.diagnostics["error"]))
         if self.point is None or v < self.value:
             self.point, self.value, self.best = s, v, returned
         return v, returned
@@ -178,27 +181,6 @@ class _Evaluations:
         return {"s": s.tolist(), "distance": distance, "error": error}
 
 
-@dataclass
-class SimplexState:
-    """Operation counts and best value per step of a simplex run.
-
-    ``"newton"`` counts the steps the gradient finish keeps, and the
-    short step that ends it converged; every other key counts a simplex
-    step.
-    """
-
-    operations: dict = dataclass_field(default_factory=lambda: {
-        "reflect": 0, "expand": 0, "contract": 0, "shrink": 0, "newton": 0})
-    best_history: list = dataclass_field(default_factory=list)
-
-    def record(self, values):
-        best = min(values)
-        if not self.best_history or best < self.best_history[-1]:
-            self.best_history.append(best)
-        else:
-            self.best_history.append(self.best_history[-1])
-
-
 def _definite(hess: np.ndarray) -> bool:
     """Whether a symmetric 2 x 2 model is positive definite beyond rounding."""
     det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
@@ -209,14 +191,16 @@ def _gradient(returned) -> np.ndarray:
     return np.asarray(returned.gradient(), dtype=float)
 
 
-def _gradient_finish(f: _Evaluations, eta: float, state: SimplexState) -> float | None:
+def _gradient_finish(f: _Evaluations, eta: float, operations: dict,
+                     history: list) -> float | None:
     """Quasi-Newton steps on exact gradients, from the lowest point f has seen.
 
     Returns the trust radius of a step shorter than ``_XTOL`` at the
     current point, or None on a hand-back; ``f`` keeps the lowest point
     evaluated.  The model, trust rule, acceptance, stop rule and
     hand-back are those of the module docstring; each step kept, and the
-    final short step, counts as one ``"newton"`` operation.
+    final short step, counts as one ``"newton"`` operation, and each
+    step kept appends ``f.value`` to ``history``.
     """
     x = f.point
     columns = []
@@ -235,7 +219,7 @@ def _gradient_finish(f: _Evaluations, eta: float, state: SimplexState) -> float 
         p = -np.linalg.solve(hess, g)
         step = float(np.max(np.abs(p)))
         if step < _XTOL:
-            state.operations["newton"] += 1
+            operations["newton"] += 1
             return radius
         if step > radius:
             p *= radius / step
@@ -254,8 +238,8 @@ def _gradient_finish(f: _Evaluations, eta: float, state: SimplexState) -> float 
                     hess = update
             x, g = f.point, g_new
             radius *= 2.0
-            state.operations["newton"] += 1
-            state.record([value])
+            operations["newton"] += 1
+            history.append(f.value)
         else:
             rejected += 1
             radius = 0.25 * step
@@ -272,17 +256,29 @@ class NelderMeadResult:
     those that returned a certified lower bound (:class:`_Evaluations`).
     ``nearest_failure`` is ``_Evaluations.nearest_failure()``: ``{"s", "distance", "error"}``,
     or None when no solve failed; one near ``s_min`` unsets ``converged``.
+    ``stopped`` says whether the search ended on its own stop test.
+    ``operations`` counts the steps of each kind, ``"newton"`` the
+    finish's kept steps and its short step; ``best_history`` is the
+    lowest value seen after the start and after each step.
     """
 
     s_min: tuple
     value: float
     converged: bool
+    stopped: bool
     evaluations: int
     failures: int
     bounded: int
-    state: SimplexState
+    operations: dict
+    best_history: list
     best: object
     nearest_failure: dict | None
+
+
+def require_evaluation_budget(max_evals: int) -> None:
+    """Reject a budget below the three vertices of the starting simplex."""
+    if max_evals < 3:
+        raise ValueError(f"max_evals must be at least 3, got {max_evals}")
 
 
 def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
@@ -302,39 +298,42 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
     is lower than every value seen so far.  A first model that is not
     positive definite, a value that is not finite, or a fourth rejected
     step hands the search back to the simplex, whose best vertex becomes
-    the lowest point seen.  ``converged`` is True when either the
+    the lowest point seen.  The search has ``stopped`` when either the
     simplex diameter fell below ``_XTOL`` with its values within
     ``_FTOL``, or the finish computed a step shorter than ``_XTOL`` at
-    the current point's gradient, and no failure with a solver message
-    lies within that stop's reach of the answer in the torus max-norm:
-    ``_XTOL``, or the finish's final trust radius.
+    the current point's gradient; it has ``converged`` when, besides, no
+    solve failed within that stop's reach of the answer in the torus
+    max-norm: ``_XTOL``, or the finish's final trust radius.
 
     A reflection, an expansion, a contraction and a finish step pass
     the value they are compared with as ``above`` (module docstring);
     ``bounded`` counts the evaluations that returned a bound there.
     The objective is seen through one :class:`_Evaluations` with a
-    budget of ``max(3, max_evals)``, so a run the budget ends makes
-    exactly that many calls; ``s_min``, ``value`` and ``evaluations`` are its
-    answer and its count, and ``best`` is what the objective returned at
-    ``s_min``, which the search never asks for again.  Only the loop
-    test and the guard before a contraction read the budget: a cut
-    expansion sees +inf and is not taken, a cut evaluation of the finish
-    hands it back, and a contraction that could only see +inf is not
-    counted as a shrink.
+    budget of ``max_evals``, at least 3 (else ``ValueError`` before any
+    call), so a run the budget ends makes exactly that many calls;
+    ``s_min``, ``value`` and ``evaluations`` are its answer and its
+    count, and ``best`` is what the objective returned at ``s_min``,
+    which the search never asks for again.  The loop tests the budget
+    after its stop test, so a search that stops on the budget's last
+    evaluation converges; only that test and the guard before a
+    contraction read the budget: a cut expansion sees +inf and is not
+    taken, a cut evaluation of the finish hands it back, and a
+    contraction that could only see +inf is not counted as a shrink.
     """
-    state = SimplexState()
-    f = _Evaluations(objective, max(3, max_evals))
+    require_evaluation_budget(max_evals)
+    operations = dict.fromkeys(("reflect", "expand", "contract", "shrink", "newton"), 0)
+    f = _Evaluations(objective, max_evals)
 
     s0 = _wrap(np.asarray(s0, dtype=float))
     points = [s0,
               _wrap(s0 + np.array([_STEP, 0.0])),
               _wrap(s0 + np.array([0.0, _STEP]))]
     values = [f(p) for p in points]
-    state.record(values)
+    history = [f.value]
 
     reach, finished = None, False
     # the lowest value never rises, so only an all-+inf start has nothing to rank
-    while f.value < np.inf and not f.spent():
+    while f.value < np.inf:
         order = np.argsort(values, kind="stable")
         points = [points[i] for i in order]
         values = [values[i] for i in order]
@@ -345,11 +344,13 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
         if spread < _FTOL and diam < _XTOL:
             reach = _XTOL
             break
+        if f.spent():
+            break
         if spread < _HANDOFF and not finished and callable(getattr(f.best, "gradient", None)):
             finished = True
-            reach = _gradient_finish(f, diam, state)
+            reach = _gradient_finish(f, diam, operations, history)
             points[0], values[0] = f.point, f.value
-            state.record(values)
+            history.append(f.value)
             if reach is not None:
                 break
             continue
@@ -364,13 +365,13 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
             f_e = f(expanded, above=f_r)
             if f_e < f_r:
                 points[2], values[2] = _wrap(expanded), f_e
-                state.operations["expand"] += 1
+                operations["expand"] += 1
             else:
                 points[2], values[2] = _wrap(reflected), f_r
-                state.operations["reflect"] += 1
+                operations["reflect"] += 1
         elif f_r < values[1]:
             points[2], values[2] = _wrap(reflected), f_r
-            state.operations["reflect"] += 1
+            operations["reflect"] += 1
         elif not f.spent():
             if f_r < values[2]:
                 contracted = centroid + 0.5 * (reflected - centroid)
@@ -379,19 +380,21 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
             f_c = f(contracted, above=min(f_r, values[2]))
             if f_c < min(f_r, values[2]):
                 points[2], values[2] = _wrap(contracted), f_c
-                state.operations["contract"] += 1
+                operations["contract"] += 1
             else:
                 for i, p in ((1, mid), (2, worst)):
                     points[i] = _wrap(best + 0.5 * (p - best))
                     values[i] = f(points[i])
-                state.operations["shrink"] += 1
-        state.record(values)
+                operations["shrink"] += 1
+        history.append(f.value)
 
     nearest = f.nearest_failure()
-    converged = reach is not None and (nearest is None or nearest["distance"] > reach)
+    stopped = reach is not None
+    converged = stopped and (nearest is None or nearest["distance"] > reach)
     return NelderMeadResult(s_min=tuple(f.point), value=f.value, converged=converged,
-                            evaluations=f.count, failures=f.failures, bounded=f.bounded,
-                            state=state, best=f.best, nearest_failure=nearest)
+                            stopped=stopped, evaluations=f.count, failures=f.failures,
+                            bounded=f.bounded, operations=operations, best_history=history,
+                            best=f.best, nearest_failure=nearest)
 
 
 # ----------------------------------------------------------------------
@@ -411,19 +414,15 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
     results.  It hands on ``above`` (``takes_above``), so it may return
     a ``bounded`` breakdown, a certified lower bound on W at least
     ``above``.  And a solve that does not converge within ``tol`` and
-    ``max_iter`` gives an infinite breakdown whose
-    ``diagnostics["error"]`` is the solver's message.
+    ``max_iter`` raises ``ConvergenceError``, which the search or scan's
+    :class:`_Evaluations` records as a failure.
     """
     thetas = {}
 
     def objective(s, above: float | None = None) -> EnergyBreakdown:
-        try:
-            return total_energy(domain, VortexConfig.pair(float(s[0]), float(s[1])), field,
-                                grid, w0_nodes=w0_nodes, tol=tol, max_iter=max_iter,
-                                thetas=thetas, above=above)
-        except ConvergenceError as exc:
-            return EnergyBreakdown(w0=float("inf"), v_ext=float("inf"),
-                                   diagnostics={"error": str(exc)})
+        return total_energy(domain, VortexConfig.pair(float(s[0]), float(s[1])), field,
+                            grid, w0_nodes=w0_nodes, tol=tol, max_iter=max_iter,
+                            thetas=thetas, above=above)
     objective.takes_above = True
     return objective
 
@@ -432,10 +431,13 @@ def energy_objective(domain: ConformalDomain, field: ExternalField, grid: GridSp
 class LandscapeGrid:
     """Energies on an n x n angle grid with the diagonal at +inf.
 
-    ``min_index``, ``min_value`` and ``best`` are the scan's answer: the
-    first lowest cell in row-major order, or the first cell evaluated
-    when every value is +inf, its value, and the objective's own return
-    there.
+    ``min_index`` and ``min_value`` are the scan's answer: the first
+    lowest cell in row-major order, or the first cell evaluated when
+    every value is +inf, and its value.  ``failures`` counts the cells
+    whose value was not finite, and ``nearest_failure`` is
+    ``_Evaluations.nearest_failure()``, the first failed solve nearest
+    that answer, or None; with no finite cell, it is the first cell's
+    own failure when that cell's solve failed.
     """
 
     n: int
@@ -443,7 +445,7 @@ class LandscapeGrid:
     failures: int
     min_index: tuple
     min_value: float
-    best: object
+    nearest_failure: dict | None
 
     def angle(self, i: int) -> float:
         return TWO_PI * i / self.n
@@ -455,8 +457,9 @@ def landscape(objective, n: int) -> LandscapeGrid:
     The diagonal cells i == j, where the two vortices coincide, are +inf
     with no call; every other cell is evaluated once, in row-major order,
     through one :class:`_Evaluations`: a NaN is stored as +inf, each
-    value that is not finite counts as a failure, and the answer is the
-    first lowest value returned.  On :func:`energy_objective` below
+    value that is not finite, and each ``ConvergenceError`` the
+    objective raises, counts as a failure, and the answer is the first
+    lowest value returned.  On :func:`energy_objective` below
     lambda_lo, the cells of a row, each in canonical order, lie on two
     lines that meet at the diagonal, so the affine fit is singular and a
     solve starts from the cell before it, except where its branch's last
@@ -472,8 +475,8 @@ def landscape(objective, n: int) -> LandscapeGrid:
                 energies[i, j] = f((TWO_PI * i / n, TWO_PI * j / n))
 
     idx = tuple(int(round(a * n / TWO_PI)) for a in f.point)
-    return LandscapeGrid(n=n, energies=energies, failures=f.failures,
-                         min_index=idx, min_value=f.value, best=f.best)
+    return LandscapeGrid(n=n, energies=energies, failures=f.failures, min_index=idx,
+                         min_value=f.value, nearest_failure=f.nearest_failure())
 
 
 #: the oracle's refinement step is this many times finer than a landscape cell

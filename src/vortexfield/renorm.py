@@ -69,8 +69,7 @@ class EnergyBreakdown:
     """Total renormalized energy split into its two summands; ``float()`` is the total.
 
     ``theta``, not compared, is the winning solve if kept (``micromag.total_energy``).
-    ``diagnostics`` is that solve and the branch choice, or a failed
-    evaluation's ``error`` (``optimize.energy_objective``).
+    ``diagnostics`` is that solve and the branch choice.
     ``gradient``, not compared, is None or a callable of no arguments that
     returns (dW/ds_1, dW/ds_2) at the evaluated pair, in the caller's
     label order; ``micromag.total_energy`` sets it on each finite

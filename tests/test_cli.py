@@ -10,6 +10,7 @@ import pytest
 from vortexfield import verify
 from vortexfield.canonical import VortexConfig
 from vortexfield.cli import RunConfig, _objective, build_parser, main
+from vortexfield.errors import ConvergenceError
 from vortexfield.geom import TWO_PI, ConformalDomain
 from vortexfield.micromag import (ExternalField, magnetization_field, minimize_g_descent,
                                   total_energy)
@@ -81,7 +82,9 @@ class TestMinimizeCommand:
                         "--max-iter", str(max_iter), "--out", str(tmp_path)])
             assert code == 2
             config = RunConfig(h=(0.0, 1.0), grid=(16, 32), max_iter=max_iter)
-            first = _objective(config)((1.25, 1.0)).diagnostics["error"]
+            with pytest.raises(ConvergenceError) as failed:
+                _objective(config)((1.25, 1.0))
+            first = str(failed.value)
             assert first.startswith(f"Picard iteration did not converge in {max_iter} steps")
             assert capsys.readouterr().err == f"solver failure: {first}\n"
             assert not (tmp_path / "summary.json").exists()
@@ -129,6 +132,22 @@ class TestMinimizeCommand:
         gaps = np.abs(np.subtract(nearest["s"], summary["s_min"])) % TWO_PI
         assert nearest["distance"] == float(np.max(np.minimum(gaps, TWO_PI - gaps)))
         assert 0.0 < nearest["distance"] < 0.1
+
+    def test_a_walled_off_stop_on_the_last_evaluation_names_the_failure(self, tmp_path,
+                                                                         capsys):
+        # the disk search at h = (0, 20) ends on the finish's short step, which
+        # costs no evaluation, next to a failure; given exactly the evaluations
+        # it used, it stops there too and names the failure, not the budget
+        args = ["minimize", "--h=0,20", "--grid", "16,32", "--out", str(tmp_path)]
+        assert run(args) == 2
+        full = json.loads((tmp_path / "summary.json").read_text())
+        err = capsys.readouterr().err
+        assert run(args + ["--max-evals", str(full["evaluations"])]) == 2
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert capsys.readouterr().err == err
+        assert err.startswith("minimize did not converge: a failed evaluation lies")
+        assert summary["config"]["max_evals"] == summary["evaluations"] == full["evaluations"]
+        assert {**summary, "config": None} == {**full, "config": None}
 
     def test_failing_start_solves_each_vertex_once(self, tmp_path, monkeypatch):
         # each failing vertex keeps its solver message, so none is solved again

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexfield.canonical import VortexConfig
+from vortexfield.errors import ConvergenceError
 from vortexfield.geom import TWO_PI, ConformalDomain
 from vortexfield.micromag import ExternalField, energy_gradient, total_energy
-from vortexfield.optimize import (SimplexState, _Evaluations, _gradient_finish, energy_objective,
-                                  grid_oracle, landscape, nelder_mead)
+from vortexfield.optimize import (_Evaluations, _gradient_finish, energy_objective, grid_oracle,
+                                  landscape, nelder_mead)
 from vortexfield.poisson import GridSpec
 from vortexfield.renorm import EnergyBreakdown, w0_constant, w0_conformal, w0_gradient
 
@@ -87,15 +88,27 @@ class Returned:
         return self.value
 
 
+def replay(returns):
+    """An objective that gives each of ``returns`` in turn, raising the exceptions."""
+    calls = iter(returns)
+
+    def objective(s):
+        returned = next(calls)
+        if isinstance(returned, Exception):
+            raise returned
+        return returned
+    return objective
+
+
 class TestNelderMead:
     def test_smooth_quadratic(self):
         # a plain float runs the simplex alone; the same quadratic with its
         # gradient hands the end game to the gradient finish, which converges
         plain = nelder_mead(quadratic, (0.0, 0.0))
-        assert plain.converged and plain.state.operations["newton"] == 0
+        assert plain.converged and plain.operations["newton"] == 0
         result = nelder_mead(quadratic_with_gradient, (0.0, 0.0))
         assert result.converged
-        assert result.state.operations["newton"] >= 1
+        assert result.operations["newton"] >= 1
         assert np.allclose(result.s_min, (1.0, 2.0), rtol=0.0, atol=1e-9)
         assert result.evaluations < plain.evaluations
 
@@ -104,7 +117,7 @@ class TestNelderMead:
     def test_objectives_with_a_gradient_converge_through_the_finish(self, objective, s0):
         result = nelder_mead(objective, s0)
         assert result.converged
-        assert result.state.operations["newton"] >= 1
+        assert result.operations["newton"] >= 1
         assert torus_dist(result.s_min[0], 1.0) < 1e-6
         assert torus_dist(result.s_min[1], 2.0) < 1e-6
         assert result.value < 1e-12
@@ -121,7 +134,7 @@ class TestNelderMead:
             return returned[-1][1]
         result = nelder_mead(recorded, s0)
         assert_first_lowest(result, returned)
-        history = result.state.best_history
+        history = result.best_history
         assert all(later <= earlier for earlier, later in zip(history, history[1:]))
         assert history[-1] == result.value
 
@@ -154,12 +167,9 @@ class TestNelderMead:
         # message; the failure nearest it is the first solver failure: of two
         # at 0.25, as the two other vertices of a degenerate start, the first
         pairs = [(1.0, 1.0), (1.25, 1.0), (1.0, 1.25), (1.0, 1.0)]
-        returned = [EnergyBreakdown(np.inf, 0.0),
-                    EnergyBreakdown(np.inf, np.inf, {"error": "first"}),
-                    EnergyBreakdown(np.inf, np.inf, {"error": "second"}),
-                    EnergyBreakdown(np.inf, 0.0)]
-        calls = iter(returned)
-        f = _Evaluations(lambda s: next(calls))
+        returned = [EnergyBreakdown(np.inf, 0.0), ConvergenceError("first"),
+                    ConvergenceError("second"), EnergyBreakdown(np.inf, 0.0)]
+        f = _Evaluations(replay(returned))
         for s in pairs:
             f(s)
         assert f.best is returned[0] and tuple(f.point) == (1.0, 1.0)
@@ -174,14 +184,16 @@ class TestNelderMead:
     @given(kinds=st.lists(st.sampled_from([-1.0, 0.0, 0.5, np.inf, np.nan,
                                            "degenerate", "failed"]), min_size=1, max_size=12))
     def test_the_answer_is_the_first_lowest_value_returned(self, kinds):
-        returned = [EnergyBreakdown(np.inf, np.inf, {"error": f"failure {k}"}) if kind == "failed"
+        # a failed solve raises; its call returns +inf, and the answer's
+        # return is None while a failure is the first call standing
+        returned = [ConvergenceError(f"failure {k}") if kind == "failed"
                     else EnergyBreakdown(np.inf, 0.0) if kind == "degenerate"
                     else Returned(kind) for k, kind in enumerate(kinds)]
-        calls = iter(returned)
-        f = _Evaluations(lambda s: next(calls))
+        f = _Evaluations(replay(returned))
         for k in range(len(returned)):
             f((0.1 * k, 1.0))
-        values = [np.inf if np.isnan(float(r)) else float(r) for r in returned]
+        returned = [None if isinstance(r, Exception) else r for r in returned]
+        values = [np.inf if r is None or np.isnan(float(r)) else float(r) for r in returned]
         first = int(np.argmin(values))   # the first of ties, the first call when all are +inf
         assert f.best is returned[first] and f.value == values[first]
         assert tuple(f.point) == (0.1 * first, 1.0)
@@ -194,13 +206,10 @@ class TestNelderMead:
         # nearest failure to the answer, in the torus max-norm, lies across
         # the seam, and of two failures there the first is named
         pairs = [(1.3, 2.0), (6.2, 2.0), (0.0, 0.0), (6.2, 2.0), (0.1, 2.0)]
-        returned = [EnergyBreakdown(np.inf, np.inf, {"error": "far"}),
-                    EnergyBreakdown(np.inf, np.inf, {"error": "seam"}),
-                    EnergyBreakdown(np.inf, 0.0),
-                    EnergyBreakdown(np.inf, np.inf, {"error": "again"}),
+        returned = [ConvergenceError("far"), ConvergenceError("seam"),
+                    EnergyBreakdown(np.inf, 0.0), ConvergenceError("again"),
                     EnergyBreakdown(-1.0, 0.0)]
-        calls = iter(returned)
-        f = _Evaluations(lambda s: next(calls))
+        f = _Evaluations(replay(returned))
         assert f.nearest_failure() is None
         for s in pairs:
             f(s)
@@ -232,10 +241,10 @@ class TestNelderMead:
         f = _Evaluations(counted)
         f((1.0, 1.0))   # the finish starts from the lowest point evaluated
         calls.clear()
-        state = SimplexState()
-        assert not _gradient_finish(f, 0.1, state)
+        operations, history = {"newton": 0}, []
+        assert not _gradient_finish(f, 0.1, operations, history)
         assert len(calls) == calls_made
-        assert state.operations["newton"] == 0
+        assert operations["newton"] == 0 and history == []
         assert np.allclose(f.point, lowest, rtol=0.0, atol=1e-15)
         assert f.value == min(float(objective(s)) for s in calls)
 
@@ -253,13 +262,13 @@ class TestNelderMead:
             return biased(s)
         f = _Evaluations(counted)
         f((1.0, 1.0))
-        state = SimplexState()
-        assert not _gradient_finish(f, 0.1, state)
+        operations, history = {"newton": 0}, []
+        assert not _gradient_finish(f, 0.1, operations, history)
         steps = [float(np.max(np.abs(s - (1.0, 1.0)))) for s in calls[5:]]
         assert len(calls) == 1 + 4 + 4
         assert steps == pytest.approx([0.1, 0.025, 0.00625, 0.0015625], rel=1e-9)
         assert tuple(f.point) == (1.0, 1.0) and f.value == 0.0
-        assert state.operations["newton"] == 0
+        assert operations["newton"] == 0 and history == []
 
     def test_a_hand_back_resumes_the_simplex_at_the_lowest_point(self):
         # the flat valley's first model is singular, so the simplex ends the search
@@ -269,7 +278,7 @@ class TestNelderMead:
             returned.append((tuple(s), flat_valley_with_gradient(s)))
             return returned[-1][1]
         result = nelder_mead(recorded, (0.5, 2.5))
-        assert result.converged and result.state.operations["newton"] == 0
+        assert result.converged and result.operations["newton"] == 0
         assert_first_lowest(result, returned)
         assert abs((result.s_min[1] - result.s_min[0]) % TWO_PI - np.pi) < 1e-5
 
@@ -292,7 +301,7 @@ class TestNelderMead:
         objective = energy_objective(ConformalDomain.disk(),
                                      ExternalField((0.0, 0.0)), GridSpec(16, 32))
         result = nelder_mead(objective, (1.0, 3.0))
-        history = result.state.best_history
+        history = result.best_history
         assert all(history[i + 1] <= history[i] for i in range(len(history) - 1))
 
     def test_budget_exhaustion_flag(self):
@@ -301,13 +310,25 @@ class TestNelderMead:
         assert not result.converged
         assert result.evaluations >= 5
 
+    @pytest.mark.parametrize("max_evals", [0, 2])
+    def test_a_budget_below_three_is_refused_before_any_call(self, max_evals):
+        calls = []
+
+        def counted(s):
+            calls.append(tuple(s))
+            return quadratic(s)
+        with pytest.raises(ValueError, match=f"^max_evals must be at least 3, got {max_evals}$"):
+            nelder_mead(counted, (0.0, 0.0), max_evals=max_evals)
+        assert calls == []
+
     @pytest.mark.parametrize("problem", ["quadratic", "disk-weak", "flat"])
     def test_budget_is_never_exceeded(self, problem):
         # each objective returns its gradient; the budgets cut each simplex
         # step, the first model's stencil, each finish step and, on the flat
         # valley, the hand-back.  A cut run makes exactly max_evals calls, the
         # first calls of the full run, and counts no step past its budget;
-        # a run that converges is the full run
+        # a run that converges is the full run, and so is the run given
+        # exactly the full run's count: its stop test comes before the budget
         energy = PROBLEMS[problem]()
         full_calls = []
 
@@ -318,9 +339,9 @@ class TestNelderMead:
         top = full.evaluations
         assert full.converged and top < (130 if problem == "flat" else 45)
         if problem != "flat":
-            assert full.state.operations["newton"] >= 2
+            assert full.operations["newton"] >= 2
         # the full run's last step is the short one, which it never evaluates
-        kept = max(full.state.operations["newton"] - 1, 0)
+        kept = max(full.operations["newton"] - 1, 0)
         cut_steps = set()
         for max_evals in range(3, top + 1):
             energy, returned = PROBLEMS[problem](), []
@@ -332,12 +353,15 @@ class TestNelderMead:
             assert result.evaluations == len(returned) <= max_evals
             assert [s for s, _ in returned] == full_calls[:len(returned)]
             assert_first_lowest(result, returned)
+            assert result.stopped == result.converged
+            if max_evals == top:
+                assert result.converged and result.s_min == full.s_min
             if result.converged:
                 assert result.evaluations == top
-                assert result.state.operations == full.state.operations
+                assert result.operations == full.operations
             else:
                 assert result.evaluations == max_evals
-                cut_steps.add(result.state.operations["newton"])
+                cut_steps.add(result.operations["newton"])
         assert cut_steps == set(range(max(kept, 1)))
 
     def test_torus_shift_invariance_of_value(self):
@@ -382,6 +406,24 @@ class TestNelderMead:
         assert not result.converged
         assert result.value == float("inf")
 
+    def test_a_raised_solver_failure_is_counted_and_named(self):
+        # the quadratic whose solve fails on the band s_1 < 0.6: each failure
+        # ranks as +inf, counts, and keeps its pair and message
+        raised = []
+
+        def partial(s):
+            if s[0] < 0.6:
+                raised.append(tuple(s))
+                raise ConvergenceError(f"failure {len(raised)}")
+            return quadratic(s)
+        result = nelder_mead(partial, (0.5, 2.5))
+        assert result.converged and np.allclose(result.s_min, (1.0, 2.0), atol=1e-5)
+        assert result.failures == len(raised) > 0
+        distances = [max(map(torus_dist, s, result.s_min)) for s in raised]
+        k = int(np.argmin(distances))
+        assert result.nearest_failure == {"s": list(raised[k]), "distance": distances[k],
+                                          "error": f"failure {k + 1}"}
+
     def test_nan_everywhere_ranks_as_inf(self):
         calls = []
 
@@ -391,7 +433,7 @@ class TestNelderMead:
         result = nelder_mead(undefined, (0.5, 2.5))
         assert len(calls) == result.evaluations == 3
         assert result.value == np.inf and not result.converged
-        assert result.state.best_history == [np.inf]
+        assert result.best_history == [np.inf]
 
     @pytest.mark.parametrize("s0", [(0.5, 2.5), (0.55, 1.9), (3.0, 0.5)])
     def test_never_reports_nan(self, s0):
@@ -401,7 +443,7 @@ class TestNelderMead:
             return float("nan") if s[0] < 0.6 else quadratic(s)
         result = nelder_mead(partial, s0)
         assert not np.isnan(result.value)
-        assert not np.any(np.isnan(result.state.best_history))
+        assert not np.any(np.isnan(result.best_history))
         assert result.converged
         assert np.allclose(result.s_min, (1.0, 2.0), atol=1e-5)
 
@@ -409,7 +451,7 @@ class TestNelderMead:
         objective = energy_objective(ConformalDomain.disk(),
                                      ExternalField((0.0, 0.0)), GridSpec(16, 32))
         result = nelder_mead(objective, (0.5, 2.5))
-        ops = result.state.operations
+        ops = result.operations
         assert sum(ops.values()) > 0
         assert set(ops) == {"reflect", "expand", "contract", "shrink", "newton"}
 
@@ -485,7 +527,7 @@ class TestEnergyObjective:
             results.append(nelder_mead(search, (0.5, 2.5)))
         plain, bounded = results
         assert plain.bounded == 0 < bounded.bounded
-        assert bounded.state.operations == plain.state.operations
+        assert bounded.operations == plain.operations
         assert bounded.evaluations == plain.evaluations
         assert max(map(torus_dist, bounded.s_min, plain.s_min)) < 1e-10
         assert bounded.value == pytest.approx(plain.value, rel=0.0, abs=1e-12)
@@ -510,13 +552,11 @@ class TestEnergyObjective:
             f((0.0, 0.0))
         assert seen == [1.5, None, None, None]
 
-    def test_a_failed_solve_returns_its_message(self):
+    def test_a_failed_solve_raises_its_message(self):
         objective = energy_objective(ConformalDomain.disk(), ExternalField((0.0, 1.0)),
                                      GridSpec(16, 32), max_iter=2)
-        failed = objective((0.5, 2.5))
-        assert float(failed) == np.inf and failed.theta is None
-        assert failed.diagnostics["error"].startswith(
-            "Picard iteration did not converge in 2 steps")
+        with pytest.raises(ConvergenceError, match="^Picard iteration did not converge in 2 steps"):
+            objective((0.5, 2.5))
 
 
 def disk_scan(h, n):
@@ -578,15 +618,21 @@ class TestLandscape:
         assert scan.min_index == (0, n // 2) and scan.min_value == -1.0
 
     def test_a_scan_with_no_finite_value_keeps_its_first_cell(self):
-        n, returned = 16, []
+        # every other cell's solve fails and the rest return +inf: all count
+        # as failures, and the one nearest the answer is the first cell's
+        # own, the one a command names
+        n, calls = 16, []
 
         def objective(s):
-            returned.append(Returned(np.inf))
-            return returned[-1]
+            calls.append(tuple(s))
+            if len(calls) % 2:
+                raise ConvergenceError(f"failure {len(calls)}")
+            return Returned(np.inf)
         scan = landscape(objective, n)
         assert scan.failures == n * (n - 1)
         assert scan.min_index == (0, 1) and scan.min_value == np.inf
-        assert scan.best is returned[0]
+        assert scan.nearest_failure == {"s": [0.0, TWO_PI / n], "distance": 0.0,
+                                        "error": "failure 1"}
 
     def test_a_nan_cell_ranks_as_inf(self):
         # np.argmin would return the first NaN as the minimum
