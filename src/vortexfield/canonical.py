@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError
-from .geom import TWO_PI, ConformalDomain
+from .geom import ConformalDomain, circle_distance, wrap
 
 # evaluation closer than this to a vortex is treated as singular
 SINGULARITY_GUARD = 1e-12
@@ -36,15 +36,15 @@ DEGENERACY_GUARD = 1e-9
 class VortexConfig:
     """The angles (s_1, s_2) of two degree-one boundary vortices.
 
-    The angles are stored modulo 2 pi.  Coincident angles are allowed
-    to exist (they mark a degenerate, infinite-energy configuration)
-    but are rejected by operations that need distinct vortices.
+    The angles are stored in [0, 2 pi) (``geom.wrap``).  They may
+    coincide (a degenerate, infinite-energy configuration), but
+    operations that need distinct vortices reject that.
     """
 
     angles: tuple
 
     def __post_init__(self):
-        angles = tuple(float(s) % TWO_PI for s in self.angles)
+        angles = tuple(wrap(float(s)) for s in self.angles)
         if len(angles) != 2:
             raise ConfigurationError(
                 f"exactly two vortex angles are required, got {len(angles)}")
@@ -65,8 +65,7 @@ class VortexConfig:
     @property
     def is_degenerate(self) -> bool:
         """True when the angular separation is below ``DEGENERACY_GUARD``."""
-        sep = abs(self.angles[0] - self.angles[1])
-        return min(sep, TWO_PI - sep) < DEGENERACY_GUARD
+        return circle_distance(*self.angles) < DEGENERACY_GUARD
 
     def canonical_order(self) -> "VortexConfig":
         """Copy with angles sorted ascending (label-exchange normal form)."""

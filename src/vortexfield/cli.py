@@ -63,7 +63,8 @@ from .geom import TWO_PI, ConformalDomain
 # rebinds this copy (every evaluation calls it through optimize)
 from .micromag import (ExternalField, SampleSpec, magnetization_field,
                        require_picard_budget, total_energy)
-from .optimize import energy_objective, landscape, nelder_mead, require_evaluation_budget
+from .optimize import (energy_objective, landscape, nelder_mead, require_evaluation_budget,
+                       require_landscape_resolution)
 from .poisson import GridSpec
 from .renorm import require_w0_nodes
 from .svgplot import heatmap_svg, quiver_svg
@@ -115,8 +116,7 @@ class RunConfig:
         self.sample_spec()
         require_picard_budget(self.tol, self.max_iter)
         require_evaluation_budget(self.max_evals)
-        if self.landscape_n < 16:
-            raise ValueError(f"landscape resolution must be at least 16, got {self.landscape_n}")
+        require_landscape_resolution(self.landscape_n)
         require_w0_nodes(self.w0_nodes)
         if self.s is not None and VortexConfig.pair(*self.s).is_degenerate:
             raise ValueError("vortex angles coincide (degenerate configuration)")
@@ -198,8 +198,7 @@ def _report_unconverged(command: str, result, config: RunConfig) -> None:
 
 def cmd_minimize(config: RunConfig) -> int:
     result = _minimize_run(config)
-    domain = config.conformal_domain()
-    positions = domain.forward(np.exp(1j * np.asarray(result.s_min)))
+    positions = config.conformal_domain().forward(VortexConfig.pair(*result.s_min).positions)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "summary.json", {

@@ -14,6 +14,10 @@ The disk is c = 0 and runs the same formulas, which are exact there:
 every c z^2 term is a signed zero, so Phi(z) = z (a -0.0 part may come
 back as +0.0), Phi' = 1, Phi'' = 0 and the turning density is 1, each
 to the last bit.
+
+Angles live on the circle.  ``wrap`` takes an angle or an array into
+[0, 2 pi), a tiny negative angle, whose mod rounds up to 2 pi, to 0;
+``circle_distance`` is the shorter arc between two angles, in [0, pi].
 """
 
 from __future__ import annotations
@@ -29,6 +33,17 @@ TWO_PI = 2.0 * np.pi
 
 # slack for |z| <= 1 membership tests
 _BOUNDARY_TOL = 1e-12
+
+
+def wrap(s):
+    """s mod 2 pi, a float or an array; the second mod takes only a rounded-up 2 pi to 0."""
+    return s % TWO_PI % TWO_PI
+
+
+def circle_distance(a, b):
+    """The shorter arc between the angles a and b (floats), in [0, pi]."""
+    d = abs(a - b) % TWO_PI
+    return min(d, TWO_PI - d)
 
 
 @dataclass(frozen=True)

@@ -181,7 +181,7 @@ import numpy as np
 # rebinds this copy (the map itself is built by renorm.coupling_phase)
 from .canonical import SINGULARITY_GUARD, VortexConfig, canonical_map_disk, pushforward_disk
 from .errors import ConvergenceError
-from .geom import TWO_PI, ConformalDomain
+from .geom import TWO_PI, ConformalDomain, wrap
 from .poisson import GridSpec, PolarField, solver_for
 from .renorm import (EnergyBreakdown, coupling_phase, evaluation_work, g_functional, g_value,
                      w0_conformal, w0_gradient)
@@ -686,7 +686,7 @@ def interpolate_field(theta: PolarField, points: np.ndarray) -> np.ndarray:
                             theta.values, np.zeros((1, g.n_t))])
     radii = np.concatenate([[-g.r[0]], g.r, [1.0]])
     r = np.minimum(np.abs(points), 1.0)
-    t = np.mod(np.angle(points), TWO_PI)
+    t = wrap(np.angle(points))
 
     # angular index and weight
     ft = t / g.dt

@@ -7,7 +7,7 @@ an exhaustive grid scan with one local refinement acts as the
 brute-force oracle.  All simplex arithmetic happens in the minimal-image
 chart centered at the current best vertex, so centroids and shrinks
 never tear across the 0 / 2 pi seam; stored and reported angles are
-always wrapped to [0, 2 pi).
+always wrapped to [0, 2 pi) by ``geom.wrap``.
 
 Near a smooth minimum the simplex converges only linearly, by one
 contraction after another (Lagarias, Reeds, Wright & Wright, SIAM J.
@@ -76,20 +76,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import VortexConfig
-from .errors import ConfigurationError, ConvergenceError
-from .geom import TWO_PI, ConformalDomain
+from .errors import ConvergenceError
+from .geom import TWO_PI, ConformalDomain, circle_distance, wrap
 from .micromag import ExternalField, total_energy
 from .poisson import GridSpec
 from .renorm import EnergyBreakdown
 
 
-def _wrap(s: np.ndarray) -> np.ndarray:
-    return np.mod(s, TWO_PI)
-
-
 def _torus_dist(a: np.ndarray, b: np.ndarray) -> float:
-    d = np.abs(np.asarray(a) - np.asarray(b)) % TWO_PI
-    return float(np.max(np.minimum(d, TWO_PI - d)))
+    return float(max(map(circle_distance, a, b)))
 
 
 def _chart(points, center):
@@ -154,7 +149,7 @@ class _Evaluations:
         if self.spent():
             return float("inf"), None
         self.count += 1
-        s = _wrap(np.asarray(s, dtype=float))
+        s = wrap(np.asarray(s, dtype=float))
         passed = {"above": above} if above is not None and self.takes_above else {}
         try:
             returned = self.objective(s, **passed)
@@ -324,10 +319,8 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
     operations = dict.fromkeys(("reflect", "expand", "contract", "shrink", "newton"), 0)
     f = _Evaluations(objective, max_evals)
 
-    s0 = _wrap(np.asarray(s0, dtype=float))
-    points = [s0,
-              _wrap(s0 + np.array([_STEP, 0.0])),
-              _wrap(s0 + np.array([0.0, _STEP]))]
+    s0 = wrap(np.asarray(s0, dtype=float))
+    points = [wrap(s0 + d) for d in ((0.0, 0.0), (_STEP, 0.0), (0.0, _STEP))]
     values = [f(p) for p in points]
     history = [f.value]
 
@@ -364,13 +357,13 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
             expanded = centroid + 2.0 * (centroid - worst)
             f_e = f(expanded, above=f_r)
             if f_e < f_r:
-                points[2], values[2] = _wrap(expanded), f_e
+                points[2], values[2] = wrap(expanded), f_e
                 operations["expand"] += 1
             else:
-                points[2], values[2] = _wrap(reflected), f_r
+                points[2], values[2] = wrap(reflected), f_r
                 operations["reflect"] += 1
         elif f_r < values[1]:
-            points[2], values[2] = _wrap(reflected), f_r
+            points[2], values[2] = wrap(reflected), f_r
             operations["reflect"] += 1
         elif not f.spent():
             if f_r < values[2]:
@@ -379,11 +372,11 @@ def nelder_mead(objective, s0, max_evals: int = 500) -> NelderMeadResult:
                 contracted = centroid + 0.5 * (worst - centroid)
             f_c = f(contracted, above=min(f_r, values[2]))
             if f_c < min(f_r, values[2]):
-                points[2], values[2] = _wrap(contracted), f_c
+                points[2], values[2] = wrap(contracted), f_c
                 operations["contract"] += 1
             else:
                 for i, p in ((1, mid), (2, worst)):
-                    points[i] = _wrap(best + 0.5 * (p - best))
+                    points[i] = wrap(best + 0.5 * (p - best))
                     values[i] = f(points[i])
                 operations["shrink"] += 1
         history.append(f.value)
@@ -451,6 +444,12 @@ class LandscapeGrid:
         return TWO_PI * i / self.n
 
 
+def require_landscape_resolution(n: int) -> None:
+    """Reject a landscape coarser than 16 cells a side."""
+    if n < 16:
+        raise ValueError(f"landscape resolution must be at least 16, got {n}")
+
+
 def landscape(objective, n: int) -> LandscapeGrid:
     """Evaluate a 2 pi-periodic objective on the n x n grid of angle pairs.
 
@@ -465,8 +464,7 @@ def landscape(objective, n: int) -> LandscapeGrid:
     solve starts from the cell before it, except where its branch's last
     three pairs span a row's start or the diagonal.
     """
-    if n < 16:
-        raise ConfigurationError(f"landscape resolution must be at least 16, got {n}")
+    require_landscape_resolution(n)
     f = _Evaluations(objective)
     energies = np.full((n, n), np.inf)
     for i in range(n):
@@ -501,7 +499,7 @@ def grid_oracle(domain: ConformalDomain, field: ExternalField, n: int,
     step = TWO_PI / n / _REFINE
     for di in range(-_REFINE, _REFINE + 1):
         for dj in range(-_REFINE, _REFINE + 1):
-            s = _wrap(center + np.array([di * step, dj * step]))
-            if _torus_dist(s[0], s[1]) >= step:   # off the degenerate diagonal
+            s = wrap(center + np.array([di * step, dj * step]))
+            if circle_distance(s[0], s[1]) >= step:   # off the degenerate diagonal
                 f(s)
     return tuple(f.point), f.value

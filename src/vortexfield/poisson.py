@@ -106,29 +106,20 @@ class GridSpec:
         """(R, T) node coordinate arrays of shape (n_r, n_t)."""
         return np.meshgrid(self.r, self.t, indexing="ij")
 
+    @lru_cache(maxsize=16)
     def nodes_complex(self) -> np.ndarray:
         """Complex node positions r e^{it}, shape (n_r, n_t); cached and read-only."""
-        return _nodes_complex(self.n_r, self.n_t)
+        R, T = self.mesh()
+        nodes = R * np.exp(1j * T)
+        nodes.flags.writeable = False
+        return nodes
 
+    @lru_cache(maxsize=16)
     def cell_weights(self) -> np.ndarray:
         """Quadrature weights r_i dr dt, shape (n_r, 1); cached and read-only."""
-        return _cell_weights(self.n_r, self.n_t)
-
-
-@lru_cache(maxsize=16)
-def _nodes_complex(n_r: int, n_t: int) -> np.ndarray:
-    R, T = GridSpec(n_r, n_t).mesh()
-    nodes = R * np.exp(1j * T)
-    nodes.flags.writeable = False
-    return nodes
-
-
-@lru_cache(maxsize=16)
-def _cell_weights(n_r: int, n_t: int) -> np.ndarray:
-    grid = GridSpec(n_r, n_t)
-    weights = (grid.r * grid.dr * grid.dt)[:, None]
-    weights.flags.writeable = False
-    return weights
+        weights = (self.r * self.dr * self.dt)[:, None]
+        weights.flags.writeable = False
+        return weights
 
 
 @dataclass
@@ -352,13 +343,9 @@ class DiskPoissonSolver:
 
 
 @lru_cache(maxsize=16)
-def _solver_for(n_r: int, n_t: int) -> DiskPoissonSolver:
-    return DiskPoissonSolver(GridSpec(n_r, n_t))
-
-
 def solver_for(grid: GridSpec) -> DiskPoissonSolver:
-    """Shared, factorization-cached solver for a grid."""
-    return _solver_for(grid.n_r, grid.n_t)
+    """The grid's shared solver; like its nodes and weights, cached on the grid itself."""
+    return DiskPoissonSolver(grid)
 
 
 def solve_dirichlet(f: PolarField) -> PolarField:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from .canonical import VortexConfig
-from .geom import TWO_PI, ConformalDomain
+from .geom import TWO_PI, ConformalDomain, circle_distance, wrap
 from .micromag import ExternalField, minimize_g_descent, picard_solve
 from .poisson import (GridSpec, LOG_SIN_INTEGRAL, LOG_SIN_SQUARED_INTEGRAL,
                       singular_quadrature_1d)
@@ -53,8 +53,8 @@ def check_disk_reduction() -> CheckResult:
     worst = 0.0
     for _ in range(n_configs):
         s1, s2 = rng.uniform(0.0, TWO_PI, size=2)
-        if min(abs(s1 - s2), TWO_PI - abs(s1 - s2)) < 0.2:
-            s2 = (s1 + np.pi) % TWO_PI
+        if circle_distance(s1, s2) < 0.2:
+            s2 = wrap(s1 + np.pi)
         config = VortexConfig.pair(s1, s2)
         worst = max(worst, abs(w0_conformal(disk, config, nodes) - w0_disk(config)))
     return CheckResult(
@@ -122,7 +122,7 @@ def check_punctured_ladder() -> CheckResult:
     grid = GridSpec(128, 256)
     config = VortexConfig.pair(0.0, np.pi)
     rhos = (0.1, 0.05, 0.025)
-    seq = [energy - 2.0 * np.pi * np.log(1.0 / rho)
+    seq = [energy - TWO_PI * np.log(1.0 / rho)
            for rho, energy in zip(rhos, punctured_energy(config, rhos, grid))]
     monotone = seq[0] > seq[1] > seq[2]
     extrapolated = 2.0 * seq[2] - seq[1]

@@ -40,6 +40,13 @@ class TestVortexConfig:
         cfg = VortexConfig.pair(3.0, 1.0).canonical_order()
         assert cfg.angles[0] <= cfg.angles[1]
 
+    def test_a_tiny_negative_angle_is_stored_as_zero(self):
+        # its single mod rounds up to exactly 2 pi
+        assert -1e-20 % TWO_PI == TWO_PI
+        cfg = VortexConfig.pair(-1e-20, 1.0)
+        assert cfg == VortexConfig.pair(0.0, 1.0)
+        assert cfg.canonical_order().angles == (0.0, 1.0)
+
 
 class TestCanonicalMapDisk:
     def test_hand_value_at_origin(self):

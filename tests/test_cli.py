@@ -353,6 +353,18 @@ class TestFieldCommand:
         for key in ("w0", "v_ext", "total", "gradient", "solver"):
             assert sampled[key] == minimized[key]
 
+    def test_a_tiny_negative_angle_is_the_pair_at_zero(self, tmp_path):
+        # -1e-20 % 2 pi rounds up to 2 pi; the pair is stored as (0, 1)
+        options = ["--grid", "16,32", "--h=0,0.3"]
+        assert run(["field", "--s=-1e-20,1", *options, "--out", str(tmp_path / "n")]) == 0
+        assert run(["field", "--s=0,1", *options, "--out", str(tmp_path / "z")]) == 0
+        assert ((tmp_path / "n" / "field.csv").read_bytes()
+                == (tmp_path / "z" / "field.csv").read_bytes())
+        tiny, zero = (json.loads((tmp_path / d / "field_summary.json").read_text())
+                      for d in ("n", "z"))
+        for key in ("solver", "vortex_positions", "w0", "v_ext", "total", "gradient"):
+            assert tiny[key] == zero[key]
+
     def test_pair_is_scored_with_the_run_w0_nodes(self, tmp_path):
         # --s scores its pair through the run's objective, so its W0 is the
         # one at the node count the config records

@@ -2,10 +2,61 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import boundary_curvature, boundary_speed, outward_normal
 
 from vortexfield.errors import DomainError
-from vortexfield.geom import TWO_PI, ConformalDomain
+from vortexfield.geom import TWO_PI, ConformalDomain, circle_distance, wrap
+
+# every finite float, with the tiny negative angles whose single mod rounds
+# up to 2 pi drawn on purpose
+ANGLES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(min_value=-1e-15, max_value=0.0))
+# angles whose difference stays finite
+NEAR_ANGLES = st.one_of(st.floats(min_value=-1e6, max_value=1e6),
+                        st.floats(min_value=-1e-15, max_value=0.0))
+
+
+def torus_distance_before(a, b):
+    """The elementwise distance rule ``circle_distance`` replaced, as a reference."""
+    d = np.abs(np.asarray(a) - np.asarray(b)) % TWO_PI
+    return np.minimum(d, TWO_PI - d)
+
+
+class TestCircle:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(ANGLES)
+    @example(-1e-20)
+    @example(-0.0)
+    @example(TWO_PI)
+    def test_wrap_lands_in_the_period_and_is_the_single_mod_below_it(self, s):
+        wrapped = wrap(s)
+        assert isinstance(wrapped, float)
+        assert 0.0 <= wrapped < TWO_PI
+        single = s % TWO_PI
+        if single < TWO_PI:
+            assert wrapped == single and np.signbit(wrapped) == np.signbit(single)
+        else:
+            assert -4.5e-16 < s < 0.0 and wrapped == 0.0
+        # an array wraps element by element to the same bits
+        assert np.array_equal(wrap(np.array([s, -s])), [wrap(s), wrap(-s)])
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(NEAR_ANGLES, NEAR_ANGLES)
+    @example(-1e-20, 0.0)
+    @example(0.0, TWO_PI)
+    @example(0.0, np.pi)
+    def test_circle_distance_is_symmetric_bounded_and_the_rule_it_replaced(self, a, b):
+        d = circle_distance(a, b)
+        assert d == circle_distance(b, a)
+        assert 0.0 <= d <= np.pi
+        assert d == torus_distance_before(a, b)
+        # on wrapped angles the difference is below 2 pi: the rule of
+        # VortexConfig.is_degenerate, with no mod
+        a, b = wrap(a), wrap(b)
+        sep = abs(a - b)
+        assert circle_distance(a, b) == min(sep, TWO_PI - sep)
 
 
 class TestForwardMap:

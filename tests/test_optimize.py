@@ -385,6 +385,13 @@ class TestNelderMead:
                         torus_dist(result.s_min[1], 0.0))
         assert min(d_plain, d_swapped) < 0.05
 
+    def test_a_tiny_negative_angle_is_recorded_as_zero(self):
+        seen = []
+        f = _Evaluations(lambda s: seen.append(s.tolist()) or 1.0)
+        f((-1e-20, 1.0))
+        assert seen == [[0.0, 1.0]]
+        assert f.point.tolist() == [0.0, 1.0]
+
     def test_escapes_infinite_start(self):
         objective = energy_objective(ConformalDomain.disk(),
                                      ExternalField((0.0, 0.0)), GridSpec(16, 32))

@@ -142,6 +142,11 @@ class TestGridSpec:
         assert np.array_equal(weights, (grid.r * grid.dr * grid.dt)[:, None])
         with pytest.raises(ValueError):
             weights[0, 0] = 0.0
+        # equal but distinct grids share one solver too
+        solver = solver_for(GridSpec(16, 32))
+        assert solver_for(GridSpec(16, 32)) is solver
+        assert solver.grid == GridSpec(16, 32)
+        assert solver_for(GridSpec(16, 64)) is not solver
 
 
 class TestSolveDirichlet:
